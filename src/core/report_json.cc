@@ -2,8 +2,12 @@
 
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace hoyan {
 namespace {
+
+using obs::jsonEscape;
 
 std::string number(double value) {
   char buffer[64];
@@ -12,29 +16,6 @@ std::string number(double value) {
 }
 
 }  // namespace
-
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string toJson(const std::string& planName, const ChangeVerificationResult& result,
                    const obs::MetricsRegistry* metrics) {

@@ -27,7 +27,4 @@ namespace hoyan {
 std::string toJson(const std::string& planName, const ChangeVerificationResult& result,
                    const obs::MetricsRegistry* metrics = nullptr);
 
-// Minimal JSON string escaping (exposed for tests).
-std::string jsonEscape(const std::string& text);
-
 }  // namespace hoyan

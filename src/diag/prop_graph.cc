@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <deque>
 
+#include "obs/json.h"
+
 namespace hoyan {
 namespace {
-
-std::string escapeForJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string escapeForDot(const std::string& text) {
   std::string out;
@@ -189,17 +177,18 @@ std::string PropagationGraph::toJson() const {
   std::string out = "{\"nodes\":[";
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + escapeForJson(Names::str(nodes_[i])) + "\"";
+    out += "\"" + obs::jsonEscape(Names::str(nodes_[i])) + "\"";
   }
   out += "],\"edges\":[";
   for (size_t i = 0; i < edges_.size(); ++i) {
     const PropEdge& edge = edges_[i];
     if (i) out += ",";
-    out += "{\"from\":\"" + escapeForJson(Names::str(edge.from)) + "\"";
-    out += ",\"to\":\"" + escapeForJson(Names::str(edge.to)) + "\"";
+    out += "{\"from\":\"" + obs::jsonEscape(Names::str(edge.from)) + "\"";
+    out += ",\"to\":\"" + obs::jsonEscape(Names::str(edge.to)) + "\"";
     out += ",\"prefix\":\"" + edge.prefix.str() + "\"";
-    out += ",\"kind\":\"" + edge.kind + "\"";
-    if (!edge.detail.empty()) out += ",\"detail\":\"" + escapeForJson(edge.detail) + "\"";
+    out += ",\"kind\":\"" + obs::jsonEscape(edge.kind) + "\"";
+    if (!edge.detail.empty())
+      out += ",\"detail\":\"" + obs::jsonEscape(edge.detail) + "\"";
     out += "}";
   }
   out += "]}";

@@ -1,43 +1,85 @@
 #include "dist/dist_sim.h"
 
+#include "dist/job_runner.h"
 #include "obs/provenance.h"
 #include "sim/local_routes.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <map>
 #include <random>
-#include <thread>
 
 namespace hoyan {
 namespace {
 
-// Bucket upper bounds for the per-phase subtask duration histograms
-// (`dist.subtask_duration_ms.<phase>`): 0.1ms .. 30s, log-spaced.
-std::vector<double> subtaskDurationBoundsMs() {
-  return {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
-          1000, 2500, 5000, 10000, 30000};
+// The names one dist phase ("route" or "traffic") reports its subtasks under.
+JobNames subtaskNames(const std::string& phase) {
+  return JobNames{
+      .phase = phase,
+      .execPhase = phase + ".exec",
+      .span = phase + ".subtask",
+      .category = "dist",
+      .queueDepth = {"mq.depth", "Subtask messages queued, not yet claimed."},
+      .queueWait = {"mq.wait_seconds", "Seconds a subtask message waited in the queue."},
+      .retries = {"dist.retries", "Subtask attempts re-enqueued after a worker crash."},
+      .completed = {"dist.subtasks.completed", ""},
+      .crashed = {"dist.subtasks.crashed", ""},
+      .exhausted = {"dist.subtask_exhausted", ""},
+      .seconds = {"dist.subtask_seconds", ""},
+      .durationMs = {"dist.subtask_duration_ms." + phase, ""},
+  };
 }
 
-// Deterministic per-(subtask, attempt) crash decision for fault injection.
-bool injectCrash(const DistSimOptions& options, const std::string& id, int attempt) {
-  if (options.workerFailureProbability <= 0) return false;
-  const size_t h = std::hash<std::string>{}(id) ^ (attempt * 0x9e3779b97f4a7c15ULL) ^
-                   options.failureSeed;
-  std::mt19937_64 rng(h);
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(rng) < options.workerFailureProbability;
+JobPolicy subtaskPolicy(const DistSimOptions& options) {
+  return JobPolicy{options.workers, options.maxAttempts,
+                   options.workerFailureProbability, options.failureSeed};
 }
 
-// A subtask descriptor as pushed onto the MQ: references to the input blob
-// and the network snapshot are implicit (shared model), matching the paper's
-// metadata message.
-struct SubtaskMessage {
-  std::string id;
-  enum class Kind { kRouteInputs, kLocalRoutes, kTrafficInputs } kind;
-  int attempt = 1;
-};
+// Records how a queued subtask settled in the status database.
+void settleRecord(SubtaskDb& db, const std::string& id, const JobOutcome& outcome) {
+  db.update(id, [&](SubtaskRecord& r) {
+    r.status = outcome.succeeded ? SubtaskStatus::kSucceeded : SubtaskStatus::kFailed;
+    r.attempts = outcome.attempts;
+    r.runtimeSeconds = outcome.seconds;
+  });
+}
+
+// Destination range of a traffic subtask's flows.
+std::optional<IpRange> destinationRange(std::span<const Flow> flows) {
+  std::optional<IpRange> range;
+  for (const Flow& flow : flows) {
+    if (!range)
+      range = IpRange{flow.dst, flow.dst};
+    else
+      range->extend(flow.dst);
+  }
+  return range;
+}
+
+// The order a phase splits its inputs in: sorted by `less` under the ordering
+// strategy (§3.2, done offline by the input building services), shuffled by
+// `shuffleSeed` under the random one. An unchanged input set reuses the
+// split-plan cache's sorted copy instead of re-sorting (ordering strategy
+// only: the shuffle is seeded per run).
+template <typename T, typename Less>
+std::shared_ptr<const std::vector<T>> splitOrder(
+    std::span<const T> inputs, const DistSimOptions& options, Less less,
+    uint64_t shuffleSeed,
+    std::shared_ptr<const std::vector<T>> (SplitPlanCache::*cached)(std::span<const T>),
+    void (SplitPlanCache::*store)(std::shared_ptr<const std::vector<T>>)) {
+  const bool sorted = options.strategy == SplitStrategy::kOrdering;
+  SplitPlanCache* cache = sorted ? options.splitCache : nullptr;
+  if (cache)
+    if (auto hit = (cache->*cached)(inputs)) return hit;
+  std::vector<T> ordered(inputs.begin(), inputs.end());
+  if (sorted) {
+    std::stable_sort(ordered.begin(), ordered.end(), less);
+  } else {
+    std::mt19937_64 rng(shuffleSeed);
+    std::shuffle(ordered.begin(), ordered.end(), rng);
+  }
+  auto shared = std::make_shared<const std::vector<T>>(std::move(ordered));
+  if (cache) (cache->*store)(shared);
+  return shared;
+}
 
 size_t approxRouteBytes(size_t routes) { return routes * 96; }
 size_t approxRibBytes(const NetworkRibs& ribs) { return ribs.routeCount() * 96; }
@@ -103,48 +145,43 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   journal.phaseBegin("route.split");
   if (registry_) registry_->phase("route.split");
   obs::Span splitSpan = tel.tracer().span("route.split", "dist");
-  // The sorted order is a pure function of the input set, so an unchanged set
-  // reuses the previous run's copy instead of re-sorting (ordering strategy
-  // only — the random shuffle is seeded per run).
-  SplitPlanCache* splitCache =
-      options_.strategy == SplitStrategy::kOrdering ? options_.splitCache : nullptr;
-  std::shared_ptr<const std::vector<InputRoute>> orderedShared =
-      splitCache ? splitCache->cachedRouteOrder(inputs) : nullptr;
-  std::vector<InputRoute> orderedOwned;
-  if (!orderedShared) {
-    orderedOwned.assign(inputs.begin(), inputs.end());
-    if (options_.strategy == SplitStrategy::kOrdering) {
-      // Order by the last IP address of the prefix; keep same-prefix routes
-      // adjacent (§3.2 — done offline by the input-route building service).
-      std::stable_sort(orderedOwned.begin(), orderedOwned.end(),
-                       [](const InputRoute& a, const InputRoute& b) {
-                         const IpAddress lastA = a.route.prefix.lastAddress();
-                         const IpAddress lastB = b.route.prefix.lastAddress();
-                         if (!(lastA == lastB)) return lastA < lastB;
-                         return a.route.prefix < b.route.prefix;
-                       });
-    } else {
-      std::mt19937_64 rng(options_.failureSeed * 7919 + 13);
-      std::shuffle(orderedOwned.begin(), orderedOwned.end(), rng);
-    }
-    if (splitCache) {
-      orderedShared =
-          std::make_shared<const std::vector<InputRoute>>(std::move(orderedOwned));
-      splitCache->storeRouteOrder(orderedShared);
-    }
-  }
-  const std::span<const InputRoute> ordered =
-      orderedShared ? std::span<const InputRoute>(*orderedShared)
-                    : std::span<const InputRoute>(orderedOwned);
+  // Order by the last IP address of the prefix; keep same-prefix routes
+  // adjacent.
+  const auto orderedInputs = splitOrder(
+      inputs, options_,
+      [](const InputRoute& a, const InputRoute& b) {
+        const IpAddress lastA = a.route.prefix.lastAddress();
+        const IpAddress lastB = b.route.prefix.lastAddress();
+        if (!(lastA == lastB)) return lastA < lastB;
+        return a.route.prefix < b.route.prefix;
+      },
+      options_.failureSeed * 7919 + 13, &SplitPlanCache::cachedRouteOrder,
+      &SplitPlanCache::storeRouteOrder);
+  const std::span<const InputRoute> ordered(*orderedInputs);
 
   const size_t subtaskCount = std::min(options_.routeSubtasks,
                                        std::max<size_t>(ordered.size(), 1));
-  MessageQueue<SubtaskMessage> queue;
-  queue.bindTelemetry(
-      &tel.metrics().gauge("mq.depth", "Subtask messages queued, not yet claimed."),
-      &tel.metrics().histogram("mq.wait_seconds", {},
-                               "Seconds a subtask message waited in the queue."));
-  std::vector<std::string> subtaskIds;
+  JobRunner jobs(tel, registry_, subtaskNames("route"), subtaskPolicy(options_));
+  // The split-time cache decision. A hit is served from the store at merge
+  // time (a cache read, not sim work): never queued, inputs never uploaded.
+  const auto servedFromCache = [&](size_t job, SubtaskRecord& record) {
+    if (!cache) return false;
+    if (!provReplayable(record.resultKey)) {
+      cache->noteBypass();
+      jobs.cacheBypass(job, "prov_filter_mismatch", record.resultKey);
+      return false;
+    }
+    if (!cache->lookup(record.resultKey)) {
+      jobs.cacheMiss(job, record.resultKey);
+      return false;
+    }
+    jobs.cacheHit(job, record.resultKey);
+    record.status = SubtaskStatus::kSucceeded;
+    record.attempts = 0;
+    record.fromCache = true;
+    ++result.cacheHits;
+    return true;
+  };
   size_t cursor = 0;
   for (size_t i = 0; i < subtaskCount; ++i) {
     const size_t begin = cursor;
@@ -158,7 +195,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
     if (begin >= end) continue;
     const std::span<const InputRoute> slice(ordered.data() + begin, end - begin);
     SubtaskRecord record;
-    record.id = "route-" + std::to_string(subtaskIds.size());
+    record.id = "route-" + std::to_string(jobs.size());
     record.inputKey = options_.keyPrefix + record.id + "/input";
     record.resultKey = options_.keyPrefix + record.id + "/result";
     // Record the address range the subtask's routes cover (§3.2).
@@ -166,262 +203,103 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
                   slice.front().route.prefix.lastAddress()};
     for (const InputRoute& input : slice) range.extend(input.route.prefix);
     record.coverage = range;
-    if (cache) {
-      record.resultKey = cache->routeResultKey(slice, record.coverage);
-      const bool provOk = provReplayable(record.resultKey);
-      if (!provOk) {
-        cache->noteBypass();
-        journal.cacheBypass("prov_filter_mismatch", record.id, record.resultKey);
-        if (registry_) registry_->cacheBypass();
-      }
-      if (provOk && cache->lookup(record.resultKey)) {
-        // Served from the store at merge time — a cache read, not sim work.
-        // The chunk is never materialized: nobody will load its inputs.
-        journal.cacheHit("route", record.id, record.resultKey);
-        if (registry_) {
-          registry_->cacheHit();
-          registry_->subtaskCached();
-        }
-        record.status = SubtaskStatus::kSucceeded;
-        record.attempts = 0;
-        record.fromCache = true;
-        db_.upsert(std::move(record));
-        subtaskIds.push_back("route-" + std::to_string(subtaskIds.size()));
-        ++result.cacheHits;
-        continue;
-      }
-      if (provOk) {
-        journal.cacheMiss("route", record.id, record.resultKey);
-        if (registry_) registry_->cacheMiss();
-      }
+    if (cache) record.resultKey = cache->routeResultKey(slice, record.coverage);
+    const size_t job = jobs.add(record.id);
+    if (!servedFromCache(job, record)) {
+      store_->put(record.inputKey,
+                  std::vector<InputRoute>(slice.begin(), slice.end()),
+                  approxRouteBytes(end - begin));
+      jobs.enqueue(job);
     }
-    store_->put(record.inputKey,
-                std::vector<InputRoute>(slice.begin(), slice.end()),
-                approxRouteBytes(end - begin));
-    db_.upsert(record);
-    queue.push(SubtaskMessage{record.id, SubtaskMessage::Kind::kRouteInputs, 1});
-    journal.subtaskEnqueue("route", record.id);
-    if (registry_) registry_->subtaskEnqueued();
-    subtaskIds.push_back(record.id);
+    db_.upsert(std::move(record));
   }
   // The dedicated local-routes subtask (direct/static/IS-IS).
+  const size_t localJob = jobs.add("route-local");
   {
     SubtaskRecord record;
     record.id = "route-local";
     record.resultKey = cache ? cache->localRoutesResultKey()
                              : options_.keyPrefix + record.id + "/result";
-    bool provOk = true;
-    if (cache) {
-      provOk = provReplayable(record.resultKey);
-      if (!provOk) {
-        cache->noteBypass();
-        journal.cacheBypass("prov_filter_mismatch", record.id, record.resultKey);
-        if (registry_) registry_->cacheBypass();
-      }
-    }
-    if (cache && provOk && cache->lookup(record.resultKey)) {
-      journal.cacheHit("route", record.id, record.resultKey);
-      if (registry_) {
-        registry_->cacheHit();
-        registry_->subtaskCached();
-      }
-      record.status = SubtaskStatus::kSucceeded;
-      record.attempts = 0;
-      record.fromCache = true;
-      db_.upsert(std::move(record));
-      ++result.cacheHits;
-    } else {
-      if (cache && provOk) {
-        journal.cacheMiss("route", record.id, record.resultKey);
-        if (registry_) registry_->cacheMiss();
-      }
-      db_.upsert(record);
-      queue.push(SubtaskMessage{record.id, SubtaskMessage::Kind::kLocalRoutes, 1});
-      journal.subtaskEnqueue("route", record.id);
-      if (registry_) registry_->subtaskEnqueued();
-    }
-    subtaskIds.push_back("route-local");
+    if (!servedFromCache(localJob, record)) jobs.enqueue(localJob);
+    db_.upsert(std::move(record));
   }
-  splitSpan.arg("subtasks", std::to_string(subtaskIds.size()));
+  splitSpan.arg("subtasks", std::to_string(jobs.size()));
   splitSpan.finish();
   result.splitSeconds = splitSpan.seconds();
   journal.phaseEnd("route.split", splitSpan.seconds());
-  tel.metrics().counter("dist.route.subtasks").add(subtaskIds.size());
+  tel.metrics().counter("dist.route.subtasks").add(jobs.size());
 
   // --- workers --------------------------------------------------------------
-  std::atomic<size_t> remaining{subtaskIds.size() - result.cacheHits};
-  if (remaining.load() == 0) queue.close();  // Everything came from the cache.
-  std::atomic<size_t> retries{0};
-  std::atomic<bool> failed{false};
-  std::mutex statsMutex;
-  obs::Counter& retryCounter = tel.metrics().counter(
-      "dist.retries", "Subtask attempts re-enqueued after a worker crash.");
-  obs::Counter& completedCounter = tel.metrics().counter("dist.subtasks.completed");
-  obs::Counter& crashCounter = tel.metrics().counter("dist.subtasks.crashed");
-  obs::Counter& exhaustedCounter = tel.metrics().counter("dist.subtask_exhausted");
-  obs::Histogram& subtaskSeconds = tel.metrics().histogram("dist.subtask_seconds");
-  obs::Histogram& subtaskDurationMs = tel.metrics().histogram(
-      "dist.subtask_duration_ms.route", subtaskDurationBoundsMs());
-  const auto workerLoop = [&](int workerId) {
-    while (auto message = queue.pop()) {
-      obs::Span subtaskSpan = tel.tracer().span("route.subtask", "dist");
-      subtaskSpan.arg("id", message->id);
-      subtaskSpan.arg("attempt", std::to_string(message->attempt));
-      journal.subtaskStart("route", message->id, message->attempt, workerId);
-      if (registry_) registry_->subtaskStarted(workerId, message->id);
-      db_.update(message->id, [&](SubtaskRecord& r) {
-        r.status = SubtaskStatus::kRunning;
-        r.attempts = message->attempt;
-      });
-      if (injectCrash(options_, message->id, message->attempt)) {
-        // The working server dies mid-subtask; the master re-queues (§3.2).
-        subtaskSpan.arg("outcome", "crashed");
-        crashCounter.add(1);
-        if (registry_) registry_->subtaskCrashed(workerId);
-        db_.update(message->id,
-                   [](SubtaskRecord& r) { r.status = SubtaskStatus::kFailed; });
-        if (message->attempt >= options_.maxAttempts) {
-          tel.log().error("route.subtask.exhausted", {{"id", message->id}});
-          exhaustedCounter.add(1);
-          journal.subtaskExhaust("route", message->id, message->attempt);
-          if (registry_) registry_->subtaskExhausted();
-          failed = true;
-          {
-            std::lock_guard lock(statsMutex);
-            result.failedSubtasks.push_back(message->id);
-          }
-          if (remaining.fetch_sub(1) == 1) queue.close();
+  std::vector<RouteSimStats> executedStats(jobs.size());  // One writer per job.
+  const JobReport report = jobs.run(
+      [&](size_t job, int) {
+        const auto record = db_.get(jobs.id(job));
+        obs::Span executeSpan = tel.tracer().span("route.subtask.execute", "dist");
+        NetworkRibs ribs;
+        // Private per-subtask recorder (same filter/caps as the master's):
+        // concurrent subtasks must not interleave events in a shared sink.
+        obs::ProvenanceRecorder subProv(prov ? prov->options()
+                                             : obs::ProvenanceOptions{});
+        if (job == localJob) {
+          installLocalRoutes(model_, ribs, prov ? &subProv : nullptr);
         } else {
-          tel.log().warn("route.subtask.retry",
-                         {{"id", message->id},
-                          {"attempt", std::to_string(message->attempt)}});
-          retries.fetch_add(1);
-          retryCounter.add(1);
-          journal.subtaskRetry("route", message->id, message->attempt);
-          if (registry_) registry_->subtaskRetried();
-          queue.push(SubtaskMessage{message->id, message->kind, message->attempt + 1});
+          const auto chunk = store_->get<std::vector<InputRoute>>(record->inputKey);
+          RouteSimOptions subOptions = options_.routeOptions;
+          subOptions.includeLocalRoutes = false;
+          subOptions.telemetry = telemetry_;
+          subOptions.provenance = prov ? &subProv : nullptr;
+          // Subtask-local selection is provisional (the master re-selects
+          // after merging); selection events come from the merged RIBs below.
+          subOptions.provenanceSelectionEvents = false;
+          RouteSimResult subResult = simulateRoutes(model_, *chunk, subOptions);
+          ribs = std::move(subResult.ribs);
+          executedStats[job] = subResult.stats;
         }
-        continue;
-      }
-      obs::Span executeSpan = tel.tracer().span("route.subtask.execute", "dist");
-      NetworkRibs ribs;
-      RouteSimStats stats;
-      // Private per-subtask recorder (same filter/caps as the master's):
-      // concurrent subtasks must not interleave events in a shared sink.
-      obs::ProvenanceRecorder subProv(prov ? prov->options() : obs::ProvenanceOptions{});
-      if (message->kind == SubtaskMessage::Kind::kLocalRoutes) {
-        installLocalRoutes(model_, ribs, prov ? &subProv : nullptr);
-      } else {
-        const auto record = db_.get(message->id);
-        const auto chunk = store_->get<std::vector<InputRoute>>(record->inputKey);
-        RouteSimOptions subOptions = options_.routeOptions;
-        subOptions.includeLocalRoutes = false;
-        subOptions.telemetry = telemetry_;
-        subOptions.provenance = prov ? &subProv : nullptr;
-        // Subtask-local selection is provisional (the master re-selects after
-        // merging); selection events come from the merged RIBs below.
-        subOptions.provenanceSelectionEvents = false;
-        RouteSimResult subResult = simulateRoutes(model_, *chunk, subOptions);
-        ribs = std::move(subResult.ribs);
-        stats = subResult.stats;
-      }
-      executeSpan.finish();
-      obs::Span uploadSpan = tel.tracer().span("route.subtask.upload", "dist");
-      const auto record = db_.get(message->id);
-      const size_t resultBytes = approxRibBytes(ribs);
-      store_->put(record->resultKey, std::move(ribs), resultBytes);
-      size_t provBytes = 0;
-      if (prov) {
-        // Compressed event log rides along under `<result key>#prov` so a
-        // future recording run's hit replays these exact events.
-        const std::vector<obs::RouteEvent> events = subProv.snapshot();
-        obs::CompressedRouteEvents blob;
-        blob.filterFp = provFp;
-        blob.eventCount = events.size();
-        blob.bytes = obs::compressRouteEvents(events);
-        provBytes = blob.bytes.size() + 32;
-        store_->put(record->resultKey + "#prov", std::move(blob), provBytes);
-      }
-      if (cache) {
-        // Replayable stats ride along so a future hit merges identically.
-        constexpr size_t kStatsBytes = 128;
-        store_->put(record->resultKey + "#stats", stats, kStatsBytes);
-        cache->stored(record->resultKey, resultBytes + kStatsBytes + provBytes);
-      }
-      uploadSpan.finish();
-      subtaskSpan.finish();
-      subtaskSeconds.observe(subtaskSpan.seconds());
-      subtaskDurationMs.observe(subtaskSpan.seconds() * 1e3);
-      journal.subtaskFinish("route", message->id, message->attempt, workerId,
-                            subtaskSpan.seconds());
-      if (registry_) registry_->subtaskFinished(workerId, subtaskSpan.seconds());
-      completedCounter.add(1);
-      // The span both *is* the trace record and feeds the public metric.
-      db_.update(message->id, [&](SubtaskRecord& r) {
-        r.status = SubtaskStatus::kSucceeded;
-        r.runtimeSeconds = subtaskSpan.seconds();
+        executeSpan.finish();
+        obs::Span uploadSpan = tel.tracer().span("route.subtask.upload", "dist");
+        const size_t resultBytes = approxRibBytes(ribs);
+        store_->put(record->resultKey, std::move(ribs), resultBytes);
+        size_t provBytes = 0;
+        if (prov) {
+          // Compressed event log rides along under `<result key>#prov` so a
+          // future recording run's hit replays these exact events.
+          const std::vector<obs::RouteEvent> events = subProv.snapshot();
+          obs::CompressedRouteEvents blob;
+          blob.filterFp = provFp;
+          blob.eventCount = events.size();
+          blob.bytes = obs::compressRouteEvents(events);
+          provBytes = blob.bytes.size() + 32;
+          store_->put(record->resultKey + "#prov", std::move(blob), provBytes);
+        }
+        if (cache) {
+          // Replayable stats ride along so a future hit merges identically.
+          constexpr size_t kStatsBytes = 128;
+          store_->put(record->resultKey + "#stats", executedStats[job], kStatsBytes);
+          cache->stored(record->resultKey, resultBytes + kStatsBytes + provBytes);
+        }
+      },
+      [&](size_t job, const JobOutcome& outcome) {
+        settleRecord(db_, jobs.id(job), outcome);
       });
-      {
-        std::lock_guard lock(statsMutex);
-        result.stats.simulatedInputs += stats.simulatedInputs;
-        result.stats.messagesProcessed += stats.messagesProcessed;
-        result.stats.rounds = std::max(result.stats.rounds, stats.rounds);
-        result.stats.converged = result.stats.converged && stats.converged;
-        result.stats.ec.inputRoutes += stats.ec.inputRoutes;
-        result.stats.ec.classes += stats.ec.classes;
-        result.stats.ec.prefixClasses += stats.ec.prefixClasses;
-        result.stats.ecSeconds += stats.ecSeconds;
-        result.stats.propagateSeconds += stats.propagateSeconds;
-        result.stats.materializeSeconds += stats.materializeSeconds;
-        result.stats.policy.add(stats.policy);
-      }
-      if (remaining.fetch_sub(1) == 1) queue.close();
-    }
-  };
-
-  journal.phaseBegin("route.exec");
-  if (registry_) registry_->phase("route.exec");
-  const auto execStart = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i)
-    workers.emplace_back(workerLoop, static_cast<int>(i));
-  for (std::thread& worker : workers) worker.join();
-  journal.phaseEnd("route.exec",
-                   std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 execStart)
-                       .count());
-
-  result.retries = retries.load();
-  result.succeeded = !failed.load();
+  result.retries = report.retries;
+  result.succeeded = report.exhausted.empty();
+  result.failedSubtasks = report.exhausted;
 
   // --- master: collect results ----------------------------------------------
   journal.phaseBegin("route.merge");
   if (registry_) registry_->phase("route.merge");
   obs::Span mergeSpan = tel.tracer().span("route.merge", "dist");
-  for (const std::string& id : subtaskIds) {
-    const auto record = db_.get(id);
+  for (size_t job = 0; job < jobs.size(); ++job) {
+    const auto record = db_.get(jobs.id(job));
     if (!record || record->status != SubtaskStatus::kSucceeded) continue;
     const auto ribs = store_->get<NetworkRibs>(record->resultKey);
     result.ribs.merge(*ribs);
-    if (record->fromCache) {
+    if (!record->fromCache) {
+      result.stats.add(executedStats[job]);
+    } else if (const std::string statsKey = record->resultKey + "#stats";
+               store_->contains(statsKey)) {
       // A cache hit replays the stats the original execution stored.
-      const std::string statsKey = record->resultKey + "#stats";
-      if (store_->contains(statsKey)) {
-        const auto stats = store_->get<RouteSimStats>(statsKey);
-        std::lock_guard lock(statsMutex);
-        result.stats.simulatedInputs += stats->simulatedInputs;
-        result.stats.messagesProcessed += stats->messagesProcessed;
-        result.stats.rounds = std::max(result.stats.rounds, stats->rounds);
-        result.stats.converged = result.stats.converged && stats->converged;
-        result.stats.ec.inputRoutes += stats->ec.inputRoutes;
-        result.stats.ec.classes += stats->ec.classes;
-        result.stats.ec.prefixClasses += stats->ec.prefixClasses;
-        result.stats.ecSeconds += stats->ecSeconds;
-        result.stats.propagateSeconds += stats->propagateSeconds;
-        result.stats.materializeSeconds += stats->materializeSeconds;
-        result.stats.policy.add(stats->policy);
-      }
+      result.stats.add(*store_->get<RouteSimStats>(statsKey));
     }
     // Ordered provenance merge: append each subtask's event log in subtask-id
     // order (not worker completion order), re-sequencing as we go. Cache hits
@@ -431,7 +309,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
       const auto blob = store_->get<obs::CompressedRouteEvents>(provKey);
       prov->append(obs::decompressRouteEvents(blob->bytes));
     }
-    result.subtasks.push_back(SubtaskMetric{id, record->runtimeSeconds,
+    result.subtasks.push_back(SubtaskMetric{record->id, record->runtimeSeconds,
                                             record->attempts, 0, 0,
                                             record->fromCache});
     routeResultKeys_.push_back(record->resultKey);
@@ -503,269 +381,126 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
            dstRange->overlaps(*file.coverage);
   };
 
-  struct TrafficOutput {
-    LinkLoadMap loads;
-    TrafficSimStats stats;
-  };
-  std::mutex outputMutex;
-  // Per-subtask outputs, merged by the master in subtask order after the
-  // workers join: float addition is not associative, so merging in worker
-  // *completion* order made link loads depend on the worker count.
-  std::map<std::string, TrafficOutput> outputs;
+  // Per-subtask outputs (one writer per job), merged by the master in
+  // subtask order after the workers join: float addition is not associative,
+  // so merging in worker *completion* order made link loads depend on the
+  // worker count.
+  std::vector<TrafficSubtaskResult> outputs;
 
   // --- master: prepare subtasks ----------------------------------------------
   journal.phaseBegin("traffic.split");
   if (registry_) registry_->phase("traffic.split");
   obs::Span splitSpan = tel.tracer().span("traffic.split", "dist");
-  SplitPlanCache* splitCache =
-      options_.strategy == SplitStrategy::kOrdering ? options_.splitCache : nullptr;
-  std::shared_ptr<const std::vector<Flow>> orderedShared =
-      splitCache ? splitCache->cachedFlowOrder(flows) : nullptr;
-  std::vector<Flow> orderedOwned;
-  if (!orderedShared) {
-    orderedOwned.assign(flows.begin(), flows.end());
-    if (options_.strategy == SplitStrategy::kOrdering) {
-      // Order by destination address (§3.2 — done offline by the input-flow
-      // building service).
-      std::stable_sort(orderedOwned.begin(), orderedOwned.end(),
-                       [](const Flow& a, const Flow& b) { return a.dst < b.dst; });
-    } else {
-      std::mt19937_64 rng(options_.failureSeed * 104729 + 41);
-      std::shuffle(orderedOwned.begin(), orderedOwned.end(), rng);
-    }
-    if (splitCache) {
-      orderedShared = std::make_shared<const std::vector<Flow>>(std::move(orderedOwned));
-      splitCache->storeFlowOrder(orderedShared);
-    }
-  }
-  const std::span<const Flow> ordered =
-      orderedShared ? std::span<const Flow>(*orderedShared)
-                    : std::span<const Flow>(orderedOwned);
+  // Order by destination address.
+  const auto orderedFlows = splitOrder(
+      flows, options_, [](const Flow& a, const Flow& b) { return a.dst < b.dst; },
+      options_.failureSeed * 104729 + 41, &SplitPlanCache::cachedFlowOrder,
+      &SplitPlanCache::storeFlowOrder);
+  const std::span<const Flow> ordered(*orderedFlows);
 
   const size_t subtaskCount =
       std::min(options_.trafficSubtasks, std::max<size_t>(ordered.size(), 1));
-  MessageQueue<SubtaskMessage> queue;
-  queue.bindTelemetry(
-      &tel.metrics().gauge("mq.depth", "Subtask messages queued, not yet claimed."),
-      &tel.metrics().histogram("mq.wait_seconds", {},
-                               "Seconds a subtask message waited in the queue."));
-  std::vector<std::string> subtaskIds;
+  JobRunner jobs(tel, registry_, subtaskNames("traffic"), subtaskPolicy(options_));
   for (size_t i = 0; i < subtaskCount; ++i) {
     const size_t begin = ordered.size() * i / subtaskCount;
     const size_t end = ordered.size() * (i + 1) / subtaskCount;
     if (begin >= end) continue;
     const std::span<const Flow> slice(ordered.data() + begin, end - begin);
     SubtaskRecord record;
-    record.id = "traffic-" + std::to_string(subtaskIds.size());
+    record.id = "traffic-" + std::to_string(jobs.size());
     record.inputKey = options_.keyPrefix + record.id + "/input";
     record.resultKey = options_.keyPrefix + record.id + "/result";
+    const size_t job = jobs.add(record.id);
+    TrafficSubtaskResult& output = outputs.emplace_back();
     if (cache) {
-      std::optional<IpRange> dstRange;
-      for (const Flow& flow : slice) {
-        if (!dstRange)
-          dstRange = IpRange{flow.dst, flow.dst};
-        else
-          dstRange->extend(flow.dst);
-      }
+      const std::optional<IpRange> dstRange = destinationRange(slice);
       std::vector<std::string> ribKeys;
       for (const RouteFile& file : routeFiles)
         if (ribNeeded(file, dstRange)) ribKeys.push_back(file.resultKey);
       record.resultKey = cache->trafficResultKey(slice, ribKeys);
       if (cache->lookup(record.resultKey)) {
-        journal.cacheHit("traffic", record.id, record.resultKey);
-        if (registry_) {
-          registry_->cacheHit();
-          registry_->subtaskCached();
-        }
-        const auto blob = store_->get<TrafficSubtaskResult>(record.resultKey);
+        jobs.cacheHit(job, record.resultKey);
+        output = *store_->get<TrafficSubtaskResult>(record.resultKey);
         record.status = SubtaskStatus::kSucceeded;
         record.attempts = 0;
         record.fromCache = true;
-        record.ribFilesLoaded = blob->ribFilesLoaded;
-        record.ribFilesTotal = blob->ribFilesTotal;
-        outputs[record.id] = TrafficOutput{blob->linkLoads, blob->stats};
         db_.upsert(std::move(record));
-        subtaskIds.push_back("traffic-" + std::to_string(subtaskIds.size()));
         ++result.cacheHits;
         continue;
       }
-      journal.cacheMiss("traffic", record.id, record.resultKey);
-      if (registry_) registry_->cacheMiss();
+      jobs.cacheMiss(job, record.resultKey);
     }
     store_->put(record.inputKey, std::vector<Flow>(slice.begin(), slice.end()),
                 approxFlowBytes(end - begin));
-    db_.upsert(record);
-    queue.push(SubtaskMessage{record.id, SubtaskMessage::Kind::kTrafficInputs, 1});
-    journal.subtaskEnqueue("traffic", record.id);
-    if (registry_) registry_->subtaskEnqueued();
-    subtaskIds.push_back(record.id);
+    db_.upsert(std::move(record));
+    jobs.enqueue(job);
   }
 
-  splitSpan.arg("subtasks", std::to_string(subtaskIds.size()));
+  splitSpan.arg("subtasks", std::to_string(jobs.size()));
   splitSpan.finish();
   result.splitSeconds = splitSpan.seconds();
   journal.phaseEnd("traffic.split", splitSpan.seconds());
-  tel.metrics().counter("dist.traffic.subtasks").add(subtaskIds.size());
+  tel.metrics().counter("dist.traffic.subtasks").add(jobs.size());
 
   // --- workers -----------------------------------------------------------------
-  std::atomic<size_t> remaining{subtaskIds.size() - result.cacheHits};
-  if (remaining.load() == 0) queue.close();  // Everything came from the cache.
-  std::atomic<size_t> retries{0};
-  std::atomic<bool> failed{false};
-  obs::Counter& retryCounter = tel.metrics().counter(
-      "dist.retries", "Subtask attempts re-enqueued after a worker crash.");
-  obs::Counter& completedCounter = tel.metrics().counter("dist.subtasks.completed");
-  obs::Counter& crashCounter = tel.metrics().counter("dist.subtasks.crashed");
-  obs::Counter& exhaustedCounter = tel.metrics().counter("dist.subtask_exhausted");
-  obs::Histogram& subtaskSeconds = tel.metrics().histogram("dist.subtask_seconds");
-  obs::Histogram& subtaskDurationMs = tel.metrics().histogram(
-      "dist.subtask_duration_ms.traffic", subtaskDurationBoundsMs());
   obs::Counter& ribFilesLoaded = tel.metrics().counter("dist.traffic.rib_files_loaded");
   obs::Counter& ribFilesSkipped = tel.metrics().counter("dist.traffic.rib_files_skipped");
-
-  const auto workerLoop = [&](int workerId) {
-    while (auto message = queue.pop()) {
-      obs::Span subtaskSpan = tel.tracer().span("traffic.subtask", "dist");
-      subtaskSpan.arg("id", message->id);
-      subtaskSpan.arg("attempt", std::to_string(message->attempt));
-      journal.subtaskStart("traffic", message->id, message->attempt, workerId);
-      if (registry_) registry_->subtaskStarted(workerId, message->id);
-      db_.update(message->id, [&](SubtaskRecord& r) {
-        r.status = SubtaskStatus::kRunning;
-        r.attempts = message->attempt;
-      });
-      if (injectCrash(options_, message->id, message->attempt)) {
-        subtaskSpan.arg("outcome", "crashed");
-        crashCounter.add(1);
-        if (registry_) registry_->subtaskCrashed(workerId);
-        db_.update(message->id,
-                   [](SubtaskRecord& r) { r.status = SubtaskStatus::kFailed; });
-        if (message->attempt >= options_.maxAttempts) {
-          tel.log().error("traffic.subtask.exhausted", {{"id", message->id}});
-          exhaustedCounter.add(1);
-          journal.subtaskExhaust("traffic", message->id, message->attempt);
-          if (registry_) registry_->subtaskExhausted();
-          failed = true;
-          {
-            std::lock_guard lock(outputMutex);
-            result.failedSubtasks.push_back(message->id);
-          }
-          if (remaining.fetch_sub(1) == 1) queue.close();
-        } else {
-          tel.log().warn("traffic.subtask.retry",
-                         {{"id", message->id},
-                          {"attempt", std::to_string(message->attempt)}});
-          retries.fetch_add(1);
-          retryCounter.add(1);
-          journal.subtaskRetry("traffic", message->id, message->attempt);
-          if (registry_) registry_->subtaskRetried();
-          queue.push(SubtaskMessage{message->id, message->kind, message->attempt + 1});
+  const JobReport report = jobs.run(
+      [&](size_t job, int) {
+        const auto record = db_.get(jobs.id(job));
+        const auto chunk = store_->get<std::vector<Flow>>(record->inputKey);
+        const std::optional<IpRange> dstRange = destinationRange(*chunk);
+        obs::Span loadSpan = tel.tracer().span("traffic.subtask.load_ribs", "dist");
+        NetworkRibs ribs;
+        size_t loaded = 0;
+        for (const RouteFile& file : routeFiles) {
+          if (!ribNeeded(file, dstRange)) continue;
+          const auto part = store_->get<NetworkRibs>(file.resultKey);
+          ribs.merge(*part);
+          ++loaded;
         }
-        continue;
-      }
-      const auto record = db_.get(message->id);
-      const auto chunk = store_->get<std::vector<Flow>>(record->inputKey);
-      // Destination range of this subtask's flows.
-      std::optional<IpRange> dstRange;
-      for (const Flow& flow : *chunk) {
-        if (!dstRange)
-          dstRange = IpRange{flow.dst, flow.dst};
-        else
-          dstRange->extend(flow.dst);
-      }
-      obs::Span loadSpan = tel.tracer().span("traffic.subtask.load_ribs", "dist");
-      NetworkRibs ribs;
-      size_t loaded = 0;
-      for (const RouteFile& file : routeFiles) {
-        if (!ribNeeded(file, dstRange)) continue;
-        const auto part = store_->get<NetworkRibs>(file.resultKey);
-        ribs.merge(*part);
-        ++loaded;
-      }
-      dedupeRoutes(ribs);
-      reselectAll(ribs);
-      ribs.buildForwardingIndex();
-      loadSpan.arg("loaded", std::to_string(loaded));
-      loadSpan.finish();
-      ribFilesLoaded.add(loaded);
-      ribFilesSkipped.add(routeFiles.size() - loaded);
-      obs::Span executeSpan = tel.tracer().span("traffic.subtask.execute", "dist");
-      TrafficSimOptions subOptions = options_.trafficOptions;
-      subOptions.telemetry = telemetry_;
-      const TrafficSimResult subResult =
-          simulateTraffic(model_, ribs, *chunk, subOptions);
-      executeSpan.finish();
-      {
-        std::lock_guard lock(outputMutex);
-        outputs[message->id] = TrafficOutput{subResult.linkLoads, subResult.stats};
-      }
-      obs::Span uploadSpan = tel.tracer().span("traffic.subtask.upload", "dist");
-      const size_t resultBytes = subResult.linkLoads.size() * 24 + 128;
-      store_->put(record->resultKey,
-                  TrafficSubtaskResult{subResult.linkLoads, subResult.stats,
-                                       loaded, routeFiles.size()},
-                  resultBytes);
-      if (cache) cache->stored(record->resultKey, resultBytes);
-      uploadSpan.finish();
-      subtaskSpan.finish();
-      subtaskSeconds.observe(subtaskSpan.seconds());
-      subtaskDurationMs.observe(subtaskSpan.seconds() * 1e3);
-      journal.subtaskFinish("traffic", message->id, message->attempt, workerId,
-                            subtaskSpan.seconds());
-      if (registry_) registry_->subtaskFinished(workerId, subtaskSpan.seconds());
-      completedCounter.add(1);
-      db_.update(message->id, [&](SubtaskRecord& r) {
-        r.status = SubtaskStatus::kSucceeded;
-        r.runtimeSeconds = subtaskSpan.seconds();
-        r.ribFilesLoaded = loaded;
-        r.ribFilesTotal = routeFiles.size();
+        dedupeRoutes(ribs);
+        reselectAll(ribs);
+        ribs.buildForwardingIndex();
+        loadSpan.arg("loaded", std::to_string(loaded));
+        loadSpan.finish();
+        ribFilesLoaded.add(loaded);
+        ribFilesSkipped.add(routeFiles.size() - loaded);
+        obs::Span executeSpan = tel.tracer().span("traffic.subtask.execute", "dist");
+        TrafficSimOptions subOptions = options_.trafficOptions;
+        subOptions.telemetry = telemetry_;
+        const TrafficSimResult subResult =
+            simulateTraffic(model_, ribs, *chunk, subOptions);
+        executeSpan.finish();
+        TrafficSubtaskResult& output = outputs[job];
+        output = TrafficSubtaskResult{subResult.linkLoads, subResult.stats, loaded,
+                                      routeFiles.size()};
+        obs::Span uploadSpan = tel.tracer().span("traffic.subtask.upload", "dist");
+        const size_t resultBytes = output.linkLoads.size() * 24 + 128;
+        store_->put(record->resultKey, output, resultBytes);
+        if (cache) cache->stored(record->resultKey, resultBytes);
+      },
+      [&](size_t job, const JobOutcome& outcome) {
+        settleRecord(db_, jobs.id(job), outcome);
       });
-      if (remaining.fetch_sub(1) == 1) queue.close();
-    }
-  };
+  result.retries = report.retries;
+  result.succeeded = report.exhausted.empty();
+  result.failedSubtasks = report.exhausted;
 
-  journal.phaseBegin("traffic.exec");
-  if (registry_) registry_->phase("traffic.exec");
-  const auto execStart = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i)
-    workers.emplace_back(workerLoop, static_cast<int>(i));
-  for (std::thread& worker : workers) worker.join();
-  journal.phaseEnd("traffic.exec",
-                   std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 execStart)
-                       .count());
-
-  result.retries = retries.load();
-  result.succeeded = !failed.load();
   // --- master: merge in fixed subtask order (determinism) -------------------
   journal.phaseBegin("traffic.merge");
   if (registry_) registry_->phase("traffic.merge");
   obs::Span mergeSpan = tel.tracer().span("traffic.merge", "dist");
-  for (const std::string& id : subtaskIds) {
-    const auto it = outputs.find(id);
-    if (it == outputs.end()) continue;
-    const TrafficOutput& output = it->second;
-    result.linkLoads.merge(output.loads);
-    result.stats.inputFlows += output.stats.inputFlows;
-    result.stats.simulatedFlows += output.stats.simulatedFlows;
-    result.stats.delivered += output.stats.delivered;
-    result.stats.exited += output.stats.exited;
-    result.stats.blackholed += output.stats.blackholed;
-    result.stats.looped += output.stats.looped;
-    result.stats.deniedAcl += output.stats.deniedAcl;
-    result.stats.ec.inputFlows += output.stats.ec.inputFlows;
-    result.stats.ec.classes += output.stats.ec.classes;
-    result.stats.ecSeconds += output.stats.ecSeconds;
-    result.stats.forwardSeconds += output.stats.forwardSeconds;
-  }
-  for (const std::string& id : subtaskIds) {
-    const auto record = db_.get(id);
-    if (!record) continue;
-    result.subtasks.push_back(SubtaskMetric{id, record->runtimeSeconds, record->attempts,
-                                            record->ribFilesLoaded,
-                                            record->ribFilesTotal, record->fromCache});
+  for (size_t job = 0; job < jobs.size(); ++job) {
+    const auto record = db_.get(jobs.id(job));
+    const TrafficSubtaskResult& output = outputs[job];
+    if (record->status == SubtaskStatus::kSucceeded) {
+      result.linkLoads.merge(output.linkLoads);
+      result.stats.add(output.stats);
+    }
+    result.subtasks.push_back(SubtaskMetric{record->id, record->runtimeSeconds,
+                                            record->attempts, output.ribFilesLoaded,
+                                            output.ribFilesTotal, record->fromCache});
   }
   mergeSpan.finish();
   journal.phaseEnd("traffic.merge", mergeSpan.seconds());

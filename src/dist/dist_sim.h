@@ -2,9 +2,9 @@
 //
 // A simulation task is split by the master into subtasks over disjoint input
 // subsets; subtask descriptors travel through a message queue to working
-// servers (threads here), inputs/results through the object store, status
-// through the subtask database. The master monitors, retries failures, and
-// merges results.
+// servers (threads of the job executor, job_runner.h), inputs/results through
+// the object store, status through the subtask database. The executor retries
+// failures; the master merges results.
 //
 // The *ordering heuristic*: input routes are pre-sorted by the last address
 // of their prefix and split contiguously, each route subtask recording the
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/message_queue.h"
 #include "dist/object_store.h"
 #include "dist/subtask_cache.h"
 #include "dist/subtask_db.h"

@@ -59,11 +59,6 @@ class MessageQueue {
     available_.notify_all();
   }
 
-  size_t size() const {
-    std::lock_guard lock(mutex_);
-    return queue_.size();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 

@@ -1,7 +1,8 @@
-// Subtask status database (§3.2): working servers update each subtask's
-// running status here; the master monitors it and re-queues failures. Route
-// subtasks also record the IP range their results cover, which traffic
-// subtasks consult to prune dependencies (the ordering heuristic).
+// Subtask status database (§3.2): each subtask's status, attempts and
+// runtime land here as it settles on the job executor (job_runner.h), which
+// re-queues failures. Route subtasks also record the IP range their results
+// cover, which traffic subtasks consult to prune dependencies (the ordering
+// heuristic).
 #pragma once
 
 #include <mutex>
@@ -16,16 +17,6 @@ namespace hoyan {
 
 enum class SubtaskStatus { kPending, kRunning, kSucceeded, kFailed };
 
-inline std::string subtaskStatusName(SubtaskStatus status) {
-  switch (status) {
-    case SubtaskStatus::kPending: return "pending";
-    case SubtaskStatus::kRunning: return "running";
-    case SubtaskStatus::kSucceeded: return "succeeded";
-    case SubtaskStatus::kFailed: return "failed";
-  }
-  return "?";
-}
-
 struct SubtaskRecord {
   std::string id;
   std::string inputKey;
@@ -36,8 +27,6 @@ struct SubtaskRecord {
   // Coverage of a route subtask's results, recorded so traffic subtasks can
   // skip non-overlapping result files.
   std::optional<IpRange> coverage;
-  size_t ribFilesLoaded = 0;  // For traffic subtasks (Fig. 5(d)).
-  size_t ribFilesTotal = 0;
   // Result served from the incremental engine's content-addressed cache
   // (never queued to a worker; attempts stays 0).
   bool fromCache = false;

@@ -2,37 +2,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <optional>
 #include <tuple>
+
+#include "obs/json.h"
 
 namespace hoyan::obs {
 namespace {
-
-// Minimal JSON string escape: quotes, backslashes, control characters.
-void appendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void appendField(std::string& out, std::string_view name, std::string_view value) {
   out += ",\"";
   out += name;
   out += "\":\"";
-  appendEscaped(out, value);
+  appendJsonEscaped(out, value);
   out += '"';
 }
 
@@ -149,7 +132,33 @@ RunJournal::RunJournal(JournalOptions options)
   }
 }
 
-void RunJournal::record(JournalEvent event) {
+// The fields one emitter sets. Views, so a disabled journal allocates
+// nothing; unset fields keep the defaults the renderers skip.
+struct RunJournal::Fields {
+  JournalEventType type;
+  std::string_view phase = {}, id = {}, key = {}, note = {};
+  int attempt = -1;
+  int worker = -1;
+  double seconds = -1;
+  std::initializer_list<uint64_t> counts = {};
+  std::optional<uint64_t> fp = {};
+};
+
+void RunJournal::record(const Fields& fields) {
+  if (!enabled_) return;
+  JournalEvent event;
+  event.type = fields.type;
+  event.phase = std::string(fields.phase);
+  event.id = std::string(fields.id);
+  event.key = std::string(fields.key);
+  event.note = std::string(fields.note);
+  event.attempt = fields.attempt;
+  event.worker = fields.worker;
+  event.seconds = fields.seconds;
+  event.fp = fields.fp.value_or(0);
+  event.hasFp = fields.fp.has_value();
+  std::copy(fields.counts.begin(), fields.counts.end(), event.counts);
+  event.hasCounts = fields.counts.size() > 0;
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard lock(mutex_);
   if (events_.size() >= capacity_) {
@@ -170,226 +179,108 @@ uint32_t RunJournal::runBegin(std::string_view run, uint64_t optionsFp) {
     std::lock_guard lock(mutex_);
     index = ++runIndex_;
   }
-  JournalEvent event;
-  event.type = JournalEventType::kRunBegin;
-  event.id = std::string(run);
-  event.fp = optionsFp;
-  event.hasFp = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kRunBegin, .id = run, .fp = optionsFp});
   return index;
 }
 
 void RunJournal::runEnd(std::string_view run, double seconds) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kRunEnd;
-  event.id = std::string(run);
-  event.seconds = seconds;
-  record(std::move(event));
+  record({.type = JournalEventType::kRunEnd, .id = run, .seconds = seconds});
 }
 
 void RunJournal::phaseBegin(std::string_view phase) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kPhaseBegin;
-  event.phase = std::string(phase);
-  record(std::move(event));
+  record({.type = JournalEventType::kPhaseBegin, .phase = phase});
 }
 
 void RunJournal::phaseEnd(std::string_view phase, double seconds) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kPhaseEnd;
-  event.phase = std::string(phase);
-  event.seconds = seconds;
-  record(std::move(event));
+  record({.type = JournalEventType::kPhaseEnd, .phase = phase, .seconds = seconds});
 }
 
 void RunJournal::subtaskEnqueue(std::string_view phase, std::string_view id) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSubtaskEnqueue;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  record(std::move(event));
+  record({.type = JournalEventType::kSubtaskEnqueue, .phase = phase, .id = id});
 }
 
 void RunJournal::subtaskStart(std::string_view phase, std::string_view id,
                               int attempt, int worker) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSubtaskStart;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.attempt = attempt;
-  event.worker = worker;
-  record(std::move(event));
+  record({.type = JournalEventType::kSubtaskStart, .phase = phase, .id = id,
+          .attempt = attempt, .worker = worker});
 }
 
 void RunJournal::subtaskFinish(std::string_view phase, std::string_view id,
                                int attempt, int worker, double seconds) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSubtaskFinish;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.attempt = attempt;
-  event.worker = worker;
-  event.seconds = seconds;
-  record(std::move(event));
+  record({.type = JournalEventType::kSubtaskFinish, .phase = phase, .id = id,
+          .attempt = attempt, .worker = worker, .seconds = seconds});
 }
 
 void RunJournal::subtaskRetry(std::string_view phase, std::string_view id,
                               int attempt) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSubtaskRetry;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.attempt = attempt;
-  record(std::move(event));
+  record({.type = JournalEventType::kSubtaskRetry, .phase = phase, .id = id,
+          .attempt = attempt});
 }
 
 void RunJournal::subtaskExhaust(std::string_view phase, std::string_view id,
                                 int attempts) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSubtaskExhaust;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.attempt = attempts;
-  record(std::move(event));
+  record({.type = JournalEventType::kSubtaskExhaust, .phase = phase, .id = id,
+          .attempt = attempts});
 }
 
 void RunJournal::cacheHit(std::string_view phase, std::string_view id,
                           std::string_view key) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kCacheHit;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.key = std::string(key);
-  record(std::move(event));
+  record({.type = JournalEventType::kCacheHit, .phase = phase, .id = id, .key = key});
 }
 
 void RunJournal::cacheMiss(std::string_view phase, std::string_view id,
                            std::string_view key) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kCacheMiss;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.key = std::string(key);
-  record(std::move(event));
+  record({.type = JournalEventType::kCacheMiss, .phase = phase, .id = id, .key = key});
 }
 
 void RunJournal::cacheEvict(std::string_view key, size_t bytes) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kCacheEvict;
-  event.key = std::string(key);
-  event.counts[0] = bytes;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kCacheEvict, .key = key, .counts = {bytes}});
 }
 
 void RunJournal::cacheBypass(std::string_view reason, std::string_view id,
                              std::string_view key) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kCacheBypass;
-  event.note = std::string(reason);
-  event.id = std::string(id);
-  event.key = std::string(key);
-  record(std::move(event));
+  record({.type = JournalEventType::kCacheBypass, .id = id, .key = key,
+          .note = reason});
 }
 
 void RunJournal::impact(std::string_view verdict, std::string_view reason,
                         size_t dirtyDevices, size_t dirtyRanges) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kImpact;
-  event.note = std::string(verdict);
-  event.key = std::string(reason);
-  event.counts[0] = dirtyDevices;
-  event.counts[1] = dirtyRanges;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kImpact, .key = reason, .note = verdict,
+          .counts = {dirtyDevices, dirtyRanges}});
 }
 
 void RunJournal::ribAssembly(std::string_view outcome, size_t fragmentHits,
                              size_t fragmentMisses, size_t rowsReused,
                              size_t rowsRendered) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kRibAssembly;
-  event.note = std::string(outcome);
-  event.counts[0] = fragmentHits;
-  event.counts[1] = fragmentMisses;
-  event.counts[2] = rowsReused;
-  event.counts[3] = rowsRendered;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kRibAssembly, .note = outcome,
+          .counts = {fragmentHits, fragmentMisses, rowsReused, rowsRendered}});
 }
 
 void RunJournal::sweepPlan(std::string_view phase, size_t enumerated, size_t pruned,
                            size_t deduped, size_t scheduled,
                            std::string_view hintSource) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSweepPlan;
-  event.phase = std::string(phase);
-  event.note = std::string(hintSource);
-  event.counts[0] = enumerated;
-  event.counts[1] = pruned;
-  event.counts[2] = deduped;
-  event.counts[3] = scheduled;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kSweepPlan, .phase = phase, .note = hintSource,
+          .counts = {enumerated, pruned, deduped, scheduled}});
 }
 
 void RunJournal::sweepVerdict(std::string_view phase, std::string_view id, bool pass,
                               std::string_view key, size_t shared) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSweepVerdict;
-  event.phase = std::string(phase);
-  event.id = std::string(id);
-  event.note = pass ? "pass" : "fail";
-  event.key = std::string(key);
-  event.counts[0] = shared;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kSweepVerdict, .phase = phase, .id = id,
+          .key = key, .note = pass ? "pass" : "fail", .counts = {shared}});
 }
 
 void RunJournal::sweepResult(std::string_view phase, size_t checked,
                              size_t counterexamples, size_t cacheHits,
                              size_t retries) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kSweepResult;
-  event.phase = std::string(phase);
-  event.counts[0] = checked;
-  event.counts[1] = counterexamples;
-  event.counts[2] = cacheHits;
-  event.counts[3] = retries;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kSweepResult, .phase = phase,
+          .counts = {checked, counterexamples, cacheHits, retries}});
 }
 
 void RunJournal::policyKernel(std::string_view phase, uint64_t memoHits,
                               uint64_t memoMisses, uint64_t regexHits,
                               uint64_t regexMisses) {
-  if (!enabled_) return;
-  JournalEvent event;
-  event.type = JournalEventType::kPolicyKernel;
-  event.phase = std::string(phase);
-  event.counts[0] = memoHits;
-  event.counts[1] = memoMisses;
-  event.counts[2] = regexHits;
-  event.counts[3] = regexMisses;
-  event.hasCounts = true;
-  record(std::move(event));
+  record({.type = JournalEventType::kPolicyKernel, .phase = phase,
+          .counts = {memoHits, memoMisses, regexHits, regexMisses}});
 }
 
 size_t RunJournal::eventCount() const {

@@ -170,7 +170,10 @@ class RunJournal {
   std::string canonicalJsonl() const;
 
  private:
-  void record(JournalEvent event);
+  struct Fields;
+  // The one emitter behind the public ones: a branch when disabled,
+  // otherwise one event appended under the mutex.
+  void record(const Fields& fields);
 
   const bool enabled_;
   const size_t capacity_;

@@ -151,6 +151,12 @@ void RunRegistry::subtaskCached(uint64_t n) {
   slot->succeeded.fetch_add(n, std::memory_order_relaxed);
 }
 
+void RunRegistry::subtaskCancelled() {
+  auto slot = current();
+  if (!slot) return;
+  slot->pending.fetch_sub(1, std::memory_order_relaxed);
+}
+
 void RunRegistry::cacheHit() {
   auto slot = current();
   if (!slot) return;

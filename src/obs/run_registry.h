@@ -49,7 +49,8 @@ struct RunSnapshot {
   uint64_t version = 0;       // Bumps on phase/state transitions.
   // Subtask lifecycle counts. pending + running + succeeded + failed need
   // not telescope mid-scrape (counters are independent atomics), but settle
-  // once the run ends. `succeeded` includes cache-served subtasks.
+  // once the run ends. `succeeded` includes cache-served subtasks; queued
+  // subtasks a cancelled run never started leave `pending` and count nowhere.
   uint64_t pending = 0;
   uint64_t running = 0;
   uint64_t succeeded = 0;
@@ -104,6 +105,7 @@ class RunRegistry {
   void subtaskRetried();                                 // +pending, +retries
   void subtaskExhausted();                               // +failed
   void subtaskCached(uint64_t n = 1);                // +succeeded, never queued
+  void subtaskCancelled();                           // pending-, never started
 
   // --- incremental-cache decisions -----------------------------------------
   void cacheHit();

@@ -11,33 +11,11 @@
 #include <sstream>
 
 #include "net/names.h"
+#include "obs/json.h"
 #include "obs/telemetry.h"
 
 namespace hoyan::obs {
 namespace {
-
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string jsonDouble(double value) {
   // Full round-trip precision without locale surprises; JSON has no inf/nan.

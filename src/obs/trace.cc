@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include "obs/json.h"
+
 namespace hoyan::obs {
 namespace {
 
@@ -15,22 +17,6 @@ uint64_t currentThreadId() {
 // The per-thread active-span stack, shared by all tracers in the process (in
 // practice one per run). Only enabled spans participate.
 thread_local int t_activeDepth = 0;
-
-std::string jsonStringEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -104,8 +90,8 @@ std::string Tracer::toChromeTraceJson() const {
   for (size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& event = events_[i];
     if (i) out += ",";
-    out += "{\"name\":\"" + jsonStringEscape(event.name) + "\",";
-    out += "\"cat\":\"" + jsonStringEscape(event.category) + "\",";
+    out += "{\"name\":\"" + jsonEscape(event.name) + "\",";
+    out += "\"cat\":\"" + jsonEscape(event.category) + "\",";
     out += "\"ph\":\"X\",\"pid\":1,";
     out += "\"tid\":" + std::to_string(event.threadId) + ",";
     out += "\"ts\":" + std::to_string(event.startMicros) + ",";
@@ -113,7 +99,7 @@ std::string Tracer::toChromeTraceJson() const {
     out += "\"args\":{";
     out += "\"depth\":" + std::to_string(event.depth);
     for (const auto& [key, value] : event.args)
-      out += ",\"" + jsonStringEscape(key) + "\":\"" + jsonStringEscape(value) + "\"";
+      out += ",\"" + jsonEscape(key) + "\":\"" + jsonEscape(value) + "\"";
     out += "}}";
   }
   out += "]}";

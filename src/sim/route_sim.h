@@ -9,6 +9,7 @@
 // the production WAN).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -64,6 +65,23 @@ struct RouteSimStats {
   double ecSeconds = 0;           // Equivalence-class reduction.
   double propagateSeconds = 0;    // Fixpoint rounds.
   double materializeSeconds = 0;  // RIB materialisation + EC expansion.
+
+  // Folds one subtask's stats into a merged total: counts and seconds add,
+  // `rounds` is the max and `converged` the AND. The merger recomputes the
+  // whole-task totals (inputRoutes, installedRoutes) itself.
+  void add(const RouteSimStats& other) {
+    simulatedInputs += other.simulatedInputs;
+    messagesProcessed += other.messagesProcessed;
+    rounds = std::max(rounds, other.rounds);
+    converged = converged && other.converged;
+    ec.inputRoutes += other.ec.inputRoutes;
+    ec.classes += other.ec.classes;
+    ec.prefixClasses += other.ec.prefixClasses;
+    ecSeconds += other.ecSeconds;
+    propagateSeconds += other.propagateSeconds;
+    materializeSeconds += other.materializeSeconds;
+    policy.add(other.policy);
+  }
 };
 
 struct RouteSimResult {

@@ -75,6 +75,21 @@ struct TrafficSimStats {
   // Per-phase wall times of one simulateTraffic call (also traced as spans).
   double ecSeconds = 0;       // Flow equivalence-class reduction.
   double forwardSeconds = 0;  // DAG forwarding + load accumulation.
+
+  // Folds one subtask's stats into a merged total: counts and seconds add.
+  void add(const TrafficSimStats& other) {
+    inputFlows += other.inputFlows;
+    simulatedFlows += other.simulatedFlows;
+    delivered += other.delivered;
+    exited += other.exited;
+    blackholed += other.blackholed;
+    looped += other.looped;
+    deniedAcl += other.deniedAcl;
+    ec.inputFlows += other.ec.inputFlows;
+    ec.classes += other.ec.classes;
+    ecSeconds += other.ecSeconds;
+    forwardSeconds += other.forwardSeconds;
+  }
 };
 
 struct TrafficSimResult {

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <deque>
 #include <functional>
-#include <random>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "dist/message_queue.h"
+#include "dist/job_runner.h"
 #include "incr/fingerprint.h"
 #include "sim/route_sim.h"
 
@@ -20,29 +17,33 @@ namespace {
 
 constexpr std::string_view kPhase = "fault_sweep";
 
-// Bucket upper bounds for `sweep.job_duration_ms`: 0.1ms .. 30s, log-spaced
-// (the dist simulator's subtask bounds; a sweep job is one degraded-network
-// simulation, the same scale).
-std::vector<double> jobDurationBoundsMs() {
-  return {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
-          1000, 2500, 5000, 10000, 30000};
-}
-
 std::string paddedId(char kind, size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%c%06zu", kind, index);
   return buf;
 }
 
-// Deterministic per-(job, attempt) crash decision for fault injection —
-// the dist simulator's scheme, so sweep retry tests read the same way.
-bool injectCrash(const SweepOptions& options, const std::string& id, int attempt) {
-  if (options.workerFailureProbability <= 0) return false;
-  const size_t h = std::hash<std::string>{}(id) ^ (attempt * 0x9e3779b97f4a7c15ULL) ^
-                   options.failureSeed;
-  std::mt19937_64 rng(h);
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(rng) < options.workerFailureProbability;
+// The names sweep jobs report under on the shared executor.
+JobNames sweepJobNames() {
+  return JobNames{
+      .phase = std::string(kPhase),
+      .span = "sweep.job",
+      .category = "sweep",
+      .queueDepth = {"sweep.queue.depth", "Sweep jobs awaiting a worker."},
+      .queueWait = {"sweep.queue.wait_seconds",
+                    "Sweep job queue wait (enqueue -> dequeue)."},
+      .retries = {"sweep.retries",
+                  "Sweep job attempts re-enqueued after a worker crash."},
+      .completed = {"sweep.jobs.completed", ""},
+      .crashed = {"sweep.jobs.crashed", ""},
+      .exhausted = {"sweep.jobs.exhausted", ""},
+      .seconds = {"sweep.job_seconds", ""},
+      .durationMs = {"sweep.job_duration_ms",
+                     "Per-job degraded-network simulation + property check latency."},
+      .cacheHits = {"sweep.cache.hits", "Sweep jobs served from cas/k."},
+      .cacheMisses = {"sweep.cache.misses",
+                      "Sweep jobs evaluated for lack of a cached verdict."},
+  };
 }
 
 // The canonical degraded-network identity of a failure set: link pairs
@@ -151,20 +152,15 @@ struct Scenario {
 
 // One unique degraded network to evaluate. Jobs resolve out of order on
 // worker threads; scenarios commit in order against `state`/`verdict`.
-// deque: jobs hold atomics (immovable) and emplace_back on a deque never
-// relocates existing elements.
+// `state` changes only before the run or inside the executor's serialized
+// settle callback, which also orders each body's `verdict` write before the
+// commit that reads it.
 struct Job {
   CanonicalScenario canonical;
-  std::string id;
-  std::string cacheKey;       // Empty = verdict cache off for this sweep.
-  size_t shared = 0;          // Scenarios mapping onto this job.
-  std::atomic<int> state{0};  // 0 pending, 1 resolved, 2 failed (exhausted).
-  bool verdict = false;       // Valid once state == 1.
-};
-
-struct JobMessage {
-  size_t job = 0;
-  int attempt = 1;
+  std::string cacheKey;  // Empty = verdict cache off for this sweep.
+  size_t shared = 0;     // Scenarios mapping onto this job.
+  int state = 0;         // 0 pending, 1 resolved, 2 failed (exhausted).
+  bool verdict = false;  // Valid once state == 1.
 };
 
 }  // namespace
@@ -277,7 +273,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
                   .digest();
   }
 
-  std::deque<Job> jobs;
+  std::vector<Job> jobs;
   std::unordered_map<uint64_t, size_t> jobByFp;
   for (Scenario& scenario : scenarios) {
     CanonicalScenario canonical;
@@ -325,21 +321,13 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   }
 
   // --- resolve from the verdict cache, schedule the rest --------------------
-  MessageQueue<JobMessage> jobQueue;
-  MessageQueue<size_t> doneQueue;
-  obs::MetricsRegistry& metrics = tel.metrics();
-  jobQueue.bindTelemetry(
-      &metrics.gauge("sweep.queue.depth", "Sweep jobs awaiting a worker."),
-      &metrics.histogram("sweep.queue.wait_seconds", {},
-                         "Sweep job queue wait (enqueue -> dequeue)."));
-  obs::Counter& cacheHitCounter =
-      metrics.counter("sweep.cache.hits", "Sweep jobs served from cas/k.");
-  obs::Counter& cacheMissCounter = metrics.counter(
-      "sweep.cache.misses", "Sweep jobs evaluated for lack of a cached verdict.");
+  JobRunner runner(tel, registry, sweepJobNames(),
+                   JobPolicy{options.workers, options.maxAttempts,
+                             options.workerFailureProbability, options.failureSeed});
   size_t scheduled = 0;
   for (size_t i = 0; i < jobs.size(); ++i) {
     Job& job = jobs[i];
-    job.id = paddedId('j', i);
+    runner.add(paddedId('j', i));
     if (caching) {
       job.cacheKey = "cas/k/" + incr::fingerprintHex(
                                     incr::Fnv1a()
@@ -348,23 +336,14 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
                                         .digest());
       if (store->contains(job.cacheKey)) {
         job.verdict = *store->get<uint8_t>(job.cacheKey) != 0;
-        job.state.store(1, std::memory_order_release);
+        job.state = 1;
         ++out.stats.cacheHits;
-        cacheHitCounter.add(1);
-        journal.cacheHit(kPhase, job.id, job.cacheKey);
-        if (registry) {
-          registry->cacheHit();
-          registry->subtaskCached();
-        }
+        runner.cacheHit(i, job.cacheKey);
         continue;
       }
-      cacheMissCounter.add(1);
-      journal.cacheMiss(kPhase, job.id, job.cacheKey);
-      if (registry) registry->cacheMiss();
+      runner.cacheMiss(i, job.cacheKey);
     }
-    journal.subtaskEnqueue(kPhase, job.id);
-    if (registry) registry->subtaskEnqueued();
-    jobQueue.push(JobMessage{i, 1});
+    runner.enqueue(i);
     ++scheduled;
   }
   out.stats.scheduled = scheduled;
@@ -377,113 +356,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   journal.sweepPlan(kPhase, out.stats.enumerated, out.stats.pruned,
                     out.stats.deduped, scheduled, hintSource);
 
-  // --- workers --------------------------------------------------------------
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> retries{0};
-  std::atomic<size_t> evaluated{0};
-  obs::Counter& retryCounter = metrics.counter(
-      "sweep.retries", "Sweep job attempts re-enqueued after a worker crash.");
-  obs::Counter& completedCounter = metrics.counter("sweep.jobs.completed");
-  obs::Counter& crashCounter = metrics.counter("sweep.jobs.crashed");
-  obs::Counter& exhaustedCounter = metrics.counter("sweep.jobs.exhausted");
-  obs::Histogram& jobSeconds = metrics.histogram("sweep.job_seconds");
-  obs::Histogram& jobDurationMs = metrics.histogram(
-      "sweep.job_duration_ms", jobDurationBoundsMs(),
-      "Per-job degraded-network simulation + property check latency.");
-  std::atomic<size_t> peakWorkerBytes{0};
-  const auto workerLoop = [&](int workerId) {
-    // One private model per worker: the copy-on-write topology/config tables
-    // and the failure-independent address index are physically the base
-    // model's (O(1) copies, never detached — the overlay masks failures per
-    // instance), so a worker only materializes the failure-dependent derived
-    // state it recomputes per job. Per-worker memory is O(impact), not
-    // O(model).
-    NetworkModel local;
-    local.topology = baseModel.topology;
-    local.configs = baseModel.configs;
-    local.addresses = baseModel.addresses;
-    while (auto message = jobQueue.pop()) {
-      if (stop.load(std::memory_order_relaxed)) continue;  // Sweep settled.
-      Job& job = jobs[message->job];
-      obs::Span jobSpan = tel.tracer().span("sweep.job", "sweep");
-      jobSpan.arg("id", job.id);
-      jobSpan.arg("attempt", std::to_string(message->attempt));
-      journal.subtaskStart(kPhase, job.id, message->attempt, workerId);
-      if (registry) registry->subtaskStarted(workerId, job.id);
-      bool verdict = false;
-      bool crashed = injectCrash(options, job.id, message->attempt);
-      if (!crashed) {
-        FailureOverlay overlay;
-        for (const auto& [a, b] : job.canonical.links) overlay.addLink(a, b);
-        for (const NameId device : job.canonical.devices)
-          overlay.addDevice(device);
-        try {
-          overlay.apply(local.topology);
-          local.rebuildDerivedForFailures();
-          RouteSimOptions simOptions;
-          simOptions.includeLocalRoutes = true;
-          RouteSimResult sim = simulateRoutes(local, inputs, simOptions);
-          sim.ribs.buildForwardingIndex();
-          verdict = property(local, sim.ribs);
-          // Sample the worker's materialized footprint at its peak — overlay
-          // applied, derived state rebuilt — for the CoW accounting.
-          const size_t materialized = local.materializedBytes(baseModel);
-          size_t seen = peakWorkerBytes.load(std::memory_order_relaxed);
-          while (seen < materialized &&
-                 !peakWorkerBytes.compare_exchange_weak(
-                     seen, materialized, std::memory_order_relaxed)) {
-          }
-          overlay.revert(local.topology);
-        } catch (const std::exception& e) {
-          overlay.revert(local.topology);  // Keep the worker model reusable.
-          tel.log().warn("sweep.job.crashed",
-                         {{"id", job.id}, {"error", e.what()}});
-          crashed = true;
-        }
-      }
-      if (crashed) {
-        jobSpan.arg("outcome", "crashed");
-        crashCounter.add(1);
-        if (registry) registry->subtaskCrashed(workerId);
-        if (message->attempt >= options.maxAttempts) {
-          tel.log().error("sweep.job.exhausted", {{"id", job.id}});
-          exhaustedCounter.add(1);
-          journal.subtaskExhaust(kPhase, job.id, message->attempt);
-          if (registry) registry->subtaskExhausted();
-          job.state.store(2, std::memory_order_release);
-          doneQueue.push(message->job);
-        } else {
-          retries.fetch_add(1);
-          retryCounter.add(1);
-          journal.subtaskRetry(kPhase, job.id, message->attempt);
-          if (registry) registry->subtaskRetried();
-          jobQueue.push(JobMessage{message->job, message->attempt + 1});
-        }
-        continue;
-      }
-      if (!job.cacheKey.empty())
-        store->put(job.cacheKey, static_cast<uint8_t>(verdict ? 1 : 0), 1);
-      job.verdict = verdict;
-      job.state.store(1, std::memory_order_release);
-      evaluated.fetch_add(1);
-      jobSpan.finish();
-      jobSeconds.observe(jobSpan.seconds());
-      jobDurationMs.observe(jobSpan.seconds() * 1e3);
-      journal.subtaskFinish(kPhase, job.id, message->attempt, workerId,
-                            jobSpan.seconds());
-      if (registry) registry->subtaskFinished(workerId, jobSpan.seconds());
-      completedCounter.add(1);
-      doneQueue.push(message->job);
-    }
-  };
-  const size_t workerCount =
-      scheduled == 0 ? 0 : std::max<size_t>(1, std::min(options.workers, scheduled));
-  std::vector<std::thread> workers;
-  workers.reserve(workerCount);
-  for (size_t w = 0; w < workerCount; ++w)
-    workers.emplace_back(workerLoop, static_cast<int>(w));
-
-  // --- master: commit scenarios in enumeration order ------------------------
+  // --- commit scenarios in enumeration order as jobs settle -----------------
   // The cursor applies the oracle's counterexample cap before every commit,
   // so the committed prefix is exactly the serial evaluation set no matter
   // how jobs resolved. A failed (retry-exhausted) job blocks the cursor and
@@ -495,15 +368,11 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
     return cursor == scenarios.size() ||
            result.counterexamples.size() >= failure.maxCounterexamples;
   };
-  const auto cursorBlocked = [&] {
-    return !commitComplete() &&
-           jobs[scenarios[cursor].job].state.load(std::memory_order_acquire) == 2;
-  };
   const auto commitReady = [&] {
     while (!commitComplete()) {
       const Scenario& scenario = scenarios[cursor];
-      Job& job = jobs[scenario.job];
-      if (job.state.load(std::memory_order_acquire) != 1) return;
+      const Job& job = jobs[scenario.job];
+      if (job.state != 1) break;
       ++result.scenariosChecked;
       if (!job.verdict) result.counterexamples.push_back(scenario.failures);
       if (journal.enabled())
@@ -511,30 +380,73 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
                              incr::fingerprintHex(scenario.fp), job.shared);
       ++cursor;
     }
+    // Nothing further can commit: with earlyExit, cancel outstanding jobs.
+    const bool blocked = !commitComplete() && jobs[scenarios[cursor].job].state == 2;
+    if (options.earlyExit && (commitComplete() || blocked)) runner.cancel();
   };
   commitReady();
-  size_t resolved = 0;
-  while (!commitComplete() && !cursorBlocked() && resolved < scheduled) {
-    const std::optional<size_t> done = doneQueue.pop();
-    if (!done) break;
-    ++resolved;
-    commitReady();
+
+  // --- workers --------------------------------------------------------------
+  // One private model per worker: the copy-on-write topology/config tables
+  // and the failure-independent address index are physically the base
+  // model's (O(1) copies, never detached — the overlay masks failures per
+  // instance), so a worker only materializes the failure-dependent derived
+  // state it recomputes per job. Per-worker memory is O(impact), not
+  // O(model).
+  std::vector<NetworkModel> workerModels(runner.workerCount());
+  for (NetworkModel& local : workerModels) {
+    local.topology = baseModel.topology;
+    local.configs = baseModel.configs;
+    local.addresses = baseModel.addresses;
   }
-  if (options.earlyExit) stop.store(true, std::memory_order_relaxed);
-  jobQueue.close();
-  for (std::thread& worker : workers) worker.join();
-  commitReady();  // Jobs that resolved while we were shutting down.
+  std::atomic<size_t> peakWorkerBytes{0};
+  const JobReport report = runner.run(
+      [&](size_t j, int worker) {
+        Job& job = jobs[j];
+        NetworkModel& local = workerModels[worker];
+        FailureOverlay overlay;
+        for (const auto& [a, b] : job.canonical.links) overlay.addLink(a, b);
+        for (const NameId device : job.canonical.devices) overlay.addDevice(device);
+        try {
+          overlay.apply(local.topology);
+          local.rebuildDerivedForFailures();
+          RouteSimOptions simOptions;
+          simOptions.includeLocalRoutes = true;
+          RouteSimResult sim = simulateRoutes(local, inputs, simOptions);
+          sim.ribs.buildForwardingIndex();
+          job.verdict = property(local, sim.ribs);
+          // Sample the worker's materialized footprint at its peak — overlay
+          // applied, derived state rebuilt — for the CoW accounting.
+          const size_t materialized = local.materializedBytes(baseModel);
+          size_t seen = peakWorkerBytes.load(std::memory_order_relaxed);
+          while (seen < materialized &&
+                 !peakWorkerBytes.compare_exchange_weak(seen, materialized,
+                                                        std::memory_order_relaxed)) {
+          }
+        } catch (...) {
+          overlay.revert(local.topology);  // Keep the worker model reusable.
+          throw;
+        }
+        overlay.revert(local.topology);
+        if (!job.cacheKey.empty())
+          store->put(job.cacheKey, static_cast<uint8_t>(job.verdict ? 1 : 0), 1);
+      },
+      [&](size_t j, const JobOutcome& outcome) {
+        jobs[j].state = outcome.succeeded ? 1 : 2;
+        commitReady();
+      });
   if (!commitComplete()) {
-    const Job& job = jobs[scenarios[cursor].job];
-    throw std::runtime_error("sweepKFailures: job " + job.id +
+    throw std::runtime_error("sweepKFailures: job " +
+                             runner.id(scenarios[cursor].job) +
                              " exhausted its retry budget");
   }
 
   // --- accounting -----------------------------------------------------------
-  out.stats.evaluated = evaluated.load();
-  out.stats.retries = retries.load();
+  out.stats.evaluated = report.succeeded;
+  out.stats.retries = report.retries;
   out.stats.workerModelDeepBytes = baseModel.approxDeepBytes();
   out.stats.workerModelPeakBytes = peakWorkerBytes.load();
+  obs::MetricsRegistry& metrics = tel.metrics();
   metrics.counter("sweep.scenarios.enumerated").add(out.stats.enumerated);
   metrics.counter("sweep.scenarios.pruned").add(out.stats.pruned);
   metrics.counter("sweep.scenarios.deduped").add(out.stats.deduped);

@@ -13,19 +13,19 @@
 //  * deduping symmetric scenarios by impact fingerprint (parallel links,
 //    orientation, inert padding) so each distinct degraded network simulates
 //    once no matter how many scenarios map onto it;
-//  * fanning the surviving jobs out over worker threads through the dist
-//    runtime's MessageQueue, with the same retry/exhaust accounting as the
-//    distributed simulator; and
+//  * running the surviving jobs on the distributed simulator's job executor
+//    (dist/job_runner.h), with the same retry/exhaust accounting; and
 //  * serving repeat jobs from a content-addressed verdict cache in the
 //    incremental engine's object store (`cas/k/<fp>`), so overlapping sweeps
 //    — warm re-runs, growing k, shifted focus — skip shared scenarios.
 //
-// Byte-identity despite out-of-order execution: workers resolve *jobs* in any
-// order, but the master commits *scenarios* strictly in enumeration order
-// through a cursor that applies the oracle's counterexample cap before each
-// commit. The committed set therefore equals the set the serial loop would
-// have evaluated; `earlyExit` only decides whether outstanding jobs are
-// cancelled once the cap is reached, never what is committed.
+// Byte-identity despite out-of-order execution: *jobs* settle in any order,
+// but the executor's serialized settle callback commits *scenarios* strictly
+// in enumeration order through a cursor that applies the oracle's
+// counterexample cap before each commit. The committed set therefore equals
+// the set the serial loop would have evaluated; `earlyExit` only decides
+// whether outstanding jobs are cancelled once the cap is reached, never what
+// is committed.
 #pragma once
 
 #include <span>

@@ -194,8 +194,9 @@ class JournalDeterminismTest : public ::testing::Test {
   }
 
   // One full pipeline (preprocess + one change verification) recorded into a
-  // fresh journal; returns the canonical export.
-  std::string canonicalRun(size_t workers) {
+  // fresh journal; returns the canonical export. With fault injection on,
+  // every subtask gets enough attempts that preprocess still succeeds.
+  std::string canonicalRun(size_t workers, double failureProbability = 0) {
     obs::TelemetryOptions telemetryOptions;
     telemetryOptions.journal = true;
     obs::Telemetry telemetry(telemetryOptions);
@@ -206,6 +207,11 @@ class JournalDeterminismTest : public ::testing::Test {
     options.workers = workers;
     options.routeSubtasks = 8;
     options.trafficSubtasks = 4;
+    if (failureProbability > 0) {
+      options.workerFailureProbability = failureProbability;
+      options.failureSeed = 7;
+      options.maxAttempts = 10;
+    }
     hoyan.setSimulationOptions(options);
     hoyan.setTelemetry(&telemetry);
     hoyan.enableIncremental();
@@ -236,6 +242,49 @@ TEST_F(JournalDeterminismTest, CanonicalExportIsByteIdenticalAcrossWorkerCounts)
   const std::string four = canonicalRun(4);
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, four);
+}
+
+TEST_F(JournalDeterminismTest,
+       CanonicalExportWithRetriesIsByteIdenticalAcrossWorkerCounts) {
+  // Crashes are drawn per (subtask, attempt, seed), so the retry events the
+  // executor emits are as deterministic as the rest of the journal.
+  const std::string one = canonicalRun(1, 0.3);
+  EXPECT_NE(one.find("\"ev\":\"subtask_retry\""), std::string::npos);
+  for (const size_t workers : {3u, 6u})
+    EXPECT_EQ(one, canonicalRun(workers, 0.3)) << "workers=" << workers;
+}
+
+TEST_F(JournalDeterminismTest, ExhaustEventsAreByteIdenticalAcrossWorkerCounts) {
+  // A route + traffic pass in which some subtasks run out of attempts: the
+  // exhaust events, and the traffic phase over the surviving route files,
+  // are deterministic too.
+  const NetworkModel model = wan_.buildModel();
+  const auto canonical = [&](size_t workers) {
+    obs::TelemetryOptions telemetryOptions;
+    telemetryOptions.journal = true;
+    obs::Telemetry telemetry(telemetryOptions);
+    DistSimOptions options;
+    options.workers = workers;
+    options.routeSubtasks = 8;
+    options.trafficSubtasks = 4;
+    options.workerFailureProbability = 0.5;
+    options.failureSeed = 3;
+    options.maxAttempts = 2;
+    options.telemetry = &telemetry;
+    DistributedSimulator sim(model, options);
+    const DistRouteResult route = sim.runRouteSimulation(inputs_);
+    const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
+    EXPECT_FALSE(route.failedSubtasks.empty() && traffic.failedSubtasks.empty());
+    std::string error;
+    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+        << error;
+    return telemetry.journal().canonicalJsonl();
+  };
+  const std::string one = canonical(1);
+  EXPECT_NE(one.find("\"ev\":\"subtask_retry\""), std::string::npos);
+  EXPECT_NE(one.find("\"ev\":\"subtask_exhaust\""), std::string::npos);
+  for (const size_t workers : {3u, 6u})
+    EXPECT_EQ(one, canonical(workers)) << "workers=" << workers;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // instrumented queue/store bindings, and logger level gating.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <map>
@@ -486,6 +487,24 @@ TEST(TraceTest, ChromeTraceJsonParsesBack) {
   }
   EXPECT_EQ(events[0].object().at("name").str(), "route.subtask");
   EXPECT_EQ(events[0].object().at("args").object().at("id").str(), "route-7");
+}
+
+TEST(TraceTest, ChromeTraceJsonEscapesControlCharacters) {
+  obs::Tracer tracer;
+  {
+    obs::Span span = tracer.span("carriage\rreturn", "dist");
+    span.arg("detail", std::string("tab\tnul\0unit\x1f", 13));
+  }
+  const std::string json = tracer.toChromeTraceJson();
+  EXPECT_NE(json.find("carriage\\rreturn"), std::string::npos) << json;
+  EXPECT_NE(json.find("tab\\tnul\\u0000unit\\u001f"), std::string::npos) << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                           [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
+      << "raw control character in " << json;
+  const JsonValue root = JsonParser(json).parse();
+  const JsonArray& events = root.object().at("traceEvents").array();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].object().at("name").str(), "carriage\rreturn");
 }
 
 TEST(TraceTest, ConcurrentSpansRecordPerThreadIds) {

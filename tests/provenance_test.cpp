@@ -366,6 +366,23 @@ TEST(PropGraphTest, DotAndJsonExports) {
   EXPECT_NE(json.find("\"nodes\":"), std::string::npos) << json;
 }
 
+TEST(PropGraphTest, JsonExportEscapesControlCharacters) {
+  PropagationGraph graph;
+  PropEdge edge;
+  edge.from = Names::id("esc-A");
+  edge.to = Names::id("esc-B");
+  edge.prefix = *Prefix::parse("10.0.0.0/8");
+  edge.kind = "denied";
+  edge.detail = "clause\t10\r\x01";
+  graph.addEdge(edge);
+  const std::string json = graph.toJson();
+  EXPECT_NE(json.find("\"detail\":\"clause\\t10\\r\\u0001\""), std::string::npos)
+      << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(),
+                           [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
+      << "raw control character in " << json;
+}
+
 TEST(PropGraphTest, FromRibsReconstructsLearnedFromEdges) {
   const SmallWan net = buildSmallWan();
   const RouteSimResult result =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/report_json.h"
+#include "obs/json.h"
 #include "scenario/audit_catalog.h"
 #include "scenario/scenarios.h"
 
@@ -10,11 +11,15 @@ namespace hoyan {
 namespace {
 
 TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
+  using obs::jsonEscape;
   EXPECT_EQ(jsonEscape("plain"), "plain");
   EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
   EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
   EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(jsonEscape(std::string("x\0y", 3)), "x\\u0000y");
+  EXPECT_EQ(jsonEscape("\x1f"), "\\u001f");
 }
 
 class ReportTest : public ::testing::Test {

@@ -3,6 +3,7 @@
 // results byte-identical to the serial oracle `checkKFailures`.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/hoyan.h"
 #include "incr/engine.h"
 #include "inspect.h"
+#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "sweep/sweep.h"
 #include "test_fixtures.h"
@@ -333,6 +335,39 @@ TEST_F(SweepTest, ExhaustedRetryBudgetThrows) {
                std::runtime_error);
 }
 
+TEST_F(SweepTest, EarlyExitSettlesRegistryCounts) {
+  // Regression: once the counterexample cap fills, an early-exit sweep drops
+  // the jobs still queued. The registry counted them as pending at enqueue,
+  // so it must hear about the drop, or the finished run never settles.
+  KFailureOptions failure;
+  failure.k = 2;
+  failure.includeDeviceFailures = true;
+  failure.maxCounterexamples = 1;
+  const KFailureResult serial = checkKFailures(model_, inputs_, reachProperty(), failure);
+  for (const size_t workers : {1u, 3u, 6u}) {
+    for (const bool earlyExit : {true, false}) {
+      const std::string label = "workers=" + std::to_string(workers) +
+                                " earlyExit=" + (earlyExit ? "on" : "off");
+      obs::RunRegistry registry;
+      const uint64_t run = registry.runBegin("sweep");
+      sweep::SweepOptions options;
+      options.failure = failure;
+      options.workers = workers;
+      options.earlyExit = earlyExit;
+      options.runRegistry = &registry;
+      const sweep::SweepResult swept =
+          sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
+      registry.runEnd(run, 0);
+      expectSameResult(serial, swept.result, label);
+      const std::optional<obs::RunSnapshot> snapshot = registry.snapshot(run);
+      ASSERT_TRUE(snapshot.has_value()) << label;
+      EXPECT_EQ(snapshot->state, "succeeded") << label;
+      EXPECT_EQ(snapshot->pending, 0u) << label;
+      EXPECT_EQ(snapshot->running, 0u) << label;
+    }
+  }
+}
+
 TEST_F(SweepTest, JournalEventsValidateAndAreDeterministicAcrossWorkerCounts) {
   KFailureOptions failure;
   failure.k = 1;
@@ -359,6 +394,36 @@ TEST_F(SweepTest, JournalEventsValidateAndAreDeterministicAcrossWorkerCounts) {
   EXPECT_NE(serial.find("\"ev\":\"sweep_plan\""), std::string::npos);
   EXPECT_NE(serial.find("\"ev\":\"sweep_verdict\""), std::string::npos);
   EXPECT_NE(serial.find("\"ev\":\"sweep_result\""), std::string::npos);
+}
+
+TEST_F(SweepTest, JournalWithRetriesIsDeterministicAcrossWorkerCounts) {
+  // The same comparison with fault injection on: the retry events the
+  // executor emits must be as deterministic as the rest of the journal.
+  const auto canonicalRun = [&](size_t workers) {
+    obs::TelemetryOptions telemetryOptions;
+    telemetryOptions.journal = true;
+    obs::Telemetry telemetry(telemetryOptions);
+    sweep::SweepOptions options;
+    options.failure.k = 1;
+    options.failure.maxCounterexamples = 50;
+    options.workers = workers;
+    options.telemetry = &telemetry;
+    options.workerFailureProbability = 0.3;
+    options.failureSeed = 7;
+    options.maxAttempts = 10;
+    const sweep::SweepResult swept =
+        sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
+    EXPECT_GT(swept.stats.retries, 0u) << "fault injection never fired";
+    std::string error;
+    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+        << error;
+    return telemetry.journal().canonicalJsonl();
+  };
+
+  const std::string serial = canonicalRun(1);
+  EXPECT_NE(serial.find("\"ev\":\"subtask_retry\""), std::string::npos);
+  for (const size_t workers : {3u, 6u})
+    EXPECT_EQ(serial, canonicalRun(workers)) << "workers=" << workers;
 }
 
 TEST(SweepHoyanTest, CheckFaultToleranceMatchesSerialOracle) {
