@@ -19,14 +19,14 @@
 //                         cache hit rate, speedups vs serial
 //   --journal-out=<file>  RunJournal JSONL for the preprocess + sweep runs
 //                         (HOYAN_JOURNAL_OUT, written by the bench_util
-//                         trace hook's global telemetry); `hoyan_inspect`
-//                         reads it
+//                         observability hook's global context);
+//                         `hoyan_inspect` reads it
 //   --workers=<n>         sweep worker threads (default 6)
 //   --k=<n>               failure-set size bound (default 2)
 //   --serial=off          skip the serial oracle (quick mode: no speedup or
 //                         identity numbers, cold vs warm only)
-//   --serve=<port>        live status server (bench_util ServeHook): watch
-//                         the sweep's subtask progress in hoyan_top
+//   --serve=<port>        live status server (bench_util ObservabilityHook):
+//                         watch the sweep's subtask progress in hoyan_top
 //
 // Exit code: nonzero on any verdict/counterexample divergence between the
 // three runs, or when the warm sweep misses the verdict cache.
@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
   const GeneratedWan generated = generateWan(wan);
   const std::vector<InputRoute> inputs = generateInputRoutes(generated, workload);
 
-  // No owned telemetry: Hoyan falls back to the process global, which the
-  // bench_util TraceOutHook installs (and exports) when --journal-out /
-  // --trace-out / --metrics-out is passed.
+  // No owned telemetry: Hoyan resolves the process global, which the
+  // bench_util ObservabilityHook installs (and exports) when --journal-out /
+  // --trace-out / --metrics-out / --serve is passed.
   Hoyan hoyan(generated.topology, generated.configs);
   hoyan.setInputRoutes(inputs);
   DistSimOptions simOptions;

@@ -47,32 +47,71 @@ inline std::string benchFlag(const std::string& name, const char* env = nullptr)
   return {};
 }
 
-// Opt-in telemetry artifacts for every benchmark, with no per-bench changes:
+// Opt-in observability for every benchmark, with no per-bench changes. Any
+// of these flags builds one `obs::Telemetry` and installs it as the process
+// global (`Telemetry::global()`), which Hoyan, the distributed simulator, the
+// sweep, the incremental engine and the diag entry points resolve when their
+// caller passes no context:
 //   --trace-out=<file>    (HOYAN_TRACE_OUT)    Chrome-trace spans + a metrics
 //                                              snapshot at <file>.metrics.json
 //   --metrics-out=<file>  (HOYAN_METRICS_OUT)  metrics snapshot alone
 //   --journal-out=<file>  (HOYAN_JOURNAL_OUT)  run flight-recorder JSONL
-// Any one of them installs an `obs::Telemetry` as the process default
-// (`Telemetry::global()`), which `DistributedSimulator` and the diag entry
-// points fall back to; tracing/journaling are enabled only when their flag
-// asks for the artifact. Implemented as a header-inline global so the hook
-// runs before main() and dumps on exit.
-class TraceOutHook {
+//   --explain=<device>/<prefix>  (HOYAN_EXPLAIN)  attaches a prefix-scoped
+//         ProvenanceRecorder; on exit the decision chain for the pair is
+//         written as JSON to HOYAN_EXPLAIN_OUT (default "explain.json")
+//   --serve=<port>        (HOYAN_SERVE)        attaches a RunRegistry and
+//         serves the context on 127.0.0.1 (port 0 binds an ephemeral one):
+//         /healthz, /metrics, /runs, /runs/<id> and /explain answer while the
+//         bench runs. Extras for harnesses:
+//     --serve-port-file=<path>  (HOYAN_SERVE_PORT_FILE)  write the bound
+//                               port, so CI can discover an ephemeral one
+//     --serve-linger=<seconds>  (HOYAN_SERVE_LINGER)     keep serving that
+//                               long after the bench, for trailing scrapes
+// Tracing and journaling are enabled only when their flag asks for the
+// artifact. Implemented as a header-inline global so the hook runs before
+// main() and, on exit, stops the server before it writes the artifacts and
+// tears the context down.
+class ObservabilityHook {
  public:
-  TraceOutHook() {
+  ObservabilityHook() {
     tracePath_ = benchFlag("trace-out", "HOYAN_TRACE_OUT");
     metricsPath_ = benchFlag("metrics-out", "HOYAN_METRICS_OUT");
     journalPath_ = benchFlag("journal-out", "HOYAN_JOURNAL_OUT");
-    if (tracePath_.empty() && metricsPath_.empty() && journalPath_.empty()) return;
+    const std::string explain = benchFlag("explain", "HOYAN_EXPLAIN");
+    const std::string serve = benchFlag("serve", "HOYAN_SERVE");
+    if (tracePath_.empty() && metricsPath_.empty() && journalPath_.empty() &&
+        explain.empty() && serve.empty())
+      return;
     obs::TelemetryOptions options;
     options.tracing = !tracePath_.empty();
     options.journal = !journalPath_.empty();
     telemetry_ = std::make_unique<obs::Telemetry>(options);
+    if (!explain.empty() && obs::parseExplainTarget(explain, device_, prefix_)) {
+      // Interning here forces the Names singleton to finish construction
+      // before this hook does, so it is still alive when the destructor
+      // renders the chain (function-local statics destroy in reverse
+      // construction order).
+      deviceId_ = Names::id(device_);
+      obs::ProvenanceOptions provenance;
+      provenance.enabled = true;
+      provenance.prefixes.push_back(prefix_);
+      recorder_ = std::make_unique<obs::ProvenanceRecorder>(provenance);
+      telemetry_->attach(recorder_.get());
+    }
+    if (!serve.empty()) startServer(serve);
     obs::Telemetry::setGlobal(telemetry_.get());
   }
 
-  ~TraceOutHook() {
+  ~ObservabilityHook() {
     if (!telemetry_) return;
+    if (server_) {
+      const std::string linger = benchFlag("serve-linger", "HOYAN_SERVE_LINGER");
+      if (const int seconds = std::atoi(linger.c_str()); seconds > 0) {
+        std::fprintf(stderr, "serve: lingering %ds for trailing scrapes\n", seconds);
+        std::this_thread::sleep_for(std::chrono::seconds(seconds));
+      }
+      server_->stop();
+    }
     obs::Telemetry::setGlobal(nullptr);
     if (!tracePath_.empty()) {
       if (obs::writeFile(tracePath_, telemetry_->tracer().toChromeTraceJson()))
@@ -98,109 +137,29 @@ class TraceOutHook {
       else
         std::fprintf(stderr, "journal: failed to write %s\n", journalPath_.c_str());
     }
+    if (recorder_) {
+      std::string path = "explain.json";
+      if (const char* env = std::getenv("HOYAN_EXPLAIN_OUT")) path = env;
+      if (obs::writeFile(path, recorder_->explainJson(deviceId_, prefix_)))
+        std::fprintf(stderr, "explain: %s/%s (%zu events recorded) -> %s\n",
+                     device_.c_str(), prefix_.str().c_str(),
+                     recorder_->eventCount(), path.c_str());
+      else
+        std::fprintf(stderr, "explain: failed to write %s\n", path.c_str());
+    }
   }
 
  private:
-  std::string tracePath_;
-  std::string metricsPath_;
-  std::string journalPath_;
-  std::unique_ptr<obs::Telemetry> telemetry_;
-};
-
-inline TraceOutHook g_traceOutHook;  // One per bench binary (header-inline).
-
-// Opt-in route-decision provenance for every benchmark: pass
-// `--explain=<device>/<prefix>` (or set HOYAN_EXPLAIN=<device>/<prefix>) and
-// a prefix-scoped `obs::ProvenanceRecorder` is installed as the process
-// default, which the simulators fall back to. On exit the decision chain for
-// the named pair is written as JSON to HOYAN_EXPLAIN_OUT (default
-// "explain.json"). Same /proc/self/cmdline trick as TraceOutHook.
-class ExplainHook {
- public:
-  ExplainHook() {
-    std::string spec = fromCommandLine();
-    if (spec.empty())
-      if (const char* env = std::getenv("HOYAN_EXPLAIN")) spec = env;
-    if (spec.empty() || !obs::parseExplainTarget(spec, device_, prefix_)) return;
-    // Interning here forces the Names singleton to finish construction
-    // before this hook does, so it is still alive when ~ExplainHook renders
-    // the chain (function-local statics destroy in reverse construction
-    // order).
-    deviceId_ = Names::id(device_);
-    obs::ProvenanceOptions options;
-    options.enabled = true;
-    options.prefixes.push_back(prefix_);
-    recorder_ = std::make_unique<obs::ProvenanceRecorder>(options);
-    obs::ProvenanceRecorder::setGlobal(recorder_.get());
-  }
-
-  ~ExplainHook() {
-    if (!recorder_) return;
-    obs::ProvenanceRecorder::setGlobal(nullptr);
-    std::string path = "explain.json";
-    if (const char* env = std::getenv("HOYAN_EXPLAIN_OUT")) path = env;
-    const std::string json = recorder_->explainJson(deviceId_, prefix_);
-    if (obs::writeFile(path, json))
-      std::fprintf(stderr, "explain: %s/%s (%zu events recorded) -> %s\n",
-                   device_.c_str(), prefix_.str().c_str(),
-                   recorder_->eventCount(), path.c_str());
-    else
-      std::fprintf(stderr, "explain: failed to write %s\n", path.c_str());
-  }
-
- private:
-  static std::string fromCommandLine() {
-    std::ifstream cmdline("/proc/self/cmdline", std::ios::binary);
-    std::string arg;
-    while (std::getline(cmdline, arg, '\0')) {
-      const std::string prefix = "--explain=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    }
-    return {};
-  }
-
-  std::string device_;
-  NameId deviceId_ = kInvalidName;
-  Prefix prefix_;
-  std::unique_ptr<obs::ProvenanceRecorder> recorder_;
-};
-
-inline ExplainHook g_explainHook;  // One per bench binary (header-inline).
-
-// Opt-in live monitoring for every benchmark: pass `--serve=<port>` (or set
-// HOYAN_SERVE=<port>; port 0 binds an ephemeral one) and the hook installs a
-// process-global `obs::RunRegistry` plus an embedded `obs::StatusServer` on
-// 127.0.0.1, so `/healthz`, `/metrics`, `/runs`, `/runs/<id>`, and `/explain`
-// answer while the bench runs. When no other hook installed a global
-// Telemetry, the hook installs its own (metrics only) so `/metrics` is live
-// without `--trace-out`. Extras for harnesses:
-//   --serve-port-file=<path>  (HOYAN_SERVE_PORT_FILE)  write the bound port,
-//                             so CI can discover an ephemeral one
-//   --serve-linger=<seconds>  (HOYAN_SERVE_LINGER)     keep serving that long
-//                             after the bench finishes, for trailing scrapes
-// Declared after TraceOutHook/ExplainHook so this hook destroys *first*: the
-// server stops before the telemetry it scrapes is torn down.
-class ServeHook {
- public:
-  ServeHook() {
-    const std::string spec = benchFlag("serve", "HOYAN_SERVE");
-    if (spec.empty()) return;
-    if (!obs::Telemetry::global()) {
-      telemetry_ = std::make_unique<obs::Telemetry>();
-      obs::Telemetry::setGlobal(telemetry_.get());
-    }
+  void startServer(const std::string& port) {
     registry_ = std::make_unique<obs::RunRegistry>();
-    obs::RunRegistry::setGlobal(registry_.get());
+    telemetry_->attach(registry_.get());
     obs::StatusServerOptions options;
-    options.port = static_cast<uint16_t>(std::atoi(spec.c_str()));
+    options.port = static_cast<uint16_t>(std::atoi(port.c_str()));
+    options.telemetry = telemetry_.get();
     server_ = std::make_unique<obs::StatusServer>(options);
     if (!server_->start()) {
-      std::fprintf(stderr, "serve: failed to bind 127.0.0.1:%s\n", spec.c_str());
-      obs::RunRegistry::setGlobal(nullptr);
-      if (telemetry_) obs::Telemetry::setGlobal(nullptr);
+      std::fprintf(stderr, "serve: failed to bind 127.0.0.1:%s\n", port.c_str());
       server_.reset();
-      registry_.reset();
-      telemetry_.reset();
       return;
     }
     std::fprintf(stderr, "serve: live status on http://127.0.0.1:%u\n",
@@ -210,25 +169,19 @@ class ServeHook {
       obs::writeFile(portFile, std::to_string(server_->port()) + "\n");
   }
 
-  ~ServeHook() {
-    if (!server_) return;
-    const std::string linger = benchFlag("serve-linger", "HOYAN_SERVE_LINGER");
-    if (const int seconds = std::atoi(linger.c_str()); seconds > 0) {
-      std::fprintf(stderr, "serve: lingering %ds for trailing scrapes\n", seconds);
-      std::this_thread::sleep_for(std::chrono::seconds(seconds));
-    }
-    server_->stop();
-    obs::RunRegistry::setGlobal(nullptr);
-    if (telemetry_) obs::Telemetry::setGlobal(nullptr);
-  }
-
- private:
-  std::unique_ptr<obs::Telemetry> telemetry_;  // Only when we installed it.
+  std::string tracePath_;
+  std::string metricsPath_;
+  std::string journalPath_;
+  std::string device_;
+  NameId deviceId_ = kInvalidName;
+  Prefix prefix_;
+  std::unique_ptr<obs::Telemetry> telemetry_;
+  std::unique_ptr<obs::ProvenanceRecorder> recorder_;
   std::unique_ptr<obs::RunRegistry> registry_;
   std::unique_ptr<obs::StatusServer> server_;
 };
 
-inline ServeHook g_serveHook;  // One per bench binary (header-inline).
+inline ObservabilityHook g_observabilityHook;  // One per bench binary.
 
 inline WanSpec wanSpec() {
   WanSpec spec;

@@ -117,39 +117,21 @@ Hoyan Hoyan::fromConfigTexts(Topology topology,
 void Hoyan::configureTelemetry(const obs::TelemetryOptions& options) {
   ownedTelemetry_ = std::make_unique<obs::Telemetry>(options);
   telemetry_ = ownedTelemetry_.get();
-  distOptions_.telemetry = telemetry_;
 }
 
 void Hoyan::setTelemetry(obs::Telemetry* telemetry) {
   ownedTelemetry_.reset();
   telemetry_ = telemetry;
-  distOptions_.telemetry = telemetry;
-}
-
-void Hoyan::configureProvenance(obs::ProvenanceOptions options) {
-  ownedProvenance_ = std::make_unique<obs::ProvenanceRecorder>(std::move(options));
-  provenance_ = ownedProvenance_.get();
-  distOptions_.routeOptions.provenance = provenance_;
-}
-
-void Hoyan::setProvenance(obs::ProvenanceRecorder* recorder) {
-  ownedProvenance_.reset();
-  provenance_ = recorder;
-  distOptions_.routeOptions.provenance = recorder;
 }
 
 std::string Hoyan::explain(const std::string& device, const Prefix& prefix,
                            size_t maxDepth) const {
-  if (!provenance_) return "{}";
-  return provenance_->explainJson(Names::id(device), prefix, maxDepth);
+  const obs::ProvenanceRecorder* recorder = context().provenance();
+  if (!recorder) return "{}";
+  return recorder->explainJson(Names::id(device), prefix, maxDepth);
 }
 
 void Hoyan::enableIncremental(incr::IncrementalOptions options) {
-  // Same fallback chain as the simulator: explicit options, then this
-  // facade's bundle, then the process-global sink (bench hooks).
-  if (!options.telemetry)
-    options.telemetry = telemetry_ ? telemetry_ : obs::Telemetry::global();
-  if (!options.runRegistry) options.runRegistry = runRegistry_;
   incremental_ = std::make_unique<incr::IncrementalEngine>(options);
   if (preprocessed_) incremental_->setBaseModel(*baseModel_);
 }
@@ -165,15 +147,12 @@ void Hoyan::setInputFlows(std::vector<Flow> flows) {
 }
 
 void Hoyan::preprocess() {
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(
-      telemetry_ ? telemetry_ : obs::Telemetry::global());
+  obs::Telemetry& tel = context();
   obs::Span span = tel.tracer().span("core.preprocess", "core");
   obs::RunJournal& journal = tel.journal();
   journal.runBegin("preprocess", distOptionsFingerprint(distOptions_));
-  obs::RunRegistry* registry =
-      runRegistry_ ? runRegistry_ : obs::RunRegistry::global();
-  const uint64_t liveRunId = registry ? registry->runBegin("preprocess") : 0;
   DistSimOptions runOptions = distOptions_;
+  runOptions.telemetry = &tel;
   if (incremental_) {
     // The base run seeds the cache: its subtask results are what later clean
     // subtasks hit.
@@ -204,7 +183,6 @@ void Hoyan::preprocess() {
   preprocessed_ = true;
   span.finish();
   journal.runEnd("preprocess", span.seconds());
-  if (registry) registry->runEnd(liveRunId, span.seconds());
   tel.log().info("core.preprocess.done",
                  {{"seconds", std::to_string(span.seconds())},
                   {"routes", std::to_string(baseRibs_.routeCount())}});
@@ -230,24 +208,20 @@ NetworkModel Hoyan::buildUpdatedModel(const ChangePlan& plan,
 ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
                                              const IntentSet& intents) {
   requirePreprocessed();
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(
-      telemetry_ ? telemetry_ : obs::Telemetry::global());
+  obs::Telemetry& tel = context();
   obs::Span taskSpan = tel.tracer().span("core.verify_change", "core");
   taskSpan.arg("plan", plan.name);
   obs::RunJournal& journal = tel.journal();
   journal.runBegin(plan.name, distOptionsFingerprint(distOptions_));
-  obs::RunRegistry* registry =
-      runRegistry_ ? runRegistry_ : obs::RunRegistry::global();
-  const uint64_t liveRunId = registry ? registry->runBegin(plan.name) : 0;
   tel.metrics().counter("core.changes_verified").add(1);
   // Fresh provenance log per verification: the explain chains and violation
   // attachments below must describe *this* change's simulation.
-  if (provenance_) provenance_->clear();
+  obs::ProvenanceRecorder* provenance = tel.provenance();
+  if (provenance) provenance->clear();
   ChangeVerificationResult result;
 
   // 1. Updated network model (incremental: base model + parsed commands).
   journal.phaseBegin("model_build");
-  if (registry) registry->phase("model_build");
   obs::Span modelSpan = tel.tracer().span("core.build_updated_model", "core");
   NetworkModel updated = buildUpdatedModel(plan, &result.commandErrors);
   modelSpan.finish();
@@ -270,6 +244,7 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
   // incremental engine enabled, subtasks unaffected by the plan are served
   // from the content-addressed result cache.
   DistSimOptions runOptions = distOptions_;
+  runOptions.telemetry = &tel;
   if (incremental_) {
     const incr::ChangeImpact& impact = incremental_->beginRun(updated, runOptions);
     result.incrementalUsed = true;
@@ -301,7 +276,6 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
   // 4. Intent verification. The engine's endRun waits until after it: the
   // fragment fast path reads this run's result blobs out of the store.
   journal.phaseBegin("intent_verify");
-  if (registry) registry->phase("intent_verify");
   obs::Span intentSpan = tel.tracer().span("core.check_intents", "core");
   const auto verifyStart = Clock::now();
   if (!intents.rclIntents.empty()) {
@@ -319,7 +293,7 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
       RclOutcome outcome;
       outcome.specification = specification;
       outcome.result =
-          rcl::checkIntentText(specification, *baseGlobal_, *updatedGlobal, provenance_);
+          rcl::checkIntentText(specification, *baseGlobal_, *updatedGlobal, provenance);
       result.rclOutcomes.push_back(std::move(outcome));
     }
   }
@@ -341,7 +315,6 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
   result.updatedLinkLoads = std::move(updatedLoads);
   taskSpan.finish();
   journal.runEnd(plan.name, taskSpan.seconds());
-  if (registry) registry->runEnd(liveRunId, taskSpan.seconds());
   if (!result.satisfied()) tel.metrics().counter("core.changes_violated").add(1);
   tel.log().info("core.verify_change.done",
                  {{"plan", plan.name},
@@ -360,8 +333,7 @@ std::vector<ChangeVerificationResult> Hoyan::verifyChangeBatch(
 
 std::vector<RclOutcome> Hoyan::runAuditTasks(const std::vector<std::string>& auditSpecs) {
   requirePreprocessed();
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(
-      telemetry_ ? telemetry_ : obs::Telemetry::global());
+  obs::Telemetry& tel = context();
   obs::Span span = tel.tracer().span("core.audit", "core");
   span.arg("tasks", std::to_string(auditSpecs.size()));
   std::vector<RclOutcome> outcomes;
@@ -369,7 +341,7 @@ std::vector<RclOutcome> Hoyan::runAuditTasks(const std::vector<std::string>& aud
     RclOutcome outcome;
     outcome.specification = specification;
     outcome.result =
-        rcl::checkIntentText(specification, *baseGlobal_, *baseGlobal_, provenance_);
+        rcl::checkIntentText(specification, *baseGlobal_, *baseGlobal_, tel.provenance());
     tel.metrics().counter("core.audit_tasks").add(1);
     if (!outcome.result.satisfied) tel.metrics().counter("core.audit_violations").add(1);
     outcomes.push_back(std::move(outcome));
@@ -393,11 +365,8 @@ sweep::SweepResult Hoyan::sweepFaultTolerance(const NetworkProperty& property,
                                               const KFailureOptions& options,
                                               const sweep::SweepHints& hints) {
   requirePreprocessed();
-  obs::Telemetry* configured = telemetry_ ? telemetry_ : obs::Telemetry::global();
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(configured);
+  obs::Telemetry& tel = context();
   obs::RunJournal& journal = tel.journal();
-  obs::RunRegistry* registry =
-      runRegistry_ ? runRegistry_ : obs::RunRegistry::global();
   obs::Span taskSpan = tel.tracer().span("core.fault_sweep", "core");
   taskSpan.arg("k", std::to_string(options.k));
   // The run fingerprint covers everything that shapes the committed result;
@@ -417,15 +386,12 @@ sweep::SweepResult Hoyan::sweepFaultTolerance(const NetworkProperty& property,
   for (const NameId device : hints.relevantDevices)
     runFp.mix(static_cast<uint64_t>(device));
   journal.runBegin("fault-sweep", runFp.digest());
-  uint64_t liveRunId = 0;
-  if (registry) liveRunId = registry->runBegin("fault-sweep");
 
   sweep::SweepOptions sweepOptions;
   sweepOptions.failure = options;
   sweepOptions.workers = distOptions_.workers;
   sweepOptions.maxAttempts = distOptions_.maxAttempts;
-  sweepOptions.telemetry = configured;
-  sweepOptions.runRegistry = registry;
+  sweepOptions.telemetry = &tel;
   sweepOptions.incremental = incremental_.get();
   sweep::SweepResult result;
   try {
@@ -434,12 +400,10 @@ sweep::SweepResult Hoyan::sweepFaultTolerance(const NetworkProperty& property,
   } catch (...) {
     taskSpan.finish();
     journal.runEnd("fault-sweep", taskSpan.seconds());
-    if (registry) registry->runEnd(liveRunId, taskSpan.seconds());
     throw;
   }
   taskSpan.finish();
   journal.runEnd("fault-sweep", taskSpan.seconds());
-  if (registry) registry->runEnd(liveRunId, taskSpan.seconds());
   tel.log().info(
       "core.fault_sweep.done",
       {{"k", std::to_string(options.k)},
@@ -458,8 +422,7 @@ sweep::SweepResult Hoyan::sweepIntentFaultTolerance(const std::string& rclSpec,
                                 outcome.error);
   const sweep::DeriveResult derived =
       sweep::deriveHints(*outcome.intent, *baseModel_, inputRoutes_);
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(
-      telemetry_ ? telemetry_ : obs::Telemetry::global());
+  obs::Telemetry& tel = context();
   if (derived.scoped) {
     tel.metrics().counter("core.sweep.hints_derived").add(1);
   } else {

@@ -19,7 +19,6 @@
 #include "incr/engine.h"
 #include "net/flow.h"
 #include "obs/provenance.h"
-#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "net/route.h"
 #include "proto/network_model.h"
@@ -116,52 +115,31 @@ class Hoyan {
   void setInputRoutes(std::vector<InputRoute> inputs);
   void setInputFlows(std::vector<Flow> flows);
 
-  // Distributed-simulation knobs used for every simulation run. Configured
-  // telemetry/provenance sinks are preserved unless the options carry their
-  // own.
-  void setSimulationOptions(DistSimOptions options) {
-    if (!options.telemetry) options.telemetry = telemetry_;
-    if (!options.routeOptions.provenance)
-      options.routeOptions.provenance = provenance_;
-    if (!options.runRegistry) options.runRegistry = runRegistry_;
-    distOptions_ = std::move(options);
-  }
+  // Distributed-simulation knobs used for every simulation run. Each run
+  // reports into this facade's observability context (below), whatever
+  // `options.telemetry` holds.
+  void setSimulationOptions(DistSimOptions options) { distOptions_ = std::move(options); }
 
-  // Live run-status registry for the status server (statusd.h): this facade
-  // publishes run/phase lifecycle, the simulator subtask progress, the
-  // incremental engine change impact. Null falls back to
-  // RunRegistry::global() (the benches' --serve hook).
-  void setRunRegistry(obs::RunRegistry* registry) {
-    runRegistry_ = registry;
-    distOptions_.runRegistry = registry;
-  }
-  obs::RunRegistry* runRegistry() const { return runRegistry_; }
-
-  // Telemetry for the whole pipeline (preprocessing, simulation, intent
-  // checking): builds an owned bundle from `options` and threads it through
-  // every stage. Call before preprocess(). `telemetry()` exposes the bundle
-  // for exporting (metrics snapshot, Chrome trace) after a run; null when
-  // never configured.
+  // The observability context of the whole pipeline (preprocessing,
+  // simulation, the incremental engine, intent checking, fault sweeps):
+  // configureTelemetry builds an owned one from `options`, setTelemetry
+  // adopts an externally owned one (e.g. shared across Hoyan instances).
+  // Without either, every entry point resolves the process global, else the
+  // disabled context (obs::Telemetry::resolve). Sinks attached to the
+  // resolved context apply to everything this facade runs: a RunRegistry
+  // shows each preprocess, verifyChange and fault sweep as a live run; a
+  // ProvenanceRecorder records the distributed simulations of preprocess and
+  // verifyChange (not the fault sweeps' per-scenario ones) and gives
+  // violations their explain chains, and verifyChange clears it at entry so
+  // its log describes the post-change simulation. `telemetry()` is the
+  // configured context, null when never configured.
   void configureTelemetry(const obs::TelemetryOptions& options);
-  // Alternative: adopt an externally owned bundle (e.g. shared across Hoyan
-  // instances or installed as the process global).
   void setTelemetry(obs::Telemetry* telemetry);
   obs::Telemetry* telemetry() const { return telemetry_; }
 
-  // Route-decision provenance for the pipeline's simulations: builds an owned
-  // recorder from `options` and threads it through every simulation run and
-  // intent check (violations then carry explain chains). Call before
-  // preprocess(). verifyChange() clears the recorder at entry so its log
-  // describes the post-change simulation.
-  void configureProvenance(obs::ProvenanceOptions options);
-  // Alternative: adopt an externally owned recorder (e.g. the benches'
-  // --explain hook's process global).
-  void setProvenance(obs::ProvenanceRecorder* recorder);
-  obs::ProvenanceRecorder* provenance() const { return provenance_; }
-
-  // The decision chain for (device, prefix) from the configured recorder —
+  // The decision chain for (device, prefix) from the context's recorder —
   // the `hoyan explain <device> <prefix>` entry point. Returns "{}" when no
-  // recorder is configured (or it recorded nothing for the pair).
+  // recorder is attached (or it recorded nothing for the pair).
   std::string explain(const std::string& device, const Prefix& prefix,
                       size_t maxDepth = 8) const;
 
@@ -183,7 +161,7 @@ class Hoyan {
   // Turns on the incremental verification engine: change-impact analysis +
   // content-addressed subtask result cache shared across verifyChange calls.
   // Results stay byte-identical to cold runs; repeated/overlapping plans get
-  // served from the cache. Telemetry defaults to the pipeline's bundle.
+  // served from the cache. The engine reports into each run's context.
   // Call any time; takes effect from the next preprocess()/verifyChange().
   void enableIncremental(incr::IncrementalOptions options = {});
   // The engine, for inspection (cache stats, last impact); null when
@@ -246,6 +224,8 @@ class Hoyan {
 
  private:
   void requirePreprocessed() const;
+  // The context every entry point resolves once.
+  obs::Telemetry& context() const { return obs::Telemetry::resolve(telemetry_); }
 
   std::unique_ptr<NetworkModel> baseModel_;
   std::vector<InputRoute> inputRoutes_;
@@ -253,9 +233,6 @@ class Hoyan {
   DistSimOptions distOptions_;
   std::unique_ptr<obs::Telemetry> ownedTelemetry_;
   obs::Telemetry* telemetry_ = nullptr;
-  std::unique_ptr<obs::ProvenanceRecorder> ownedProvenance_;
-  obs::ProvenanceRecorder* provenance_ = nullptr;
-  obs::RunRegistry* runRegistry_ = nullptr;
   std::unique_ptr<incr::IncrementalEngine> incremental_;
   bool preprocessed_ = false;
 

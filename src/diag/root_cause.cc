@@ -124,7 +124,7 @@ std::vector<RootCauseFinding> analyzeLoadInaccuracies(
     std::span<const Flow> flows, const LoadAccuracyReport& report, size_t maxFindings,
     const obs::ProvenanceRecorder* provenance) {
   if (provenance && !provenance->enabled()) provenance = nullptr;
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(obs::Telemetry::global());
+  obs::Telemetry& tel = obs::Telemetry::resolve(nullptr);
   obs::Span span = tel.tracer().span("diag.root_cause", "diag");
   span.arg("inaccurate_links", std::to_string(report.inaccurateLinks.size()));
   std::vector<RootCauseFinding> findings;

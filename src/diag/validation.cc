@@ -58,7 +58,7 @@ RouteAccuracyReport compareRoutes(const NetworkRibs& simulated,
                                   const RouteMonitorOptions& monitorOptions) {
   // Validation runs at the pipeline edge; it reports into the process-global
   // telemetry (the bench --trace-out hook) rather than a threaded pointer.
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(obs::Telemetry::global());
+  obs::Telemetry& tel = obs::Telemetry::resolve(nullptr);
   obs::Span span = tel.tracer().span("diag.compare_routes", "diag");
   RouteAccuracyReport report;
   // For every monitored best route: find it in the simulation. The
@@ -198,7 +198,7 @@ LoadAccuracyReport compareLinkLoads(const Topology& topology,
                                     const LinkLoadMap& simulated,
                                     const std::vector<MonitoredLinkLoad>& monitored,
                                     double thresholdFraction) {
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(obs::Telemetry::global());
+  obs::Telemetry& tel = obs::Telemetry::resolve(nullptr);
   obs::Span span = tel.tracer().span("diag.compare_link_loads", "diag");
   LoadAccuracyReport report;
   const auto bandwidthOf = [&topology](NameId from, NameId to) -> double {

@@ -89,15 +89,14 @@ size_t approxFlowBytes(size_t flows) { return flows * 48; }
 
 DistributedSimulator::DistributedSimulator(const NetworkModel& model,
                                            DistSimOptions options)
-    : model_(model), options_(std::move(options)) {
+    : model_(model),
+      options_(std::move(options)),
+      telemetry_(obs::Telemetry::resolve(options_.telemetry)) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.routeSubtasks == 0) options_.routeSubtasks = 1;
   if (options_.trafficSubtasks == 0) options_.trafficSubtasks = 1;
-  telemetry_ = options_.telemetry ? options_.telemetry : obs::Telemetry::global();
-  if (!telemetry_) telemetry_ = &obs::Telemetry::disabled();
-  registry_ = options_.runRegistry ? options_.runRegistry : obs::RunRegistry::global();
   store_ = options_.store ? options_.store : &ownStore_;
-  obs::MetricsRegistry& metrics = telemetry_->metrics();
+  obs::MetricsRegistry& metrics = telemetry_.metrics();
   store_->bindTelemetry(
       &metrics.gauge("store.blobs", "Live blobs in the object store."),
       &metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs."),
@@ -107,20 +106,20 @@ DistributedSimulator::DistributedSimulator(const NetworkModel& model,
 
 DistRouteResult DistributedSimulator::runRouteSimulation(
     std::span<const InputRoute> inputs) {
-  obs::Telemetry& tel = *telemetry_;
+  obs::Telemetry& tel = telemetry_;
   obs::Span taskSpan = tel.tracer().span("route.task", "dist");
   taskSpan.arg("inputs", std::to_string(inputs.size()));
   tel.log().info("route.task.start", {{"inputs", std::to_string(inputs.size())},
                                       {"workers", std::to_string(options_.workers)}});
   DistRouteResult result;
   routeResultKeys_.clear();
-  // Master-side provenance sink (same resolution as the engine: explicit
-  // option, else the process-global --explain hook). Subtasks record into
-  // private recorders; the master appends them in subtask order below, so the
-  // merged event log is identical for every worker count.
+  // Master-side provenance sink: the explicit option, else the context's
+  // recorder. Subtasks record into private recorders; the master appends
+  // them in subtask order below, so the merged event log is identical for
+  // every worker count.
   obs::ProvenanceRecorder* prov = options_.routeOptions.provenance
                                       ? options_.routeOptions.provenance
-                                      : obs::ProvenanceRecorder::global();
+                                      : tel.provenance();
   if (prov && !prov->enabled()) prov = nullptr;
   // Result cache: recording runs participate too. Every executed subtask
   // stores its compressed event log under `<result key>#prov`, so a later
@@ -143,7 +142,6 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
 
   // --- master: prepare subtasks -------------------------------------------
   journal.phaseBegin("route.split");
-  if (registry_) registry_->phase("route.split");
   obs::Span splitSpan = tel.tracer().span("route.split", "dist");
   // Order by the last IP address of the prefix; keep same-prefix routes
   // adjacent.
@@ -161,7 +159,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
 
   const size_t subtaskCount = std::min(options_.routeSubtasks,
                                        std::max<size_t>(ordered.size(), 1));
-  JobRunner jobs(tel, registry_, subtaskNames("route"), subtaskPolicy(options_));
+  JobRunner jobs(tel, subtaskNames("route"), subtaskPolicy(options_));
   // The split-time cache decision. A hit is served from the store at merge
   // time (a cache read, not sim work): never queued, inputs never uploaded.
   const auto servedFromCache = [&](size_t job, SubtaskRecord& record) {
@@ -246,7 +244,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
           const auto chunk = store_->get<std::vector<InputRoute>>(record->inputKey);
           RouteSimOptions subOptions = options_.routeOptions;
           subOptions.includeLocalRoutes = false;
-          subOptions.telemetry = telemetry_;
+          subOptions.telemetry = &telemetry_;
           subOptions.provenance = prov ? &subProv : nullptr;
           // Subtask-local selection is provisional (the master re-selects
           // after merging); selection events come from the merged RIBs below.
@@ -287,7 +285,6 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
 
   // --- master: collect results ----------------------------------------------
   journal.phaseBegin("route.merge");
-  if (registry_) registry_->phase("route.merge");
   obs::Span mergeSpan = tel.tracer().span("route.merge", "dist");
   for (size_t job = 0; job < jobs.size(); ++job) {
     const auto record = db_.get(jobs.id(job));
@@ -344,7 +341,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
 
 DistTrafficResult DistributedSimulator::runTrafficSimulation(
     std::span<const Flow> flows) {
-  obs::Telemetry& tel = *telemetry_;
+  obs::Telemetry& tel = telemetry_;
   obs::Span taskSpan = tel.tracer().span("traffic.task", "dist");
   taskSpan.arg("flows", std::to_string(flows.size()));
   tel.log().info("traffic.task.start", {{"flows", std::to_string(flows.size())},
@@ -389,7 +386,6 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
 
   // --- master: prepare subtasks ----------------------------------------------
   journal.phaseBegin("traffic.split");
-  if (registry_) registry_->phase("traffic.split");
   obs::Span splitSpan = tel.tracer().span("traffic.split", "dist");
   // Order by destination address.
   const auto orderedFlows = splitOrder(
@@ -400,7 +396,7 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
 
   const size_t subtaskCount =
       std::min(options_.trafficSubtasks, std::max<size_t>(ordered.size(), 1));
-  JobRunner jobs(tel, registry_, subtaskNames("traffic"), subtaskPolicy(options_));
+  JobRunner jobs(tel, subtaskNames("traffic"), subtaskPolicy(options_));
   for (size_t i = 0; i < subtaskCount; ++i) {
     const size_t begin = ordered.size() * i / subtaskCount;
     const size_t end = ordered.size() * (i + 1) / subtaskCount;
@@ -468,7 +464,7 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
         ribFilesSkipped.add(routeFiles.size() - loaded);
         obs::Span executeSpan = tel.tracer().span("traffic.subtask.execute", "dist");
         TrafficSimOptions subOptions = options_.trafficOptions;
-        subOptions.telemetry = telemetry_;
+        subOptions.telemetry = &telemetry_;
         const TrafficSimResult subResult =
             simulateTraffic(model_, ribs, *chunk, subOptions);
         executeSpan.finish();
@@ -489,7 +485,6 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
 
   // --- master: merge in fixed subtask order (determinism) -------------------
   journal.phaseBegin("traffic.merge");
-  if (registry_) registry_->phase("traffic.merge");
   obs::Span mergeSpan = tel.tracer().span("traffic.merge", "dist");
   for (size_t job = 0; job < jobs.size(); ++job) {
     const auto record = db_.get(jobs.id(job));

@@ -26,7 +26,6 @@
 #include "dist/subtask_db.h"
 #include "net/flow.h"
 #include "net/route.h"
-#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "proto/network_model.h"
 #include "sim/route_sim.h"
@@ -52,14 +51,12 @@ struct DistSimOptions {
   int maxAttempts = 3;
   RouteSimOptions routeOptions;
   TrafficSimOptions trafficOptions;
-  // Telemetry sink for the whole run: master/worker lifecycle spans, queue
-  // and store gauges, retry counters. Null falls back to Telemetry::global()
-  // (the benches' --trace-out hook), then to the disabled sink.
+  // Observability context for the whole run: master/worker lifecycle spans,
+  // queue and store gauges, retry counters, the journal and the run registry
+  // it feeds, and the provenance recorder when `routeOptions.provenance` is
+  // unset. Resolved by Telemetry::resolve (null: the process global, else
+  // the disabled context).
   obs::Telemetry* telemetry = nullptr;
-  // Live run-status sink (the status server's data source, statusd.h). Null
-  // falls back to RunRegistry::global() (the benches' --serve hook); both
-  // null = no publication, costing one branch per event.
-  obs::RunRegistry* runRegistry = nullptr;
   // External object store shared across runs (the incremental engine's
   // persistent store). Null = the simulator owns a private store, as before.
   ObjectStore* store = nullptr;
@@ -134,15 +131,14 @@ class DistributedSimulator {
   // one is the local-routes subtask). The incremental engine keys cached
   // GlobalRib fragments off these.
   const std::vector<std::string>& routeResultKeys() const { return routeResultKeys_; }
-  // The telemetry sink this run reports into (never null; possibly the
-  // process-wide disabled instance).
-  obs::Telemetry& telemetry() const { return *telemetry_; }
+  // The context this run reports into (possibly the process-wide disabled
+  // instance).
+  obs::Telemetry& telemetry() const { return telemetry_; }
 
  private:
   const NetworkModel& model_;
   DistSimOptions options_;
-  obs::Telemetry* telemetry_;  // Resolved: options -> global -> disabled.
-  obs::RunRegistry* registry_; // Resolved: options -> global -> null (off).
+  obs::Telemetry& telemetry_;  // Telemetry::resolve(options.telemetry).
   ObjectStore ownStore_;       // Used when options.store is null.
   ObjectStore* store_;         // Resolved: options -> ownStore_.
   SubtaskDb db_;

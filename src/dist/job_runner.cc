@@ -9,10 +9,8 @@
 
 namespace hoyan {
 
-JobRunner::JobRunner(obs::Telemetry& telemetry, obs::RunRegistry* registry,
-                     JobNames names, JobPolicy policy)
-    : telemetry_(telemetry), registry_(registry), names_(std::move(names)),
-      policy_(policy) {
+JobRunner::JobRunner(obs::Telemetry& telemetry, JobNames names, JobPolicy policy)
+    : telemetry_(telemetry), names_(std::move(names)), policy_(policy) {
   obs::MetricsRegistry& metrics = telemetry_.metrics();
   queue_.bindTelemetry(
       &metrics.gauge(names_.queueDepth.name, names_.queueDepth.help),
@@ -30,7 +28,6 @@ size_t JobRunner::add(std::string id) {
 
 void JobRunner::enqueue(size_t job) {
   telemetry_.journal().subtaskEnqueue(names_.phase, ids_[job]);
-  if (registry_) registry_->subtaskEnqueued();
   queue_.push(Message{job, 1});
   ++queued_;
 }
@@ -38,21 +35,15 @@ void JobRunner::enqueue(size_t job) {
 void JobRunner::cacheHit(size_t job, std::string_view key) {
   if (cacheHits_) cacheHits_->add(1);
   telemetry_.journal().cacheHit(names_.phase, ids_[job], key);
-  if (registry_) {
-    registry_->cacheHit();
-    registry_->subtaskCached();
-  }
 }
 
 void JobRunner::cacheMiss(size_t job, std::string_view key) {
   if (cacheMisses_) cacheMisses_->add(1);
   telemetry_.journal().cacheMiss(names_.phase, ids_[job], key);
-  if (registry_) registry_->cacheMiss();
 }
 
 void JobRunner::cacheBypass(size_t job, std::string_view reason, std::string_view key) {
   telemetry_.journal().cacheBypass(reason, ids_[job], key);
-  if (registry_) registry_->cacheBypass();
 }
 
 size_t JobRunner::workerCount() const {
@@ -108,14 +99,13 @@ JobReport JobRunner::run(const Body& body, const Settle& settle) {
       const auto [job, attempt] = *message;
       const std::string& id = ids_[job];
       if (cancelled_) {
-        if (registry_) registry_->subtaskCancelled();
+        journal.subtaskCancel(names_.phase, id, attempt);
         continue;
       }
       obs::Span span = tel.tracer().span(names_.span, names_.category);
       span.arg("id", id);
       span.arg("attempt", std::to_string(attempt));
       journal.subtaskStart(names_.phase, id, attempt, worker);
-      if (registry_) registry_->subtaskStarted(worker, id);
       bool ok = !injectCrash(id, attempt);
       try {
         if (ok) body(job, worker);
@@ -131,7 +121,6 @@ JobReport JobRunner::run(const Body& body, const Settle& settle) {
         seconds.observe(span.seconds());
         durationMs.observe(span.seconds() * 1e3);
         journal.subtaskFinish(names_.phase, id, attempt, worker, span.seconds());
-        if (registry_) registry_->subtaskFinished(worker, span.seconds());
         completed.add(1);
         ++succeededCount;
         settleJob(job, JobOutcome{true, attempt, span.seconds()});
@@ -140,21 +129,18 @@ JobReport JobRunner::run(const Body& body, const Settle& settle) {
       // The working server died mid-job; the master re-queues it (§3.2).
       span.arg("outcome", "crashed");
       crashed.add(1);
-      if (registry_) registry_->subtaskCrashed(worker);
       if (attempt < policy_.maxAttempts) {
         tel.log().warn(names_.span + ".retry",
                        {{"id", id}, {"attempt", std::to_string(attempt)}});
         ++retryCount;
         retries.add(1);
-        journal.subtaskRetry(names_.phase, id, attempt);
-        if (registry_) registry_->subtaskRetried();
+        journal.subtaskRetry(names_.phase, id, attempt, worker);
         queue_.push(Message{job, attempt + 1});
         continue;
       }
       tel.log().error(names_.span + ".exhausted", {{"id", id}});
       exhausted.add(1);
-      journal.subtaskExhaust(names_.phase, id, attempt);
-      if (registry_) registry_->subtaskExhausted();
+      journal.subtaskExhaust(names_.phase, id, attempt, worker);
       jobExhausted[job] = 1;
       settleJob(job, JobOutcome{false, attempt, 0});
     }
@@ -175,10 +161,7 @@ JobReport JobRunner::run(const Body& body, const Settle& settle) {
     }
   };
 
-  if (!names_.execPhase.empty()) {
-    journal.phaseBegin(names_.execPhase);
-    if (registry_) registry_->phase(names_.execPhase);
-  }
+  if (!names_.execPhase.empty()) journal.phaseBegin(names_.execPhase);
   const auto start = std::chrono::steady_clock::now();
   {
     // jthreads join on every path out of this scope, a failed spawn included.

@@ -3,9 +3,9 @@
 // threads pop and run them, a crashed attempt is re-queued until the job has
 // had `maxAttempts` tries, and a job that runs out is reported.
 //
-// Every lifecycle event is emitted here once, to the span, the run journal,
-// the run registry and the metrics, under the names the calling phase passes
-// in. Crashes are drawn per (job id, attempt, seed) and a throwing job body
+// Every lifecycle event is emitted here once, to the span, the run journal
+// (which hands it on to the live run registry) and the metrics, under the
+// names the calling phase passes in. Crashes are drawn per (job id, attempt, seed) and a throwing job body
 // counts as a crash, so the attempts made, and the canonical journal, are the
 // same at any worker count.
 #pragma once
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "dist/message_queue.h"
-#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 
 namespace hoyan {
@@ -32,7 +31,7 @@ struct MetricName {
 // The vocabulary one phase reports its jobs under. Optional names are empty.
 struct JobNames {
   std::string phase;        // Journal phase of the lifecycle and cache events.
-  std::string execPhase{};  // Optional journal/registry phase around run().
+  std::string execPhase{};  // Optional journal phase around run().
   std::string span;         // Per-attempt span; also prefixes the log events.
   std::string category;     // Span category.
   MetricName queueDepth, queueWait, retries, completed, crashed, exhausted;
@@ -68,8 +67,7 @@ class JobRunner {
   // Called once per queued job as it settles, serialized across workers.
   using Settle = std::function<void(size_t job, const JobOutcome& outcome)>;
 
-  JobRunner(obs::Telemetry& telemetry, obs::RunRegistry* registry, JobNames names,
-            JobPolicy policy);
+  JobRunner(obs::Telemetry& telemetry, JobNames names, JobPolicy policy);
 
   // Split time, on the master. A job runs once enqueued; a cache hit settles
   // it without queueing; a miss or bypass leaves it to be enqueued.
@@ -88,8 +86,8 @@ class JobRunner {
   // Runs until every queued job has settled or been cancelled. Once per
   // runner. An exception from `settle` cancels the rest and is rethrown.
   JobReport run(const Body& body, const Settle& settle = {});
-  // Drops the jobs still queued, which leave the registry's pending count;
-  // attempts in flight finish. Callable before run() and from `settle`.
+  // Drops the jobs still queued, each with a subtask_cancel event; attempts
+  // in flight finish. Callable before run() and from `settle`.
   void cancel();
 
  private:
@@ -103,7 +101,6 @@ class JobRunner {
   bool injectCrash(const std::string& id, int attempt) const;
 
   obs::Telemetry& telemetry_;
-  obs::RunRegistry* registry_;
   const JobNames names_;
   const JobPolicy policy_;
   obs::Counter* cacheHits_ = nullptr;

@@ -16,22 +16,23 @@ constexpr uint64_t kTagTraffic = 'T';
 
 }  // namespace
 
-SubtaskCache::SubtaskCache(ObjectStore* store, size_t budgetBytes,
-                           obs::Telemetry* telemetry)
-    : store_(store),
-      budgetBytes_(budgetBytes),
-      journal_(&obs::Telemetry::orDisabled(telemetry).journal()),
-      hits_(obs::Telemetry::orDisabled(telemetry).metrics().counter("incr.cache.hits")),
-      misses_(
-          obs::Telemetry::orDisabled(telemetry).metrics().counter("incr.cache.misses")),
-      evictions_(obs::Telemetry::orDisabled(telemetry).metrics().counter(
-          "incr.cache.evictions")),
-      bypasses_(obs::Telemetry::orDisabled(telemetry).metrics().counter(
-          "incr.cache.bypasses")),
-      entriesGauge_(
-          obs::Telemetry::orDisabled(telemetry).metrics().gauge("incr.cache.entries")),
-      bytesGauge_(
-          obs::Telemetry::orDisabled(telemetry).metrics().gauge("incr.cache.bytes")) {}
+SubtaskCache::SubtaskCache(ObjectStore* store, size_t budgetBytes)
+    : store_(store), budgetBytes_(budgetBytes) {
+  bindTelemetry(obs::Telemetry::disabled());
+}
+
+void SubtaskCache::bindTelemetry(obs::Telemetry& telemetry) {
+  obs::MetricsRegistry& metrics = telemetry.metrics();
+  std::lock_guard lock(mutex_);
+  journal_ = &telemetry.journal();
+  hits_ = &metrics.counter("incr.cache.hits");
+  misses_ = &metrics.counter("incr.cache.misses");
+  evictions_ = &metrics.counter("incr.cache.evictions");
+  bypasses_ = &metrics.counter("incr.cache.bypasses");
+  entriesGauge_ = &metrics.gauge("incr.cache.entries");
+  bytesGauge_ = &metrics.gauge("incr.cache.bytes");
+  publishGaugesLocked();
+}
 
 void SubtaskCache::beginRun(const CacheFingerprints& fingerprints,
                             const ChangeImpact& impact) {
@@ -92,10 +93,10 @@ bool SubtaskCache::lookup(const std::string& key) {
   if (store_->contains(key)) {
     auto& entry = entries_[key];
     entry.lastUsed = ++clock_;
-    hits_.add(1);
+    hits_->add(1);
     return true;
   }
-  misses_.add(1);
+  misses_->add(1);
   return false;
 }
 
@@ -109,7 +110,10 @@ void SubtaskCache::stored(const std::string& key, size_t bytes) {
   publishGaugesLocked();
 }
 
-void SubtaskCache::noteBypass() { bypasses_.add(1); }
+void SubtaskCache::noteBypass() {
+  std::lock_guard lock(mutex_);
+  bypasses_->add(1);
+}
 
 bool SubtaskCache::touch(const std::string& key) {
   std::lock_guard lock(mutex_);
@@ -148,7 +152,7 @@ void SubtaskCache::evictToBudget() {
       store_->erase(key + "#prov");   // and recording runs with event logs.
       totalBytes_ -= victim.bytes;
       entries_.erase(key);
-      evictions_.add(1);
+      evictions_->add(1);
       journal_->cacheEvict(key, victim.bytes);
     }
   }
@@ -166,8 +170,8 @@ size_t SubtaskCache::totalBytes() const {
 }
 
 void SubtaskCache::publishGaugesLocked() {
-  entriesGauge_.set(static_cast<int64_t>(entries_.size()));
-  bytesGauge_.set(static_cast<int64_t>(totalBytes_));
+  entriesGauge_->set(static_cast<int64_t>(entries_.size()));
+  bytesGauge_->set(static_cast<int64_t>(totalBytes_));
 }
 
 }  // namespace hoyan::incr

@@ -51,8 +51,13 @@ struct CacheFingerprints {
 class SubtaskCache final : public SubtaskResultCache {
  public:
   // `store` must outlive the cache (the engine owns both). `budgetBytes`
-  // bounds cached-result residency; 0 means unbounded.
-  SubtaskCache(ObjectStore* store, size_t budgetBytes, obs::Telemetry* telemetry);
+  // bounds cached-result residency; 0 means unbounded. Reports into the
+  // disabled context until bindTelemetry.
+  SubtaskCache(ObjectStore* store, size_t budgetBytes);
+
+  // Points the `incr.cache.*` instruments and eviction events at `telemetry`
+  // (the engine rebinds to each run's context). Not while a run is active.
+  void bindTelemetry(obs::Telemetry& telemetry);
 
   // Installs the run's fingerprints and change impact. Called by the engine
   // before each simulation run.
@@ -97,7 +102,6 @@ class SubtaskCache final : public SubtaskResultCache {
 
   ObjectStore* store_;
   size_t budgetBytes_;
-  obs::RunJournal* journal_;  // Never null (the disabled instance's journal).
   SplitCache* splitCache_ = nullptr;
 
   mutable std::mutex mutex_;
@@ -107,12 +111,14 @@ class SubtaskCache final : public SubtaskResultCache {
   size_t totalBytes_ = 0;
   uint64_t clock_ = 0;
 
-  obs::Counter& hits_;
-  obs::Counter& misses_;
-  obs::Counter& evictions_;
-  obs::Counter& bypasses_;
-  obs::Gauge& entriesGauge_;
-  obs::Gauge& bytesGauge_;
+  // Bound by bindTelemetry; never null.
+  obs::RunJournal* journal_ = nullptr;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* bypasses_ = nullptr;
+  obs::Gauge* entriesGauge_ = nullptr;
+  obs::Gauge* bytesGauge_ = nullptr;
 };
 
 }  // namespace hoyan::incr

@@ -26,28 +26,22 @@ rcl::RibFragment buildFragment(const NetworkRibs& blob) {
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(IncrementalOptions options)
-    : options_(options),
-      cache_(std::make_unique<SubtaskCache>(&store_, options_.cacheBudgetBytes,
-                                            options_.telemetry)),
-      fragmentHits_(obs::Telemetry::orDisabled(options_.telemetry)
-                        .metrics()
-                        .counter("incr.rib.fragment_hits")),
-      fragmentMisses_(obs::Telemetry::orDisabled(options_.telemetry)
-                          .metrics()
-                          .counter("incr.rib.fragment_misses")),
-      rowsSkipped_(obs::Telemetry::orDisabled(options_.telemetry)
-                       .metrics()
-                       .counter("incr.rib.rows_skipped")) {
+    : cache_(std::make_unique<SubtaskCache>(&store_, options.cacheBudgetBytes)) {
   cache_->setSplitCache(&splitCache_);
-  // Bind the persistent store's gauges at construction, not first simulator
-  // run: engine-side mutations (erasePrefix in beginRun/endRun, fragment and
-  // whole-table puts in buildGlobalRib) must update store.blobs /
-  // store.live_bytes at mutation time so a live /metrics scrape between
-  // simulator runs never serves stale residency. A simulator constructed
-  // over this store later re-binds to its own resolved telemetry, which is
-  // the same registry whenever both resolve through the usual fallbacks.
-  obs::MetricsRegistry& metrics =
-      obs::Telemetry::orDisabled(options_.telemetry).metrics();
+  bindTelemetry(obs::Telemetry::disabled());
+}
+
+void IncrementalEngine::bindTelemetry(obs::Telemetry& telemetry) {
+  telemetry_ = &telemetry;
+  cache_->bindTelemetry(telemetry);
+  obs::MetricsRegistry& metrics = telemetry.metrics();
+  fragmentHits_ = &metrics.counter("incr.rib.fragment_hits");
+  fragmentMisses_ = &metrics.counter("incr.rib.fragment_misses");
+  rowsSkipped_ = &metrics.counter("incr.rib.rows_skipped");
+  // The persistent store's gauges track engine-side mutations too (erasePrefix
+  // in beginRun/endRun, fragment and whole-table puts in buildGlobalRib), so
+  // a live /metrics scrape between simulator runs never serves stale
+  // residency. A simulator over this store re-binds it to the same context.
   store_.bindTelemetry(
       &metrics.gauge("store.blobs", "Live blobs in the object store."),
       &metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs."),
@@ -65,6 +59,7 @@ const ChangeImpact& IncrementalEngine::beginRun(const NetworkModel& model,
                                                 DistSimOptions& options) {
   if (!base_)
     throw std::logic_error("IncrementalEngine: beginRun before setBaseModel");
+  bindTelemetry(obs::Telemetry::resolve(options.telemetry));
   // A prior run that threw before reaching endRun leaves its transient blobs
   // behind; reclaim them before handing out a new prefix.
   if (!runPrefix_.empty()) {
@@ -89,15 +84,10 @@ const ChangeImpact& IncrementalEngine::beginRun(const NetworkModel& model,
   options.splitCache = &splitCache_;
   options.keyPrefix = runPrefix_;
   lastAssembly_ = RibAssemblyStats{};
-  obs::RunJournal& journal = obs::Telemetry::orDisabled(options_.telemetry).journal();
-  if (journal.enabled()) {
-    const char* verdict = isBase ? "base" : lastImpact_.allDirty ? "all_dirty" : "scoped";
-    journal.impact(verdict, isBase ? "base model run" : lastImpact_.reason,
-                   lastImpact_.dirtyDevices.size(), lastImpact_.dirtyRanges.size());
-  }
-  obs::RunRegistry* registry =
-      options_.runRegistry ? options_.runRegistry : obs::RunRegistry::global();
-  if (registry) registry->impact(isBase ? "base model run" : lastImpact_.str());
+  const char* verdict = isBase ? "base" : lastImpact_.allDirty ? "all_dirty" : "scoped";
+  telemetry_->journal().impact(verdict, isBase ? "base model run" : lastImpact_.reason,
+                               lastImpact_.dirtyDevices.size(),
+                               lastImpact_.dirtyRanges.size());
   return lastImpact_;
 }
 
@@ -112,7 +102,7 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     const NetworkRibs& merged, std::span<const std::string> resultKeys) {
   lastAssembly_ = RibAssemblyStats{};
   lastAssembly_.used = true;
-  obs::RunJournal& journal = obs::Telemetry::orDisabled(options_.telemetry).journal();
+  obs::RunJournal& journal = telemetry_->journal();
 
   // Fragments are sound only for content-addressed results: a cacheless run
   // stores under transient `run<N>/` keys, whose blobs are not tied to the
@@ -139,7 +129,7 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     lastAssembly_.wholeTableHit = true;
     auto table = store_.get<rcl::GlobalRib>(wholeKey);
     lastAssembly_.rowsReused = table->size();
-    rowsSkipped_.add(static_cast<int64_t>(table->size()));
+    rowsSkipped_->add(static_cast<int64_t>(table->size()));
     journal.ribAssembly("whole_table_hit", 0, 0, table->size(), 0);
     return table;
   }
@@ -152,12 +142,12 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     const std::string fragmentKey = "cas/g/" + fingerprintHex(h.digest());
     if (cache_->touch(fragmentKey)) {
       ++lastAssembly_.fragmentHits;
-      fragmentHits_.add(1);
+      fragmentHits_->add(1);
       fragments.push_back(store_.get<rcl::RibFragment>(fragmentKey));
       continue;
     }
     ++lastAssembly_.fragmentMisses;
-    fragmentMisses_.add(1);
+    fragmentMisses_->add(1);
     if (!store_.contains(resultKey)) {
       // The result blob itself was evicted between the run and verification;
       // nothing sound to build from — fall back to a full render.
@@ -183,7 +173,7 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
       rcl::GlobalRib::assembleFromFragments(fragmentPtrs, merged, &assemblyStats);
   lastAssembly_.rowsReused = assemblyStats.rowsReused;
   lastAssembly_.rowsRendered = assemblyStats.rowsRendered;
-  rowsSkipped_.add(static_cast<int64_t>(assemblyStats.rowsReused));
+  rowsSkipped_->add(static_cast<int64_t>(assemblyStats.rowsReused));
 
   journal.ribAssembly("assembled", lastAssembly_.fragmentHits,
                       lastAssembly_.fragmentMisses, lastAssembly_.rowsReused,

@@ -16,6 +16,12 @@
 // subtask inputs, provenance logs, uncached results. `endRun` erases that
 // prefix (cached results live under content keys outside it) and LRU-evicts
 // the cache down to its byte budget.
+//
+// The engine reports into the observability context of the run passed to
+// `beginRun` (its `telemetry`, resolved by Telemetry::resolve): the impact
+// event, `incr.*` metrics, cache evictions, RIB assembly and the store's
+// gauges, until the next beginRun. Before its first run, into the disabled
+// context.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +34,6 @@
 #include "incr/cache.h"
 #include "incr/fingerprint.h"
 #include "incr/impact.h"
-#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "proto/network_model.h"
 #include "rcl/global_rib.h"
@@ -38,11 +43,6 @@ namespace hoyan::incr {
 struct IncrementalOptions {
   // Residency bound for cached subtask results; 0 = unbounded.
   size_t cacheBudgetBytes = 512ull << 20;
-  obs::Telemetry* telemetry = nullptr;
-  // Live run-status sink: beginRun publishes the change-impact verdict into
-  // it (statusd's /runs/<id> "impact" field). Null falls back to
-  // RunRegistry::global().
-  obs::RunRegistry* runRegistry = nullptr;
 };
 
 // How the last buildGlobalRib call produced its table.
@@ -97,7 +97,11 @@ class IncrementalEngine {
   const ChangeImpact& lastImpact() const { return lastImpact_; }
 
  private:
-  IncrementalOptions options_;
+  // Points every instrument and event at `telemetry`. Done on every
+  // beginRun, never skipped for a context at the same address: a caller may
+  // destroy a run's context and build the next one where it stood.
+  void bindTelemetry(obs::Telemetry& telemetry);
+
   ObjectStore store_;
   std::unique_ptr<SubtaskCache> cache_;
   SplitCache splitCache_;
@@ -108,9 +112,10 @@ class IncrementalEngine {
   uint64_t runCounter_ = 0;
   std::string runPrefix_;
 
-  obs::Counter& fragmentHits_;
-  obs::Counter& fragmentMisses_;
-  obs::Counter& rowsSkipped_;
+  obs::Telemetry* telemetry_ = nullptr;  // Set by bindTelemetry; never null.
+  obs::Counter* fragmentHits_ = nullptr;
+  obs::Counter* fragmentMisses_ = nullptr;
+  obs::Counter* rowsSkipped_ = nullptr;
 };
 
 }  // namespace hoyan::incr

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <initializer_list>
-#include <optional>
 #include <tuple>
 
 #include "obs/json.h"
+#include "obs/run_registry.h"
 
 namespace hoyan::obs {
 namespace {
@@ -68,6 +67,7 @@ std::string_view journalEventTypeName(JournalEventType type) {
     case JournalEventType::kSubtaskStart: return "subtask_start";
     case JournalEventType::kSubtaskRetry: return "subtask_retry";
     case JournalEventType::kSubtaskExhaust: return "subtask_exhaust";
+    case JournalEventType::kSubtaskCancel: return "subtask_cancel";
     case JournalEventType::kSubtaskFinish: return "subtask_finish";
     case JournalEventType::kRibAssembly: return "rib_assembly";
     case JournalEventType::kSweepPlan: return "sweep_plan";
@@ -124,6 +124,7 @@ std::string journalEventJson(const JournalEvent& event, bool canonical) {
 
 RunJournal::RunJournal(JournalOptions options)
     : enabled_(options.enabled),
+      listening_(options.enabled),
       capacity_(std::max<size_t>(options.capacity, 1)),
       epoch_(std::chrono::steady_clock::now()) {
   if (enabled_) {
@@ -132,19 +133,14 @@ RunJournal::RunJournal(JournalOptions options)
   }
 }
 
-// The fields one emitter sets. Views, so a disabled journal allocates
-// nothing; unset fields keep the defaults the renderers skip.
-struct RunJournal::Fields {
-  JournalEventType type;
-  std::string_view phase = {}, id = {}, key = {}, note = {};
-  int attempt = -1;
-  int worker = -1;
-  double seconds = -1;
-  std::initializer_list<uint64_t> counts = {};
-  std::optional<uint64_t> fp = {};
-};
+void RunJournal::attach(RunRegistry* registry) {
+  registry_ = registry;
+  listening_ = enabled_ || registry_ != nullptr;
+}
 
 void RunJournal::record(const Fields& fields) {
+  if (!listening_) return;
+  if (registry_) registry_->handle(fields);
   if (!enabled_) return;
   JournalEvent event;
   event.type = fields.type;
@@ -173,9 +169,8 @@ void RunJournal::record(const Fields& fields) {
 }
 
 uint32_t RunJournal::runBegin(std::string_view run, uint64_t optionsFp) {
-  if (!enabled_) return 0;
-  uint32_t index;
-  {
+  uint32_t index = 0;
+  if (enabled_) {
     std::lock_guard lock(mutex_);
     index = ++runIndex_;
   }
@@ -212,15 +207,21 @@ void RunJournal::subtaskFinish(std::string_view phase, std::string_view id,
 }
 
 void RunJournal::subtaskRetry(std::string_view phase, std::string_view id,
-                              int attempt) {
+                              int attempt, int worker) {
   record({.type = JournalEventType::kSubtaskRetry, .phase = phase, .id = id,
-          .attempt = attempt});
+          .attempt = attempt, .worker = worker});
 }
 
 void RunJournal::subtaskExhaust(std::string_view phase, std::string_view id,
-                                int attempts) {
+                                int attempts, int worker) {
   record({.type = JournalEventType::kSubtaskExhaust, .phase = phase, .id = id,
-          .attempt = attempts});
+          .attempt = attempts, .worker = worker});
+}
+
+void RunJournal::subtaskCancel(std::string_view phase, std::string_view id,
+                               int attempt) {
+  record({.type = JournalEventType::kSubtaskCancel, .phase = phase, .id = id,
+          .attempt = attempt});
 }
 
 void RunJournal::cacheHit(std::string_view phase, std::string_view id,

@@ -1,7 +1,7 @@
 // The run flight recorder: a low-overhead, bounded, thread-safe event
 // journal capturing the *control flow* of a verification run — run begin/end
 // with an options fingerprint, phase transitions, the full subtask lifecycle
-// (enqueue/start/finish/retry/exhaust with durations and worker ids),
+// (enqueue/start/finish/retry/exhaust/cancel with durations and worker ids),
 // incremental-cache decisions (hit/miss/evict/bypass with content keys),
 // change-impact verdicts, and RIB-fragment assembly outcomes.
 //
@@ -10,11 +10,17 @@
 // queryable record `hoyan_inspect` (tools/) reads to explain stragglers,
 // worker utilization, and where a warm run's time went.
 //
-// Cost model: disabled (the default) every emitter is one branch on a plain
-// bool and returns — no locks, no allocation, matching the rest of src/obs.
-// Enabled, an emitter builds one small event struct and appends it under a
-// mutex; the buffer is bounded by `capacity`, and overflow increments a
-// per-type drop counter instead of growing (the summary line reports drops).
+// The journal is also the one emission point of the live run registry
+// (run_registry.h): every event goes to the registry the owning
+// obs::Telemetry attached, whether or not the journal itself records, and
+// even when its buffer is full. The two therefore cannot disagree.
+//
+// Cost model: with the journal disabled (the default) and no registry
+// attached, every emitter is one branch on a plain bool and returns — no
+// locks, no allocation, matching the rest of src/obs. Enabled, an emitter
+// builds one small event struct and appends it under a mutex; the buffer is
+// bounded by `capacity`, and overflow increments a per-type drop counter
+// instead of growing (the summary line reports drops).
 //
 // Two export forms:
 //  * `toJsonl()` — the operational record: one JSON object per line in
@@ -24,18 +30,22 @@
 //    worker, ms/seconds) stripped and lines sorted by a stable key
 //    (run, phase, subtask id, event rank, attempt), so two runs over the
 //    same inputs produce byte-identical output regardless of worker count
-//    or scheduling (absent drops and budget-pressure evictions, whose event
-//    *sets* are scheduling-dependent).
+//    or scheduling (absent drops, budget-pressure evictions and early-exit
+//    cancellations, whose event *sets* are scheduling-dependent).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace hoyan::obs {
+
+class RunRegistry;
 
 struct JournalOptions {
   bool enabled = false;
@@ -57,6 +67,7 @@ enum class JournalEventType : uint8_t {
   kSubtaskStart,
   kSubtaskRetry,
   kSubtaskExhaust,
+  kSubtaskCancel,
   kSubtaskFinish,
   kRibAssembly,
   kSweepPlan,
@@ -93,9 +104,11 @@ class RunJournal {
  public:
   explicit RunJournal(JournalOptions options = {});
 
-  // Cheap hot-path guard: call sites whose argument construction allocates
-  // (std::to_string etc.) should check this first. The emitters below also
-  // early-return when disabled, so allocation-free call sites need no guard.
+  // Whether the journal records. A call site whose argument construction
+  // allocates (std::to_string etc.) may check this first, but only for an
+  // event the run registry ignores (sweep, policy-kernel and rib-assembly
+  // events). The emitters below early-return when nothing listens, so
+  // allocation-free call sites need no guard.
   bool enabled() const { return enabled_; }
 
   // --- run lifecycle --------------------------------------------------------
@@ -113,8 +126,15 @@ class RunJournal {
                     int worker);
   void subtaskFinish(std::string_view phase, std::string_view id, int attempt,
                      int worker, double seconds);
-  void subtaskRetry(std::string_view phase, std::string_view id, int attempt);
-  void subtaskExhaust(std::string_view phase, std::string_view id, int attempts);
+  // A crashed attempt on `worker`, re-queued (retry) or the job's last
+  // (exhaust).
+  void subtaskRetry(std::string_view phase, std::string_view id, int attempt,
+                    int worker = -1);
+  void subtaskExhaust(std::string_view phase, std::string_view id, int attempts,
+                      int worker = -1);
+  // A queued attempt dropped unstarted because its run was cancelled (an
+  // early-exit sweep).
+  void subtaskCancel(std::string_view phase, std::string_view id, int attempt);
 
   // --- incremental-cache decisions -----------------------------------------
   void cacheHit(std::string_view phase, std::string_view id, std::string_view key);
@@ -170,12 +190,30 @@ class RunJournal {
   std::string canonicalJsonl() const;
 
  private:
-  struct Fields;
-  // The one emitter behind the public ones: a branch when disabled,
-  // otherwise one event appended under the mutex.
+  friend class RunRegistry;  // Reads Fields.
+  friend class Telemetry;    // Attaches the registry.
+
+  // The fields one emitter sets. Views, so an emitter nobody listens to
+  // allocates nothing; unset fields keep the defaults the renderers skip.
+  struct Fields {
+    JournalEventType type;
+    std::string_view phase = {}, id = {}, key = {}, note = {};
+    int attempt = -1;
+    int worker = -1;
+    double seconds = -1;
+    std::initializer_list<uint64_t> counts = {};
+    std::optional<uint64_t> fp = {};
+  };
+
+  // The one emitter behind the public ones: a branch when nothing listens,
+  // otherwise the event goes to the attached registry and, when enabled,
+  // is appended under the mutex.
   void record(const Fields& fields);
+  void attach(RunRegistry* registry);
 
   const bool enabled_;
+  RunRegistry* registry_ = nullptr;
+  bool listening_;  // enabled_ || registry_.
   const size_t capacity_;
   const std::chrono::steady_clock::time_point epoch_;
 

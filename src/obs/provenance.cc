@@ -1,16 +1,10 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "obs/json.h"
 
 namespace hoyan::obs {
-namespace {
-
-std::atomic<ProvenanceRecorder*> g_global{nullptr};
-
-}  // namespace
 
 std::string routeEventKindName(RouteEventKind kind) {
   switch (kind) {
@@ -168,14 +162,6 @@ std::string ProvenanceRecorder::explainJson(NameId device, const Prefix& prefix,
   const size_t dropped = droppedEvents();
   out.insert(out.size() - 1, ",\"dropped\":" + std::to_string(dropped));
   return out;
-}
-
-ProvenanceRecorder* ProvenanceRecorder::global() {
-  return g_global.load(std::memory_order_acquire);
-}
-
-void ProvenanceRecorder::setGlobal(ProvenanceRecorder* recorder) {
-  g_global.store(recorder, std::memory_order_release);
 }
 
 bool parseExplainTarget(const std::string& spec, std::string& device, Prefix& prefix) {

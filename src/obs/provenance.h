@@ -110,12 +110,6 @@ class ProvenanceRecorder {
   std::string explainJson(NameId device, const Prefix& prefix,
                           size_t maxDepth = 8) const;
 
-  // Optional process-global default (the benches' --explain hook); null until
-  // set. Not owned. Simulation entry points fall back to this when their
-  // options carry no recorder.
-  static ProvenanceRecorder* global();
-  static void setGlobal(ProvenanceRecorder* recorder);
-
  private:
   ProvenanceOptions options_;
   mutable std::mutex mutex_;

@@ -5,8 +5,6 @@
 namespace hoyan::obs {
 namespace {
 
-std::atomic<RunRegistry*> g_registry{nullptr};
-
 // Straggler heuristic, mirroring `hoyan_inspect stragglers`: an in-flight
 // subtask is flagged once it has run 3x the mean finished duration, with a
 // floor so sub-millisecond workloads don't flag everything, and only after
@@ -30,7 +28,80 @@ RunRegistry::RunRegistry(size_t maxWorkers, size_t keepRuns)
   }
 }
 
-uint64_t RunRegistry::runBegin(std::string_view name) {
+void RunRegistry::handle(const RunJournal::Fields& event) {
+  using Type = JournalEventType;
+  if (event.type == Type::kRunBegin) return beginRun(event.id);
+  const std::shared_ptr<RunSlot> slot = current();
+  if (!slot) return;
+  const auto setString = [&slot](std::string& field, std::string value) {
+    {
+      std::lock_guard<std::mutex> lock(slot->stringsMutex);
+      field = std::move(value);
+    }
+    slot->version.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto up = [](std::atomic<uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  };
+  const auto down = [](std::atomic<uint64_t>& counter) {
+    counter.fetch_sub(1, std::memory_order_relaxed);
+  };
+  switch (event.type) {
+    case Type::kRunEnd:
+      if (slot->state.load(std::memory_order_relaxed) != 0) return;
+      slot->finalSeconds.store(event.seconds, std::memory_order_relaxed);
+      slot->state.store(slot->exhausted.load(std::memory_order_relaxed) > 0 ? 2 : 1,
+                        std::memory_order_relaxed);
+      slot->version.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case Type::kPhaseBegin:
+      return setString(slot->phase, std::string(event.phase));
+    case Type::kImpact: {
+      const auto count = [&event](size_t i) {
+        return std::to_string(i < event.counts.size() ? event.counts.begin()[i] : 0);
+      };
+      return setString(slot->impact, std::string(event.note) + " (" +
+                                         std::string(event.key) + "): " + count(0) +
+                                         " dirty device(s), " + count(1) +
+                                         " dirty range(s)");
+    }
+    case Type::kSubtaskEnqueue:
+      return up(slot->pending);
+    case Type::kSubtaskStart:
+      down(slot->pending);
+      up(slot->running);
+      return occupyWorker(event.worker, slot->id, event.id);
+    case Type::kSubtaskFinish:
+      down(slot->running);
+      up(slot->succeeded);
+      up(slot->finishedCount);
+      slot->finishedSeconds.fetch_add(event.seconds, std::memory_order_relaxed);
+      return releaseWorker(event.worker);
+    case Type::kSubtaskRetry:  // A crashed attempt, re-queued.
+      down(slot->running);
+      up(slot->pending);
+      up(slot->retries);
+      return releaseWorker(event.worker);
+    case Type::kSubtaskExhaust:  // A crashed attempt, the job's last.
+      down(slot->running);
+      up(slot->failed);
+      up(slot->exhausted);
+      return releaseWorker(event.worker);
+    case Type::kSubtaskCancel:
+      return down(slot->pending);
+    case Type::kCacheHit:  // Served without queueing.
+      up(slot->cacheHits);
+      return up(slot->succeeded);
+    case Type::kCacheMiss:
+      return up(slot->cacheMisses);
+    case Type::kCacheBypass:
+      return up(slot->cacheBypasses);
+    default:
+      return;
+  }
+}
+
+void RunRegistry::beginRun(std::string_view name) {
   auto slot = std::make_shared<RunSlot>();
   slot->name.assign(name.data(), name.size());
   slot->start = Clock::now();
@@ -51,128 +122,24 @@ uint64_t RunRegistry::runBegin(std::string_view name) {
       worker->subtaskId.clear();
     }
   }
-  return slot->id;
 }
 
-void RunRegistry::runEnd(uint64_t id, double seconds) {
-  auto slot = find(id);
-  if (!slot) return;
-  bool failed = slot->exhausted.load(std::memory_order_relaxed) > 0;
-  slot->finalSeconds.store(seconds, std::memory_order_relaxed);
-  slot->state.store(failed ? 2 : 1, std::memory_order_relaxed);
-  slot->version.fetch_add(1, std::memory_order_relaxed);
+void RunRegistry::occupyWorker(int worker, uint64_t runId, std::string_view id) {
+  if (worker < 0 || static_cast<size_t>(worker) >= maxWorkers_) return;
+  WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
+  std::lock_guard<std::mutex> lock(w.mutex);
+  w.busy = true;
+  w.runId = runId;
+  w.subtaskId.assign(id.data(), id.size());
+  w.start = Clock::now();
 }
 
-void RunRegistry::phase(std::string_view phase) {
-  auto slot = current();
-  if (!slot) return;
-  {
-    std::lock_guard<std::mutex> lock(slot->stringsMutex);
-    slot->phase.assign(phase.data(), phase.size());
-  }
-  slot->version.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::impact(std::string_view summary) {
-  auto slot = current();
-  if (!slot) return;
-  {
-    std::lock_guard<std::mutex> lock(slot->stringsMutex);
-    slot->impact.assign(summary.data(), summary.size());
-  }
-  slot->version.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::subtaskEnqueued(uint64_t n) {
-  auto slot = current();
-  if (!slot) return;
-  slot->pending.fetch_add(n, std::memory_order_relaxed);
-}
-
-void RunRegistry::subtaskStarted(int worker, std::string_view id) {
-  auto slot = current();
-  if (!slot) return;
-  slot->pending.fetch_sub(1, std::memory_order_relaxed);
-  slot->running.fetch_add(1, std::memory_order_relaxed);
-  if (worker >= 0 && static_cast<size_t>(worker) < maxWorkers_) {
-    WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    w.busy = true;
-    w.runId = slot->id;
-    w.subtaskId.assign(id.data(), id.size());
-    w.start = Clock::now();
-  }
-}
-
-void RunRegistry::subtaskFinished(int worker, double seconds) {
-  auto slot = current();
-  if (!slot) return;
-  slot->running.fetch_sub(1, std::memory_order_relaxed);
-  slot->succeeded.fetch_add(1, std::memory_order_relaxed);
-  slot->finishedCount.fetch_add(1, std::memory_order_relaxed);
-  slot->finishedSeconds.fetch_add(seconds, std::memory_order_relaxed);
-  if (worker >= 0 && static_cast<size_t>(worker) < maxWorkers_) {
-    WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    w.busy = false;
-    w.subtaskId.clear();
-  }
-}
-
-void RunRegistry::subtaskCrashed(int worker) {
-  auto slot = current();
-  if (!slot) return;
-  slot->running.fetch_sub(1, std::memory_order_relaxed);
-  if (worker >= 0 && static_cast<size_t>(worker) < maxWorkers_) {
-    WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    w.busy = false;
-    w.subtaskId.clear();
-  }
-}
-
-void RunRegistry::subtaskRetried() {
-  auto slot = current();
-  if (!slot) return;
-  slot->pending.fetch_add(1, std::memory_order_relaxed);
-  slot->retries.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::subtaskExhausted() {
-  auto slot = current();
-  if (!slot) return;
-  slot->failed.fetch_add(1, std::memory_order_relaxed);
-  slot->exhausted.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::subtaskCached(uint64_t n) {
-  auto slot = current();
-  if (!slot) return;
-  slot->succeeded.fetch_add(n, std::memory_order_relaxed);
-}
-
-void RunRegistry::subtaskCancelled() {
-  auto slot = current();
-  if (!slot) return;
-  slot->pending.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::cacheHit() {
-  auto slot = current();
-  if (!slot) return;
-  slot->cacheHits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::cacheMiss() {
-  auto slot = current();
-  if (!slot) return;
-  slot->cacheMisses.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunRegistry::cacheBypass() {
-  auto slot = current();
-  if (!slot) return;
-  slot->cacheBypasses.fetch_add(1, std::memory_order_relaxed);
+void RunRegistry::releaseWorker(int worker) {
+  if (worker < 0 || static_cast<size_t>(worker) >= maxWorkers_) return;
+  WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
+  std::lock_guard<std::mutex> lock(w.mutex);
+  w.busy = false;
+  w.subtaskId.clear();
 }
 
 uint64_t RunRegistry::currentRunId() const {
@@ -277,14 +244,6 @@ std::shared_ptr<RunRegistry::RunSlot> RunRegistry::find(uint64_t id) const {
     if ((*it)->id == id) return *it;
   }
   return nullptr;
-}
-
-RunRegistry* RunRegistry::global() {
-  return g_registry.load(std::memory_order_acquire);
-}
-
-void RunRegistry::setGlobal(RunRegistry* registry) {
-  g_registry.store(registry, std::memory_order_release);
 }
 
 }  // namespace hoyan::obs

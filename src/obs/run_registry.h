@@ -1,14 +1,16 @@
-// Live run-status registry: the publication side of the embedded status
-// server (statusd.h). Where the journal (journal.h) is the *post-mortem*
-// record of a run, the registry is its *live* mirror — `Hoyan`,
-// `DistributedSimulator`, and `IncrementalEngine` publish phase transitions
-// and subtask progress into it as they happen, and the HTTP endpoints
-// (`/runs`, `/runs/<id>`, `/healthz`) snapshot it on every scrape.
+// Live run-status registry: the data behind the embedded status server
+// (statusd.h). Where the journal (journal.h) is the *post-mortem* record of
+// a run, the registry is its *live* mirror, and it is fed by the same
+// events: attach it to an obs::Telemetry and the context's journal hands it
+// every run, phase, subtask, cache and impact event as it happens (whether
+// or not the journal records), while the HTTP endpoints (`/runs`,
+// `/runs/<id>`, `/healthz`) snapshot it on every scrape. It has no
+// publishing API of its own.
 //
 // Cost model, matching the rest of src/obs: with no registry attached the
-// publisher side is one pointer null-check per event — nothing else runs, so
-// the table1 disabled-overhead bar (<2%) holds. Attached, the per-subtask
-// hot path is relaxed atomic counter bumps plus, for start/finish, one
+// emitter side is one branch per event — nothing else runs, so the table1
+// disabled-overhead bar (<2%) holds. Attached, the per-subtask hot path is
+// relaxed atomic counter bumps plus, for start/finish/retry/exhaust, one
 // uncontended per-worker mutex protecting the "what is worker w running"
 // slot (single writer: the worker itself; readers are scrape threads).
 // Phase/impact strings change a handful of times per run and sit behind a
@@ -25,6 +27,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/journal.h"
 
 namespace hoyan::obs {
 
@@ -44,13 +48,16 @@ struct RunSnapshot {
   std::string name;
   std::string state;  // "running" | "succeeded" | "failed".
   std::string phase;  // Current phase; last phase after the run ends.
-  std::string impact; // Change-impact one-liner (incremental runs).
+  // Change-impact one-liner (incremental runs), from the impact event:
+  // "<verdict> (<reason>): <n> dirty device(s), <m> dirty range(s)".
+  std::string impact;
   double elapsedSeconds = 0;  // Live while running, final afterwards.
   uint64_t version = 0;       // Bumps on phase/state transitions.
   // Subtask lifecycle counts. pending + running + succeeded + failed need
   // not telescope mid-scrape (counters are independent atomics), but settle
   // once the run ends. `succeeded` includes cache-served subtasks; queued
-  // subtasks a cancelled run never started leave `pending` and count nowhere.
+  // subtasks a cancelled run never started (subtask_cancel) leave `pending`
+  // and count nowhere.
   uint64_t pending = 0;
   uint64_t running = 0;
   uint64_t succeeded = 0;
@@ -85,46 +92,13 @@ class RunRegistry {
   // newest `keepRuns` survive).
   explicit RunRegistry(size_t maxWorkers = 64, size_t keepRuns = 256);
 
-  // --- run lifecycle (master thread) ---------------------------------------
-  // Opens a run and makes it current; all publication below lands on the
-  // current run (verification runs are sequential per process). Returns the
-  // run id `runEnd`/`snapshot` take.
-  uint64_t runBegin(std::string_view name);
-  // Closes the run: state becomes "failed" when any subtask exhausted its
-  // retries, "succeeded" otherwise; `seconds` freezes the elapsed clock.
-  void runEnd(uint64_t id, double seconds);
-  void phase(std::string_view phase);
-  void impact(std::string_view summary);
-
-  // --- subtask lifecycle (master + worker threads) -------------------------
-  void subtaskEnqueued(uint64_t n = 1);              // +pending
-  void subtaskStarted(int worker, std::string_view id);  // pending-, running+
-  void subtaskFinished(int worker, double seconds);      // running-, succeeded+
-  void subtaskCrashed(int worker);                       // running- (retry or
-                                                         // exhaust follows)
-  void subtaskRetried();                                 // +pending, +retries
-  void subtaskExhausted();                               // +failed
-  void subtaskCached(uint64_t n = 1);                // +succeeded, never queued
-  void subtaskCancelled();                           // pending-, never started
-
-  // --- incremental-cache decisions -----------------------------------------
-  void cacheHit();
-  void cacheMiss();
-  void cacheBypass();
-
-  // --- scrape side ----------------------------------------------------------
   // Id of the newest run, 0 when none have begun.
   uint64_t currentRunId() const;
   std::vector<RunSummary> list() const;
   std::optional<RunSnapshot> snapshot(uint64_t id) const;
 
-  // Optional process-global default (the benches' --serve hook); null until
-  // set. Not owned. Publishers fall back to this when their options carry no
-  // registry.
-  static RunRegistry* global();
-  static void setGlobal(RunRegistry* registry);
-
  private:
+  friend class RunJournal;  // The only caller of handle().
   using Clock = std::chrono::steady_clock;
 
   struct RunSlot {
@@ -153,8 +127,19 @@ class RunRegistry {
     Clock::time_point start;
   };
 
-  // The current run, or null before the first runBegin. Shared ownership so
-  // a publisher holding the pointer is safe against concurrent eviction.
+  // Applies one journal event. A run_begin opens a run and makes it current
+  // (verification runs are sequential per process); run_end closes it,
+  // "failed" when any subtask exhausted its retries; everything else lands
+  // on the current run. Events with no live state (sweep, rib_assembly, ...)
+  // are ignored.
+  void handle(const RunJournal::Fields& event);
+  void beginRun(std::string_view name);
+  // Frees `worker`'s active-subtask slot, or claims it for subtask `id`.
+  void releaseWorker(int worker);
+  void occupyWorker(int worker, uint64_t runId, std::string_view id);
+
+  // The current run, or null before the first run_begin. Shared ownership so
+  // an emitter holding the pointer is safe against concurrent eviction.
   std::shared_ptr<RunSlot> current() const;
   std::shared_ptr<RunSlot> find(uint64_t id) const;
   void fillSnapshot(const RunSlot& slot, RunSnapshot& out) const;

@@ -12,7 +12,7 @@
 
 #include "net/names.h"
 #include "obs/json.h"
-#include "obs/telemetry.h"
+#include "obs/provenance.h"
 
 namespace hoyan::obs {
 namespace {
@@ -147,24 +147,9 @@ std::string runSnapshotToJson(const RunSnapshot& snapshot) {
 }
 
 StatusServer::StatusServer(StatusServerOptions options)
-    : options_(options) {}
+    : options_(options), context_(Telemetry::resolve(options.telemetry)) {}
 
 StatusServer::~StatusServer() { stop(); }
-
-MetricsRegistry* StatusServer::metricsSource() const {
-  if (options_.metrics) return options_.metrics;
-  Telemetry* telemetry = Telemetry::global();
-  return telemetry ? &telemetry->metrics() : nullptr;
-}
-
-RunRegistry* StatusServer::runsSource() const {
-  return options_.runs ? options_.runs : RunRegistry::global();
-}
-
-ProvenanceRecorder* StatusServer::provenanceSource() const {
-  return options_.provenance ? options_.provenance
-                             : ProvenanceRecorder::global();
-}
 
 HttpResponse StatusServer::handle(std::string_view method,
                                   std::string_view target) const {
@@ -186,7 +171,7 @@ HttpResponse StatusServer::handle(std::string_view method,
 }
 
 HttpResponse StatusServer::handleHealthz() const {
-  RunRegistry* runs = runsSource();
+  RunRegistry* runs = context_.runs();
   HttpResponse response;
   std::string body = "{\"status\":\"ok\"";
   if (runs) {
@@ -212,16 +197,16 @@ HttpResponse StatusServer::handleHealthz() const {
 }
 
 HttpResponse StatusServer::handleMetrics() const {
-  MetricsRegistry* metrics = metricsSource();
-  if (!metrics) return errorResponse(503, "no metrics registry attached");
+  if (&context_ == &Telemetry::disabled())
+    return errorResponse(503, "no telemetry attached");
   HttpResponse response;
   response.contentType = "text/plain; version=0.0.4; charset=utf-8";
-  response.body = metrics->toPrometheusText();
+  response.body = context_.metrics().toPrometheusText();
   return response;
 }
 
 HttpResponse StatusServer::handleRunList() const {
-  RunRegistry* runs = runsSource();
+  RunRegistry* runs = context_.runs();
   if (!runs) return errorResponse(503, "no run registry attached");
   uint64_t current = runs->currentRunId();
   HttpResponse response;
@@ -239,7 +224,7 @@ HttpResponse StatusServer::handleRunList() const {
 }
 
 HttpResponse StatusServer::handleRun(std::string_view idText) const {
-  RunRegistry* runs = runsSource();
+  RunRegistry* runs = context_.runs();
   if (!runs) return errorResponse(503, "no run registry attached");
   uint64_t id = 0;
   if (idText == "current") {
@@ -260,7 +245,7 @@ HttpResponse StatusServer::handleRun(std::string_view idText) const {
 }
 
 HttpResponse StatusServer::handleExplain(std::string_view query) const {
-  ProvenanceRecorder* provenance = provenanceSource();
+  ProvenanceRecorder* provenance = context_.provenance();
   if (!provenance) return errorResponse(503, "no provenance recorder attached");
   const std::string device = queryParam(query, "device");
   const std::string prefixText = queryParam(query, "prefix");

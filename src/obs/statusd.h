@@ -12,6 +12,9 @@
 //                         provenance decision chain (provenance.h), when a
 //                         recorder is attached and the target is watched
 //
+// Every endpoint reads one observability context (telemetry.h): its metrics,
+// the RunRegistry attached to it, the ProvenanceRecorder attached to it.
+//
 // Dependency-free by design: POSIX sockets, HTTP/1.1 parsed just far enough
 // for GET request lines (everything else is 400/405), one accept thread plus
 // a short-lived thread per connection capped at `maxConnections` (over the
@@ -29,9 +32,8 @@
 #include <string_view>
 #include <thread>
 
-#include "obs/metrics.h"
-#include "obs/provenance.h"
 #include "obs/run_registry.h"
+#include "obs/telemetry.h"
 
 namespace hoyan::obs {
 
@@ -41,13 +43,12 @@ struct StatusServerOptions {
   uint16_t port = 0;
   // Concurrent in-flight connections; excess requests get 503.
   size_t maxConnections = 8;
-  // Data sources. Null falls back to the process globals
-  // (Telemetry::global()->metrics(), RunRegistry::global(),
-  // ProvenanceRecorder::global()); endpoints whose source resolves to null
-  // answer 503 with a JSON error body.
-  MetricsRegistry* metrics = nullptr;
-  RunRegistry* runs = nullptr;
-  ProvenanceRecorder* provenance = nullptr;
+  // The context served, resolved once at construction by
+  // Telemetry::resolve (null: the process global, else the disabled
+  // context). Endpoints whose source is missing — the metrics of the
+  // disabled context, a registry or recorder never attached — answer 503
+  // with a JSON error body.
+  Telemetry* telemetry = nullptr;
 };
 
 struct HttpResponse {
@@ -87,14 +88,11 @@ class StatusServer {
   HttpResponse handleRun(std::string_view idText) const;
   HttpResponse handleExplain(std::string_view query) const;
 
-  MetricsRegistry* metricsSource() const;
-  RunRegistry* runsSource() const;
-  ProvenanceRecorder* provenanceSource() const;
-
   void acceptLoop();
   void serveConnection(int fd);
 
   StatusServerOptions options_;
+  Telemetry& context_;
   std::atomic<bool> running_{false};
   std::atomic<uint16_t> port_{0};
   int listenFd_ = -1;

@@ -1,16 +1,23 @@
-// The telemetry bundle threaded through the pipeline: one MetricsRegistry,
-// one Tracer, one Logger, configured by TelemetryOptions.
+// The observability context threaded through the pipeline: one
+// MetricsRegistry, one Tracer, one Logger and one RunJournal, configured by
+// TelemetryOptions, plus two optional live sinks the caller attaches — a
+// RunRegistry (the status server's /runs data, fed by the journal's events)
+// and a ProvenanceRecorder (route-decision evidence for explain chains).
 //
-// Wiring convention: stages take a nullable `obs::Telemetry*` (via their
-// options structs); `Telemetry::orDisabled(pointer)` upgrades it to a
-// reference on a process-wide disabled instance, so instrumentation code
-// never branches on null. The disabled instance has tracing off (spans still
-// *time*, they just record nothing) and logging off; its metric instruments
-// work but are never exported, costing a relaxed atomic op per update.
-//
-// A process-global default (`setGlobal`/`global`) lets edge harnesses — the
-// benchmarks' `--trace-out=` hook — enable telemetry without threading a
-// pointer through every call site.
+// Resolution rule: the entry points that report (`Hoyan`,
+// `DistributedSimulator`, `sweep::sweepKFailures`,
+// `IncrementalEngine::beginRun`, `StatusServer`) take a nullable
+// `obs::Telemetry*` and resolve it once with `resolve(pointer)`: the
+// explicit pointer, else the process global, else the process-wide disabled
+// instance, so instrumentation code never branches on null. The global
+// (`setGlobal`) lets edge harnesses — the benchmarks' flag hooks — enable
+// everything without threading a pointer through every call site. The
+// disabled instance has tracing, logging and the journal off and no sinks
+// attached (spans still *time*, they just record nothing); its metric
+// instruments work but are never exported, costing a relaxed atomic op per
+// update. Leaf stages (route and traffic simulation) take the pointer their
+// caller resolved and use `orDisabled(pointer)`; the diag entry points, which
+// have no options struct, resolve the global.
 #pragma once
 
 #include <memory>
@@ -22,6 +29,9 @@
 #include "obs/trace.h"
 
 namespace hoyan::obs {
+
+class ProvenanceRecorder;
+class RunRegistry;
 
 struct TelemetryOptions {
   bool tracing = false;      // Record spans (Chrome-trace exportable).
@@ -44,13 +54,29 @@ class Telemetry {
   RunJournal& journal() { return journal_; }
   const RunJournal& journal() const { return journal_; }
 
-  // Process-wide no-op sink (tracing + logging off). Never exported.
+  // The optional live sinks, not owned. Attach before the runs they should
+  // observe (not concurrently with them), and never to disabled(); attaching
+  // another replaces the first. The journal hands every event to the
+  // registry. DistributedSimulator records route decisions into the
+  // recorder unless its options name one, and Hoyan clears it at each
+  // verifyChange.
+  void attach(RunRegistry* registry) { journal_.attach(registry); }
+  void attach(ProvenanceRecorder* recorder) { provenance_ = recorder; }
+  RunRegistry* runs() const { return journal_.registry_; }
+  ProvenanceRecorder* provenance() const { return provenance_; }
+
+  // Process-wide no-op context. Never exported.
   static Telemetry& disabled();
   static Telemetry& orDisabled(Telemetry* telemetry) {
     return telemetry ? *telemetry : disabled();
   }
+  // The resolution rule above: `telemetry`, else global(), else disabled().
+  static Telemetry& resolve(Telemetry* telemetry) {
+    if (telemetry) return *telemetry;
+    return orDisabled(global());
+  }
 
-  // Optional process-global default; null until set. Not owned.
+  // The one process-global context; null until set. Not owned.
   static Telemetry* global();
   static void setGlobal(Telemetry* telemetry);
 
@@ -59,10 +85,11 @@ class Telemetry {
   Tracer tracer_;
   Logger log_;
   RunJournal journal_;
+  ProvenanceRecorder* provenance_ = nullptr;
 };
 
 // Writes `contents` to `path`; returns false on I/O failure. Used by the
-// bench --trace-out hook and tests to dump Chrome-trace / metrics JSON.
+// bench flag hook and tests to dump Chrome-trace / metrics JSON.
 bool writeFile(const std::string& path, const std::string& contents);
 
 }  // namespace hoyan::obs

@@ -70,8 +70,8 @@ class RouteSimEngine {
  public:
   RouteSimEngine(const NetworkModel& model, const RouteSimOptions& options)
       : model_(model), options_(options) {
-    prov_ = options.provenance ? options.provenance : obs::ProvenanceRecorder::global();
-    if (prov_ && !prov_->enabled()) prov_ = nullptr;
+    prov_ = options.provenance && options.provenance->enabled() ? options.provenance
+                                                                : nullptr;
     // Provenance bypass: replay needs real per-route event emission, so a
     // recording engine never consults the memo (the regex cache and interning
     // still apply through ctx.kernel).

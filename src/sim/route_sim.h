@@ -36,8 +36,8 @@ struct RouteSimOptions {
   bool includeLocalRoutes = false;
   // Optional sink for per-phase spans/metrics (null = disabled, no cost).
   obs::Telemetry* telemetry = nullptr;
-  // Optional route-decision provenance sink (null = fall back to
-  // obs::ProvenanceRecorder::global(); disabled recorders cost one branch).
+  // Optional route-decision provenance sink (null or disabled = no
+  // recording, costing one branch).
   obs::ProvenanceRecorder* provenance = nullptr;
   // Emit chosen-best/ecmp/lost-tie-break events from the final RIBs. The
   // distributed master disables this on route subtasks (subtask-local

@@ -170,15 +170,10 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
                            const NetworkProperty& property,
                            const SweepOptions& options, const SweepHints& hints) {
   SweepResult out;
-  obs::Telemetry* configured =
-      options.telemetry ? options.telemetry : obs::Telemetry::global();
-  obs::Telemetry& tel = obs::Telemetry::orDisabled(configured);
+  obs::Telemetry& tel = obs::Telemetry::resolve(options.telemetry);
   obs::RunJournal& journal = tel.journal();
-  obs::RunRegistry* registry =
-      options.runRegistry ? options.runRegistry : obs::RunRegistry::global();
   obs::Span sweepSpan = tel.tracer().span("sweep.task", "sweep");
   journal.phaseBegin(kPhase);
-  if (registry) registry->phase(kPhase);
 
   // --- candidates: exactly the oracle's element lists -----------------------
   const KFailureOptions& failure = options.failure;
@@ -321,7 +316,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   }
 
   // --- resolve from the verdict cache, schedule the rest --------------------
-  JobRunner runner(tel, registry, sweepJobNames(),
+  JobRunner runner(tel, sweepJobNames(),
                    JobPolicy{options.workers, options.maxAttempts,
                              options.workerFailureProbability, options.failureSeed});
   size_t scheduled = 0;

@@ -34,7 +34,6 @@
 
 #include "incr/engine.h"
 #include "net/route.h"
-#include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "proto/network_model.h"
 #include "verify/properties.h"
@@ -79,8 +78,9 @@ struct SweepOptions {
   // scheme.
   double workerFailureProbability = 0;
   uint64_t failureSeed = 0;
-  obs::Telemetry* telemetry = nullptr;        // Null => Telemetry::global().
-  obs::RunRegistry* runRegistry = nullptr;    // Null => RunRegistry::global().
+  // Resolved by Telemetry::resolve (null: the process global, else the
+  // disabled context). Per-scenario simulations record no provenance.
+  obs::Telemetry* telemetry = nullptr;
   // Verdict-cache host; null disables caching (every job simulates).
   incr::IncrementalEngine* incremental = nullptr;
 };

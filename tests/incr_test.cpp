@@ -378,7 +378,8 @@ TEST_F(IncrementalEndToEndTest, ProvenanceReplayServesCacheHitsAndEvents) {
   obs::ProvenanceOptions provOptions;
   provOptions.enabled = true;
   obs::ProvenanceRecorder recorder(provOptions);
-  warm->setProvenance(&recorder);
+  warm->configureTelemetry({});
+  warm->telemetry()->attach(&recorder);
   const ChangePlan plan = scopedPlan();
   // The base-run cache entries carry no provenance blobs, so this run
   // re-executes every route subtask and seeds the blobs.
@@ -402,14 +403,15 @@ TEST_F(IncrementalEndToEndTest, ProvenanceFilterChangeInvalidatesReplay) {
   obs::ProvenanceOptions wide;
   wide.enabled = true;
   obs::ProvenanceRecorder wideRecorder(wide);
-  warm->setProvenance(&wideRecorder);
+  warm->configureTelemetry({});
+  warm->telemetry()->attach(&wideRecorder);
   const ChangePlan plan = scopedPlan();
   warm->verifyChange(plan, intents_);
 
   obs::ProvenanceOptions narrow = wide;
   narrow.prefixes.push_back(*Prefix::parse("100.0.8.0/24"));
   obs::ProvenanceRecorder narrowRecorder(narrow);
-  warm->setProvenance(&narrowRecorder);
+  warm->telemetry()->attach(&narrowRecorder);
   const ChangeVerificationResult result = warm->verifyChange(plan, intents_);
   EXPECT_EQ(result.routeSubtaskCacheHits, 0u);
   // Traffic subtasks record no provenance; their cached results stay valid.
@@ -438,7 +440,7 @@ TEST(SubtaskCacheTest, EvictionAtScaleIsFastExactAndInLruOrder) {
   constexpr size_t kEntries = 100000;
   constexpr size_t kBytesEach = 100;
   ObjectStore store;
-  incr::SubtaskCache cache(&store, kEntries / 2 * kBytesEach, nullptr);
+  incr::SubtaskCache cache(&store, kEntries / 2 * kBytesEach);
   std::vector<std::string> keys;
   keys.reserve(kEntries);
   for (size_t i = 0; i < kEntries; ++i) {
@@ -465,7 +467,7 @@ TEST(SubtaskCacheTest, EvictionAtScaleIsFastExactAndInLruOrder) {
 TEST(SubtaskCacheTest, EvictionByteAccountingRoundTripsToZero) {
   constexpr size_t kEntries = 100000;
   ObjectStore store;
-  incr::SubtaskCache cache(&store, 1, nullptr);  // Nothing fits the budget.
+  incr::SubtaskCache cache(&store, 1);  // Nothing fits the budget.
   for (size_t i = 0; i < kEntries; ++i) {
     const std::string key = "cas/r/zero-" + std::to_string(i);
     store.put(key, static_cast<int>(i), 64);
@@ -570,6 +572,57 @@ TEST(IncrementalEngineTest, BeginRunReclaimsAnAbandonedRunsTransients) {
   EXPECT_LT(engine.store().blobCount(), blobsAfterRun);
   EXPECT_NE(nextOptions.keyPrefix, options.keyPrefix);
   engine.endRun();
+}
+
+TEST(IncrementalEngineTest, ReportsIntoTheRunContextWhateverTheCallOrder) {
+  // Regression: the engine used to keep whatever context existed when
+  // enableIncremental ran, so enabling it before configureTelemetry lost
+  // the impact and rib_assembly events and the incr.* counters.
+  const auto run = [](bool engineFirst) {
+    const SmallWan net = buildSmallWan();
+    Hoyan hoyan(net.topology, net.configs);
+    hoyan.setInputRoutes({ispRoute(net, "100.1.0.0/16"), ispRoute(net, "100.2.0.0/16")});
+    obs::TelemetryOptions options;
+    options.journal = true;
+    if (engineFirst) {
+      hoyan.enableIncremental();
+      hoyan.configureTelemetry(options);
+    } else {
+      hoyan.configureTelemetry(options);
+      hoyan.enableIncremental();
+    }
+    hoyan.preprocess();
+    ChangePlan plan;
+    plan.name = "static";
+    plan.commands = "device t-C1\nstatic-route 10.9.0.0/24 nexthop 9.0.0.1\n";
+    IntentSet intents;
+    intents.rclIntents = {"PRE = POST"};
+    hoyan.verifyChange(plan, intents);
+    obs::Telemetry& telemetry = *hoyan.telemetry();
+    std::string counters;
+    for (const char* name :
+         {"incr.cache.hits", "incr.cache.misses", "incr.cache.evictions",
+          "incr.cache.bypasses", "incr.rib.fragment_hits", "incr.rib.fragment_misses",
+          "incr.rib.rows_skipped"})
+      counters += std::string(name) + "=" +
+                  std::to_string(telemetry.metrics().counter(name).value()) + "\n";
+    size_t impacts = 0, assemblies = 0, misses = 0;
+    for (const obs::JournalEvent& event : telemetry.journal().events()) {
+      impacts += event.type == obs::JournalEventType::kImpact ? 1 : 0;
+      assemblies += event.type == obs::JournalEventType::kRibAssembly ? 1 : 0;
+      misses += event.type == obs::JournalEventType::kCacheMiss ? 1 : 0;
+    }
+    EXPECT_EQ(impacts, 2u) << engineFirst;     // preprocess + verifyChange.
+    EXPECT_EQ(assemblies, 2u) << engineFirst;
+    EXPECT_GT(misses, 0u) << engineFirst;
+    EXPECT_EQ(telemetry.metrics().counter("incr.cache.misses").value(), misses)
+        << engineFirst;
+    return std::pair{telemetry.journal().canonicalJsonl(), counters};
+  };
+  const auto engineFirst = run(true);
+  const auto telemetryFirst = run(false);
+  EXPECT_EQ(engineFirst.first, telemetryFirst.first);
+  EXPECT_EQ(engineFirst.second, telemetryFirst.second);
 }
 
 }  // namespace

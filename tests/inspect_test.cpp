@@ -178,6 +178,41 @@ TEST(InspectSweepTest, AggregatesAndRendersSweepEvents) {
       << summary;
 }
 
+TEST(InspectSweepTest, AcceptsAndCountsCancelledSubtasks) {
+  // An early-exit sweep drops the jobs still queued once its counterexample
+  // cap fills; each gets a subtask_cancel line, which validate accepts and
+  // summary counts per phase.
+  obs::RunJournal journal({.enabled = true});
+  journal.runBegin("fault-sweep", 0xfee1);
+  for (int i = 0; i < 3; ++i) journal.subtaskEnqueue("sweep", "j" + std::to_string(i));
+  journal.subtaskStart("sweep", "j0", 1, 0);
+  journal.subtaskFinish("sweep", "j0", 1, 0, 0.002);
+  journal.subtaskCancel("sweep", "j1", 1);
+  journal.subtaskCancel("sweep", "j2", 1);
+  journal.runEnd("fault-sweep", 0.01);
+
+  std::string error;
+  ASSERT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
+  ASSERT_TRUE(inspect::validateJournal(journal.canonicalJsonl(), error)) << error;
+  // The attempt is required, like every other subtask line.
+  EXPECT_FALSE(inspect::validateJournal(
+      "{\"ev\":\"subtask_cancel\",\"run\":1,\"phase\":\"sweep\",\"id\":\"j1\"}\n",
+      error));
+  std::vector<inspect::Event> events;
+  ASSERT_TRUE(inspect::parseJournal(journal.toJsonl(), events, error)) << error;
+  const inspect::JournalStats stats = inspect::aggregate(events);
+  ASSERT_EQ(stats.runs.size(), 1u);
+  ASSERT_TRUE(stats.runs[0].phases.count("sweep"));
+  const inspect::PhaseStats& phase = stats.runs[0].phases.at("sweep");
+  EXPECT_EQ(phase.enqueued, 3u);
+  EXPECT_EQ(phase.finished, 1u);
+  EXPECT_EQ(phase.cancelled, 2u);
+  const std::string summary = inspect::renderSummary(stats);
+  EXPECT_NE(summary.find("sweep: 2.00ms busy, 1 subtasks executed, 2 cancelled"),
+            std::string::npos)
+      << summary;
+}
+
 // --- stragglers --------------------------------------------------------------
 
 TEST(InspectStragglerTest, FindsDurationsFarAboveTheMedian) {

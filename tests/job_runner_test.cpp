@@ -2,7 +2,8 @@
 // job settles exactly once, retries equal the extra attempts, exhausted jobs
 // are reported, a throwing body counts as a crash, cancel drops the queued
 // jobs, a throwing settle callback reaches the caller, and a run with
-// nothing queued starts no threads. Registry counts settle in every case.
+// nothing queued starts no threads. The run registry, fed by the journal of
+// the runner's context, settles in every case.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,12 +38,16 @@ JobNames testNames() {
   };
 }
 
-// One executor run inside one registry run, with per-job settle records.
+// One executor run inside one journal run, which the registry attached to
+// the context mirrors, with per-job settle records.
 class JobRunnerTest : public ::testing::Test {
  protected:
+  JobRunnerTest() { telemetry_.attach(&registry_); }
+
   JobRunner& makeRunner(JobPolicy policy, size_t jobs) {
-    runId_ = registry_.runBegin("jobs");
-    runner_ = std::make_unique<JobRunner>(telemetry_, &registry_, testNames(), policy);
+    telemetry_.journal().runBegin("jobs", 0);
+    runId_ = registry_.currentRunId();
+    runner_ = std::make_unique<JobRunner>(telemetry_, testNames(), policy);
     for (size_t i = 0; i < jobs; ++i) runner_->add("job-" + std::to_string(i));
     settles_.assign(jobs, 0);
     outcomes_.assign(jobs, JobOutcome{});
@@ -55,9 +60,11 @@ class JobRunnerTest : public ::testing::Test {
           ++settles_[job];
           outcomes_[job] = outcome;
         });
-    registry_.runEnd(runId_, 0);
+    endRun();
     return report;
   }
+
+  void endRun() { telemetry_.journal().runEnd("jobs", 0); }
 
   obs::RunSnapshot snapshot() const { return *registry_.snapshot(runId_); }
   uint64_t counter(const std::string& name) {
@@ -172,7 +179,7 @@ TEST_F(JobRunnerTest, CancelDropsQueuedJobs) {
                                         ++settled;
                                         runner.cancel();
                                       });
-  registry_.runEnd(runId_, 0);
+  endRun();
   EXPECT_EQ(bodies.load(), 1u);
   EXPECT_EQ(settled, 1u);
   EXPECT_EQ(report.succeeded, 1u);
@@ -193,7 +200,7 @@ TEST_F(JobRunnerTest, SettleExceptionCancelsTheRunAndIsRethrown) {
                             throw std::runtime_error("commit failed");
                           }),
                std::runtime_error);
-  registry_.runEnd(runId_, 0);
+  endRun();
   EXPECT_EQ(bodies.load(), 1u);
   const obs::RunSnapshot run = snapshot();
   EXPECT_EQ(run.pending, 0u);
@@ -216,15 +223,17 @@ TEST_F(JobRunnerTest, NothingQueuedStartsNoThreads) {
   obs::TelemetryOptions telemetryOptions;
   telemetryOptions.journal = true;
   obs::Telemetry journaled(telemetryOptions);
-  const uint64_t id = registry_.runBegin("cached");
-  JobRunner runner(journaled, &registry_, testNames(), JobPolicy{4, 3, 0, 0});
+  journaled.attach(&registry_);
+  journaled.journal().runBegin("cached", 0);
+  const uint64_t id = registry_.currentRunId();
+  JobRunner runner(journaled, testNames(), JobPolicy{4, 3, 0, 0});
   EXPECT_EQ(runner.workerCount(), 0u);  // Zero jobs.
   for (size_t i = 0; i < 3; ++i)
     runner.cacheHit(runner.add("hit-" + std::to_string(i)), "k");
   EXPECT_EQ(runner.workerCount(), 0u);  // Cache-served jobs never queue.
   std::atomic<size_t> bodies{0};
   const JobReport report = runner.run([&](size_t, int) { ++bodies; });
-  registry_.runEnd(id, 0);
+  journaled.journal().runEnd("cached", 0);
   EXPECT_EQ(bodies.load(), 0u);
   EXPECT_EQ(report.succeeded, 0u);
   EXPECT_EQ(journaled.metrics().counter("test.cache.hits").value(), 3u);
@@ -237,9 +246,50 @@ TEST_F(JobRunnerTest, NothingQueuedStartsNoThreads) {
   EXPECT_EQ(run.pending, 0u);
   const std::string journal = journaled.journal().canonicalJsonl();
   EXPECT_NE(
-      journal.find(R"({"ev":"cache_hit","run":0,"phase":"test","id":"hit-0")"),
+      journal.find(R"({"ev":"cache_hit","run":1,"phase":"test","id":"hit-0")"),
       std::string::npos)
       << journal;
+}
+
+TEST_F(JobRunnerTest, DroppedJobsAndCrashesAreJournaled) {
+  // Each job a cancel drops gets a subtask_cancel line, and each crashed
+  // attempt's retry/exhaust line names the worker it ran on.
+  obs::Telemetry journaled(obs::TelemetryOptions{.journal = true});
+  journaled.attach(&registry_);
+  journaled.journal().runBegin("cancel", 0);
+  constexpr size_t kJobs = 10;
+  JobRunner runner(journaled, testNames(), JobPolicy{1, 2, 1.0, 0});
+  for (size_t i = 0; i < kJobs; ++i) runner.enqueue(runner.add("job-" + std::to_string(i)));
+  size_t settled = 0;
+  runner.run([](size_t, int) {},
+             [&](size_t, const JobOutcome&) {
+               ++settled;
+               runner.cancel();
+             });
+  journaled.journal().runEnd("cancel", 0);
+  EXPECT_EQ(settled, 1u);
+  size_t cancels = 0, crashes = 0;
+  for (const obs::JournalEvent& event : journaled.journal().events()) {
+    if (event.type == obs::JournalEventType::kSubtaskCancel) {
+      ++cancels;
+      EXPECT_EQ(event.attempt, 2) << event.id;
+    }
+    if (event.type == obs::JournalEventType::kSubtaskRetry ||
+        event.type == obs::JournalEventType::kSubtaskExhaust) {
+      ++crashes;
+      EXPECT_EQ(event.worker, 0) << event.id;
+    }
+  }
+  // Every attempt crashes: the one worker retries all ten jobs, exhausts
+  // job-0 on its second attempt, and the cancel in that settle drops the
+  // nine second attempts still queued.
+  EXPECT_EQ(crashes, kJobs + 1);
+  EXPECT_EQ(cancels, kJobs - 1);
+  const obs::RunSnapshot run = *registry_.snapshot(registry_.currentRunId());
+  EXPECT_EQ(run.state, "failed");
+  EXPECT_EQ(run.pending, 0u);
+  EXPECT_EQ(run.running, 0u);
+  EXPECT_TRUE(run.active.empty());
 }
 
 TEST_F(JobRunnerTest, WorkerCountIsCappedByQueuedJobs) {

@@ -48,8 +48,9 @@ void emitAllEventTypes(obs::RunJournal& journal) {
   journal.cacheEvict("cas/r/old", 4096);
   journal.subtaskEnqueue("route", "route-1");
   journal.subtaskStart("route", "route-1", 1, 0);
-  journal.subtaskRetry("route", "route-1", 1);
-  journal.subtaskExhaust("route", "route-2", 3);
+  journal.subtaskRetry("route", "route-1", 1, 0);
+  journal.subtaskExhaust("route", "route-2", 3, 1);
+  journal.subtaskCancel("route", "route-3", 1);
   journal.subtaskFinish("route", "route-1", 2, 0, 0.0123);
   journal.ribAssembly("assembled", 10, 2, 9000, 48);
   journal.sweepPlan("fault_sweep", 300, 20, 12, 268);
@@ -63,7 +64,7 @@ void emitAllEventTypes(obs::RunJournal& journal) {
 TEST(JournalTest, EveryEventTypeValidatesAgainstTheInspectSchema) {
   obs::RunJournal journal({.enabled = true});
   emitAllEventTypes(journal);
-  EXPECT_EQ(journal.eventCount(), 19u);
+  EXPECT_EQ(journal.eventCount(), 20u);
 
   std::string error;
   EXPECT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
@@ -97,15 +98,17 @@ TEST(JournalTest, OperationalExportCarriesOrderAndSummary) {
   std::vector<inspect::Event> events;
   std::string error;
   ASSERT_TRUE(inspect::parseJournal(journal.toJsonl(), events, error)) << error;
-  ASSERT_EQ(events.size(), 20u);  // 19 events + the summary line.
+  ASSERT_EQ(events.size(), 21u);  // 20 events + the summary line.
   // seq is record order.
-  for (size_t i = 0; i < 19; ++i)
+  for (size_t i = 0; i < 20; ++i)
     EXPECT_EQ(events[i].num("seq").value_or(-1), static_cast<double>(i)) << i;
   EXPECT_EQ(events.back().ev, "journal_summary");
-  EXPECT_EQ(events.back().num("events").value_or(-1), 19.0);
+  EXPECT_EQ(events.back().num("events").value_or(-1), 20.0);
   EXPECT_EQ(events.back().num("dropped").value_or(-1), 0.0);
   // Volatile attribution is present operationally...
-  EXPECT_TRUE(events[8].field("worker"));  // subtask_start
+  EXPECT_TRUE(events[8].field("worker"));   // subtask_start
+  EXPECT_TRUE(events[9].field("worker"));   // subtask_retry
+  EXPECT_TRUE(events[10].field("worker"));  // subtask_exhaust
   // ...and stripped canonically.
   std::vector<inspect::Event> canonical;
   ASSERT_TRUE(inspect::parseJournal(journal.canonicalJsonl(), canonical, error));

@@ -1,16 +1,22 @@
 // Route-decision provenance: recorder semantics (filtering, caps, merge
 // order), capture during route simulation (received/chosen/advertised/denied/
-// tie-break/VSB events), explain chains, and the propagation-graph builder.
+// tie-break/VSB events), explain chains, the propagation-graph builder, and
+// which simulations a recorder attached to an observability context sees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "config/vendor.h"
+#include "core/hoyan.h"
 #include "diag/prop_graph.h"
 #include "obs/provenance.h"
+#include "obs/telemetry.h"
 #include "scenario/net_builder.h"
 #include "sim/route_sim.h"
+#include "sweep/sweep.h"
 #include "test_fixtures.h"
+#include "verify/properties.h"
 
 namespace hoyan {
 namespace {
@@ -501,6 +507,105 @@ TEST(ProvenanceCompressionTest, OptionsFingerprintTracksTheFilter) {
   disabled.enabled = false;
   EXPECT_NE(obs::provenanceOptionsFingerprint(base),
             obs::provenanceOptionsFingerprint(disabled));
+}
+
+// ---------------------------------------------------------------------------
+// Recorders attached to an observability context.
+// ---------------------------------------------------------------------------
+
+TEST(ProvenanceContextTest, GlobalRecorderSeesNoSweepOrOracleScenarios) {
+  // A recorder on the global context is there to explain the network the
+  // pipeline verifies. The fault sweep's and the serial oracle's
+  // per-scenario simulations are not that network: they record nothing,
+  // and their results (policy memo on) are the unrecorded ones.
+  const SmallWan net = buildSmallWan();
+  const NetworkModel model = net.model();
+  const std::vector<InputRoute> inputs = {ispRoute(net, "100.1.0.0/16"),
+                                          ispRoute(net, "100.2.0.0/16")};
+  const NetworkProperty property = [&net](const NetworkModel& degraded,
+                                          const NetworkRibs& ribs) {
+    return dataPlaneReachable(degraded, ribs, net.c2, *IpAddress::parse("100.1.2.3"));
+  };
+  KFailureOptions failure;
+  failure.k = 1;
+  sweep::SweepOptions options;
+  options.failure = failure;
+  options.workers = 3;
+  const KFailureResult serial = checkKFailures(model, inputs, property, failure);
+  const sweep::SweepResult swept = sweep::sweepKFailures(model, inputs, property, options);
+
+  ProvenanceRecorder recorder(watchAll());
+  obs::Telemetry context;
+  context.attach(&recorder);
+  obs::Telemetry::setGlobal(&context);
+  const KFailureResult serialRecorded = checkKFailures(model, inputs, property, failure);
+  const sweep::SweepResult sweptRecorded =
+      sweep::sweepKFailures(model, inputs, property, options);
+  obs::Telemetry::setGlobal(nullptr);
+
+  EXPECT_EQ(recorder.eventCount(), 0u);
+  EXPECT_EQ(swept.stats.scheduled, 5u);
+  for (const auto& [label, before, after] :
+       {std::tuple{"serial", &serial, &serialRecorded},
+        std::tuple{"sweep", &swept.result, &sweptRecorded.result}}) {
+    EXPECT_EQ(before->scenariosChecked, after->scenariosChecked) << label;
+    ASSERT_EQ(before->counterexamples.size(), after->counterexamples.size()) << label;
+    for (size_t i = 0; i < before->counterexamples.size(); ++i)
+      EXPECT_EQ(before->counterexamples[i].failedLinks,
+                after->counterexamples[i].failedLinks)
+          << label << " " << i;
+  }
+  EXPECT_EQ(sweptRecorded.stats.evaluated, swept.stats.evaluated);
+}
+
+TEST(ProvenanceContextTest, FacadeAndGlobalContextRecordersAgree) {
+  // Hoyan handles a recorder the same way wherever its context comes from:
+  // cleared at verifyChange entry, and read for the violations' explain
+  // chains.
+  struct Outcome {
+    std::string explain;
+    std::vector<std::string> chains;
+    size_t events = 0;
+  };
+  const auto run = [](bool global) {
+    const SmallWan net = buildSmallWan();
+    Hoyan hoyan(net.topology, net.configs);
+    hoyan.setInputRoutes({ispRoute(net, "100.1.0.0/16"), ispRoute(net, "100.2.0.0/16")});
+    ProvenanceOptions options = watchAll();
+    options.prefixes = {*Prefix::parse("100.1.0.0/16")};
+    ProvenanceRecorder recorder(options);
+    obs::Telemetry context;
+    context.attach(&recorder);
+    if (global)
+      obs::Telemetry::setGlobal(&context);
+    else
+      hoyan.setTelemetry(&context);
+    hoyan.preprocess();
+    EXPECT_GT(recorder.eventCount(), 0u) << global;
+    ChangePlan plan;
+    plan.name = "withdraw";
+    plan.withdrawnPrefixes = {*Prefix::parse("100.1.0.0/16")};
+    IntentSet intents;
+    intents.rclIntents = {"PRE = POST"};
+    const ChangeVerificationResult result = hoyan.verifyChange(plan, intents);
+    Outcome out;
+    out.explain = hoyan.explain("t-C2", *Prefix::parse("100.1.0.0/16"));
+    for (const RclOutcome& outcome : result.rclOutcomes)
+      for (const rcl::Violation& violation : outcome.result.violations)
+        out.chains.push_back(violation.provenanceJson);
+    out.events = recorder.eventCount();
+    obs::Telemetry::setGlobal(nullptr);
+    return out;
+  };
+  const Outcome facade = run(false);
+  const Outcome global = run(true);
+  EXPECT_EQ(facade.events, 0u) << "the post-change run records no 100.1.0.0/16 route";
+  ASSERT_EQ(facade.chains.size(), 1u);
+  EXPECT_FALSE(facade.chains[0].empty());
+  EXPECT_NE(facade.explain, "{}");
+  EXPECT_EQ(global.events, facade.events);
+  EXPECT_EQ(global.explain, facade.explain);
+  EXPECT_EQ(global.chains, facade.chains);
 }
 
 }  // namespace

@@ -1,21 +1,29 @@
-// Tests for the live run-status subsystem: RunRegistry publication
-// semantics, the /runs JSON schemas, StatusServer routing (socket-free via
-// handle(), then over a real loopback socket through the hoyan_top client),
-// and the concurrent-scrape guarantee — 4 threads hammering /metrics and
-// /runs/current over HTTP during a distributed verification run.
+// Tests for the live run-status subsystem: RunRegistry semantics as the
+// journal feeds it, the /runs JSON schemas, StatusServer routing
+// (socket-free via handle(), then over a real loopback socket through the
+// hoyan_top client), the concurrent-scrape guarantee — 4 threads hammering
+// /metrics and /runs/current over HTTP during a distributed verification
+// run — and journal/registry agreement on crashing, cached and early-exit
+// runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/hoyan.h"
+#include "gen/wan_gen.h"
+#include "gen/workload_gen.h"
 #include "obs/run_registry.h"
 #include "obs/statusd.h"
 #include "obs/telemetry.h"
 #include "status_client.h"
+#include "sweep/sweep.h"
 #include "test_fixtures.h"
+#include "verify/properties.h"
 
 namespace hoyan {
 namespace {
@@ -32,18 +40,38 @@ using testing::SmallWan;
 
 // --- RunRegistry ------------------------------------------------------------
 
-TEST(RunRegistryTest, LifecycleCountsAndStates) {
+// A registry fed the way the pipeline feeds it: through the journal of the
+// context it is attached to (the journal itself off).
+struct FedRegistry {
+  explicit FedRegistry(size_t maxWorkers = 64, size_t keepRuns = 256)
+      : registry(maxWorkers, keepRuns) {
+    context.attach(&registry);
+  }
+  obs::RunJournal& journal() { return context.journal(); }
+  // Opens a run through the journal; returns its registry id.
+  uint64_t begin(const std::string& name) {
+    journal().runBegin(name, 0);
+    return registry.currentRunId();
+  }
+
   RunRegistry registry;
+  obs::Telemetry context;
+};
+
+TEST(RunRegistryTest, LifecycleCountsAndStates) {
+  FedRegistry fed;
+  RunRegistry& registry = fed.registry;
+  obs::RunJournal& journal = fed.journal();
   EXPECT_EQ(registry.currentRunId(), 0u);
   EXPECT_FALSE(registry.snapshot(1).has_value());
 
-  const uint64_t id = registry.runBegin("verify-1");
-  EXPECT_EQ(registry.currentRunId(), id);
-  registry.phase("model_build");
-  registry.subtaskEnqueued(3);
-  registry.subtaskStarted(0, "route:0");
-  registry.subtaskFinished(0, 0.01);
-  registry.subtaskStarted(1, "route:1");
+  const uint64_t id = fed.begin("verify-1");
+  EXPECT_NE(id, 0u);
+  journal.phaseBegin("model_build");
+  for (int i = 0; i < 3; ++i) journal.subtaskEnqueue("route", "route:" + std::to_string(i));
+  journal.subtaskStart("route", "route:0", 1, 0);
+  journal.subtaskFinish("route", "route:0", 1, 0, 0.01);
+  journal.subtaskStart("route", "route:1", 1, 1);
 
   auto live = registry.snapshot(id);
   ASSERT_TRUE(live.has_value());
@@ -57,10 +85,10 @@ TEST(RunRegistryTest, LifecycleCountsAndStates) {
   EXPECT_EQ(live->active[0].id, "route:1");
   EXPECT_EQ(live->active[0].worker, 1);
 
-  registry.subtaskFinished(1, 0.01);
-  registry.subtaskStarted(2, "route:2");
-  registry.subtaskFinished(2, 0.01);
-  registry.runEnd(id, 2.5);
+  journal.subtaskFinish("route", "route:1", 1, 1, 0.01);
+  journal.subtaskStart("route", "route:2", 1, 2);
+  journal.subtaskFinish("route", "route:2", 1, 2, 0.01);
+  journal.runEnd("verify-1", 2.5);
   auto done = registry.snapshot(id);
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->state, "succeeded");
@@ -72,100 +100,171 @@ TEST(RunRegistryTest, LifecycleCountsAndStates) {
 }
 
 TEST(RunRegistryTest, ExhaustedSubtaskFailsTheRun) {
-  RunRegistry registry;
-  const uint64_t id = registry.runBegin("crashy");
-  registry.subtaskEnqueued(1);
-  registry.subtaskStarted(0, "route:0");
-  registry.subtaskCrashed(0);
-  registry.subtaskRetried();
-  registry.subtaskStarted(0, "route:0");
-  registry.subtaskCrashed(0);
-  registry.subtaskExhausted();
-  registry.runEnd(id, 1.0);
-  auto snapshot = registry.snapshot(id);
+  FedRegistry fed;
+  obs::RunJournal& journal = fed.journal();
+  const uint64_t id = fed.begin("crashy");
+  journal.subtaskEnqueue("route", "route:0");
+  journal.subtaskStart("route", "route:0", 1, 0);
+  journal.subtaskRetry("route", "route:0", 1, 0);
+  journal.subtaskStart("route", "route:0", 2, 0);
+  // A crashed attempt frees its worker's slot: the journal line names it.
+  ASSERT_EQ(fed.registry.snapshot(id)->active.size(), 1u);
+  journal.subtaskExhaust("route", "route:0", 2, 0);
+  EXPECT_TRUE(fed.registry.snapshot(id)->active.empty());
+  journal.runEnd("crashy", 1.0);
+  auto snapshot = fed.registry.snapshot(id);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->state, "failed");
   EXPECT_EQ(snapshot->retries, 1u);
   EXPECT_EQ(snapshot->exhausted, 1u);
   EXPECT_EQ(snapshot->failed, 1u);
   EXPECT_EQ(snapshot->succeeded, 0u);
+  EXPECT_EQ(snapshot->pending, 0u);
+  EXPECT_EQ(snapshot->running, 0u);
 }
 
 TEST(RunRegistryTest, CachedSubtasksCountAsSucceededWithoutQueueing) {
-  RunRegistry registry;
-  const uint64_t id = registry.runBegin("warm");
-  registry.subtaskCached(4);
-  registry.cacheHit();
-  registry.cacheHit();
-  registry.cacheMiss();
-  registry.cacheBypass();
-  auto snapshot = registry.snapshot(id);
+  FedRegistry fed;
+  obs::RunJournal& journal = fed.journal();
+  const uint64_t id = fed.begin("warm");
+  for (int i = 0; i < 4; ++i)
+    journal.cacheHit("route", "route-" + std::to_string(i), "cas/r/0");
+  journal.cacheMiss("route", "route-4", "cas/r/1");
+  journal.cacheBypass("prov_filter_mismatch", "route-5", "cas/r/2");
+  auto snapshot = fed.registry.snapshot(id);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->succeeded, 4u);
   EXPECT_EQ(snapshot->pending, 0u);
-  EXPECT_EQ(snapshot->cacheHits, 2u);
+  EXPECT_EQ(snapshot->cacheHits, 4u);
   EXPECT_EQ(snapshot->cacheMisses, 1u);
   EXPECT_EQ(snapshot->cacheBypasses, 1u);
 }
 
 TEST(RunRegistryTest, StragglerFlaggedAgainstFinishedMean) {
-  RunRegistry registry;
-  const uint64_t id = registry.runBegin("straggle");
-  registry.subtaskEnqueued(10);
+  FedRegistry fed;
+  obs::RunJournal& journal = fed.journal();
+  const uint64_t id = fed.begin("straggle");
+  for (int i = 0; i < 10; ++i) journal.subtaskEnqueue("route", "route:" + std::to_string(i));
   // Not enough finished samples yet: nothing is flagged no matter how long
   // it has been running.
-  registry.subtaskStarted(1, "slow");
-  auto early = registry.snapshot(id);
+  journal.subtaskStart("route", "slow", 1, 1);
+  auto early = fed.registry.snapshot(id);
   ASSERT_EQ(early->active.size(), 1u);
   EXPECT_FALSE(early->active[0].straggler);
   // 8 fast finishes set the baseline; the floor is 0.05s, so after ~80ms the
   // still-running subtask crosses it.
-  for (int i = 0; i < 8; ++i) registry.subtaskFinished(0, 0.001);
+  for (int i = 0; i < 8; ++i) {
+    const std::string fast = "fast:" + std::to_string(i);
+    journal.subtaskStart("route", fast, 1, 0);
+    journal.subtaskFinish("route", fast, 1, 0, 0.001);
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  auto late = registry.snapshot(id);
+  auto late = fed.registry.snapshot(id);
   ASSERT_EQ(late->active.size(), 1u);
   EXPECT_TRUE(late->active[0].straggler);
   EXPECT_GE(late->active[0].seconds, 0.05);
 }
 
 TEST(RunRegistryTest, WorkerIdsBeyondTableAreCountedNotAttributed) {
-  RunRegistry registry(/*maxWorkers=*/2);
-  const uint64_t id = registry.runBegin("wide");
-  registry.subtaskEnqueued(2);
-  registry.subtaskStarted(1, "in-table");
-  registry.subtaskStarted(7, "off-table");
-  auto snapshot = registry.snapshot(id);
+  FedRegistry fed(/*maxWorkers=*/2);
+  obs::RunJournal& journal = fed.journal();
+  const uint64_t id = fed.begin("wide");
+  journal.subtaskEnqueue("route", "in-table");
+  journal.subtaskEnqueue("route", "off-table");
+  journal.subtaskStart("route", "in-table", 1, 1);
+  journal.subtaskStart("route", "off-table", 1, 7);
+  auto snapshot = fed.registry.snapshot(id);
   EXPECT_EQ(snapshot->running, 2u);
   ASSERT_EQ(snapshot->active.size(), 1u);
   EXPECT_EQ(snapshot->active[0].id, "in-table");
-  registry.subtaskFinished(7, 0.01);
-  EXPECT_EQ(registry.snapshot(id)->succeeded, 1u);
+  journal.subtaskFinish("route", "off-table", 1, 7, 0.01);
+  EXPECT_EQ(fed.registry.snapshot(id)->succeeded, 1u);
 }
 
 TEST(RunRegistryTest, ListEvictsOldestFinishedRuns) {
-  RunRegistry registry(/*maxWorkers=*/4, /*keepRuns=*/2);
+  FedRegistry fed(/*maxWorkers=*/4, /*keepRuns=*/2);
   std::vector<uint64_t> ids;
   for (int i = 0; i < 4; ++i) {
-    const uint64_t id = registry.runBegin("run-" + std::to_string(i));
-    registry.runEnd(id, 0.1);
-    ids.push_back(id);
+    const std::string name = "run-" + std::to_string(i);
+    ids.push_back(fed.begin(name));
+    fed.journal().runEnd(name, 0.1);
   }
-  const auto list = registry.list();
+  const auto list = fed.registry.list();
   ASSERT_EQ(list.size(), 2u);
   // Newest survive; list is oldest-first.
   EXPECT_EQ(list[0].id, ids[2]);
   EXPECT_EQ(list[1].id, ids[3]);
-  EXPECT_FALSE(registry.snapshot(ids[0]).has_value());
-  ASSERT_TRUE(registry.snapshot(ids[3]).has_value());
+  EXPECT_FALSE(fed.registry.snapshot(ids[0]).has_value());
+  ASSERT_TRUE(fed.registry.snapshot(ids[3]).has_value());
 }
 
-TEST(RunRegistryTest, GlobalPointerRoundTrips) {
-  EXPECT_EQ(RunRegistry::global(), nullptr);
+TEST(RunRegistryTest, ImpactLineRendersTheImpactEvent) {
+  FedRegistry fed;
+  const uint64_t id = fed.begin("scoped");
+  fed.journal().impact("scoped", "prefix-scoped delta on 1 device(s)", 1, 2);
+  EXPECT_EQ(fed.registry.snapshot(id)->impact,
+            "scoped (prefix-scoped delta on 1 device(s)): 1 dirty device(s), "
+            "2 dirty range(s)");
+}
+
+TEST(RunRegistryTest, FedWhetherTheJournalIsOffOnOrFull) {
+  // The journal hands every event to the registry before deciding whether
+  // to record it, so a full journal loses lines, never registry updates.
+  const auto settle = [](obs::TelemetryOptions options) {
+    RunRegistry registry;
+    obs::Telemetry context(options);
+    context.attach(&registry);
+    obs::RunJournal& journal = context.journal();
+    journal.runBegin("run", 0);
+    journal.phaseBegin("route.exec");
+    for (int i = 0; i < 6; ++i) {
+      const std::string id = "route-" + std::to_string(i);
+      journal.subtaskEnqueue("route", id);
+      journal.subtaskStart("route", id, 1, i % 2);
+      if (i == 5) {
+        journal.subtaskExhaust("route", id, 1, 1);
+      } else {
+        journal.subtaskFinish("route", id, 1, i % 2, 0.01);
+      }
+    }
+    journal.cacheHit("route", "route-6", "cas/r/6");
+    journal.runEnd("run", 1.0);
+    RunSnapshot snapshot = *registry.snapshot(registry.currentRunId());
+    snapshot.elapsedSeconds = 0;
+    return runSnapshotToJson(snapshot);
+  };
+  const std::string off = settle({});
+  EXPECT_EQ(settle({.journal = true}), off);
+  EXPECT_EQ(settle({.journal = true, .journalCapacity = 2}), off);
+  JsonValue root;
+  ASSERT_TRUE(statusclient::parseJson(off, root)) << off;
+  EXPECT_EQ(root.str("state"), "failed");
+  EXPECT_EQ(root.str("phase"), "route.exec");
+  EXPECT_EQ(root.find("subtasks")->num("succeeded"), 6);
+  EXPECT_EQ(root.find("subtasks")->num("failed"), 1);
+}
+
+TEST(RunRegistryTest, ContextGlobalRoundTrips) {
+  // The one process global is the context: a registry attached to it is
+  // what entry points given no context feed, and a default server serves.
+  ASSERT_EQ(obs::Telemetry::global(), nullptr);
+  EXPECT_EQ(&obs::Telemetry::resolve(nullptr), &obs::Telemetry::disabled());
   RunRegistry registry;
-  RunRegistry::setGlobal(&registry);
-  EXPECT_EQ(RunRegistry::global(), &registry);
-  RunRegistry::setGlobal(nullptr);
-  EXPECT_EQ(RunRegistry::global(), nullptr);
+  obs::Telemetry context;
+  context.attach(&registry);
+  obs::Telemetry::setGlobal(&context);
+  EXPECT_EQ(obs::Telemetry::global(), &context);
+  EXPECT_EQ(obs::Telemetry::resolve(nullptr).runs(), &registry);
+  obs::Telemetry::resolve(nullptr).journal().runBegin("global-run", 0);
+  StatusServer server;
+  const auto current = server.handle("GET", "/runs/current");
+  obs::Telemetry::setGlobal(nullptr);
+  EXPECT_EQ(obs::Telemetry::global(), nullptr);
+  EXPECT_EQ(&obs::Telemetry::resolve(nullptr), &obs::Telemetry::disabled());
+  EXPECT_EQ(current.status, 200);
+  JsonValue root;
+  ASSERT_TRUE(statusclient::parseJson(current.body, root)) << current.body;
+  EXPECT_EQ(root.str("name"), "global-run");
 }
 
 // --- JSON schemas -----------------------------------------------------------
@@ -249,14 +348,16 @@ TEST(RunJsonTest, SummarySchema) {
 class StatusHandleTest : public ::testing::Test {
  protected:
   StatusHandleTest() {
-    options_.runs = &registry_;
-    options_.metrics = &metrics_;
-    server_ = std::make_unique<StatusServer>(options_);
+    telemetry_.attach(&registry_);
+    StatusServerOptions options;
+    options.telemetry = &telemetry_;
+    server_ = std::make_unique<StatusServer>(options);
   }
 
+  obs::RunJournal& journal() { return telemetry_.journal(); }
+
   RunRegistry registry_;
-  obs::MetricsRegistry metrics_;
-  StatusServerOptions options_;
+  obs::Telemetry telemetry_;
   std::unique_ptr<StatusServer> server_;
 };
 
@@ -268,8 +369,8 @@ TEST_F(StatusHandleTest, HealthzReportsCurrentRun) {
   EXPECT_EQ(root.str("status"), "ok");
   EXPECT_EQ(root.find("current")->kind, JsonValue::Kind::kNull);
 
-  registry_.runBegin("verify-a");
-  registry_.phase("route.exec");
+  journal().runBegin("verify-a", 0);
+  journal().phaseBegin("route.exec");
   auto live = server_->handle("GET", "/healthz");
   ASSERT_TRUE(statusclient::parseJson(live.body, root));
   const JsonValue* current = root.find("current");
@@ -280,7 +381,7 @@ TEST_F(StatusHandleTest, HealthzReportsCurrentRun) {
 }
 
 TEST_F(StatusHandleTest, MetricsServesPrometheusText) {
-  metrics_.counter("dist.retries", "Retried subtasks.").add(2);
+  telemetry_.metrics().counter("dist.retries", "Retried subtasks.").add(2);
   auto response = server_->handle("GET", "/metrics");
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.contentType, "text/plain; version=0.0.4; charset=utf-8");
@@ -290,10 +391,13 @@ TEST_F(StatusHandleTest, MetricsServesPrometheusText) {
 }
 
 TEST_F(StatusHandleTest, RunListAndSnapshotEndpoints) {
-  const uint64_t first = registry_.runBegin("one");
-  registry_.runEnd(first, 0.2);
-  const uint64_t second = registry_.runBegin("two");
-  registry_.subtaskEnqueued(2);
+  journal().runBegin("one", 0);
+  const uint64_t first = registry_.currentRunId();
+  journal().runEnd("one", 0.2);
+  journal().runBegin("two", 0);
+  const uint64_t second = registry_.currentRunId();
+  journal().subtaskEnqueue("route", "route-0");
+  journal().subtaskEnqueue("route", "route-1");
 
   auto list = server_->handle("GET", "/runs");
   EXPECT_EQ(list.status, 200);
@@ -331,9 +435,8 @@ TEST_F(StatusHandleTest, ErrorStatuses) {
 }
 
 TEST(StatusServerDetachedTest, EndpointsAnswer503WithoutSources) {
-  // No options, no process globals: every data endpoint degrades to 503
+  // No context, no process global: every data endpoint degrades to 503
   // rather than crashing (healthz stays 200 — the server itself is alive).
-  ASSERT_EQ(RunRegistry::global(), nullptr);
   ASSERT_EQ(obs::Telemetry::global(), nullptr);
   StatusServer server;
   EXPECT_EQ(server.handle("GET", "/healthz").status, 200);
@@ -346,16 +449,18 @@ TEST(StatusServerDetachedTest, EndpointsAnswer503WithoutSources) {
 
 TEST(StatusServerSocketTest, ServesOverLoopbackThroughStatusClient) {
   RunRegistry registry;
-  obs::MetricsRegistry metrics;
-  metrics.counter("dist.retries").add(1);
+  obs::Telemetry telemetry;
+  telemetry.attach(&registry);
+  telemetry.metrics().counter("dist.retries").add(1);
   StatusServerOptions options;
-  options.runs = &registry;
-  options.metrics = &metrics;
+  options.telemetry = &telemetry;
   StatusServer server(options);
   ASSERT_TRUE(server.start());
   ASSERT_NE(server.port(), 0);
-  const uint64_t id = registry.runBegin("socket-run");
-  registry.subtaskEnqueued(5);
+  telemetry.journal().runBegin("socket-run", 0);
+  const uint64_t id = registry.currentRunId();
+  for (int i = 0; i < 5; ++i)
+    telemetry.journal().subtaskEnqueue("route", "route-" + std::to_string(i));
 
   HttpResult result;
   ASSERT_TRUE(statusclient::httpGet("127.0.0.1", server.port(),
@@ -400,8 +505,8 @@ TEST(ConcurrentScrapeTest, FourThreadsHammerEndpointsDuringVerify) {
   obs::Telemetry telemetry{obs::TelemetryOptions{}};
   RunRegistry registry;
   Hoyan hoyan(net.topology, net.configs);
+  telemetry.attach(&registry);
   hoyan.setTelemetry(&telemetry);
-  hoyan.setRunRegistry(&registry);
   std::vector<InputRoute> routes;
   for (int i = 0; i < 12; ++i)
     routes.push_back(ispRoute(net, "100." + std::to_string(i + 1) + ".0.0/16"));
@@ -412,8 +517,7 @@ TEST(ConcurrentScrapeTest, FourThreadsHammerEndpointsDuringVerify) {
   hoyan.setSimulationOptions(simOptions);
 
   StatusServerOptions serverOptions;
-  serverOptions.runs = &registry;
-  serverOptions.metrics = &telemetry.metrics();
+  serverOptions.telemetry = &telemetry;
   StatusServer server(serverOptions);
   ASSERT_TRUE(server.start());
 
@@ -482,6 +586,154 @@ TEST(ConcurrentScrapeTest, FourThreadsHammerEndpointsDuringVerify) {
   const auto list = registry.list();
   ASSERT_GE(list.size(), 2u);  // preprocess + verify.
   for (const auto& run : list) EXPECT_NE(run.state, "running");
+}
+
+// --- journal / registry agreement ------------------------------------------
+
+// Checks every run's settled registry snapshot against the counts its
+// journal implies. Registry run ids and journal run indices both count
+// run_begin events, so they line up when the registry is attached from the
+// start.
+void expectRegistryMatchesJournal(const obs::Telemetry& context,
+                                  const std::string& label) {
+  struct Counts {
+    uint64_t finished = 0, hits = 0, misses = 0, bypasses = 0, retries = 0,
+             exhausted = 0;
+  };
+  std::map<uint32_t, Counts> byRun;
+  for (const obs::JournalEvent& event : context.journal().events()) {
+    Counts& counts = byRun[event.run];
+    switch (event.type) {
+      case obs::JournalEventType::kSubtaskFinish: ++counts.finished; break;
+      case obs::JournalEventType::kCacheHit: ++counts.hits; break;
+      case obs::JournalEventType::kCacheMiss: ++counts.misses; break;
+      case obs::JournalEventType::kCacheBypass: ++counts.bypasses; break;
+      case obs::JournalEventType::kSubtaskRetry: ++counts.retries; break;
+      case obs::JournalEventType::kSubtaskExhaust: ++counts.exhausted; break;
+      default: break;
+    }
+  }
+  ASSERT_EQ(context.journal().droppedEvents(), 0u) << label;
+  ASSERT_EQ(context.runs()->list().size(), byRun.size()) << label;
+  for (const auto& [run, counts] : byRun) {
+    const std::optional<RunSnapshot> snapshot = context.runs()->snapshot(run);
+    ASSERT_TRUE(snapshot.has_value()) << label << " run " << run;
+    const std::string at = label + " run " + snapshot->name;
+    EXPECT_EQ(snapshot->state, counts.exhausted > 0 ? "failed" : "succeeded") << at;
+    EXPECT_EQ(snapshot->succeeded, counts.finished + counts.hits) << at;
+    EXPECT_EQ(snapshot->failed, counts.exhausted) << at;
+    EXPECT_EQ(snapshot->exhausted, counts.exhausted) << at;
+    EXPECT_EQ(snapshot->retries, counts.retries) << at;
+    EXPECT_EQ(snapshot->cacheHits, counts.hits) << at;
+    EXPECT_EQ(snapshot->cacheMisses, counts.misses) << at;
+    EXPECT_EQ(snapshot->cacheBypasses, counts.bypasses) << at;
+    EXPECT_EQ(snapshot->pending, 0u) << at;
+    EXPECT_EQ(snapshot->running, 0u) << at;
+    EXPECT_TRUE(snapshot->active.empty()) << at;
+  }
+}
+
+size_t countEvents(const obs::Telemetry& context, obs::JournalEventType type) {
+  size_t n = 0;
+  for (const obs::JournalEvent& event : context.journal().events())
+    n += event.type == type ? 1 : 0;
+  return n;
+}
+
+TEST(RegistryJournalAgreementTest, RouteAndTrafficWithCrashes) {
+  WanSpec spec;
+  spec.regions = 2;
+  const GeneratedWan wan = generateWan(spec);
+  WorkloadSpec workload;
+  workload.prefixesPerIsp = 8;
+  workload.prefixesPerDc = 4;
+  workload.v6Share = 0;
+  const std::vector<InputRoute> inputs = generateInputRoutes(wan, workload);
+  const std::vector<Flow> flows = generateFlows(wan, workload, 200);
+  IntentSet intents;
+  intents.rclIntents = {"not prefix = 100.0.8.0/24 => PRE = POST"};
+  intents.maxLinkUtilization = 2.0;
+  ChangePlan plan;
+  plan.name = "scoped";
+  plan.commands =
+      "device BR-0-0\n"
+      "ip-prefix LP-J index 10 permit 100.0.8.0/24\n"
+      "route-policy ISP-IN-0 node 800 permit\n"
+      " match ip-prefix LP-J\n"
+      " apply local-pref 150\n";
+  for (const size_t workers : {1u, 3u, 6u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    RunRegistry registry;
+    obs::Telemetry context({.journal = true});
+    context.attach(&registry);
+    // Through the facade: preprocess and two verifications, the second
+    // served from the cache, every subtask attempt at risk of a crash.
+    Hoyan hoyan(wan.topology, wan.configs);
+    hoyan.setInputRoutes(inputs);
+    hoyan.setInputFlows(flows);
+    DistSimOptions options;
+    options.workers = workers;
+    options.routeSubtasks = 8;
+    options.trafficSubtasks = 4;
+    options.workerFailureProbability = 0.3;
+    options.failureSeed = 7;
+    options.maxAttempts = 10;
+    hoyan.setSimulationOptions(options);
+    hoyan.setTelemetry(&context);
+    hoyan.enableIncremental();
+    hoyan.preprocess();
+    hoyan.verifyChange(plan, intents);
+    hoyan.verifyChange(plan, intents);
+    // One simulator run in which some subtasks exhaust their attempts.
+    options.workerFailureProbability = 0.5;
+    options.failureSeed = 3;
+    options.maxAttempts = 2;
+    options.telemetry = &context;
+    const NetworkModel model = wan.buildModel();
+    context.journal().runBegin("exhausting", 0);
+    DistributedSimulator simulator(model, options);
+    simulator.runRouteSimulation(inputs);
+    simulator.runTrafficSimulation(flows);
+    context.journal().runEnd("exhausting", 0);
+
+    EXPECT_GT(countEvents(context, obs::JournalEventType::kSubtaskRetry), 0u) << label;
+    EXPECT_GT(countEvents(context, obs::JournalEventType::kSubtaskExhaust), 0u) << label;
+    EXPECT_GT(countEvents(context, obs::JournalEventType::kCacheHit), 0u) << label;
+    EXPECT_GT(countEvents(context, obs::JournalEventType::kCacheMiss), 0u) << label;
+    EXPECT_EQ(registry.list().size(), 4u) << label;
+    expectRegistryMatchesJournal(context, label);
+  }
+}
+
+TEST(RegistryJournalAgreementTest, EarlyExitSweep) {
+  SmallWan net = buildSmallWan();
+  const NetworkModel model = net.model();
+  const std::vector<InputRoute> inputs = {ispRoute(net, "100.1.0.0/16")};
+  const NetworkProperty property = [&net](const NetworkModel& degraded,
+                                          const NetworkRibs& ribs) {
+    return dataPlaneReachable(degraded, ribs, net.c2, *IpAddress::parse("100.1.2.3"));
+  };
+  for (const size_t workers : {1u, 3u, 6u}) {
+    const std::string label = "workers=" + std::to_string(workers);
+    RunRegistry registry;
+    obs::Telemetry context({.journal = true});
+    context.attach(&registry);
+    sweep::SweepOptions options;
+    options.failure.k = 2;
+    options.failure.includeDeviceFailures = true;
+    options.failure.maxCounterexamples = 1;
+    options.workers = workers;
+    options.telemetry = &context;
+    context.journal().runBegin("sweep", 0);
+    sweep::sweepKFailures(model, inputs, property, options);
+    context.journal().runEnd("sweep", 0);
+    // One worker settles jobs in queue order, so the cap fills with jobs
+    // still queued, and each dropped job gets its cancel line.
+    if (workers == 1) {
+      EXPECT_GT(countEvents(context, obs::JournalEventType::kSubtaskCancel), 0u);
+    }
+    expectRegistryMatchesJournal(context, label);
+  }
 }
 
 // --- status client ----------------------------------------------------------

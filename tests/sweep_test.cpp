@@ -338,7 +338,8 @@ TEST_F(SweepTest, ExhaustedRetryBudgetThrows) {
 TEST_F(SweepTest, EarlyExitSettlesRegistryCounts) {
   // Regression: once the counterexample cap fills, an early-exit sweep drops
   // the jobs still queued. The registry counted them as pending at enqueue,
-  // so it must hear about the drop, or the finished run never settles.
+  // so it must hear about the drop (the journal's subtask_cancel), or the
+  // finished run never settles.
   KFailureOptions failure;
   failure.k = 2;
   failure.includeDeviceFailures = true;
@@ -349,15 +350,18 @@ TEST_F(SweepTest, EarlyExitSettlesRegistryCounts) {
       const std::string label = "workers=" + std::to_string(workers) +
                                 " earlyExit=" + (earlyExit ? "on" : "off");
       obs::RunRegistry registry;
-      const uint64_t run = registry.runBegin("sweep");
+      obs::Telemetry context;
+      context.attach(&registry);
+      context.journal().runBegin("sweep", 0);
+      const uint64_t run = registry.currentRunId();
       sweep::SweepOptions options;
       options.failure = failure;
       options.workers = workers;
       options.earlyExit = earlyExit;
-      options.runRegistry = &registry;
+      options.telemetry = &context;
       const sweep::SweepResult swept =
           sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
-      registry.runEnd(run, 0);
+      context.journal().runEnd("sweep", 0);
       expectSameResult(serial, swept.result, label);
       const std::optional<obs::RunSnapshot> snapshot = registry.snapshot(run);
       ASSERT_TRUE(snapshot.has_value()) << label;

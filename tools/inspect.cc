@@ -209,6 +209,7 @@ const std::map<std::string, std::vector<std::string>>& eventSchema() {
       {"subtask_start", {"phase", "id", "attempt"}},
       {"subtask_retry", {"phase", "id", "attempt"}},
       {"subtask_exhaust", {"phase", "id", "attempt"}},
+      {"subtask_cancel", {"phase", "id", "attempt"}},
       {"subtask_finish", {"phase", "id", "attempt"}},
       {"rib_assembly",
        {"note", "fragment_hits", "fragment_misses", "rows_reused", "rows_rendered"}},
@@ -288,6 +289,8 @@ JournalStats aggregate(const std::vector<Event>& events) {
       ++run.phases[event.str("phase")].retries;
     } else if (event.ev == "subtask_exhaust") {
       ++run.phases[event.str("phase")].exhausted;
+    } else if (event.ev == "subtask_cancel") {
+      ++run.phases[event.str("phase")].cancelled;
     } else if (event.ev == "cache_hit") {
       ++run.phases[event.str("phase")].cacheHits;
       ++stats.totalCacheHits;
@@ -369,6 +372,8 @@ std::string renderSummary(const JournalStats& stats) {
       if (phase.retries > 0) out += ", " + std::to_string(phase.retries) + " retries";
       if (phase.exhausted > 0)
         out += ", " + std::to_string(phase.exhausted) + " exhausted";
+      if (phase.cancelled > 0)
+        out += ", " + std::to_string(phase.cancelled) + " cancelled";
       out += '\n';
     }
     if (!run.ribOutcome.empty()) {

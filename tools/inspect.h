@@ -66,6 +66,7 @@ struct PhaseStats {
   size_t finished = 0;
   size_t retries = 0;
   size_t exhausted = 0;
+  size_t cancelled = 0;    // Queued attempts an early exit dropped.
   size_t cacheHits = 0;
   size_t cacheMisses = 0;
   double subtaskMsTotal = 0;  // Sum of subtask_finish ms.
