@@ -7,8 +7,6 @@
 // Server model: as in bench_fig5a, per-subtask runtimes are measured on this
 // host's cores and projected to 1..10 servers with the FIFO list-scheduling
 // makespan (the message-queue semantics of §3.2).
-#include <benchmark/benchmark.h>
-
 #include <thread>
 
 #include "bench_util.h"
@@ -27,10 +25,7 @@ std::vector<Series> g_series;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const GeneratedWan wan = generateWan(wanSpec());
   const NetworkModel model = wan.buildModel();
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());

@@ -3,18 +3,13 @@
 // ~4s, longest >2min, a >30x spread) because route propagation depth differs
 // wildly across input routes (ISP routes travel a few hops; DC-originated
 // routes more than 10).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "dist/dist_sim.h"
 
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const GeneratedWan wan = generateWan(wanSpec());
   const NetworkModel model = wan.buildModel();
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());

@@ -3,8 +3,6 @@
 // of subtasks load no more than a third of the files and the heaviest loads
 // <40%; with a random split every subtask depends on (nearly) all route
 // subtasks, so it loads everything — same as the no-pruning baseline.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "dist/dist_sim.h"
 
@@ -24,10 +22,7 @@ std::vector<double> loadedFractions(const DistTrafficResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const GeneratedWan wan = generateWan(wanSpec());
   const NetworkModel model = wan.buildModel();
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());

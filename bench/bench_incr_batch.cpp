@@ -23,8 +23,6 @@
 // rate falls below 0.7 — the cache regressing to misses is a correctness
 // smell (fingerprint churn), not just a perf one. Wall-clock speedup is
 // reported but not gated (machine-dependent).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <memory>
 
@@ -76,10 +74,7 @@ CorpusEntry makeEntry(size_t i, const WanSpec& wan, const WorkloadSpec& workload
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const bool incremental = flagValue("incr", "HOYAN_INCR", "on") != "off";
   const std::string jsonPath =
       flagValue("json-out", "HOYAN_INCR_JSON", "incr_batch.json");

@@ -30,8 +30,6 @@
 //
 // Exit code: nonzero on any verdict/counterexample divergence between the
 // three runs, or when the warm sweep misses the verdict cache.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,10 +64,7 @@ std::string renderResult(const KFailureResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const std::string jsonPath =
       flagValue("json-out", "HOYAN_BENCH_JSON", "kfailure_sweep.json");
   const size_t workers = std::stoul(flagValue("workers", "HOYAN_SWEEP_WORKERS", "6"));

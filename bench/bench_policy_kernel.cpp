@@ -20,8 +20,6 @@
 //   --ec=on|off          HOYAN_POLICY_EC         equivalence-class reduction
 //                        (default off: measures the kernel against the raw
 //                        per-prefix repetition EC would otherwise pre-collapse)
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -51,10 +49,7 @@ std::vector<std::string> renderedRows(const NetworkRibs& ribs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const std::string jsonPath =
       flagValue("json-out", "HOYAN_POLICY_JSON", "BENCH_policy.json");
   const size_t regions =

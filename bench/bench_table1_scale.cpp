@@ -5,18 +5,13 @@
 // (larger network, all prefixes, flow simulation) and reporting how the
 // distributed framework keeps the larger task *faster* than the small task
 // was under the centralized engine.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "dist/dist_sim.h"
 
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::vector<std::vector<std::string>> rows = {
       {"era", "routers", "input routes", "flows", "engine", "time (s)"}};
 
@@ -37,7 +32,7 @@ int main(int argc, char** argv) {
     RouteSimOptions options;
     options.includeLocalRoutes = true;
     Stopwatch stopwatch;
-    benchmark::DoNotOptimize(simulateRoutes(model, inputs, options).stats.rounds);
+    simulateRoutes(model, inputs, options);
     rows.push_back({"2017", std::to_string(wan.topology.deviceCount()),
                     std::to_string(inputs.size()), "-", "centralized",
                     fmt(stopwatch.seconds())});
@@ -67,7 +62,6 @@ int main(int argc, char** argv) {
                     fmt(routeSeconds + trafficSeconds)});
     rows.push_back({"", "", "", "", "  - route phase", fmt(routeSeconds)});
     rows.push_back({"", "", "", "", "  - traffic phase", fmt(trafficSeconds)});
-    benchmark::DoNotOptimize(routes.stats.installedRoutes + traffic.stats.delivered);
   }
 
   printTable("Table 1 — scale growth and run-time requirement", rows);

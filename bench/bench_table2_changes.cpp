@@ -1,18 +1,13 @@
 // Table 2: all 12 change types Hoyan must support, each run end to end
 // (change plan -> updated model -> distributed simulation -> intent
 // verification) with its example intents. All safe plans must verify clean.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "scenario/scenarios.h"
 
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const ScenarioEnvironment environment = makeStandardEnvironment();
   Stopwatch preprocessStopwatch;
   Hoyan hoyan = makeHoyan(environment);

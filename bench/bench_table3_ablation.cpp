@@ -4,8 +4,6 @@
 //   * accuracy support: BGP+IS-IS only vs +SR/PBR modelling.
 // Each axis is measured: what the "new" capability catches or speeds up that
 // the "original" misses.
-#include <benchmark/benchmark.h>
-
 #include <thread>
 
 #include "bench_util.h"
@@ -17,10 +15,7 @@
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::vector<std::vector<std::string>> rows = {{"axis", "original", "new"}};
 
   // --- Simulation: centralized vs distributed -------------------------------
@@ -31,7 +26,7 @@ int main(int argc, char** argv) {
     RouteSimOptions central;
     central.includeLocalRoutes = true;
     Stopwatch centralWatch;
-    benchmark::DoNotOptimize(simulateRoutes(model, inputs, central).stats.rounds);
+    simulateRoutes(model, inputs, central);
     const double centralSeconds = centralWatch.seconds();
     DistSimOptions options;
     options.workers = std::max(2u, std::thread::hardware_concurrency());

@@ -5,8 +5,6 @@
 // injection must be detected, and the automatic classification should land
 // in the right §5.3 class (monitoring data / input pre-processing /
 // simulation implementation).
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench_util.h"
@@ -15,10 +13,7 @@
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   Stopwatch stopwatch;
   const std::vector<InjectionOutcome> outcomes = runTable4Campaign();
   const double seconds = stopwatch.seconds();

@@ -2,8 +2,6 @@
 // framework uncovered. Each row is reproduced by a differential experiment:
 // the same configuration evaluated under two vendor profiles must diverge in
 // exactly the behaviour the row describes.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "proto/policy_eval.h"
 #include "scenario/net_builder.h"
@@ -96,10 +94,7 @@ struct MiniNet {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::vector<VsbExperiment> experiments;
   DeviceConfig emptyConfig;
 

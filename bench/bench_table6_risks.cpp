@@ -3,8 +3,6 @@
 // matches the paper (incorrect commands 37.5%, design flaws 34.4%, existing
 // misconfiguration 15.6%, topology issues 6.3%, others 6.2%); every risk
 // must be flagged before "rollout".
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench_util.h"
@@ -13,10 +11,7 @@
 using namespace hoyan;
 using namespace hoyan::bench;
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const ScenarioEnvironment environment = makeStandardEnvironment();
   Hoyan hoyan = makeHoyan(environment);
 

@@ -34,8 +34,8 @@ namespace hoyan::bench {
 
 // Reads `--<name>=<value>` from /proc/self/cmdline (argv[] NUL-separated;
 // absent outside Linux) falling back to the `env` variable. Works before
-// main() and without touching each bench's argv handling (google benchmark
-// ignores unknown flags).
+// main() and without touching each bench's argv handling (flags a bench does
+// not read are ignored).
 inline std::string benchFlag(const std::string& name, const char* env = nullptr) {
   std::ifstream cmdline("/proc/self/cmdline", std::ios::binary);
   std::string arg;

@@ -34,6 +34,19 @@ uint64_t distOptionsFingerprint(const DistSimOptions& options) {
   return h.digest();
 }
 
+// A simulation phase whose subtasks ran out of retries leaves no result
+// sound to verify: closes the journal run, so the live registry settles, and
+// throws naming the exhausted subtasks.
+[[noreturn]] void failRun(obs::RunJournal& journal, std::string_view run, obs::Span& span,
+                          const std::string& phase,
+                          const std::vector<std::string>& failedSubtasks) {
+  span.finish();
+  journal.runEnd(run, span.seconds());
+  std::string message = phase + " failed: subtasks out of retries:";
+  for (const std::string& id : failedSubtasks) message += " " + id;
+  throw std::runtime_error(message);
+}
+
 }  // namespace
 
 std::vector<ParseError> applyChangeCommands(Topology& topology, NetworkConfig& configs,
@@ -161,12 +174,14 @@ void Hoyan::preprocess() {
   }
   DistributedSimulator simulator(*baseModel_, runOptions);
   DistRouteResult routes = simulator.runRouteSimulation(inputRoutes_);
-  if (!routes.succeeded) throw std::runtime_error("base route simulation failed");
+  if (!routes.succeeded)
+    failRun(journal, "preprocess", span, "base route simulation", routes.failedSubtasks);
   baseRibs_ = std::move(routes.ribs);
-  baseRibs_.buildForwardingIndex();
   if (!inputFlows_.empty()) {
     DistTrafficResult traffic = simulator.runTrafficSimulation(inputFlows_);
-    if (!traffic.succeeded) throw std::runtime_error("base traffic simulation failed");
+    if (!traffic.succeeded)
+      failRun(journal, "preprocess", span, "base traffic simulation",
+              traffic.failedSubtasks);
     baseLoads_ = std::move(traffic.linkLoads);
   } else {
     baseLoads_ = {};
@@ -177,7 +192,7 @@ void Hoyan::preprocess() {
     baseGlobal_ = incremental_->buildGlobalRib(baseRibs_, simulator.routeResultKeys());
     incremental_->endRun();
   } else {
-    baseGlobal_ = std::make_shared<const rcl::GlobalRib>(
+    baseGlobal_ = std::make_unique<const rcl::GlobalRib>(
         rcl::GlobalRib::fromNetworkRibs(baseRibs_));
   }
   preprocessed_ = true;
@@ -253,19 +268,22 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
   obs::Span routeSpan = tel.tracer().span("core.route_sim", "core");
   DistributedSimulator simulator(updated, runOptions);
   DistRouteResult routes = simulator.runRouteSimulation(updatedInputs);
+  if (!routes.succeeded)
+    failRun(journal, plan.name, taskSpan, "route simulation", routes.failedSubtasks);
   result.routeStats = routes.stats;
   result.routeSubtaskCacheHits = routes.cacheHits;
   result.routeSubtaskCount = routes.subtasks.size();
   routeSpan.finish();
   result.routeSimSeconds = routeSpan.seconds();
   NetworkRibs updatedRibs = std::move(routes.ribs);
-  updatedRibs.buildForwardingIndex();
 
   LinkLoadMap updatedLoads;
   if (!inputFlows_.empty() &&
       (intents.maxLinkUtilization || !intents.pathIntents.empty())) {
     obs::Span trafficSpan = tel.tracer().span("core.traffic_sim", "core");
     DistTrafficResult traffic = simulator.runTrafficSimulation(inputFlows_);
+    if (!traffic.succeeded)
+      failRun(journal, plan.name, taskSpan, "traffic simulation", traffic.failedSubtasks);
     result.trafficStats = traffic.stats;
     result.trafficSubtaskCacheHits = traffic.cacheHits;
     result.trafficSubtaskCount = traffic.subtasks.size();
@@ -281,12 +299,12 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
   if (!intents.rclIntents.empty()) {
     // Skipped entirely when no RCL intents ask for it — building the global
     // RIB is pure rendering work with no other consumer.
-    std::shared_ptr<const rcl::GlobalRib> updatedGlobal;
+    std::unique_ptr<const rcl::GlobalRib> updatedGlobal;
     if (incremental_) {
       updatedGlobal =
           incremental_->buildGlobalRib(updatedRibs, simulator.routeResultKeys());
     } else {
-      updatedGlobal = std::make_shared<const rcl::GlobalRib>(
+      updatedGlobal = std::make_unique<const rcl::GlobalRib>(
           rcl::GlobalRib::fromNetworkRibs(updatedRibs));
     }
     for (const std::string& specification : intents.rclIntents) {
@@ -321,14 +339,6 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
                   {"satisfied", result.satisfied() ? "true" : "false"},
                   {"seconds", std::to_string(taskSpan.seconds())}});
   return result;
-}
-
-std::vector<ChangeVerificationResult> Hoyan::verifyChangeBatch(
-    std::span<const ChangePlan> plans, const IntentSet& intents) {
-  std::vector<ChangeVerificationResult> results;
-  results.reserve(plans.size());
-  for (const ChangePlan& plan : plans) results.push_back(verifyChange(plan, intents));
-  return results;
 }
 
 std::vector<RclOutcome> Hoyan::runAuditTasks(const std::vector<std::string>& auditSpecs) {

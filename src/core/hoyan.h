@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -168,15 +167,10 @@ class Hoyan {
   // enableIncremental was never called.
   incr::IncrementalEngine* incremental() const { return incremental_.get(); }
 
-  // Full change verification (Fig. 2 left half).
+  // Full change verification (Fig. 2 left half). Throws std::runtime_error,
+  // naming the subtasks, when a simulation phase's subtasks run out of
+  // retries (preprocess does the same for the base simulation).
   ChangeVerificationResult verifyChange(const ChangePlan& plan, const IntentSet& intents);
-
-  // Verifies a stream of independent change plans against the same intents,
-  // each against the base network. With the incremental engine enabled,
-  // subtask results are reused across plans (the paper's recurring-change
-  // workload); without it this is a plain loop over verifyChange.
-  std::vector<ChangeVerificationResult> verifyChangeBatch(
-      std::span<const ChangePlan> plans, const IntentSet& intents);
 
   // Daily configuration auditing (§6.2): each audit task is an RCL intent
   // evaluated with both PRE and POST bound to the *base* global RIB.
@@ -238,9 +232,7 @@ class Hoyan {
 
   NetworkRibs baseRibs_;
   LinkLoadMap baseLoads_;
-  // Shared with the engine's whole-table cache when incremental is on (the
-  // pointer keeps the table alive across evictions); owned otherwise.
-  std::shared_ptr<const rcl::GlobalRib> baseGlobal_;
+  std::unique_ptr<const rcl::GlobalRib> baseGlobal_;
 };
 
 // Applies a change plan's commands to a network (configs + topology

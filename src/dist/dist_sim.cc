@@ -122,7 +122,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
                                       : tel.provenance();
   if (prov && !prov->enabled()) prov = nullptr;
   // Result cache: recording runs participate too. Every executed subtask
-  // stores its compressed event log under `<result key>#prov`, so a later
+  // stores its event log under `<result key>#prov`, so a later
   // hit *replays* the original execution's events at merge time. A hit is
   // only served when a blob recorded under the same filter/caps is resident;
   // otherwise the subtask re-runs (never replaying mismatched events).
@@ -137,7 +137,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
     if (!store_->contains(resultKey)) return true;
     const std::string provKey = resultKey + "#prov";
     return store_->contains(provKey) &&
-           store_->get<obs::CompressedRouteEvents>(provKey)->filterFp == provFp;
+           store_->get<obs::RecordedRouteEvents>(provKey)->filterFp == provFp;
   };
 
   // --- master: prepare subtasks -------------------------------------------
@@ -259,15 +259,11 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
         store_->put(record->resultKey, std::move(ribs), resultBytes);
         size_t provBytes = 0;
         if (prov) {
-          // Compressed event log rides along under `<result key>#prov` so a
-          // future recording run's hit replays these exact events.
-          const std::vector<obs::RouteEvent> events = subProv.snapshot();
-          obs::CompressedRouteEvents blob;
-          blob.filterFp = provFp;
-          blob.eventCount = events.size();
-          blob.bytes = obs::compressRouteEvents(events);
-          provBytes = blob.bytes.size() + 32;
-          store_->put(record->resultKey + "#prov", std::move(blob), provBytes);
+          // The event log rides along under `<result key>#prov` so a future
+          // recording run's hit replays these exact events.
+          obs::RecordedRouteEvents log{provFp, subProv.snapshot()};
+          provBytes = log.payloadBytes();
+          store_->put(record->resultKey + "#prov", std::move(log), provBytes);
         }
         if (cache) {
           // Replayable stats ride along so a future hit merges identically.
@@ -303,8 +299,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
     // replay the blob their original execution stored.
     const std::string provKey = record->resultKey + "#prov";
     if (prov && store_->contains(provKey)) {
-      const auto blob = store_->get<obs::CompressedRouteEvents>(provKey);
-      prov->append(obs::decompressRouteEvents(blob->bytes));
+      prov->append(store_->get<obs::RecordedRouteEvents>(provKey)->events);
     }
     result.subtasks.push_back(SubtaskMetric{record->id, record->runtimeSeconds,
                                             record->attempts, 0, 0,

@@ -10,7 +10,6 @@ namespace hoyan::incr {
 namespace {
 
 constexpr uint64_t kTagFragment = 'g';
-constexpr uint64_t kTagWholeTable = 'G';
 
 // Normalises a subtask's result blob the way the master's merge would when no
 // other subtask contributes to its groups (dedupe, then re-selection), and
@@ -39,7 +38,7 @@ void IncrementalEngine::bindTelemetry(obs::Telemetry& telemetry) {
   fragmentMisses_ = &metrics.counter("incr.rib.fragment_misses");
   rowsSkipped_ = &metrics.counter("incr.rib.rows_skipped");
   // The persistent store's gauges track engine-side mutations too (erasePrefix
-  // in beginRun/endRun, fragment and whole-table puts in buildGlobalRib), so
+  // in beginRun/endRun, fragment puts in buildGlobalRib), so
   // a live /metrics scrape between simulator runs never serves stale
   // residency. A simulator over this store re-binds it to the same context.
   store_.bindTelemetry(
@@ -98,11 +97,19 @@ void IncrementalEngine::endRun() {
   cache_->evictToBudget();
 }
 
-std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
+std::unique_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     const NetworkRibs& merged, std::span<const std::string> resultKeys) {
   lastAssembly_ = RibAssemblyStats{};
   lastAssembly_.used = true;
   obs::RunJournal& journal = telemetry_->journal();
+  const auto fullRender = [&] {
+    lastAssembly_.bypassed = true;
+    auto full =
+        std::make_unique<const rcl::GlobalRib>(rcl::GlobalRib::fromNetworkRibs(merged));
+    journal.ribAssembly("bypassed", lastAssembly_.fragmentHits,
+                        lastAssembly_.fragmentMisses, 0, full->size());
+    return full;
+  };
 
   // Fragments are sound only for content-addressed results: a cacheless run
   // stores under transient `run<N>/` keys, whose blobs are not tied to the
@@ -112,27 +119,7 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
   bool contentAddressed = !resultKeys.empty();
   for (const std::string& key : resultKeys)
     if (key.rfind("cas/", 0) != 0) contentAddressed = false;
-  if (!contentAddressed) {
-    lastAssembly_.bypassed = true;
-    auto full = std::make_shared<rcl::GlobalRib>(rcl::GlobalRib::fromNetworkRibs(merged));
-    journal.ribAssembly("bypassed", 0, 0, 0, full->size());
-    return full;
-  }
-
-  // Whole-table key over the ordered result keys: two runs merging the same
-  // blobs in the same order render the same table.
-  Fnv1a wholeHash;
-  wholeHash.mix(kTagWholeTable).mix(static_cast<uint64_t>(resultKeys.size()));
-  for (const std::string& key : resultKeys) wholeHash.mix(std::string_view(key));
-  const std::string wholeKey = "cas/G/" + fingerprintHex(wholeHash.digest());
-  if (cache_->touch(wholeKey)) {
-    lastAssembly_.wholeTableHit = true;
-    auto table = store_.get<rcl::GlobalRib>(wholeKey);
-    lastAssembly_.rowsReused = table->size();
-    rowsSkipped_->add(static_cast<int64_t>(table->size()));
-    journal.ribAssembly("whole_table_hit", 0, 0, table->size(), 0);
-    return table;
-  }
+  if (!contentAddressed) return fullRender();
 
   std::vector<std::shared_ptr<const rcl::RibFragment>> fragments;
   fragments.reserve(resultKeys.size());
@@ -148,16 +135,9 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     }
     ++lastAssembly_.fragmentMisses;
     fragmentMisses_->add(1);
-    if (!store_.contains(resultKey)) {
-      // The result blob itself was evicted between the run and verification;
-      // nothing sound to build from — fall back to a full render.
-      lastAssembly_.bypassed = true;
-      auto full =
-          std::make_shared<rcl::GlobalRib>(rcl::GlobalRib::fromNetworkRibs(merged));
-      journal.ribAssembly("bypassed", lastAssembly_.fragmentHits,
-                          lastAssembly_.fragmentMisses, 0, full->size());
-      return full;
-    }
+    // The result blob itself was evicted between the run and verification;
+    // nothing sound to build from — fall back to a full render.
+    if (!store_.contains(resultKey)) return fullRender();
     rcl::RibFragment fragment = buildFragment(*store_.get<NetworkRibs>(resultKey));
     const size_t bytes = fragment.approxBytes();
     store_.put(fragmentKey, std::move(fragment), bytes);
@@ -169,19 +149,15 @@ std::shared_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
   fragmentPtrs.reserve(fragments.size());
   for (const auto& fragment : fragments) fragmentPtrs.push_back(fragment.get());
   rcl::FragmentAssemblyStats assemblyStats;
-  rcl::GlobalRib assembled =
-      rcl::GlobalRib::assembleFromFragments(fragmentPtrs, merged, &assemblyStats);
+  auto assembled = std::make_unique<const rcl::GlobalRib>(
+      rcl::GlobalRib::assembleFromFragments(fragmentPtrs, merged, &assemblyStats));
   lastAssembly_.rowsReused = assemblyStats.rowsReused;
   lastAssembly_.rowsRendered = assemblyStats.rowsRendered;
   rowsSkipped_->add(static_cast<int64_t>(assemblyStats.rowsReused));
-
   journal.ribAssembly("assembled", lastAssembly_.fragmentHits,
                       lastAssembly_.fragmentMisses, lastAssembly_.rowsReused,
                       lastAssembly_.rowsRendered);
-  const size_t tableBytes = assembled.size() * 280;
-  store_.put(wholeKey, std::move(assembled), tableBytes);
-  cache_->stored(wholeKey, tableBytes);
-  return store_.get<rcl::GlobalRib>(wholeKey);
+  return assembled;
 }
 
 }  // namespace hoyan::incr

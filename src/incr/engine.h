@@ -48,8 +48,7 @@ struct IncrementalOptions {
 // How the last buildGlobalRib call produced its table.
 struct RibAssemblyStats {
   bool used = false;          // buildGlobalRib ran this run.
-  bool bypassed = false;      // Non-content result keys (provenance run) — full render.
-  bool wholeTableHit = false; // The assembled table itself was cached.
+  bool bypassed = false;      // Full render: non-content keys or an evicted blob.
   size_t fragmentHits = 0;
   size_t fragmentMisses = 0;
   size_t rowsReused = 0;      // Copied from fragments, render skipped.
@@ -64,7 +63,6 @@ class IncrementalEngine {
   // engine (core keeps it alive). Resets the impact state; cached results
   // keyed on an older base survive only until evicted.
   void setBaseModel(const NetworkModel& model);
-  bool hasBaseModel() const { return base_ != nullptr; }
 
   // Prepares `options` for a cache-aware run over `model`: installs the
   // shared store, the cache, and a fresh transient key prefix. Returns the
@@ -79,22 +77,20 @@ class IncrementalEngine {
   // Builds the global RIB for `merged` — the RIBs a route run over
   // `resultKeys` (DistributedSimulator::routeResultKeys()) produced — from
   // cached per-subtask fragments plus freshly rendered dirty ones, instead of
-  // re-rendering every row. Caches fragments under `cas/g/<key fp>` and the
-  // assembled table under `cas/G/<keys fp>`; byte-identical to
-  // `GlobalRib::fromNetworkRibs(merged)` by construction, falling back to
-  // exactly that whenever any key is not content-addressed (provenance runs
-  // store under transient `run<N>/` keys) or a needed blob was evicted.
-  // The returned table is finalized. `lastRibAssembly()` reports what
+  // re-rendering every row. Caches fragments under `cas/g/<key fp>`;
+  // byte-identical to `GlobalRib::fromNetworkRibs(merged)` by construction,
+  // falling back to exactly that whenever any key is not content-addressed
+  // (a cacheless run stores under transient `run<N>/` keys) or a needed blob
+  // was evicted. The returned table is finalized and the caller's alone: the
+  // engine keeps only the fragments. `lastRibAssembly()` reports what
   // happened; `incr.rib.{fragment_hits,fragment_misses,rows_skipped}` count
   // across runs.
-  std::shared_ptr<const rcl::GlobalRib> buildGlobalRib(
+  std::unique_ptr<const rcl::GlobalRib> buildGlobalRib(
       const NetworkRibs& merged, std::span<const std::string> resultKeys);
   const RibAssemblyStats& lastRibAssembly() const { return lastAssembly_; }
 
   ObjectStore& store() { return store_; }
   SubtaskCache& cache() { return *cache_; }
-  SplitCache& splitCache() { return splitCache_; }
-  const ChangeImpact& lastImpact() const { return lastImpact_; }
 
  private:
   // Points every instrument and event at `telemetry`. Done on every

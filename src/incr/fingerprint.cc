@@ -575,9 +575,4 @@ size_t SplitCache::routeOrderReuses() const {
   return routes_.reuses;
 }
 
-size_t SplitCache::flowOrderReuses() const {
-  std::lock_guard lock(mutex_);
-  return flows_.reuses;
-}
-
 }  // namespace hoyan::incr

@@ -162,7 +162,6 @@ class SplitCache final : public SplitPlanCache {
   std::optional<uint64_t> flowChunkFingerprint(std::span<const Flow> chunk);
 
   size_t routeOrderReuses() const;
-  size_t flowOrderReuses() const;
 
  private:
   template <typename T>

@@ -35,16 +35,6 @@ NetworkRibs collectMonitoredRoutes(const NetworkModel& model, const NetworkRibs&
   return monitored;
 }
 
-std::vector<Route> liveShowRoutes(const NetworkRibs& live, NameId device, NameId vrf,
-                                  const Prefix& prefix) {
-  const DeviceRib* deviceRib = live.findDevice(device);
-  if (!deviceRib) return {};
-  const VrfRib* vrfRib = deviceRib->findVrf(vrf);
-  if (!vrfRib) return {};
-  const auto* routes = vrfRib->find(prefix);
-  return routes ? *routes : std::vector<Route>{};
-}
-
 std::vector<MonitoredLinkLoad> collectMonitoredLinkLoads(
     const LinkLoadMap& liveLoads, const TrafficMonitorOptions& options) {
   std::vector<MonitoredLinkLoad> out;

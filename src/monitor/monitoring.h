@@ -38,12 +38,6 @@ struct RouteMonitorOptions {
 NetworkRibs collectMonitoredRoutes(const NetworkModel& model, const NetworkRibs& live,
                                    const RouteMonitorOptions& options = {});
 
-// Emulates `show` commands against the live network for one prefix on one
-// device: complete and accurate (but operationally limited to selected
-// prefixes — rate limiting is the caller's policy, §5.1).
-std::vector<Route> liveShowRoutes(const NetworkRibs& live, NameId device, NameId vrf,
-                                  const Prefix& prefix);
-
 struct TrafficMonitorOptions {
   // Per-device NetFlow volume scaling bugs (1.0 = accurate), Table 4 row 2.
   std::unordered_map<NameId, double> netflowVolumeScale;

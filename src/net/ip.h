@@ -45,13 +45,6 @@ struct U128 {
     if (s >= 64) return {lo << (s - 64), 0};
     return {(hi << s) | (lo >> (64 - s)), lo << s};
   }
-  // Right-shifts by s in [0, 128).
-  constexpr U128 shiftRight(unsigned s) const {
-    if (s == 0) return *this;
-    if (s >= 128) return {};
-    if (s >= 64) return {0, hi >> (s - 64)};
-    return {hi >> s, (lo >> s) | (hi << (64 - s))};
-  }
 };
 
 // An IPv4 or IPv6 address. IPv4 addresses live in the low 32 bits.

@@ -71,23 +71,6 @@ class PrefixTrie {
     return best;
   }
 
-  // All stored prefixes containing `addr`, least specific first.
-  std::vector<Match> allMatches(const IpAddress& addr) const {
-    std::vector<Match> out;
-    uint32_t node = 0;
-    unsigned depth = 0;
-    while (true) {
-      if (nodes_[node].value)
-        out.push_back({Prefix(addr, static_cast<uint8_t>(depth)), &*nodes_[node].value});
-      if (depth >= addr.width()) break;
-      const uint32_t child = nodes_[node].children[addr.bit(depth)];
-      if (child == kNone) break;
-      node = child;
-      ++depth;
-    }
-    return out;
-  }
-
   // Visits every (prefix, value) pair in depth-first order. The visitor
   // receives (const Prefix&, const T&). Prefixes are reconstructed for the
   // given family; only call with the family this trie holds.

@@ -38,6 +38,15 @@ std::string Route::str() const {
   return out;
 }
 
+VrfRib::VrfRib(const VrfRib& other) : routes_(other.routes_) {
+  if (other.indexBuilt_) buildForwardingIndex();
+}
+
+VrfRib& VrfRib::operator=(const VrfRib& other) {
+  if (this != &other) *this = VrfRib(other);
+  return *this;
+}
+
 void VrfRib::buildForwardingIndex() {
   lpmV4_ = {};
   lpmV6_ = {};

@@ -113,6 +113,15 @@ class VrfRib {
  public:
   using PrefixRoutes = std::map<Prefix, std::vector<Route>>;
 
+  VrfRib() = default;
+  // The LPM tries point into the route map, so a copy of an indexed RIB
+  // indexes its own routes instead of copying the pointers. Moves keep the
+  // map's nodes, and with them the index.
+  VrfRib(const VrfRib& other);
+  VrfRib& operator=(const VrfRib& other);
+  VrfRib(VrfRib&&) = default;
+  VrfRib& operator=(VrfRib&&) = default;
+
   std::vector<Route>& routesFor(const Prefix& p) { return routes_[p]; }
   const std::vector<Route>* find(const Prefix& p) const {
     const auto it = routes_.find(p);

@@ -148,7 +148,7 @@ class RunJournal {
   // `verdict`: "base" | "scoped" | "all_dirty".
   void impact(std::string_view verdict, std::string_view reason,
               size_t dirtyDevices, size_t dirtyRanges);
-  // `outcome`: "whole_table_hit" | "assembled" | "bypassed".
+  // `outcome`: "assembled" | "bypassed".
   void ribAssembly(std::string_view outcome, size_t fragmentHits,
                    size_t fragmentMisses, size_t rowsReused, size_t rowsRendered);
 

@@ -26,7 +26,6 @@ class Logger {
       : level_(level), start_(std::chrono::steady_clock::now()) {}
 
   LogLevel level() const { return level_; }
-  void setLevel(LogLevel level) { level_ = level; }
   bool enabled(LogLevel level) const { return level >= level_ && level_ != LogLevel::kOff; }
 
   void log(LogLevel level, const std::string& event,

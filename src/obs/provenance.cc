@@ -175,7 +175,7 @@ bool parseExplainTarget(const std::string& spec, std::string& device, Prefix& pr
   return true;
 }
 
-// --- compressed event logs ---------------------------------------------------
+// --- cached event logs -------------------------------------------------------
 
 namespace {
 
@@ -188,43 +188,6 @@ uint64_t fnvMix(uint64_t hash, uint64_t value) {
     value >>= 8;
   }
   return hash;
-}
-
-void putVarint(std::vector<uint8_t>& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(value));
-}
-
-bool getVarint(const std::vector<uint8_t>& in, size_t& pos, uint64_t& value) {
-  value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos >= in.size()) return false;
-    const uint8_t byte = in[pos++];
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) return true;
-  }
-  return false;
-}
-
-void putPrefix(std::vector<uint8_t>& out, const Prefix& prefix) {
-  out.push_back(static_cast<uint8_t>(prefix.family()));
-  putVarint(out, prefix.address().bits().hi);
-  putVarint(out, prefix.address().bits().lo);
-  out.push_back(prefix.length());
-}
-
-bool getPrefix(const std::vector<uint8_t>& in, size_t& pos, Prefix& prefix) {
-  if (pos >= in.size()) return false;
-  const auto family = static_cast<IpFamily>(in[pos++]);
-  uint64_t hi, lo;
-  if (!getVarint(in, pos, hi) || !getVarint(in, pos, lo)) return false;
-  if (pos >= in.size()) return false;
-  const uint8_t length = in[pos++];
-  prefix = Prefix(IpAddress(family, U128{hi, lo}), length);
-  return true;
 }
 
 }  // namespace
@@ -244,85 +207,11 @@ uint64_t provenanceOptionsFingerprint(const ProvenanceOptions& options) {
   return hash;
 }
 
-std::vector<uint8_t> compressRouteEvents(const std::vector<RouteEvent>& events) {
-  // String table: detail/route strings repeat heavily (the same policy clause
-  // or rendered route shows up across events), so each unique string is
-  // stored once and referenced by index.
-  std::vector<uint8_t> out;
-  std::unordered_map<std::string, uint64_t> stringIndex;
-  std::vector<const std::string*> strings;
-  const auto intern = [&](const std::string& text) {
-    const auto [it, inserted] = stringIndex.emplace(text, strings.size());
-    if (inserted) strings.push_back(&it->first);
-    return it->second;
-  };
-  struct Packed {
-    uint64_t detail, route;
-  };
-  std::vector<Packed> packed;
-  packed.reserve(events.size());
+size_t RecordedRouteEvents::payloadBytes() const {
+  size_t bytes = sizeof(filterFp);
   for (const RouteEvent& event : events)
-    packed.push_back(Packed{intern(event.detail), intern(event.route)});
-
-  putVarint(out, events.size());
-  putVarint(out, strings.size());
-  for (const std::string* text : strings) {
-    putVarint(out, text->size());
-    out.insert(out.end(), text->begin(), text->end());
-  }
-  uint64_t lastSeq = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const RouteEvent& event = events[i];
-    out.push_back(static_cast<uint8_t>(event.kind));
-    putVarint(out, event.device);
-    putVarint(out, event.vrf);
-    putPrefix(out, event.prefix);
-    putVarint(out, event.peer);
-    putVarint(out, packed[i].detail);
-    putVarint(out, packed[i].route);
-    putVarint(out, event.seq - lastSeq);  // Monotone within one recorder.
-    lastSeq = event.seq;
-  }
-  return out;
-}
-
-std::vector<RouteEvent> decompressRouteEvents(const std::vector<uint8_t>& bytes) {
-  std::vector<RouteEvent> events;
-  size_t pos = 0;
-  uint64_t count, stringCount;
-  if (!getVarint(bytes, pos, count) || !getVarint(bytes, pos, stringCount))
-    return events;
-  std::vector<std::string> strings;
-  strings.reserve(stringCount);
-  for (uint64_t i = 0; i < stringCount; ++i) {
-    uint64_t size;
-    if (!getVarint(bytes, pos, size) || pos + size > bytes.size()) return events;
-    strings.emplace_back(reinterpret_cast<const char*>(bytes.data() + pos), size);
-    pos += size;
-  }
-  events.reserve(count);
-  uint64_t lastSeq = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    RouteEvent event;
-    if (pos >= bytes.size()) break;
-    event.kind = static_cast<RouteEventKind>(bytes[pos++]);
-    uint64_t device, vrf, peer, detail, route, seqDelta;
-    if (!getVarint(bytes, pos, device) || !getVarint(bytes, pos, vrf) ||
-        !getPrefix(bytes, pos, event.prefix) || !getVarint(bytes, pos, peer) ||
-        !getVarint(bytes, pos, detail) || !getVarint(bytes, pos, route) ||
-        !getVarint(bytes, pos, seqDelta))
-      break;
-    if (detail >= strings.size() || route >= strings.size()) break;
-    event.device = static_cast<NameId>(device);
-    event.vrf = static_cast<NameId>(vrf);
-    event.peer = static_cast<NameId>(peer);
-    event.detail = strings[detail];
-    event.route = strings[route];
-    event.seq = lastSeq + seqDelta;
-    lastSeq = event.seq;
-    events.push_back(std::move(event));
-  }
-  return events;
+    bytes += sizeof(RouteEvent) + event.detail.size() + event.route.size();
+  return bytes;
 }
 
 }  // namespace hoyan::obs

@@ -124,30 +124,25 @@ class ProvenanceRecorder {
 // false on an unparsable prefix.
 bool parseExplainTarget(const std::string& spec, std::string& device, Prefix& prefix);
 
-// --- compressed event logs ---------------------------------------------------
+// --- cached event logs -------------------------------------------------------
 //
 // The cross-run result cache stores each subtask's event log under
 // `<result key>#prov` so recording runs can serve cache hits and *replay*
-// the original execution's decision events (lifting the old
-// provenance-bypasses-the-cache rule). Blobs are compact: a string table
-// interns the repeated detail/route strings and all integers are
-// varint-packed, so a blob is typically 5-10x smaller than the in-memory
-// vector. `filterFp` pins the recorder configuration the events were
-// captured under — a blob recorded under a different prefix filter or cap
-// set must not be replayed (the subtask re-runs instead).
-struct CompressedRouteEvents {
+// the original execution's decision events. `filterFp` pins the recorder
+// configuration the events were captured under — a log recorded under a
+// different prefix filter or cap set must not be replayed (the subtask
+// re-runs instead).
+struct RecordedRouteEvents {
   uint64_t filterFp = 0;
-  size_t eventCount = 0;
-  std::vector<uint8_t> bytes;
+  std::vector<RouteEvent> events;
+
+  // The bytes the log holds: the fingerprint, every event's fixed fields,
+  // and its detail and route text.
+  size_t payloadBytes() const;
 };
 
 // Fingerprint of everything that shapes *which* events a recorder captures:
 // enabled, the prefix filter, and both caps.
 uint64_t provenanceOptionsFingerprint(const ProvenanceOptions& options);
-
-std::vector<uint8_t> compressRouteEvents(const std::vector<RouteEvent>& events);
-// Inverse of compressRouteEvents; returns the events parsed before the first
-// malformed byte (a well-formed blob round-trips exactly).
-std::vector<RouteEvent> decompressRouteEvents(const std::vector<uint8_t>& bytes);
 
 }  // namespace hoyan::obs

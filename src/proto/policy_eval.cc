@@ -100,8 +100,8 @@ bool asPathListMatches(const PolicyContext& context, NameId listName, const Rout
   return false;
 }
 
-bool matchesNodeImpl(const PolicyContext& context, const PolicyMatch& match,
-                     const Route& route) {
+bool nodeMatches(const PolicyContext& context, const PolicyMatch& match,
+                 const Route& route) {
   if (match.prefixList && !prefixListMatches(context, *match.prefixList, route, nullptr))
     return false;
   if (match.communityList &&
@@ -121,10 +121,6 @@ bool asPathMatches(const AsPath& path, const std::string& pattern) {
       AsPathRegexCache::global().get(pattern);
   if (!compiled->valid) return false;  // An invalid pattern matches nothing.
   return std::regex_search(path.str(), compiled->regex);
-}
-
-bool matchesNode(const PolicyContext& context, const PolicyMatch& match, const Route& route) {
-  return matchesNodeImpl(context, match, route);
 }
 
 void applySets(const PolicyContext& context, const PolicySets& sets, Route& route) {
@@ -168,7 +164,7 @@ PolicyResult evaluatePolicy(const PolicyContext& context, std::optional<NameId> 
     return result;
   }
   for (const PolicyNode& node : policy->nodes) {
-    if (!matchesNodeImpl(context, node.match, route)) continue;
+    if (!nodeMatches(context, node.match, route)) continue;
     result.matchedNode = node.sequence;
     bool permit = false;
     switch (node.action) {
@@ -207,7 +203,7 @@ bool evaluatePolicyInPlace(const PolicyContext& context,
     // Matching reads the route; sets are applied only after the walk decides,
     // and only by the permitting node — so mutating in place is equivalent to
     // evaluatePolicy's copy-then-rewrite.
-    if (!matchesNodeImpl(context, node.match, route)) continue;
+    if (!nodeMatches(context, node.match, route)) continue;
     bool permit = false;
     switch (node.action) {
       case PolicyAction::kPermit:

@@ -54,10 +54,6 @@ PolicyResult evaluatePolicy(const PolicyContext& context,
 bool evaluatePolicyInPlace(const PolicyContext& context,
                            std::optional<NameId> policyName, Route& route);
 
-// Evaluates a single match clause set against a route (exposed for tests and
-// for PBR/redistribution which reuse clause matching).
-bool matchesNode(const PolicyContext& context, const PolicyMatch& match, const Route& route);
-
 // Applies the attribute rewrites of a node to a route (exposed for tests).
 void applySets(const PolicyContext& context, const PolicySets& sets, Route& route);
 

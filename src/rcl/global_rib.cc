@@ -4,8 +4,6 @@
 #include <map>
 #include <tuple>
 
-#include "rcl/ast.h"
-
 namespace hoyan::rcl {
 namespace {
 
@@ -135,15 +133,6 @@ bool RibRow::setFieldContains(Field field, const Scalar& value) const {
   // for aspath).
   const Scalar actual = fieldValue(field);
   return actual.text.find(value.render()) != std::string::npos;
-}
-
-bool RibRow::rowEquals(const RibRow& other) const {
-  return device == other.device && vrf == other.vrf && prefix == other.prefix &&
-         nexthop == other.nexthop && localPref == other.localPref && med == other.med &&
-         weight == other.weight && igpCost == other.igpCost &&
-         communities == other.communities && asPath == other.asPath &&
-         routeType == other.routeType && protocol == other.protocol &&
-         origin == other.origin;
 }
 
 std::string RibRow::str() const {
@@ -286,9 +275,6 @@ void GlobalRib::clearIndex() {
   deviceRows_.clear();
   prefixRows_.clear();
   bucketsBuilt_ = false;
-  prefixOrder_.clear();
-  prefixRenders_.clear();
-  prefixOrderBuilt_ = false;
   finalized_ = false;
 }
 
@@ -332,45 +318,6 @@ const std::vector<uint32_t>* GlobalRib::fieldBucket(Field field,
   const auto& index = field == Field::kDevice ? deviceRows_ : prefixRows_;
   const auto it = index.find(value);
   return it == index.end() ? &kEmpty : &it->second;
-}
-
-void GlobalRib::buildPrefixOrder() const {
-  prefixRenders_.reserve(rows_.size());
-  for (const RibRow& row : rows_) prefixRenders_.push_back(row.prefix.str());
-  prefixOrder_.resize(rows_.size());
-  for (uint32_t i = 0; i < rows_.size(); ++i) prefixOrder_[i] = i;
-  std::sort(prefixOrder_.begin(), prefixOrder_.end(), [&](uint32_t a, uint32_t b) {
-    if (prefixRenders_[a] != prefixRenders_[b])
-      return prefixRenders_[a] < prefixRenders_[b];
-    return a < b;
-  });
-  prefixOrderBuilt_ = true;
-}
-
-std::optional<std::vector<uint32_t>> GlobalRib::prefixRangeBucket(
-    CompareOp op, const std::string& value) const {
-  if (!finalized_) return std::nullopt;
-  if (op != CompareOp::kGt && op != CompareOp::kGe && op != CompareOp::kLt &&
-      op != CompareOp::kLe)
-    return std::nullopt;
-  if (!prefixOrderBuilt_) buildPrefixOrder();
-  // The boundary of rows rendering < value (lower) and <= value (upper) in
-  // the sorted order; the four operators are slices on either side.
-  const auto lower = std::lower_bound(
-      prefixOrder_.begin(), prefixOrder_.end(), value,
-      [&](uint32_t row, const std::string& v) { return prefixRenders_[row] < v; });
-  const auto upper = std::upper_bound(
-      prefixOrder_.begin(), prefixOrder_.end(), value,
-      [&](const std::string& v, uint32_t row) { return v < prefixRenders_[row]; });
-  const auto begin = op == CompareOp::kGt   ? upper
-                     : op == CompareOp::kGe ? lower
-                                            : prefixOrder_.begin();
-  const auto end = op == CompareOp::kLt   ? lower
-                   : op == CompareOp::kLe ? upper
-                                          : prefixOrder_.end();
-  std::vector<uint32_t> rows(begin, end);
-  std::sort(rows.begin(), rows.end());  // Back to row order for the view.
-  return rows;
 }
 
 namespace {

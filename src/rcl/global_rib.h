@@ -14,8 +14,6 @@
 
 namespace hoyan::rcl {
 
-enum class CompareOp : uint8_t;  // rcl/ast.h
-
 // The fields RCL specifications can reference.
 enum class Field : uint8_t {
   kDevice,
@@ -56,7 +54,6 @@ struct RibRow {
   // accessed as a scalar; `contains` uses communityContains instead).
   Scalar fieldValue(Field field) const;
   bool setFieldContains(Field field, const Scalar& value) const;
-  bool rowEquals(const RibRow& other) const;
   std::string str() const;
 };
 
@@ -147,22 +144,9 @@ class GlobalRib {
   // build entirely.
   const std::vector<uint32_t>* fieldBucket(Field field, const std::string& value) const;
 
-  // Range prefilter: indices (in row order) of the rows whose rendered prefix
-  // satisfies `render ⊙ value` under the scalar ordering — plain lexicographic
-  // string compare, exactly what evalCompare does when both sides are
-  // strings, so serving a `prefix >= X` guard from here is behaviour-
-  // preserving for any value text, canonical or not. Backed by a lazily-built
-  // sorted-prefix index (two binary searches + one slice per call). Returns
-  // nullopt when the table is not finalized or `op` is not a range operator
-  // (equality has fieldBucket; `!=` and `not`-wrapped guards stay scans — see
-  // verify.cc for why the complement is not worth indexing).
-  std::optional<std::vector<uint32_t>> prefixRangeBucket(CompareOp op,
-                                                         const std::string& value) const;
-
  private:
   void clearIndex();
   void buildBuckets() const;
-  void buildPrefixOrder() const;
 
   std::vector<RibRow> rows_;
   std::vector<std::string> renders_;
@@ -171,11 +155,6 @@ class GlobalRib {
   mutable std::unordered_map<std::string, std::vector<uint32_t>> deviceRows_;
   mutable std::unordered_map<std::string, std::vector<uint32_t>> prefixRows_;
   mutable bool bucketsBuilt_ = false;
-  // Sorted-prefix index for range guards: row indices ordered by rendered
-  // prefix (ties by row index), plus the renders for the binary searches.
-  mutable std::vector<uint32_t> prefixOrder_;
-  mutable std::vector<std::string> prefixRenders_;
-  mutable bool prefixOrderBuilt_ = false;
   bool finalized_ = false;
 };
 

@@ -309,34 +309,6 @@ const Predicate* findIndexableConjunct(const Predicate& predicate) {
   return &predicate;
 }
 
-// Finds a range conjunct (`prefix >= X`, `prefix < X`, ...) the sorted-prefix
-// index can serve. A prefix always renders as a string, so when the compare
-// value is also a string, evalCompare is plain lexicographic order — the
-// order the index is sorted by. Number values fall into the mixed
-// number-vs-string branch of Scalar's ordering and stay on the scan path.
-// Negated guards (`!=`, `not (...)`) stay scans too, deliberately: their row
-// set is the *complement* of an index slice — typically most of the table —
-// so materialising it from the index walks as many rows as the scan it would
-// replace, and a `not` may wrap arbitrary non-indexable structure.
-const Predicate* findRangeConjunct(const Predicate& predicate) {
-  if (predicate.kind == Predicate::Kind::kAnd) {
-    if (const Predicate* hit = findRangeConjunct(*predicate.left)) return hit;
-    return findRangeConjunct(*predicate.right);
-  }
-  if (predicate.kind != Predicate::Kind::kFieldCompare) return nullptr;
-  if (predicate.field != Field::kPrefix) return nullptr;
-  if (predicate.value.isNumber) return nullptr;
-  switch (predicate.op) {
-    case CompareOp::kGt:
-    case CompareOp::kGe:
-    case CompareOp::kLt:
-    case CompareOp::kLe:
-      return &predicate;
-    default:
-      return nullptr;
-  }
-}
-
 // The initial view for one side of the check. For a top-level guarded intent
 // over a finalized table, seed from the prefilter bucket of an indexed
 // equality conjunct instead of every row — the guard is still applied in
@@ -349,16 +321,6 @@ RibView seedView(const Intent& intent, const GlobalRib& rib) {
         RibView view;
         view.rib = &rib;
         view.rows = *bucket;
-        return view;
-      }
-    }
-    // No equality conjunct (those prune hardest) — try a range conjunct on
-    // the sorted-prefix index.
-    if (const Predicate* range = findRangeConjunct(*intent.guard)) {
-      if (auto rows = rib.prefixRangeBucket(range->op, range->value.render())) {
-        RibView view;
-        view.rib = &rib;
-        view.rows = std::move(*rows);
         return view;
       }
     }

@@ -234,7 +234,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   out.stats.enumerated = scenarios.size();
 
   // --- classify: prune inert elements, dedupe by canonical fingerprint -----
-  const bool pruning = options.prune && !hints.relevantPrefixes.empty();
+  const bool pruning = !hints.relevantPrefixes.empty();
   std::optional<RelevanceIndex> relevance;
   if (pruning) relevance.emplace(baseModel, inputs, hints);
   // Memoized per-element inertness (elements recur across scenarios).
@@ -291,16 +291,6 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
     // Fully-inert scenarios degrade to the base network (empty canonical
     // form): they share the one base evaluation and inherit its verdict.
     const bool pruned = canonical.links.empty() && canonical.devices.empty();
-    if (!options.dedupe && !pruned) {
-      // Dedupe off: every scenario gets its own job (canonical form is still
-      // what evaluates — it produces the identical degraded network).
-      scenario.fp = canonical.fingerprint();
-      scenario.job = jobs.size();
-      Job& job = jobs.emplace_back();
-      job.canonical = std::move(canonical);
-      job.shared = 1;
-      continue;
-    }
     scenario.fp = canonical.fingerprint();
     const auto [it, inserted] = jobByFp.try_emplace(scenario.fp, jobs.size());
     if (inserted) {

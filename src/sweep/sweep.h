@@ -71,8 +71,6 @@ struct SweepOptions {
   // checker stops enumerating there). Off keeps evaluating so the verdict
   // cache warms fully; the committed result is identical either way.
   bool earlyExit = true;
-  bool prune = true;   // Honor SweepHints relevance (no-op without hints).
-  bool dedupe = true;  // Impact-fingerprint job sharing.
   // Fault injection for retry-path tests: probability a worker "crashes"
   // mid-job, deterministic per (job, attempt, seed) — the dist simulator's
   // scheme.

@@ -5,18 +5,6 @@
 
 namespace hoyan {
 
-std::string deviceRoleName(DeviceRole role) {
-  switch (role) {
-    case DeviceRole::kCore: return "core";
-    case DeviceRole::kBorder: return "border";
-    case DeviceRole::kDcGateway: return "dc-gateway";
-    case DeviceRole::kDcnCore: return "dcn-core";
-    case DeviceRole::kRouteReflector: return "route-reflector";
-    case DeviceRole::kExternalPeer: return "external-peer";
-  }
-  return "?";
-}
-
 std::string Link::str() const {
   return Names::str(deviceA) + ":" + Names::str(interfaceA) + " <-> " + Names::str(deviceB) +
          ":" + Names::str(interfaceB) + (up ? "" : " (down)");

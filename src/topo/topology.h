@@ -40,8 +40,6 @@ enum class DeviceRole : uint8_t {
   kExternalPeer,  // ISP router outside our administration.
 };
 
-std::string deviceRoleName(DeviceRole role);
-
 // Physical device description (configuration lives in config::DeviceConfig;
 // this is the inventory/topology view).
 struct Device {

@@ -7,6 +7,7 @@
 #include "gen/rcl_corpus.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
+#include "obs/run_registry.h"
 #include "rcl/parser.h"
 #include "test_fixtures.h"
 
@@ -112,6 +113,50 @@ TEST_F(HoyanFacadeTest, ViolationProducesCounterexampleRoutes) {
   const auto& violations = result.rclOutcomes[0].result.violations;
   ASSERT_FALSE(violations.empty());
   EXPECT_FALSE(violations[0].exampleRows.empty());
+}
+
+// Subtasks that run out of retries leave RIBs with holes; a verdict computed
+// from them is meaningless. verifyChange and preprocess throw instead, naming
+// the subtasks, and close their journal run first so the live registry
+// settles the run as failed.
+TEST_F(HoyanFacadeTest, ExhaustedSubtasksThrowInsteadOfReturningAVerdict) {
+  ChangePlan plan;
+  plan.name = "static-under-crashes";
+  plan.commands = "device t-C1\nstatic-route 10.9.0.0/24 nexthop 9.0.0.1\n";
+  IntentSet intents;
+  intents.rclIntents = {"prefix = 100.1.0.0/16 => POST |> count() <= 0"};
+  // Healthy workers install the ISP route, so the intent fails.
+  EXPECT_FALSE(hoyan_->verifyChange(plan, intents).satisfied());
+
+  obs::Telemetry context;
+  obs::RunRegistry registry;
+  context.attach(&registry);
+  hoyan_->setTelemetry(&context);
+  DistSimOptions crashing;
+  crashing.workerFailureProbability = 1.0;
+  crashing.maxAttempts = 2;
+  crashing.routeSubtasks = 4;
+  hoyan_->setSimulationOptions(crashing);
+  const auto expectFailedRun = [&](const std::string& name) {
+    const auto run = registry.snapshot(registry.currentRunId());
+    ASSERT_TRUE(run.has_value());
+    EXPECT_EQ(run->name, name);
+    EXPECT_EQ(run->state, "failed");
+    EXPECT_EQ(run->running, 0u);
+    EXPECT_GT(run->exhausted, 0u);
+  };
+  try {
+    const ChangeVerificationResult result = hoyan_->verifyChange(plan, intents);
+    ADD_FAILURE() << "verdict from crashed subtasks: " << result.report();
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("route-"), std::string::npos)
+        << error.what();
+  }
+  expectFailedRun(plan.name);
+
+  EXPECT_THROW(hoyan_->preprocess(), std::runtime_error);
+  expectFailedRun("preprocess");
+  hoyan_->setTelemetry(nullptr);
 }
 
 TEST_F(HoyanFacadeTest, AuditTasksRunOnBaseRibs) {

@@ -281,6 +281,56 @@ TEST(VrfRibTest, LongestMatchUsesOnlyForwardingEntries) {
   EXPECT_EQ(routes->front().prefix.str(), "10.0.0.0/16");
 }
 
+// The LPM tries point into the route map: a copy of an indexed RIB must look
+// routes up in its own map, not in its source's.
+TEST(VrfRibTest, CopyOfAnIndexedRibLooksUpItsOwnRoutes) {
+  const NameId device = Names::id("R1");
+  const Prefix prefix = *Prefix::parse("10.0.0.0/16");
+  NetworkRibs source;
+  Route route;
+  route.prefix = prefix;
+  route.nexthop = *IpAddress::parse("1.1.1.1");
+  source.device(device).vrf(kInvalidName).routesFor(prefix).push_back(route);
+  source.buildForwardingIndex();
+  NetworkRibs copied = source;
+  NetworkRibs assigned;
+  assigned = source;
+  source.device(device).vrf(kInvalidName).routesFor(prefix).front().nexthop =
+      *IpAddress::parse("2.2.2.2");
+
+  const IpAddress dst = *IpAddress::parse("10.0.3.4");
+  for (const NetworkRibs* ribs : {&copied, &assigned}) {
+    const VrfRib& rib = *ribs->findDevice(device)->findVrf(kInvalidName);
+    const std::vector<Route>* match = rib.longestMatch(dst);
+    ASSERT_NE(match, nullptr);
+    EXPECT_EQ(match, rib.find(prefix));
+    EXPECT_EQ(match->front().nexthop.str(), "1.1.1.1");
+  }
+  // An unindexed source copies to an unindexed RIB.
+  const VrfRib plain = [&] {
+    VrfRib rib;
+    rib.routesFor(prefix).push_back(route);
+    return rib;
+  }();
+  const VrfRib plainCopy = plain;
+  EXPECT_EQ(plainCopy.longestMatch(dst), nullptr);
+}
+
+// Moving keeps the route map's nodes, so the moved-to RIB's index stays valid
+// without a rebuild.
+TEST(VrfRibTest, MovedRibKeepsItsIndex) {
+  const Prefix prefix = *Prefix::parse("10.0.0.0/16");
+  VrfRib rib;
+  Route route;
+  route.prefix = prefix;
+  rib.routesFor(prefix).push_back(route);
+  rib.buildForwardingIndex();
+  const std::vector<Route>* routes = rib.find(prefix);
+  const VrfRib moved = std::move(rib);
+  EXPECT_EQ(moved.find(prefix), routes);
+  EXPECT_EQ(moved.longestMatch(*IpAddress::parse("10.0.3.4")), routes);
+}
+
 TEST(NetworkRibsTest, MergeConcatenatesRouteLists) {
   const NameId device = Names::id("R1");
   NetworkRibs a;

@@ -407,81 +407,8 @@ TEST(PropGraphTest, FromRibsReconstructsLearnedFromEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed event blobs (the cache's `#prov` side channel).
+// Cached event logs (the cache's `#prov` side channel).
 // ---------------------------------------------------------------------------
-
-TEST(ProvenanceCompressionTest, RoundTripPreservesEveryField) {
-  std::vector<RouteEvent> events;
-  const std::vector<RouteEventKind> kinds = {
-      RouteEventKind::kReceived,          RouteEventKind::kPolicyDenied,
-      RouteEventKind::kLoopPrevented,     RouteEventKind::kNexthopUnresolved,
-      RouteEventKind::kVsbApplied,        RouteEventKind::kChosenBest,
-      RouteEventKind::kChosenEcmp,        RouteEventKind::kLostTieBreak,
-      RouteEventKind::kWithdrawn,         RouteEventKind::kAdvertised,
-  };
-  for (size_t i = 0; i < kinds.size(); ++i) {
-    RouteEvent e = event(kinds[i], "dev-" + std::to_string(i % 3),
-                         i % 2 == 0 ? "100.1." + std::to_string(i) + ".0/24"
-                                    : "2001:db8::/32",
-                         i % 2 == 0 ? "peer-" + std::to_string(i % 2) : "");
-    e.vrf = Names::id("vrf-main");
-    e.detail = i % 3 == 0 ? "" : "clause " + std::to_string(i % 2);  // Repeats.
-    e.route = i % 4 == 0 ? "rendered route " + std::to_string(i) : "";
-    e.seq = 10 + i * 3;
-    events.push_back(e);
-  }
-
-  const std::vector<uint8_t> bytes = obs::compressRouteEvents(events);
-  const std::vector<RouteEvent> back = obs::decompressRouteEvents(bytes);
-  ASSERT_EQ(back.size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(back[i].kind, events[i].kind) << i;
-    EXPECT_EQ(back[i].device, events[i].device) << i;
-    EXPECT_EQ(back[i].vrf, events[i].vrf) << i;
-    EXPECT_EQ(back[i].prefix, events[i].prefix) << i;
-    EXPECT_EQ(back[i].peer, events[i].peer) << i;
-    EXPECT_EQ(back[i].detail, events[i].detail) << i;
-    EXPECT_EQ(back[i].route, events[i].route) << i;
-    EXPECT_EQ(back[i].seq, events[i].seq) << i;
-  }
-}
-
-TEST(ProvenanceCompressionTest, EmptyAndMalformedInputsAreSafe) {
-  EXPECT_TRUE(obs::decompressRouteEvents(obs::compressRouteEvents({})).empty());
-  EXPECT_TRUE(obs::decompressRouteEvents({}).empty());
-  // Truncation and garbage must not crash; whatever parses before the first
-  // inconsistency is returned.
-  std::vector<RouteEvent> events;
-  for (int i = 0; i < 8; ++i)
-    events.push_back(event(RouteEventKind::kReceived, "d",
-                           "10.0." + std::to_string(i) + ".0/24"));
-  const std::vector<uint8_t> bytes = obs::compressRouteEvents(events);
-  for (size_t cut = 0; cut < bytes.size(); cut += 3) {
-    const std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    EXPECT_LE(obs::decompressRouteEvents(truncated).size(), events.size());
-  }
-  const std::vector<uint8_t> garbage = {0xff, 0xff, 0xff, 0xff, 0x01, 0x02};
-  obs::decompressRouteEvents(garbage);  // Must not crash or throw.
-}
-
-TEST(ProvenanceCompressionTest, StringTableBeatsNaiveEncoding) {
-  // 500 events sharing two detail strings: interning should keep the blob far
-  // below the repeated-payload size.
-  std::vector<RouteEvent> events;
-  size_t naive = 0;
-  for (int i = 0; i < 500; ++i) {
-    RouteEvent e = event(RouteEventKind::kLostTieBreak, "device-long-name",
-                         "100.1.0.0/16", "peer-long-name");
-    e.detail = i % 2 == 0 ? "lost to lower router-id after igp-cost tie"
-                          : "lost to higher local-pref";
-    e.seq = i;
-    naive += e.detail.size() + 32;
-    events.push_back(e);
-  }
-  const std::vector<uint8_t> bytes = obs::compressRouteEvents(events);
-  EXPECT_LT(bytes.size(), naive / 3);
-  EXPECT_EQ(obs::decompressRouteEvents(bytes).size(), events.size());
-}
 
 TEST(ProvenanceCompressionTest, OptionsFingerprintTracksTheFilter) {
   ProvenanceOptions base = watchAll();

@@ -16,7 +16,6 @@
 #include "gen/workload_gen.h"
 #include "incr/engine.h"
 #include "obs/provenance.h"
-#include "rcl/ast.h"
 #include "rcl/global_rib.h"
 #include "rcl/verify.h"
 
@@ -29,7 +28,7 @@ const char* const kIntents[] = {
     "device = BR-0-0 => PRE = POST",
     "prefix = 100.0.8.0/24 => PRE |> count() >= 0",
     "not prefix = 100.0.8.0/24 => PRE = POST",
-    // Range guards ride the sorted-prefix index (lexicographic over renders).
+    // Range guards take the full-scan path (lexicographic over renders).
     "prefix >= 100.0.8.0/24 and prefix <= 100.0.9.0/24 => PRE |> count() >= 0",
     "prefix < 100.0.8.0/24 => PRE = POST",
     "prefix > 99.0.0.0/8 => PRE |> count() >= 0",
@@ -147,16 +146,28 @@ TEST_F(RclIncrTest, AssemblyMatchesScratchAcrossWorkerCountsAndPlans) {
   }
 }
 
-TEST_F(RclIncrTest, RepeatedPlanHitsTheWholeTableCache) {
+TEST_F(RclIncrTest, RepeatedPlanHitsEveryFragment) {
   incr::IncrementalEngine engine;
   engine.setBaseModel(*baseModel_);
   runAndCompare(engine, *baseModel_, 4, "first");
-  EXPECT_FALSE(engine.lastRibAssembly().wholeTableHit);
-  const auto first = lastAssembled_;
+  const incr::RibAssemblyStats first = engine.lastRibAssembly();
+  EXPECT_EQ(first.fragmentHits, 0u);
+  EXPECT_GT(first.fragmentMisses, 0u);
+  const auto firstTable = lastAssembled_;
+
+  // Same result keys: every fragment is served from the cache, and only the
+  // groups shared across fragments are rendered again. runAndCompare has
+  // already matched the table against fromNetworkRibs row for row.
   runAndCompare(engine, *baseModel_, 4, "second");
-  EXPECT_TRUE(engine.lastRibAssembly().wholeTableHit);
-  // Same result keys -> the very same cached table object.
-  EXPECT_EQ(first.get(), lastAssembled_.get());
+  const incr::RibAssemblyStats& second = engine.lastRibAssembly();
+  EXPECT_FALSE(second.bypassed);
+  EXPECT_EQ(second.fragmentMisses, 0u);
+  EXPECT_EQ(second.fragmentHits, first.fragmentMisses);
+  EXPECT_EQ(second.rowsReused, first.rowsReused);
+  EXPECT_EQ(second.rowsRendered, first.rowsRendered);
+  EXPECT_EQ(second.rowsReused + second.rowsRendered, lastAssembled_->size());
+  // The caller owns each table: a repeated plan gets a table of its own.
+  EXPECT_NE(firstTable.get(), lastAssembled_.get());
 }
 
 // --- invalidation matrix ----------------------------------------------------
@@ -171,7 +182,6 @@ TEST_F(RclIncrTest, DirtySubtasksRebuildTheirFragments) {
   // Dirty subtasks produce new result keys, which miss the fragment cache
   // and are rebuilt from their (fresh) result blobs.
   EXPECT_GT(stats.fragmentMisses, 0u);
-  EXPECT_FALSE(stats.wholeTableHit);
   EXPECT_FALSE(stats.bypassed);
 }
 
@@ -180,12 +190,10 @@ TEST_F(RclIncrTest, EvictedFragmentsAreRebuiltFromResultBlobs) {
   engine.setBaseModel(*baseModel_);
   runAndCompare(engine, *baseModel_, 4, "warmup");
 
-  // Drop every cached fragment and assembled table; result blobs survive.
+  // Drop every cached fragment; result blobs survive.
   engine.store().erasePrefix("cas/g/");
-  engine.store().erasePrefix("cas/G/");
   runAndCompare(engine, *baseModel_, 4, "after-eviction");
   const incr::RibAssemblyStats& stats = engine.lastRibAssembly();
-  EXPECT_FALSE(stats.wholeTableHit);
   EXPECT_FALSE(stats.bypassed);
   EXPECT_EQ(stats.fragmentHits, 0u);
   EXPECT_GT(stats.fragmentMisses, 0u);
@@ -208,7 +216,6 @@ TEST_F(RclIncrTest, EvictedResultBlobFallsBackToFullRender) {
   ASSERT_TRUE(routes.succeeded);
   ASSERT_FALSE(sim.routeResultKeys().empty());
   engine.store().erasePrefix("cas/g/");
-  engine.store().erasePrefix("cas/G/");
   engine.store().erase(sim.routeResultKeys().front());
 
   const auto assembled = engine.buildGlobalRib(routes.ribs, sim.routeResultKeys());
@@ -228,13 +235,14 @@ TEST_F(RclIncrTest, ProvenanceRecordingRunStillAssemblesFragments) {
   // Provenance runs store results under the same content-addressed keys as
   // plain runs (events ride in `#prov` side blobs), so the fragment path
   // serves them like any other run instead of refusing and re-rendering.
-  // Same model as the warmup: the assembled table itself is already cached.
+  // Same model as the warmup: every fragment is already cached.
   obs::ProvenanceOptions provOptions;
   provOptions.enabled = true;
   obs::ProvenanceRecorder recorder(provOptions);
   runAndCompare(engine, *baseModel_, 4, "provenance", &recorder);
   EXPECT_FALSE(engine.lastRibAssembly().bypassed);
-  EXPECT_TRUE(engine.lastRibAssembly().wholeTableHit);
+  EXPECT_GT(engine.lastRibAssembly().fragmentHits, 0u);
+  EXPECT_EQ(engine.lastRibAssembly().fragmentMisses, 0u);
   // The recorder still saw the run: the warmup's cached results carried no
   // event blobs, so the route subtasks re-executed and recorded live.
   EXPECT_GT(recorder.eventCount(), 0u);
@@ -274,45 +282,6 @@ TEST_F(RclIncrTest, PrefilteredEvaluationMatchesFullScan) {
   const char* absent = "device = NO-SUCH-DEVICE => PRE |> count() = 0";
   EXPECT_EQ(rcl::checkIntentText(absent, base, updated).satisfied,
             rcl::checkIntentText(absent, basePlain, updatedPlain).satisfied);
-}
-
-// The sorted-prefix index's slices must equal a per-row evalCompare scan for
-// every range operator and probe value — including values between renders,
-// below every render, and above every render.
-TEST(PrefixRangeBucketTest, SlicesMatchScanForEveryOperator) {
-  rcl::GlobalRib rib;
-  const char* const prefixes[] = {"10.0.0.0/8",    "100.0.2.0/24",
-                                  "100.0.10.0/24", "100.0.2.0/24",
-                                  "200.1.0.0/16",  "99.0.0.0/8"};
-  for (const char* text : prefixes) {
-    rcl::RibRow row;
-    row.device = "D";
-    row.vrf = "global";
-    row.prefix = *Prefix::parse(text);
-    rib.add(row);
-  }
-  // Not finalized yet: no index to serve from.
-  EXPECT_FALSE(rib.prefixRangeBucket(rcl::CompareOp::kLt, "100").has_value());
-  rib.finalize();
-
-  const rcl::CompareOp ops[] = {rcl::CompareOp::kGt, rcl::CompareOp::kGe,
-                                rcl::CompareOp::kLt, rcl::CompareOp::kLe};
-  const char* const probes[] = {"100.0.2.0/24", "100.0.5.0/24", "", "zzz"};
-  for (const rcl::CompareOp op : ops) {
-    for (const char* probe : probes) {
-      const auto bucket = rib.prefixRangeBucket(op, probe);
-      ASSERT_TRUE(bucket.has_value());
-      std::vector<uint32_t> expected;
-      for (uint32_t i = 0; i < rib.size(); ++i)
-        if (rcl::evalCompare(op, rcl::Scalar::str(rib.rows()[i].prefix.str()),
-                             rcl::Scalar::str(probe)))
-          expected.push_back(i);
-      EXPECT_EQ(*bucket, expected) << rcl::compareOpName(op) << " " << probe;
-    }
-  }
-  // Equality goes through fieldBucket; != is a complement and stays a scan.
-  EXPECT_FALSE(rib.prefixRangeBucket(rcl::CompareOp::kEq, "10.0.0.0/8").has_value());
-  EXPECT_FALSE(rib.prefixRangeBucket(rcl::CompareOp::kNe, "10.0.0.0/8").has_value());
 }
 
 }  // namespace

@@ -214,12 +214,6 @@ TEST_F(SweepTest, PruningSkipsInertScenariosAndMatchesSerial) {
   expectSameResult(serial, pruned.result, "pruned");
   EXPECT_GT(pruned.stats.pruned + pruned.stats.deduped, 0u);
   EXPECT_LT(pruned.stats.scheduled, pruned.stats.enumerated);
-
-  options.prune = false;
-  const sweep::SweepResult unpruned =
-      sweep::sweepKFailures(model_, inputs_, reachProperty(), options, hints);
-  expectSameResult(serial, unpruned.result, "prune=off");
-  EXPECT_EQ(unpruned.stats.pruned, 0u);
 }
 
 TEST_F(SweepTest, DedupeSharesSymmetricScenarios) {
@@ -259,13 +253,6 @@ TEST_F(SweepTest, DedupeSharesSymmetricScenarios) {
   EXPECT_GT(swept.stats.deduped, 0u);
   EXPECT_EQ(swept.stats.scheduled + swept.stats.deduped + swept.stats.pruned,
             swept.stats.enumerated);
-
-  options.dedupe = false;
-  const sweep::SweepResult full =
-      sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
-  expectSameResult(serial, full.result, "dedupe=off");
-  EXPECT_EQ(full.stats.deduped, 0u);
-  EXPECT_EQ(full.stats.scheduled, full.stats.enumerated);
 }
 
 TEST_F(SweepTest, WarmCacheServesVerdictsByteIdentically) {

@@ -385,9 +385,6 @@ std::string renderSummary(const JournalStats& stats) {
                " rows reused, " +
                std::to_string(static_cast<uint64_t>(run.ribRowsRendered)) +
                " rendered)";
-      else if (run.ribOutcome == "whole_table_hit")
-        out += " (" + std::to_string(static_cast<uint64_t>(run.ribRowsReused)) +
-               " rows reused)";
       out += '\n';
     }
     if (run.sweepSeen) {
@@ -628,7 +625,7 @@ std::string renderDiff(const JournalStats& cold, const JournalStats& warm) {
            (coldRun->ribOutcome.empty() ? std::string("-") : coldRun->ribOutcome) +
            " -> " +
            (warmRun->ribOutcome.empty() ? std::string("-") : warmRun->ribOutcome);
-    if (warmRun->ribOutcome == "whole_table_hit" || warmRun->ribOutcome == "assembled")
+    if (warmRun->ribOutcome == "assembled")
       out += " (" + std::to_string(static_cast<uint64_t>(warmRun->ribRowsReused)) +
              " rows reused)";
     out += '\n';
