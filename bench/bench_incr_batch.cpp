@@ -196,9 +196,8 @@ int main() {
 
   // Two speedup views per plan: the simulation phases (route + traffic — the
   // part the subtask cache accelerates) and end to end. Intent verification
-  // rides the warm path too: the global RIB is assembled from cached
-  // per-subtask fragments (cas/g/*), so only dirty subtasks' rows are
-  // re-rendered and the old Amdahl floor on the end-to-end number lifts.
+  // builds the same global RIB warm and cold, so it is the end-to-end
+  // number's Amdahl floor.
   std::vector<double> simSpeedups, e2eSpeedups;
   double coldTotal = 0, warmTotal = 0;
   for (const PlanTiming& timing : timings) {

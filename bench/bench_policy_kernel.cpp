@@ -39,7 +39,7 @@ std::string flagValue(const std::string& name, const char* envVar,
   return value.empty() ? fallback : value;
 }
 
-std::vector<std::string> renderedRows(const NetworkRibs& ribs) {
+std::vector<std::string> rowTexts(const NetworkRibs& ribs) {
   const rcl::GlobalRib global = rcl::GlobalRib::fromNetworkRibs(ribs);
   std::vector<std::string> out;
   out.reserve(global.size());
@@ -116,8 +116,8 @@ int main() {
   auto [oracle, oracleSeconds] = run(false);
   auto [memoized, memoSeconds] = run(true);
 
-  const auto oracleRows = renderedRows(oracle.ribs);
-  const auto memoRows = renderedRows(memoized.ribs);
+  const auto oracleRows = rowTexts(oracle.ribs);
+  const auto memoRows = rowTexts(memoized.ribs);
   bool identical = oracleRows.size() == memoRows.size();
   for (size_t i = 0; identical && i < oracleRows.size(); ++i)
     identical = oracleRows[i] == memoRows[i];

@@ -14,13 +14,14 @@ using namespace hoyan::rcl;
 namespace {
 
 RibRow row(const std::string& device, const std::string& vrf, const std::string& prefix,
-           std::vector<std::string> communities, uint32_t localPref,
+           const std::vector<std::string>& communities, uint32_t localPref,
            const std::string& nexthop) {
   RibRow r;
   r.device = device;
   r.vrf = vrf;
   r.prefix = *Prefix::parse(prefix);
-  r.communities = std::move(communities);
+  for (const std::string& community : communities)
+    r.communities.insert(*Community::parse(community));
   r.localPref = localPref;
   r.nexthop = *IpAddress::parse(nexthop);
   r.routeType = RouteType::kBest;

@@ -186,15 +186,8 @@ void Hoyan::preprocess() {
   } else {
     baseLoads_ = {};
   }
-  if (incremental_) {
-    // Build (and seed the fragment cache for) the base global RIB before
-    // endRun, while the run's result blobs are still resident.
-    baseGlobal_ = incremental_->buildGlobalRib(baseRibs_, simulator.routeResultKeys());
-    incremental_->endRun();
-  } else {
-    baseGlobal_ = std::make_unique<const rcl::GlobalRib>(
-        rcl::GlobalRib::fromNetworkRibs(baseRibs_));
-  }
+  if (incremental_) incremental_->endRun();
+  baseGlobal_ = rcl::GlobalRib::fromNetworkRibs(baseRibs_);
   preprocessed_ = true;
   span.finish();
   journal.runEnd("preprocess", span.seconds());
@@ -291,27 +284,19 @@ ChangeVerificationResult Hoyan::verifyChange(const ChangePlan& plan,
     result.trafficSimSeconds = trafficSpan.seconds();
     updatedLoads = std::move(traffic.linkLoads);
   }
-  // 4. Intent verification. The engine's endRun waits until after it: the
-  // fragment fast path reads this run's result blobs out of the store.
+  // 4. Intent verification.
   journal.phaseBegin("intent_verify");
   obs::Span intentSpan = tel.tracer().span("core.check_intents", "core");
   const auto verifyStart = Clock::now();
   if (!intents.rclIntents.empty()) {
-    // Skipped entirely when no RCL intents ask for it — building the global
-    // RIB is pure rendering work with no other consumer.
-    std::unique_ptr<const rcl::GlobalRib> updatedGlobal;
-    if (incremental_) {
-      updatedGlobal =
-          incremental_->buildGlobalRib(updatedRibs, simulator.routeResultKeys());
-    } else {
-      updatedGlobal = std::make_unique<const rcl::GlobalRib>(
-          rcl::GlobalRib::fromNetworkRibs(updatedRibs));
-    }
+    // Skipped entirely when no RCL intents ask for it: the global RIB has no
+    // other consumer.
+    const rcl::GlobalRib updatedGlobal = rcl::GlobalRib::fromNetworkRibs(updatedRibs);
     for (const std::string& specification : intents.rclIntents) {
       RclOutcome outcome;
       outcome.specification = specification;
       outcome.result =
-          rcl::checkIntentText(specification, *baseGlobal_, *updatedGlobal, provenance);
+          rcl::checkIntentText(specification, baseGlobal_, updatedGlobal, provenance);
       result.rclOutcomes.push_back(std::move(outcome));
     }
   }
@@ -351,7 +336,7 @@ std::vector<RclOutcome> Hoyan::runAuditTasks(const std::vector<std::string>& aud
     RclOutcome outcome;
     outcome.specification = specification;
     outcome.result =
-        rcl::checkIntentText(specification, *baseGlobal_, *baseGlobal_, tel.provenance());
+        rcl::checkIntentText(specification, baseGlobal_, baseGlobal_, tel.provenance());
     tel.metrics().counter("core.audit_tasks").add(1);
     if (!outcome.result.satisfied) tel.metrics().counter("core.audit_violations").add(1);
     outcomes.push_back(std::move(outcome));

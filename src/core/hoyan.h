@@ -148,7 +148,7 @@ class Hoyan {
   const NetworkModel& baseModel() const { return *baseModel_; }
   const NetworkRibs& baseRibs() const { return baseRibs_; }
   const LinkLoadMap& baseLinkLoads() const { return baseLoads_; }
-  const rcl::GlobalRib& baseGlobalRib() const { return *baseGlobal_; }
+  const rcl::GlobalRib& baseGlobalRib() const { return baseGlobal_; }
   const std::vector<InputRoute>& inputRoutes() const { return inputRoutes_; }
   const std::vector<Flow>& inputFlows() const { return inputFlows_; }
 
@@ -232,7 +232,7 @@ class Hoyan {
 
   NetworkRibs baseRibs_;
   LinkLoadMap baseLoads_;
-  std::unique_ptr<const rcl::GlobalRib> baseGlobal_;
+  rcl::GlobalRib baseGlobal_;
 };
 
 // Applies a change plan's commands to a network (configs + topology

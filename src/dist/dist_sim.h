@@ -128,8 +128,7 @@ class DistributedSimulator {
   const SubtaskDb& db() const { return db_; }
   const ObjectStore& store() const { return *store_; }
   // Result keys of the last successful route run, in merge order (the last
-  // one is the local-routes subtask). The incremental engine keys cached
-  // GlobalRib fragments off these.
+  // one is the local-routes subtask).
   const std::vector<std::string>& routeResultKeys() const { return routeResultKeys_; }
   // The context this run reports into (possibly the process-wide disabled
   // instance).

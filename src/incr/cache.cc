@@ -115,13 +115,6 @@ void SubtaskCache::noteBypass() {
   bypasses_->add(1);
 }
 
-bool SubtaskCache::touch(const std::string& key) {
-  std::lock_guard lock(mutex_);
-  if (!store_->contains(key)) return false;
-  entries_[key].lastUsed = ++clock_;
-  return true;
-}
-
 void SubtaskCache::evictToBudget() {
   std::lock_guard lock(mutex_);
   if (budgetBytes_ == 0) return;

@@ -78,11 +78,6 @@ class SubtaskCache final : public SubtaskResultCache {
   void stored(const std::string& key, size_t bytes) override;
   void noteBypass() override;
 
-  // Residency probe for engine-derived blobs (cached GlobalRib fragments):
-  // bumps the entry's LRU age without touching the hit/miss counters, which
-  // track subtask-level caching only.
-  bool touch(const std::string& key);
-
   // LRU-evicts cached results until residency fits the byte budget, using a
   // min-heap over last-use ages — O(n + k log n) for k evictions instead of a
   // full sort per pass. Called between runs (never mid-run: a run may still

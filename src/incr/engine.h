@@ -19,9 +19,8 @@
 //
 // The engine reports into the observability context of the run passed to
 // `beginRun` (its `telemetry`, resolved by Telemetry::resolve): the impact
-// event, `incr.*` metrics, cache evictions, RIB assembly and the store's
-// gauges, until the next beginRun. Before its first run, into the disabled
-// context.
+// event, `incr.*` metrics, cache evictions and the store's gauges, until the
+// next beginRun. Before its first run, into the disabled context.
 #pragma once
 
 #include <cstdint>
@@ -45,14 +44,10 @@ struct IncrementalOptions {
   size_t cacheBudgetBytes = 512ull << 20;
 };
 
-// How the last buildGlobalRib call produced its table.
+// Rows of this run's buildGlobalRib table: all of them built, none reused.
 struct RibAssemblyStats {
-  bool used = false;          // buildGlobalRib ran this run.
-  bool bypassed = false;      // Full render: non-content keys or an evicted blob.
-  size_t fragmentHits = 0;
-  size_t fragmentMisses = 0;
-  size_t rowsReused = 0;      // Copied from fragments, render skipped.
-  size_t rowsRendered = 0;    // Shared groups, rendered from the merged table.
+  size_t rowsReused = 0;
+  size_t rowsRendered = 0;
 };
 
 class IncrementalEngine {
@@ -70,21 +65,12 @@ class IncrementalEngine {
   // Throws std::logic_error if no base model is set.
   const ChangeImpact& beginRun(const NetworkModel& model, DistSimOptions& options);
 
-  // Erases the run's transient blobs and evicts the cache to budget. Call
-  // *after* intent verification: buildGlobalRib reads the run's result blobs.
+  // Erases the run's transient blobs and evicts the cache to budget.
   void endRun();
 
-  // Builds the global RIB for `merged` — the RIBs a route run over
-  // `resultKeys` (DistributedSimulator::routeResultKeys()) produced — from
-  // cached per-subtask fragments plus freshly rendered dirty ones, instead of
-  // re-rendering every row. Caches fragments under `cas/g/<key fp>`;
-  // byte-identical to `GlobalRib::fromNetworkRibs(merged)` by construction,
-  // falling back to exactly that whenever any key is not content-addressed
-  // (a cacheless run stores under transient `run<N>/` keys) or a needed blob
-  // was evicted. The returned table is finalized and the caller's alone: the
-  // engine keeps only the fragments. `lastRibAssembly()` reports what
-  // happened; `incr.rib.{fragment_hits,fragment_misses,rows_skipped}` count
-  // across runs.
+  // `GlobalRib::fromNetworkRibs(merged)`; `resultKeys` is unused. Kept, with
+  // lastRibAssembly, for callers that still build the table through the
+  // engine.
   std::unique_ptr<const rcl::GlobalRib> buildGlobalRib(
       const NetworkRibs& merged, std::span<const std::string> resultKeys);
   const RibAssemblyStats& lastRibAssembly() const { return lastAssembly_; }
@@ -109,9 +95,6 @@ class IncrementalEngine {
   std::string runPrefix_;
 
   obs::Telemetry* telemetry_ = nullptr;  // Set by bindTelemetry; never null.
-  obs::Counter* fragmentHits_ = nullptr;
-  obs::Counter* fragmentMisses_ = nullptr;
-  obs::Counter* rowsSkipped_ = nullptr;
 };
 
 }  // namespace hoyan::incr

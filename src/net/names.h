@@ -8,12 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace hoyan {
 
@@ -37,7 +38,17 @@ class Names {
     return it->second;
   }
 
-  // Returns the string for a previously created id.
+  // Returns the id for `name` if it was created, without creating one.
+  static std::optional<NameId> find(std::string_view name) {
+    Names& table = instance();
+    std::shared_lock lock(table.mutex_);
+    const auto it = table.ids_.find(std::string(name));
+    if (it == table.ids_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  // Returns the string for a previously created id. The reference stays
+  // valid for the life of the process, across later ids.
   static const std::string& str(NameId id) {
     Names& table = instance();
     std::shared_lock lock(table.mutex_);
@@ -52,7 +63,9 @@ class Names {
 
   std::shared_mutex mutex_;
   std::unordered_map<std::string, NameId> ids_;
-  std::vector<std::string> strings_;  // Indexed by NameId.
+  // Indexed by NameId. A deque, so push_back never moves the strings that
+  // str() handed out.
+  std::deque<std::string> strings_;
 };
 
 }  // namespace hoyan

@@ -37,8 +37,6 @@ CountNames countNames(JournalEventType type) {
       return {{"bytes"}};
     case JournalEventType::kImpact:
       return {{"dirty_devices", "dirty_ranges"}};
-    case JournalEventType::kRibAssembly:
-      return {{"fragment_hits", "fragment_misses", "rows_reused", "rows_rendered"}};
     case JournalEventType::kSweepPlan:
       return {{"enumerated", "pruned", "deduped", "scheduled"}};
     case JournalEventType::kSweepVerdict:
@@ -69,7 +67,6 @@ std::string_view journalEventTypeName(JournalEventType type) {
     case JournalEventType::kSubtaskExhaust: return "subtask_exhaust";
     case JournalEventType::kSubtaskCancel: return "subtask_cancel";
     case JournalEventType::kSubtaskFinish: return "subtask_finish";
-    case JournalEventType::kRibAssembly: return "rib_assembly";
     case JournalEventType::kSweepPlan: return "sweep_plan";
     case JournalEventType::kSweepVerdict: return "sweep_verdict";
     case JournalEventType::kSweepResult: return "sweep_result";
@@ -248,13 +245,6 @@ void RunJournal::impact(std::string_view verdict, std::string_view reason,
                         size_t dirtyDevices, size_t dirtyRanges) {
   record({.type = JournalEventType::kImpact, .key = reason, .note = verdict,
           .counts = {dirtyDevices, dirtyRanges}});
-}
-
-void RunJournal::ribAssembly(std::string_view outcome, size_t fragmentHits,
-                             size_t fragmentMisses, size_t rowsReused,
-                             size_t rowsRendered) {
-  record({.type = JournalEventType::kRibAssembly, .note = outcome,
-          .counts = {fragmentHits, fragmentMisses, rowsReused, rowsRendered}});
 }
 
 void RunJournal::sweepPlan(std::string_view phase, size_t enumerated, size_t pruned,

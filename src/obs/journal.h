@@ -3,7 +3,7 @@
 // with an options fingerprint, phase transitions, the full subtask lifecycle
 // (enqueue/start/finish/retry/exhaust/cancel with durations and worker ids),
 // incremental-cache decisions (hit/miss/evict/bypass with content keys),
-// change-impact verdicts, and RIB-fragment assembly outcomes.
+// and change-impact verdicts.
 //
 // Where metrics answer "how much" and traces answer "when", the journal
 // answers "why was this run shaped the way it was": it is the durable,
@@ -69,7 +69,6 @@ enum class JournalEventType : uint8_t {
   kSubtaskExhaust,
   kSubtaskCancel,
   kSubtaskFinish,
-  kRibAssembly,
   kSweepPlan,
   kSweepVerdict,
   kSweepResult,
@@ -106,9 +105,9 @@ class RunJournal {
 
   // Whether the journal records. A call site whose argument construction
   // allocates (std::to_string etc.) may check this first, but only for an
-  // event the run registry ignores (sweep, policy-kernel and rib-assembly
-  // events). The emitters below early-return when nothing listens, so
-  // allocation-free call sites need no guard.
+  // event the run registry ignores (sweep and policy-kernel events). The
+  // emitters below early-return when nothing listens, so allocation-free
+  // call sites need no guard.
   bool enabled() const { return enabled_; }
 
   // --- run lifecycle --------------------------------------------------------
@@ -148,9 +147,6 @@ class RunJournal {
   // `verdict`: "base" | "scoped" | "all_dirty".
   void impact(std::string_view verdict, std::string_view reason,
               size_t dirtyDevices, size_t dirtyRanges);
-  // `outcome`: "assembled" | "bypassed".
-  void ribAssembly(std::string_view outcome, size_t fragmentHits,
-                   size_t fragmentMisses, size_t rowsReused, size_t rowsRendered);
 
   // --- k-failure sweep (src/sweep) -----------------------------------------
   // The sweep's enumeration outcome: scenarios enumerated, how many were

@@ -130,7 +130,7 @@ class RunRegistry {
   // Applies one journal event. A run_begin opens a run and makes it current
   // (verification runs are sequential per process); run_end closes it,
   // "failed" when any subtask exhausted its retries; everything else lands
-  // on the current run. Events with no live state (sweep, rib_assembly, ...)
+  // on the current run. Events with no live state (sweep, policy_kernel, ...)
   // are ignored.
   void handle(const RunJournal::Fields& event);
   void beginRun(std::string_view name);

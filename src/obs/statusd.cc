@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "net/names.h"
@@ -254,8 +255,11 @@ HttpResponse StatusServer::handleExplain(std::string_view query) const {
   }
   auto prefix = Prefix::parse(prefixText);
   if (!prefix) return errorResponse(400, "unparsable prefix");
+  // Looked up, never interned: a client's names must not grow the table.
+  const std::optional<NameId> deviceId = Names::find(device);
+  if (!deviceId) return errorResponse(404, "unknown device");
   HttpResponse response;
-  response.body = provenance->explainJson(Names::id(device), *prefix) + "\n";
+  response.body = provenance->explainJson(*deviceId, *prefix) + "\n";
   return response;
 }
 

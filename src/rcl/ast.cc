@@ -41,7 +41,7 @@ bool Predicate::eval(const RibRow& row) const {
         switch (field) {
           case Field::kDevice: return (row.device == value.text) == want;
           case Field::kVrf: return (row.vrf == value.text) == want;
-          case Field::kAsPath: return (row.asPath == value.text) == want;
+          case Field::kAsPath: return (row.asPath.str() == value.text) == want;
           case Field::kPrefix: {
             if (!eqCache.init) {
               eqCache.prefix = Prefix::parse(value.text);

@@ -17,7 +17,7 @@
 namespace hoyan {
 namespace {
 
-std::vector<std::string> renderedRows(const NetworkRibs& ribs) {
+std::vector<std::string> rowTexts(const NetworkRibs& ribs) {
   const rcl::GlobalRib global = rcl::GlobalRib::fromNetworkRibs(ribs);
   std::vector<std::string> out;
   out.reserve(global.size());
@@ -58,22 +58,22 @@ class DeterminismTest : public ::testing::Test {
 };
 
 TEST_F(DeterminismTest, RepeatedRunsProduceIdenticalGlobalRibs) {
-  const auto first = renderedRows(runDistributed(4, 16));
-  const auto second = renderedRows(runDistributed(4, 16));
+  const auto first = rowTexts(runDistributed(4, 16));
+  const auto second = rowTexts(runDistributed(4, 16));
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], second[i]) << i;
 }
 
 TEST_F(DeterminismTest, WorkerCountDoesNotChangeResults) {
-  const auto two = renderedRows(runDistributed(2, 16));
-  const auto eight = renderedRows(runDistributed(8, 16));
+  const auto two = rowTexts(runDistributed(2, 16));
+  const auto eight = rowTexts(runDistributed(8, 16));
   ASSERT_EQ(two.size(), eight.size());
   for (size_t i = 0; i < two.size(); ++i) EXPECT_EQ(two[i], eight[i]) << i;
 }
 
 TEST_F(DeterminismTest, SubtaskCountDoesNotChangeResults) {
-  const auto few = renderedRows(runDistributed(4, 4));
-  const auto many = renderedRows(runDistributed(4, 64));
+  const auto few = rowTexts(runDistributed(4, 4));
+  const auto many = rowTexts(runDistributed(4, 64));
   ASSERT_EQ(few.size(), many.size());
   for (size_t i = 0; i < few.size(); ++i) EXPECT_EQ(few[i], many[i]) << i;
 }
@@ -142,8 +142,8 @@ TEST_F(DeterminismTest, IncrementalWarmRunsAreByteIdenticalToColdRuns) {
     for (const ChangePlan* plan : {&scoped, &allDirty, &scoped}) {
       const ChangeVerificationResult coldResult = cold->verifyChange(*plan, intents);
       const ChangeVerificationResult warmResult = warm->verifyChange(*plan, intents);
-      const auto coldRows = renderedRows(coldResult.updatedRibs);
-      const auto warmRows = renderedRows(warmResult.updatedRibs);
+      const auto coldRows = rowTexts(coldResult.updatedRibs);
+      const auto warmRows = rowTexts(warmResult.updatedRibs);
       ASSERT_EQ(coldRows.size(), warmRows.size()) << plan->name << " w" << workers;
       for (size_t i = 0; i < coldRows.size(); ++i)
         ASSERT_EQ(coldRows[i], warmRows[i]) << plan->name << " w" << workers;
@@ -228,8 +228,8 @@ TEST_F(DeterminismTest, RandomizedChangePlansMatchWarmVsCold) {
   for (const ChangePlan& plan : plans) {
     const ChangeVerificationResult coldResult = cold->verifyChange(plan, intents);
     const ChangeVerificationResult warmResult = warm->verifyChange(plan, intents);
-    const auto coldRows = renderedRows(coldResult.updatedRibs);
-    const auto warmRows = renderedRows(warmResult.updatedRibs);
+    const auto coldRows = rowTexts(coldResult.updatedRibs);
+    const auto warmRows = rowTexts(warmResult.updatedRibs);
     ASSERT_EQ(coldRows.size(), warmRows.size()) << plan.name;
     for (size_t i = 0; i < coldRows.size(); ++i)
       ASSERT_EQ(coldRows[i], warmRows[i]) << plan.name << " row " << i;
@@ -327,7 +327,7 @@ TEST_F(DeterminismTest, PolicyMemoIsInvisibleUnderRandomizedPolicies) {
     DistributedSimulator simulator(model, options);
     DistRouteResult result = simulator.runRouteSimulation(inputs_);
     EXPECT_TRUE(result.succeeded);
-    return renderedRows(result.ribs);
+    return rowTexts(result.ribs);
   };
   const auto oracle = run(3, false);
   ASSERT_GT(oracle.size(), 0u);

@@ -26,7 +26,7 @@ using testing::buildSmallWan;
 using testing::ispRoute;
 using testing::SmallWan;
 
-std::vector<std::string> renderedRows(const NetworkRibs& ribs) {
+std::vector<std::string> rowTexts(const NetworkRibs& ribs) {
   const rcl::GlobalRib global = rcl::GlobalRib::fromNetworkRibs(ribs);
   std::vector<std::string> out;
   out.reserve(global.size());
@@ -329,8 +329,8 @@ TEST_F(IncrementalEndToEndTest, WarmRunMatchesColdRunWithCacheHits) {
     EXPECT_TRUE(warmResult.incrementalUsed);
 
     // Byte-identical RIBs, matching verdicts, matching loads.
-    const auto coldRows = renderedRows(coldResult.updatedRibs);
-    const auto warmRows = renderedRows(warmResult.updatedRibs);
+    const auto coldRows = rowTexts(coldResult.updatedRibs);
+    const auto warmRows = rowTexts(warmResult.updatedRibs);
     ASSERT_EQ(coldRows.size(), warmRows.size()) << plan.name;
     for (size_t i = 0; i < coldRows.size(); ++i)
       ASSERT_EQ(coldRows[i], warmRows[i]) << plan.name << " row " << i;
@@ -450,8 +450,8 @@ TEST(SubtaskCacheTest, EvictionAtScaleIsFastExactAndInLruOrder) {
   }
   ASSERT_EQ(cache.entryCount(), kEntries);
   ASSERT_EQ(cache.totalBytes(), kEntries * kBytesEach);
-  // Re-touch the first half so the *insertion-order oldest* become newest.
-  for (size_t i = 0; i < kEntries / 2; ++i) ASSERT_TRUE(cache.touch(keys[i]));
+  // Re-use the first half so the *insertion-order oldest* become newest.
+  for (size_t i = 0; i < kEntries / 2; ++i) ASSERT_TRUE(cache.lookup(keys[i]));
 
   const auto start = std::chrono::steady_clock::now();
   cache.evictToBudget();
@@ -461,7 +461,7 @@ TEST(SubtaskCacheTest, EvictionAtScaleIsFastExactAndInLruOrder) {
   EXPECT_EQ(cache.entryCount(), kEntries / 2);
   EXPECT_EQ(cache.totalBytes(), kEntries / 2 * kBytesEach);
   for (size_t i = 0; i < kEntries; ++i)
-    EXPECT_EQ(cache.touch(keys[i]), i < kEntries / 2) << i;
+    EXPECT_EQ(cache.lookup(keys[i]), i < kEntries / 2) << i;
 }
 
 TEST(SubtaskCacheTest, EvictionByteAccountingRoundTripsToZero) {
@@ -577,7 +577,7 @@ TEST(IncrementalEngineTest, BeginRunReclaimsAnAbandonedRunsTransients) {
 TEST(IncrementalEngineTest, ReportsIntoTheRunContextWhateverTheCallOrder) {
   // Regression: the engine used to keep whatever context existed when
   // enableIncremental ran, so enabling it before configureTelemetry lost
-  // the impact and rib_assembly events and the incr.* counters.
+  // the impact events and the incr.* counters.
   const auto run = [](bool engineFirst) {
     const SmallWan net = buildSmallWan();
     Hoyan hoyan(net.topology, net.configs);
@@ -602,18 +602,15 @@ TEST(IncrementalEngineTest, ReportsIntoTheRunContextWhateverTheCallOrder) {
     std::string counters;
     for (const char* name :
          {"incr.cache.hits", "incr.cache.misses", "incr.cache.evictions",
-          "incr.cache.bypasses", "incr.rib.fragment_hits", "incr.rib.fragment_misses",
-          "incr.rib.rows_skipped"})
+          "incr.cache.bypasses"})
       counters += std::string(name) + "=" +
                   std::to_string(telemetry.metrics().counter(name).value()) + "\n";
-    size_t impacts = 0, assemblies = 0, misses = 0;
+    size_t impacts = 0, misses = 0;
     for (const obs::JournalEvent& event : telemetry.journal().events()) {
       impacts += event.type == obs::JournalEventType::kImpact ? 1 : 0;
-      assemblies += event.type == obs::JournalEventType::kRibAssembly ? 1 : 0;
       misses += event.type == obs::JournalEventType::kCacheMiss ? 1 : 0;
     }
     EXPECT_EQ(impacts, 2u) << engineFirst;     // preprocess + verifyChange.
-    EXPECT_EQ(assemblies, 2u) << engineFirst;
     EXPECT_GT(misses, 0u) << engineFirst;
     EXPECT_EQ(telemetry.metrics().counter("incr.cache.misses").value(), misses)
         << engineFirst;

@@ -98,7 +98,6 @@ std::vector<inspect::Event> makeJournalEvents() {
   journal.cacheMiss("route", "route-1", "cas/r/1");
   journal.cacheBypass("prov_filter_mismatch", "route-1", "cas/r/1");
   journal.cacheEvict("cas/r/stale", 1024);
-  journal.ribAssembly("assembled", 5, 1, 900, 10);
   journal.runEnd("warm", 0.020);
 
   std::vector<inspect::Event> events;
@@ -131,8 +130,6 @@ TEST(InspectAggregateTest, BuildsPerRunPhaseAndCacheStats) {
   EXPECT_EQ(warm.impactVerdict, "scoped");
   EXPECT_EQ(warm.cacheBypasses, 1u);
   EXPECT_EQ(warm.cacheEvictions, 1u);
-  EXPECT_EQ(warm.ribOutcome, "assembled");
-  EXPECT_EQ(warm.ribRowsReused, 900.0);
 }
 
 TEST(InspectSweepTest, AggregatesAndRendersSweepEvents) {

@@ -52,7 +52,6 @@ void emitAllEventTypes(obs::RunJournal& journal) {
   journal.subtaskExhaust("route", "route-2", 3, 1);
   journal.subtaskCancel("route", "route-3", 1);
   journal.subtaskFinish("route", "route-1", 2, 0, 0.0123);
-  journal.ribAssembly("assembled", 10, 2, 9000, 48);
   journal.sweepPlan("fault_sweep", 300, 20, 12, 268);
   journal.sweepVerdict("fault_sweep", "s000007", false, "cas/k/0123", 2);
   journal.sweepResult("fault_sweep", 300, 1, 240, 0);
@@ -64,7 +63,7 @@ void emitAllEventTypes(obs::RunJournal& journal) {
 TEST(JournalTest, EveryEventTypeValidatesAgainstTheInspectSchema) {
   obs::RunJournal journal({.enabled = true});
   emitAllEventTypes(journal);
-  EXPECT_EQ(journal.eventCount(), 20u);
+  EXPECT_EQ(journal.eventCount(), 19u);
 
   std::string error;
   EXPECT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
@@ -98,12 +97,12 @@ TEST(JournalTest, OperationalExportCarriesOrderAndSummary) {
   std::vector<inspect::Event> events;
   std::string error;
   ASSERT_TRUE(inspect::parseJournal(journal.toJsonl(), events, error)) << error;
-  ASSERT_EQ(events.size(), 21u);  // 20 events + the summary line.
+  ASSERT_EQ(events.size(), 20u);  // 19 events + the summary line.
   // seq is record order.
-  for (size_t i = 0; i < 20; ++i)
+  for (size_t i = 0; i < 19; ++i)
     EXPECT_EQ(events[i].num("seq").value_or(-1), static_cast<double>(i)) << i;
   EXPECT_EQ(events.back().ev, "journal_summary");
-  EXPECT_EQ(events.back().num("events").value_or(-1), 20.0);
+  EXPECT_EQ(events.back().num("events").value_or(-1), 19.0);
   EXPECT_EQ(events.back().num("dropped").value_or(-1), 0.0);
   // Volatile attribution is present operationally...
   EXPECT_TRUE(events[8].field("worker"));   // subtask_start
@@ -167,7 +166,6 @@ TEST(JournalTest, DisabledEmittersDoNotAllocate) {
   journal.subtaskRetry(phase, id, 1);
   journal.subtaskExhaust(phase, id, 3);
   journal.subtaskFinish(phase, id, 1, 0, 0.5);
-  journal.ribAssembly(phase, 1, 2, 3, 4);
   journal.sweepPlan(phase, 1, 2, 3, 4);
   journal.sweepVerdict(phase, id, true, key, 1);
   journal.sweepResult(phase, 1, 2, 3, 4);

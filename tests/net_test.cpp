@@ -1,13 +1,18 @@
 // Unit and property tests for the net module: addresses, prefixes, tries,
-// communities, AS paths, routes.
+// communities, AS paths, routes, interned names.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "net/as_path.h"
 #include "net/community.h"
 #include "net/flow.h"
 #include "net/ip.h"
+#include "net/names.h"
 #include "net/prefix_trie.h"
 #include "net/route.h"
 
@@ -362,6 +367,37 @@ TEST(NamesTest, InterningIsStableAndBidirectional) {
   EXPECT_EQ(id1, id2);
   EXPECT_EQ(Names::str(id1), "some-router");
   EXPECT_NE(Names::id("other"), id1);
+}
+
+TEST(NamesTest, StrReferencesSurviveNewNames) {
+  const NameId id = Names::id("names-test-anchor");
+  const std::string* held = &Names::str(id);
+  for (int i = 0; i < 4096; ++i) Names::id("names-test-grow-" + std::to_string(i));
+  EXPECT_EQ(&Names::str(id), held);
+  EXPECT_EQ(*held, "names-test-anchor");
+  EXPECT_EQ(Names::find("names-test-anchor"), id);
+  EXPECT_FALSE(Names::find("names-test-never-interned"));
+  EXPECT_FALSE(Names::find("names-test-never-interned")) << "find interned the name";
+}
+
+TEST(NamesTest, ReadsWhileAnotherThreadInterns) {
+  std::vector<NameId> ids;
+  for (int i = 0; i < 64; ++i)
+    ids.push_back(Names::id("names-reader-" + std::to_string(i)));
+  std::atomic<bool> done{false};
+  std::thread writer([&done] {
+    for (int i = 0; i < 20000; ++i) Names::id("names-writer-" + std::to_string(i));
+    done.store(true);
+  });
+  size_t mismatches = 0;
+  do {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const std::string& name = Names::str(ids[i]);
+      if (name != "names-reader-" + std::to_string(i)) ++mismatches;
+    }
+  } while (!done.load());
+  writer.join();
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/hoyan.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
+#include "obs/provenance.h"
 #include "obs/run_registry.h"
 #include "obs/statusd.h"
 #include "obs/telemetry.h"
@@ -432,6 +433,27 @@ TEST_F(StatusHandleTest, ErrorStatuses) {
   JsonValue root;
   ASSERT_TRUE(statusclient::parseJson(error.body, root));
   EXPECT_FALSE(root.str("error").empty());
+}
+
+TEST_F(StatusHandleTest, ExplainAnswers404ForAnUnknownDeviceWithoutInterningIt) {
+  obs::ProvenanceOptions options;
+  options.enabled = true;
+  obs::ProvenanceRecorder recorder(options);
+  telemetry_.attach(&recorder);
+  const std::string device = "EXPLAIN-NEVER-SEEN";
+  ASSERT_FALSE(Names::find(device));
+  auto unknown =
+      server_->handle("GET", "/explain?device=" + device + "&prefix=10.0.0.0/24");
+  EXPECT_EQ(unknown.status, 404);
+  JsonValue root;
+  ASSERT_TRUE(statusclient::parseJson(unknown.body, root)) << unknown.body;
+  EXPECT_EQ(root.str("error"), "unknown device");
+  EXPECT_FALSE(Names::find(device)) << "/explain interned a client's device name";
+  // An interned device with no recorded events still answers.
+  Names::id("EXPLAIN-KNOWN");
+  EXPECT_EQ(
+      server_->handle("GET", "/explain?device=EXPLAIN-KNOWN&prefix=10.0.0.0/24").status,
+      200);
 }
 
 TEST(StatusServerDetachedTest, EndpointsAnswer503WithoutSources) {

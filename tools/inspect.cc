@@ -211,8 +211,6 @@ const std::map<std::string, std::vector<std::string>>& eventSchema() {
       {"subtask_exhaust", {"phase", "id", "attempt"}},
       {"subtask_cancel", {"phase", "id", "attempt"}},
       {"subtask_finish", {"phase", "id", "attempt"}},
-      {"rib_assembly",
-       {"note", "fragment_hits", "fragment_misses", "rows_reused", "rows_rendered"}},
       {"sweep_plan",
        {"phase", "note", "enumerated", "pruned", "deduped", "scheduled"}},
       {"sweep_verdict", {"phase", "id", "note", "key", "shared"}},
@@ -305,12 +303,6 @@ JournalStats aggregate(const std::vector<Event>& events) {
     } else if (event.ev == "impact") {
       run.impactVerdict = event.str("note");
       run.impactReason = event.str("key");
-    } else if (event.ev == "rib_assembly") {
-      run.ribOutcome = event.str("note");
-      run.ribFragmentHits = event.num("fragment_hits").value_or(0);
-      run.ribFragmentMisses = event.num("fragment_misses").value_or(0);
-      run.ribRowsReused = event.num("rows_reused").value_or(0);
-      run.ribRowsRendered = event.num("rows_rendered").value_or(0);
     } else if (event.ev == "sweep_plan") {
       run.sweepSeen = true;
       run.sweepHintSource = event.str("note");
@@ -374,17 +366,6 @@ std::string renderSummary(const JournalStats& stats) {
         out += ", " + std::to_string(phase.exhausted) + " exhausted";
       if (phase.cancelled > 0)
         out += ", " + std::to_string(phase.cancelled) + " cancelled";
-      out += '\n';
-    }
-    if (!run.ribOutcome.empty()) {
-      out += "  rib_assembly: " + run.ribOutcome;
-      if (run.ribOutcome == "assembled")
-        out += " (" + std::to_string(static_cast<uint64_t>(run.ribFragmentHits)) +
-               " fragment hits, " +
-               std::to_string(static_cast<uint64_t>(run.ribRowsReused)) +
-               " rows reused, " +
-               std::to_string(static_cast<uint64_t>(run.ribRowsRendered)) +
-               " rendered)";
       out += '\n';
     }
     if (run.sweepSeen) {
@@ -613,21 +594,6 @@ std::string renderDiff(const JournalStats& cold, const JournalStats& warm) {
                std::to_string(b.cacheHits);
       out += "]";
     }
-    out += '\n';
-  }
-
-  // RIB assembly attribution from the last run of each journal.
-  const RunStats* coldRun = cold.runs.empty() ? nullptr : &cold.runs.back();
-  const RunStats* warmRun = warm.runs.empty() ? nullptr : &warm.runs.back();
-  if (coldRun && warmRun &&
-      (!coldRun->ribOutcome.empty() || !warmRun->ribOutcome.empty())) {
-    out += "  rib_assembly: " +
-           (coldRun->ribOutcome.empty() ? std::string("-") : coldRun->ribOutcome) +
-           " -> " +
-           (warmRun->ribOutcome.empty() ? std::string("-") : warmRun->ribOutcome);
-    if (warmRun->ribOutcome == "assembled")
-      out += " (" + std::to_string(static_cast<uint64_t>(warmRun->ribRowsReused)) +
-             " rows reused)";
     out += '\n';
   }
 

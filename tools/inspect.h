@@ -81,11 +81,6 @@ struct RunStats {
   size_t cacheEvictions = 0;
   std::string impactVerdict;   // "base" | "scoped" | "all_dirty" | "".
   std::string impactReason;
-  std::string ribOutcome;      // Last rib_assembly note.
-  double ribRowsReused = 0;
-  double ribRowsRendered = 0;
-  double ribFragmentHits = 0;
-  double ribFragmentMisses = 0;
   // k-failure sweep accounting (sweep_plan / sweep_verdict / sweep_result).
   bool sweepSeen = false;
   std::string sweepHintSource;  // sweep_plan note: "derived"|"caller"|"none".
@@ -145,8 +140,8 @@ struct WorkerStats {
 std::vector<WorkerStats> workerUtilization(const std::vector<Event>& events);
 std::string renderWorkers(const std::vector<WorkerStats>& workers);
 
-// Cold-vs-warm diff: phase wall-time deltas plus the cache/assembly facts
-// that explain them. Warns when the two journals' options fingerprints
+// Cold-vs-warm diff: phase wall-time deltas plus the cache facts that
+// explain them. Warns when the two journals' options fingerprints
 // differ (the runs were not configured identically).
 std::string renderDiff(const JournalStats& cold, const JournalStats& warm);
 
