@@ -5,7 +5,9 @@
 #include "sim/local_routes.h"
 
 #include <algorithm>
+#include <functional>
 #include <random>
+#include <stdexcept>
 
 namespace hoyan {
 namespace {
@@ -33,14 +35,38 @@ JobPolicy subtaskPolicy(const DistSimOptions& options) {
                    options.workerFailureProbability, options.failureSeed};
 }
 
-// Records how a queued subtask settled in the status database.
-void settleRecord(SubtaskDb& db, const std::string& id, const JobOutcome& outcome) {
-  db.update(id, [&](SubtaskRecord& r) {
-    r.status = outcome.succeeded ? SubtaskStatus::kSucceeded : SubtaskStatus::kFailed;
-    r.attempts = outcome.attempts;
-    r.runtimeSeconds = outcome.seconds;
-  });
-}
+// One row of a phase's job table, indexed by the JobRunner job index. The
+// master fills it at split time and records in it how each queued job
+// settled (the executor's settle callback is serialized); a worker touches
+// only its own job's row.
+struct JobRecord {
+  SubtaskMetric metric;
+  std::string inputKey;  // Transient input blob; empty when served from cache.
+  std::string resultKey;
+  bool succeeded = false;
+
+  void settle(const JobOutcome& outcome) {
+    succeeded = outcome.succeeded;
+    metric.attempts = outcome.attempts;
+    metric.seconds = outcome.seconds;
+  }
+  // Served from the result cache at split time: never queued.
+  void serveFromCache() {
+    succeeded = true;
+    metric.attempts = 0;
+    metric.fromCache = true;
+  }
+};
+
+struct RouteJob : JobRecord {
+  std::optional<IpRange> coverage;
+  bool local = false;
+};
+
+struct TrafficJob : JobRecord {
+  std::vector<std::string> ribKeys;  // Route files it loads, in subtask order.
+  TrafficSubtaskResult output;
+};
 
 // Destination range of a traffic subtask's flows.
 std::optional<IpRange> destinationRange(std::span<const Flow> flows) {
@@ -57,18 +83,16 @@ std::optional<IpRange> destinationRange(std::span<const Flow> flows) {
 // The order a phase splits its inputs in: sorted by `less` under the ordering
 // strategy (§3.2, done offline by the input building services), shuffled by
 // `shuffleSeed` under the random one. An unchanged input set reuses the
-// split-plan cache's sorted copy instead of re-sorting (ordering strategy
+// cache's memoized sorted copy instead of re-sorting (ordering strategy
 // only: the shuffle is seeded per run).
 template <typename T, typename Less>
-std::shared_ptr<const std::vector<T>> splitOrder(
-    std::span<const T> inputs, const DistSimOptions& options, Less less,
-    uint64_t shuffleSeed,
-    std::shared_ptr<const std::vector<T>> (SplitPlanCache::*cached)(std::span<const T>),
-    void (SplitPlanCache::*store)(std::shared_ptr<const std::vector<T>>)) {
+std::shared_ptr<const std::vector<T>> splitOrder(std::span<const T> inputs,
+                                                 const DistSimOptions& options,
+                                                 Less less, uint64_t shuffleSeed) {
   const bool sorted = options.strategy == SplitStrategy::kOrdering;
-  SplitPlanCache* cache = sorted ? options.splitCache : nullptr;
+  SubtaskResultCache* cache = sorted ? options.cache : nullptr;
   if (cache)
-    if (auto hit = (cache->*cached)(inputs)) return hit;
+    if (auto hit = cache->cachedOrder(inputs)) return hit;
   std::vector<T> ordered(inputs.begin(), inputs.end());
   if (sorted) {
     std::stable_sort(ordered.begin(), ordered.end(), less);
@@ -77,12 +101,34 @@ std::shared_ptr<const std::vector<T>> splitOrder(
     std::shuffle(ordered.begin(), ordered.end(), rng);
   }
   auto shared = std::make_shared<const std::vector<T>>(std::move(ordered));
-  if (cache) (cache->*store)(shared);
+  if (cache) cache->storeOrder(shared);
   return shared;
 }
 
+// The forwarding RIB over route result files, merged in the order given:
+// merge, dedupe, re-select, index. The master and every traffic worker build
+// theirs here. `each` sees every loaded result before its routes merge.
+NetworkRibs buildRib(ObjectStore& store, std::span<const std::string> keys,
+                     const std::function<void(const RouteSubtaskResult&)>& each = {}) {
+  NetworkRibs ribs;
+  for (const std::string& key : keys) {
+    const auto file = store.get<RouteSubtaskResult>(key);
+    if (each) each(*file);
+    ribs.merge(file->ribs);
+  }
+  dedupeRoutes(ribs);
+  reselectAll(ribs);
+  ribs.buildForwardingIndex();
+  return ribs;
+}
+
 size_t approxRouteBytes(size_t routes) { return routes * 96; }
-size_t approxRibBytes(const NetworkRibs& ribs) { return ribs.routeCount() * 96; }
+// A route result blob: its routes, its stats and its recorded events.
+size_t approxResultBytes(const RouteSubtaskResult& result) {
+  constexpr size_t kStatsBytes = 128;
+  return approxRouteBytes(result.ribs.routeCount()) + kStatsBytes +
+         (result.events ? result.events->payloadBytes() : 0);
+}
 size_t approxFlowBytes(size_t flows) { return flows * 48; }
 
 }  // namespace
@@ -95,13 +141,20 @@ DistributedSimulator::DistributedSimulator(const NetworkModel& model,
   if (options_.workers == 0) options_.workers = 1;
   if (options_.routeSubtasks == 0) options_.routeSubtasks = 1;
   if (options_.trafficSubtasks == 0) options_.trafficSubtasks = 1;
-  store_ = options_.store ? options_.store : &ownStore_;
+  store_ = options_.cache ? &options_.cache->store() : &ownStore_;
   obs::MetricsRegistry& metrics = telemetry_.metrics();
   store_->bindTelemetry(
       &metrics.gauge("store.blobs", "Live blobs in the object store."),
       &metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs."),
       &metrics.counter("store.bytes_read", "Bytes read from the object store."),
       &metrics.counter("store.bytes_written", "Bytes written to the object store."));
+}
+
+std::vector<std::string> DistributedSimulator::routeResultKeys() const {
+  std::vector<std::string> keys;
+  keys.reserve(routeFiles_.size());
+  for (const RouteFile& file : routeFiles_) keys.push_back(file.resultKey);
+  return keys;
 }
 
 DistRouteResult DistributedSimulator::runRouteSimulation(
@@ -112,7 +165,7 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   tel.log().info("route.task.start", {{"inputs", std::to_string(inputs.size())},
                                       {"workers", std::to_string(options_.workers)}});
   DistRouteResult result;
-  routeResultKeys_.clear();
+  routeFiles_.clear();
   // Master-side provenance sink: the explicit option, else the context's
   // recorder. Subtasks record into private recorders; the master appends
   // them in subtask order below, so the merged event log is identical for
@@ -122,22 +175,21 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
                                       : tel.provenance();
   if (prov && !prov->enabled()) prov = nullptr;
   // Result cache: recording runs participate too. Every executed subtask
-  // stores its event log under `<result key>#prov`, so a later
-  // hit *replays* the original execution's events at merge time. A hit is
-  // only served when a blob recorded under the same filter/caps is resident;
-  // otherwise the subtask re-runs (never replaying mismatched events).
+  // stores its event log in its result blob, so a later hit *replays* the
+  // original execution's events at merge time. A recording run is served a
+  // hit only when the blob's events were recorded under the same
+  // filter/caps; otherwise the subtask re-runs and overwrites the blob.
   SubtaskResultCache* cache = options_.cache;
+  const std::string transient = cache ? cache->transientPrefix() : "";
   obs::RunJournal& journal = tel.journal();
   const uint64_t provFp =
       prov ? obs::provenanceOptionsFingerprint(prov->options()) : 0;
   // True when serving a hit on `resultKey` would not lose or corrupt this
-  // run's provenance. A missing *result* blob is a plain miss, not a bypass.
+  // run's provenance. A missing result blob is a plain miss, not a bypass.
   const auto provReplayable = [&](const std::string& resultKey) {
-    if (!prov) return true;
-    if (!store_->contains(resultKey)) return true;
-    const std::string provKey = resultKey + "#prov";
-    return store_->contains(provKey) &&
-           store_->get<obs::RecordedRouteEvents>(provKey)->filterFp == provFp;
+    if (!prov || !store_->contains(resultKey)) return true;
+    const auto& events = store_->get<RouteSubtaskResult>(resultKey)->events;
+    return events && events->filterFp == provFp;
   };
 
   // --- master: prepare subtasks -------------------------------------------
@@ -153,32 +205,34 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
         if (!(lastA == lastB)) return lastA < lastB;
         return a.route.prefix < b.route.prefix;
       },
-      options_.failureSeed * 7919 + 13, &SplitPlanCache::cachedRouteOrder,
-      &SplitPlanCache::storeRouteOrder);
+      options_.failureSeed * 7919 + 13);
   const std::span<const InputRoute> ordered(*orderedInputs);
 
   const size_t subtaskCount = std::min(options_.routeSubtasks,
                                        std::max<size_t>(ordered.size(), 1));
-  JobRunner jobs(tel, subtaskNames("route"), subtaskPolicy(options_));
-  // The split-time cache decision. A hit is served from the store at merge
-  // time (a cache read, not sim work): never queued, inputs never uploaded.
-  const auto servedFromCache = [&](size_t job, SubtaskRecord& record) {
-    if (!cache) return false;
+  JobRunner runner(tel, subtaskNames("route"), subtaskPolicy(options_));
+  std::vector<RouteJob> jobs;
+  jobs.reserve(subtaskCount + 1);
+  // Adds a job to the table with the split-time cache decision. A hit is
+  // served from the store at merge time (a cache read, not sim work): never
+  // queued, inputs never uploaded.
+  const auto addJob = [&](const std::string& id, std::string resultKey) {
+    const size_t job = runner.add(id);
+    RouteJob& record = jobs.emplace_back();
+    record.metric.id = id;
+    record.resultKey = std::move(resultKey);
+    if (!cache) return job;
     if (!provReplayable(record.resultKey)) {
       cache->noteBypass();
-      jobs.cacheBypass(job, "prov_filter_mismatch", record.resultKey);
-      return false;
+      runner.cacheBypass(job, "prov_filter_mismatch", record.resultKey);
+    } else if (!cache->lookup(record.resultKey)) {
+      runner.cacheMiss(job, record.resultKey);
+    } else {
+      runner.cacheHit(job, record.resultKey);
+      record.serveFromCache();
+      ++result.cacheHits;
     }
-    if (!cache->lookup(record.resultKey)) {
-      jobs.cacheMiss(job, record.resultKey);
-      return false;
-    }
-    jobs.cacheHit(job, record.resultKey);
-    record.status = SubtaskStatus::kSucceeded;
-    record.attempts = 0;
-    record.fromCache = true;
-    ++result.cacheHits;
-    return true;
+    return job;
   };
   size_t cursor = 0;
   for (size_t i = 0; i < subtaskCount; ++i) {
@@ -192,56 +246,46 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
     cursor = end;
     if (begin >= end) continue;
     const std::span<const InputRoute> slice(ordered.data() + begin, end - begin);
-    SubtaskRecord record;
-    record.id = "route-" + std::to_string(jobs.size());
-    record.inputKey = options_.keyPrefix + record.id + "/input";
-    record.resultKey = options_.keyPrefix + record.id + "/result";
+    const std::string id = "route-" + std::to_string(runner.size());
     // Record the address range the subtask's routes cover (§3.2).
     IpRange range{slice.front().route.prefix.firstAddress(),
                   slice.front().route.prefix.lastAddress()};
     for (const InputRoute& input : slice) range.extend(input.route.prefix);
+    const size_t job =
+        addJob(id, cache ? cache->routeResultKey(slice, range) : transient + id + "/result");
+    RouteJob& record = jobs[job];
     record.coverage = range;
-    if (cache) record.resultKey = cache->routeResultKey(slice, record.coverage);
-    const size_t job = jobs.add(record.id);
-    if (!servedFromCache(job, record)) {
-      store_->put(record.inputKey,
-                  std::vector<InputRoute>(slice.begin(), slice.end()),
-                  approxRouteBytes(end - begin));
-      jobs.enqueue(job);
-    }
-    db_.upsert(std::move(record));
+    if (record.metric.fromCache) continue;
+    record.inputKey = transient + id + "/input";
+    store_->put(record.inputKey, std::vector<InputRoute>(slice.begin(), slice.end()),
+                approxRouteBytes(slice.size()));
+    runner.enqueue(job);
   }
   // The dedicated local-routes subtask (direct/static/IS-IS).
-  const size_t localJob = jobs.add("route-local");
-  {
-    SubtaskRecord record;
-    record.id = "route-local";
-    record.resultKey = cache ? cache->localRoutesResultKey()
-                             : options_.keyPrefix + record.id + "/result";
-    if (!servedFromCache(localJob, record)) jobs.enqueue(localJob);
-    db_.upsert(std::move(record));
-  }
-  splitSpan.arg("subtasks", std::to_string(jobs.size()));
+  const size_t localJob = addJob(
+      "route-local", cache ? cache->localRoutesResultKey() : transient + "route-local/result");
+  jobs[localJob].local = true;
+  if (!jobs[localJob].metric.fromCache) runner.enqueue(localJob);
+  splitSpan.arg("subtasks", std::to_string(runner.size()));
   splitSpan.finish();
   result.splitSeconds = splitSpan.seconds();
   journal.phaseEnd("route.split", splitSpan.seconds());
-  tel.metrics().counter("dist.route.subtasks").add(jobs.size());
+  tel.metrics().counter("dist.route.subtasks").add(runner.size());
 
   // --- workers --------------------------------------------------------------
-  std::vector<RouteSimStats> executedStats(jobs.size());  // One writer per job.
-  const JobReport report = jobs.run(
+  const JobReport report = runner.run(
       [&](size_t job, int) {
-        const auto record = db_.get(jobs.id(job));
+        const RouteJob& record = jobs[job];
         obs::Span executeSpan = tel.tracer().span("route.subtask.execute", "dist");
-        NetworkRibs ribs;
+        RouteSubtaskResult output;
         // Private per-subtask recorder (same filter/caps as the master's):
         // concurrent subtasks must not interleave events in a shared sink.
         obs::ProvenanceRecorder subProv(prov ? prov->options()
                                              : obs::ProvenanceOptions{});
-        if (job == localJob) {
-          installLocalRoutes(model_, ribs, prov ? &subProv : nullptr);
+        if (record.local) {
+          installLocalRoutes(model_, output.ribs, prov ? &subProv : nullptr);
         } else {
-          const auto chunk = store_->get<std::vector<InputRoute>>(record->inputKey);
+          const auto chunk = store_->get<std::vector<InputRoute>>(record.inputKey);
           RouteSimOptions subOptions = options_.routeOptions;
           subOptions.includeLocalRoutes = false;
           subOptions.telemetry = &telemetry_;
@@ -250,31 +294,17 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
           // after merging); selection events come from the merged RIBs below.
           subOptions.provenanceSelectionEvents = false;
           RouteSimResult subResult = simulateRoutes(model_, *chunk, subOptions);
-          ribs = std::move(subResult.ribs);
-          executedStats[job] = subResult.stats;
+          output.ribs = std::move(subResult.ribs);
+          output.stats = subResult.stats;
         }
         executeSpan.finish();
         obs::Span uploadSpan = tel.tracer().span("route.subtask.upload", "dist");
-        const size_t resultBytes = approxRibBytes(ribs);
-        store_->put(record->resultKey, std::move(ribs), resultBytes);
-        size_t provBytes = 0;
-        if (prov) {
-          // The event log rides along under `<result key>#prov` so a future
-          // recording run's hit replays these exact events.
-          obs::RecordedRouteEvents log{provFp, subProv.snapshot()};
-          provBytes = log.payloadBytes();
-          store_->put(record->resultKey + "#prov", std::move(log), provBytes);
-        }
-        if (cache) {
-          // Replayable stats ride along so a future hit merges identically.
-          constexpr size_t kStatsBytes = 128;
-          store_->put(record->resultKey + "#stats", executedStats[job], kStatsBytes);
-          cache->stored(record->resultKey, resultBytes + kStatsBytes + provBytes);
-        }
+        if (prov) output.events = obs::RecordedRouteEvents{provFp, subProv.snapshot()};
+        const size_t resultBytes = approxResultBytes(output);
+        store_->put(record.resultKey, std::move(output), resultBytes);
+        if (cache) cache->stored(record.resultKey, resultBytes);
       },
-      [&](size_t job, const JobOutcome& outcome) {
-        settleRecord(db_, jobs.id(job), outcome);
-      });
+      [&](size_t job, const JobOutcome& outcome) { jobs[job].settle(outcome); });
   result.retries = report.retries;
   result.succeeded = report.exhausted.empty();
   result.failedSubtasks = report.exhausted;
@@ -282,39 +312,23 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   // --- master: collect results ----------------------------------------------
   journal.phaseBegin("route.merge");
   obs::Span mergeSpan = tel.tracer().span("route.merge", "dist");
-  for (size_t job = 0; job < jobs.size(); ++job) {
-    const auto record = db_.get(jobs.id(job));
-    if (!record || record->status != SubtaskStatus::kSucceeded) continue;
-    const auto ribs = store_->get<NetworkRibs>(record->resultKey);
-    result.ribs.merge(*ribs);
-    if (!record->fromCache) {
-      result.stats.add(executedStats[job]);
-    } else if (const std::string statsKey = record->resultKey + "#stats";
-               store_->contains(statsKey)) {
-      // A cache hit replays the stats the original execution stored.
-      result.stats.add(*store_->get<RouteSimStats>(statsKey));
-    }
-    // Ordered provenance merge: append each subtask's event log in subtask-id
-    // order (not worker completion order), re-sequencing as we go. Cache hits
-    // replay the blob their original execution stored.
-    const std::string provKey = record->resultKey + "#prov";
-    if (prov && store_->contains(provKey)) {
-      prov->append(store_->get<obs::RecordedRouteEvents>(provKey)->events);
-    }
-    result.subtasks.push_back(SubtaskMetric{record->id, record->runtimeSeconds,
-                                            record->attempts, 0, 0,
-                                            record->fromCache});
-    routeResultKeys_.push_back(record->resultKey);
+  for (const RouteJob& record : jobs) {
+    result.subtasks.push_back(record.metric);
+    if (record.succeeded)
+      routeFiles_.push_back(RouteFile{record.resultKey, record.coverage, record.local});
   }
-  dedupeRoutes(result.ribs);
-  reselectAll(result.ribs);
+  // Stats and provenance come from the result blobs, so a cache hit replays
+  // what its original execution stored. Events append in subtask order (not
+  // worker completion order), re-sequenced as they go.
+  result.ribs = buildRib(*store_, routeResultKeys(), [&](const RouteSubtaskResult& file) {
+    result.stats.add(file.stats);
+    if (prov && file.events) prov->append(file.events->events);
+  });
   // Authoritative selection events from the merged, re-selected RIBs.
   if (prov) recordSelectionEvents(result.ribs, prov);
-  result.ribs.buildForwardingIndex();
   // One master-side kernel event per route phase: per-subtask sums are
   // deterministic (L1-level regex accounting), so the aggregate — and the
-  // canonical journal — is byte-identical for any worker count. Cache-served
-  // subtasks replay the stats their original execution stored.
+  // canonical journal — is byte-identical for any worker count.
   journal.policyKernel("route", result.stats.policy.memoHits,
                        result.stats.policy.memoMisses,
                        result.stats.policy.regexCacheHits,
@@ -322,6 +336,8 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   mergeSpan.finish();
   result.mergeSeconds = mergeSpan.seconds();
   journal.phaseEnd("route.merge", mergeSpan.seconds());
+  // The traffic phase must not forward over the RIBs of a partial run.
+  if (!result.succeeded) routeFiles_.clear();
   result.stats.installedRoutes = result.ribs.routeCount();
   result.stats.inputRoutes = inputs.size();
   taskSpan.finish();
@@ -336,6 +352,9 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
 
 DistTrafficResult DistributedSimulator::runTrafficSimulation(
     std::span<const Flow> flows) {
+  if (routeFiles_.empty())
+    throw std::logic_error(
+        "DistributedSimulator: traffic simulation needs a successful route run");
   obs::Telemetry& tel = telemetry_;
   obs::Span taskSpan = tel.tracer().span("traffic.task", "dist");
   taskSpan.arg("flows", std::to_string(flows.size()));
@@ -343,41 +362,21 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
                                         {"workers", std::to_string(options_.workers)}});
   DistTrafficResult result;
   const size_t storeReadsBefore = store_->bytesRead();
-  // Result cache: traffic subtasks record no provenance events, and with the
-  // route phase keeping its content keys under recording (events replay from
-  // `#prov` blobs), traffic content keys stay stable too — no bypass needed.
+  // Result cache: traffic subtasks record no provenance events, and the
+  // route phase keeps its content keys under recording, so traffic content
+  // keys stay stable too — no bypass needed.
   SubtaskResultCache* cache = options_.cache;
+  const std::string transient = cache ? cache->transientPrefix() : "";
   obs::RunJournal& journal = tel.journal();
 
-  // Snapshot route-subtask coverage for the dependency check; the split loop
-  // needs it too when the cache is on (a traffic subtask's content key names
-  // exactly the route result files it would load).
-  struct RouteFile {
-    std::string resultKey;
-    std::optional<IpRange> coverage;
-    bool isLocal = false;
-  };
-  std::vector<RouteFile> routeFiles;
-  for (const SubtaskRecord& record : db_.all()) {
-    if (record.id.rfind("route-", 0) != 0 || record.status != SubtaskStatus::kSucceeded)
-      continue;
-    routeFiles.push_back(
-        RouteFile{record.resultKey, record.coverage, record.id == "route-local"});
-  }
   // Dependency pruning (§3.2): a route result file is needed when its
   // recorded coverage overlaps the subtask's destination range. The
   // local-routes file is always needed (nexthop/loopback routes).
   const auto ribNeeded = [&](const RouteFile& file,
                              const std::optional<IpRange>& dstRange) {
-    return options_.loadAllRibs || file.isLocal || !file.coverage || !dstRange ||
+    return options_.loadAllRibs || file.local || !dstRange ||
            dstRange->overlaps(*file.coverage);
   };
-
-  // Per-subtask outputs (one writer per job), merged by the master in
-  // subtask order after the workers join: float addition is not associative,
-  // so merging in worker *completion* order made link loads depend on the
-  // worker count.
-  std::vector<TrafficSubtaskResult> outputs;
 
   // --- master: prepare subtasks ----------------------------------------------
   journal.phaseBegin("traffic.split");
@@ -385,112 +384,96 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
   // Order by destination address.
   const auto orderedFlows = splitOrder(
       flows, options_, [](const Flow& a, const Flow& b) { return a.dst < b.dst; },
-      options_.failureSeed * 104729 + 41, &SplitPlanCache::cachedFlowOrder,
-      &SplitPlanCache::storeFlowOrder);
+      options_.failureSeed * 104729 + 41);
   const std::span<const Flow> ordered(*orderedFlows);
 
   const size_t subtaskCount =
       std::min(options_.trafficSubtasks, std::max<size_t>(ordered.size(), 1));
-  JobRunner jobs(tel, subtaskNames("traffic"), subtaskPolicy(options_));
+  JobRunner runner(tel, subtaskNames("traffic"), subtaskPolicy(options_));
+  std::vector<TrafficJob> jobs;
+  jobs.reserve(subtaskCount);
   for (size_t i = 0; i < subtaskCount; ++i) {
     const size_t begin = ordered.size() * i / subtaskCount;
     const size_t end = ordered.size() * (i + 1) / subtaskCount;
     if (begin >= end) continue;
     const std::span<const Flow> slice(ordered.data() + begin, end - begin);
-    SubtaskRecord record;
-    record.id = "traffic-" + std::to_string(jobs.size());
-    record.inputKey = options_.keyPrefix + record.id + "/input";
-    record.resultKey = options_.keyPrefix + record.id + "/result";
-    const size_t job = jobs.add(record.id);
-    TrafficSubtaskResult& output = outputs.emplace_back();
+    const size_t job = runner.add("traffic-" + std::to_string(runner.size()));
+    TrafficJob& record = jobs.emplace_back();
+    record.metric.id = runner.id(job);
+    // The route files this subtask loads: named in its content key, read by
+    // its worker.
+    const std::optional<IpRange> dstRange = destinationRange(slice);
+    for (const RouteFile& file : routeFiles_)
+      if (ribNeeded(file, dstRange)) record.ribKeys.push_back(file.resultKey);
+    record.resultKey = transient + record.metric.id + "/result";
     if (cache) {
-      const std::optional<IpRange> dstRange = destinationRange(slice);
-      std::vector<std::string> ribKeys;
-      for (const RouteFile& file : routeFiles)
-        if (ribNeeded(file, dstRange)) ribKeys.push_back(file.resultKey);
-      record.resultKey = cache->trafficResultKey(slice, ribKeys);
+      record.resultKey = cache->trafficResultKey(slice, record.ribKeys);
       if (cache->lookup(record.resultKey)) {
-        jobs.cacheHit(job, record.resultKey);
-        output = *store_->get<TrafficSubtaskResult>(record.resultKey);
-        record.status = SubtaskStatus::kSucceeded;
-        record.attempts = 0;
-        record.fromCache = true;
-        db_.upsert(std::move(record));
+        runner.cacheHit(job, record.resultKey);
+        record.output = *store_->get<TrafficSubtaskResult>(record.resultKey);
+        record.serveFromCache();
         ++result.cacheHits;
         continue;
       }
-      jobs.cacheMiss(job, record.resultKey);
+      runner.cacheMiss(job, record.resultKey);
     }
+    record.inputKey = transient + record.metric.id + "/input";
     store_->put(record.inputKey, std::vector<Flow>(slice.begin(), slice.end()),
-                approxFlowBytes(end - begin));
-    db_.upsert(std::move(record));
-    jobs.enqueue(job);
+                approxFlowBytes(slice.size()));
+    runner.enqueue(job);
   }
 
-  splitSpan.arg("subtasks", std::to_string(jobs.size()));
+  splitSpan.arg("subtasks", std::to_string(runner.size()));
   splitSpan.finish();
   result.splitSeconds = splitSpan.seconds();
   journal.phaseEnd("traffic.split", splitSpan.seconds());
-  tel.metrics().counter("dist.traffic.subtasks").add(jobs.size());
+  tel.metrics().counter("dist.traffic.subtasks").add(runner.size());
 
   // --- workers -----------------------------------------------------------------
   obs::Counter& ribFilesLoaded = tel.metrics().counter("dist.traffic.rib_files_loaded");
   obs::Counter& ribFilesSkipped = tel.metrics().counter("dist.traffic.rib_files_skipped");
-  const JobReport report = jobs.run(
+  const JobReport report = runner.run(
       [&](size_t job, int) {
-        const auto record = db_.get(jobs.id(job));
-        const auto chunk = store_->get<std::vector<Flow>>(record->inputKey);
-        const std::optional<IpRange> dstRange = destinationRange(*chunk);
+        TrafficJob& record = jobs[job];
+        const auto chunk = store_->get<std::vector<Flow>>(record.inputKey);
         obs::Span loadSpan = tel.tracer().span("traffic.subtask.load_ribs", "dist");
-        NetworkRibs ribs;
-        size_t loaded = 0;
-        for (const RouteFile& file : routeFiles) {
-          if (!ribNeeded(file, dstRange)) continue;
-          const auto part = store_->get<NetworkRibs>(file.resultKey);
-          ribs.merge(*part);
-          ++loaded;
-        }
-        dedupeRoutes(ribs);
-        reselectAll(ribs);
-        ribs.buildForwardingIndex();
+        const NetworkRibs ribs = buildRib(*store_, record.ribKeys);
+        const size_t loaded = record.ribKeys.size();
         loadSpan.arg("loaded", std::to_string(loaded));
         loadSpan.finish();
         ribFilesLoaded.add(loaded);
-        ribFilesSkipped.add(routeFiles.size() - loaded);
+        ribFilesSkipped.add(routeFiles_.size() - loaded);
         obs::Span executeSpan = tel.tracer().span("traffic.subtask.execute", "dist");
         TrafficSimOptions subOptions = options_.trafficOptions;
         subOptions.telemetry = &telemetry_;
         const TrafficSimResult subResult =
             simulateTraffic(model_, ribs, *chunk, subOptions);
         executeSpan.finish();
-        TrafficSubtaskResult& output = outputs[job];
-        output = TrafficSubtaskResult{subResult.linkLoads, subResult.stats, loaded,
-                                      routeFiles.size()};
+        record.output = TrafficSubtaskResult{subResult.linkLoads, subResult.stats, loaded,
+                                             routeFiles_.size()};
         obs::Span uploadSpan = tel.tracer().span("traffic.subtask.upload", "dist");
-        const size_t resultBytes = output.linkLoads.size() * 24 + 128;
-        store_->put(record->resultKey, output, resultBytes);
-        if (cache) cache->stored(record->resultKey, resultBytes);
+        const size_t resultBytes = record.output.linkLoads.size() * 24 + 128;
+        store_->put(record.resultKey, record.output, resultBytes);
+        if (cache) cache->stored(record.resultKey, resultBytes);
       },
-      [&](size_t job, const JobOutcome& outcome) {
-        settleRecord(db_, jobs.id(job), outcome);
-      });
+      [&](size_t job, const JobOutcome& outcome) { jobs[job].settle(outcome); });
   result.retries = report.retries;
   result.succeeded = report.exhausted.empty();
   result.failedSubtasks = report.exhausted;
 
   // --- master: merge in fixed subtask order (determinism) -------------------
+  // Float addition is not associative, so merging in worker *completion*
+  // order would make link loads depend on the worker count.
   journal.phaseBegin("traffic.merge");
   obs::Span mergeSpan = tel.tracer().span("traffic.merge", "dist");
-  for (size_t job = 0; job < jobs.size(); ++job) {
-    const auto record = db_.get(jobs.id(job));
-    const TrafficSubtaskResult& output = outputs[job];
-    if (record->status == SubtaskStatus::kSucceeded) {
-      result.linkLoads.merge(output.linkLoads);
-      result.stats.add(output.stats);
+  for (TrafficJob& record : jobs) {
+    if (record.succeeded) {
+      result.linkLoads.merge(record.output.linkLoads);
+      result.stats.add(record.output.stats);
     }
-    result.subtasks.push_back(SubtaskMetric{record->id, record->runtimeSeconds,
-                                            record->attempts, output.ribFilesLoaded,
-                                            output.ribFilesTotal, record->fromCache});
+    record.metric.ribFilesLoaded = record.output.ribFilesLoaded;
+    record.metric.ribFilesTotal = record.output.ribFilesTotal;
+    result.subtasks.push_back(std::move(record.metric));
   }
   mergeSpan.finish();
   journal.phaseEnd("traffic.merge", mergeSpan.seconds());

@@ -2,9 +2,12 @@
 //
 // A simulation task is split by the master into subtasks over disjoint input
 // subsets; subtask descriptors travel through a message queue to working
-// servers (threads of the job executor, job_runner.h), inputs/results through
-// the object store, status through the subtask database. The executor retries
-// failures; the master merges results.
+// servers (threads of the job executor, job_runner.h), inputs and results
+// through the object store, one blob per subtask result. Each phase tracks
+// its subtasks in a job table, one record per executor job, filled at split
+// time and settled as the executor reports each job; the live run registry
+// (obs/run_registry.h) follows the same lifecycle through the journal. The
+// executor retries failures; the master merges results.
 //
 // The *ordering heuristic*: input routes are pre-sorted by the last address
 // of their prefix and split contiguously, each route subtask recording the
@@ -17,13 +20,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "dist/object_store.h"
 #include "dist/subtask_cache.h"
-#include "dist/subtask_db.h"
 #include "net/flow.h"
 #include "net/route.h"
 #include "obs/telemetry.h"
@@ -57,21 +60,12 @@ struct DistSimOptions {
   // unset. Resolved by Telemetry::resolve (null: the process global, else
   // the disabled context).
   obs::Telemetry* telemetry = nullptr;
-  // External object store shared across runs (the incremental engine's
-  // persistent store). Null = the simulator owns a private store, as before.
-  ObjectStore* store = nullptr;
-  // Content-addressed result cache (src/incr). Null = every subtask runs.
-  // Bypassed (with `noteBypass`) when provenance recording is active: cached
-  // subtasks cannot replay their decision events.
+  // The incremental engine's side of the run (src/incr): the shared store
+  // and this run's transient namespace in it, content-addressed result keys,
+  // and the split-order memo. Null = the simulator owns a private store and
+  // every subtask runs. A recording run is served a route hit only when the
+  // blob's events were recorded under its filter; it replays them.
   SubtaskResultCache* cache = nullptr;
-  // Cross-run sorted-order cache for the split loops (src/incr). Null = sort
-  // per run, as before. Only consulted under SplitStrategy::kOrdering.
-  SplitPlanCache* splitCache = nullptr;
-  // Namespace for this run's transient blobs (subtask inputs, provenance
-  // logs, uncached results) inside a shared store, e.g. "run7/"; the engine
-  // erases the prefix after the run. Cached result blobs are stored under
-  // their content keys, outside the prefix.
-  std::string keyPrefix;
 };
 
 struct SubtaskMetric {
@@ -86,7 +80,7 @@ struct SubtaskMetric {
 struct DistRouteResult {
   NetworkRibs ribs;  // Merged, re-selected, forwarding index built.
   RouteSimStats stats;
-  std::vector<SubtaskMetric> subtasks;
+  std::vector<SubtaskMetric> subtasks;  // Every job in subtask order, failed ones too.
   double elapsedSeconds = 0;
   double splitSeconds = 0;  // Master: ordering + splitting + uploading inputs.
   double mergeSeconds = 0;  // Master: merging results + re-selection + index.
@@ -100,7 +94,7 @@ struct DistRouteResult {
 struct DistTrafficResult {
   LinkLoadMap linkLoads;
   TrafficSimStats stats;
-  std::vector<SubtaskMetric> subtasks;
+  std::vector<SubtaskMetric> subtasks;  // Every job in subtask order, failed ones too.
   double elapsedSeconds = 0;
   double splitSeconds = 0;  // Master: ordering + splitting + uploading inputs.
   size_t retries = 0;
@@ -121,27 +115,33 @@ class DistributedSimulator {
 
   DistRouteResult runRouteSimulation(std::span<const InputRoute> inputs);
 
-  // Requires a prior successful runRouteSimulation (its per-subtask results
-  // are still in the store).
+  // Forwards over the result files of the last runRouteSimulation; throws
+  // std::logic_error when that run did not happen or did not succeed.
   DistTrafficResult runTrafficSimulation(std::span<const Flow> flows);
 
-  const SubtaskDb& db() const { return db_; }
-  const ObjectStore& store() const { return *store_; }
-  // Result keys of the last successful route run, in merge order (the last
-  // one is the local-routes subtask).
-  const std::vector<std::string>& routeResultKeys() const { return routeResultKeys_; }
+  // Result keys of the last successful route run, in subtask order (the last
+  // one is the local-routes subtask); empty after a failed one.
+  std::vector<std::string> routeResultKeys() const;
   // The context this run reports into (possibly the process-wide disabled
   // instance).
   obs::Telemetry& telemetry() const { return telemetry_; }
 
  private:
+  // One result file of a successful route subtask.
+  struct RouteFile {
+    std::string resultKey;
+    std::optional<IpRange> coverage;  // The §3.2 range its routes cover.
+    bool local = false;  // The local-routes file: every traffic subtask loads it.
+  };
+
   const NetworkModel& model_;
   DistSimOptions options_;
   obs::Telemetry& telemetry_;  // Telemetry::resolve(options.telemetry).
-  ObjectStore ownStore_;       // Used when options.store is null.
-  ObjectStore* store_;         // Resolved: options -> ownStore_.
-  SubtaskDb db_;
-  std::vector<std::string> routeResultKeys_;  // Ordered; last is local-routes.
+  ObjectStore ownStore_;       // Used when options.cache is null.
+  ObjectStore* store_;         // Resolved: the cache's store, else ownStore_.
+  // The last route run's files in subtask order; empty unless it succeeded
+  // (a successful run always has the local-routes file).
+  std::vector<RouteFile> routeFiles_;
 };
 
 }  // namespace hoyan

@@ -1,12 +1,14 @@
-// The result-cache seam of the distributed simulator.
+// The one seam between the distributed simulator and the incremental engine.
 //
-// `DistributedSimulator` consults an optional `SubtaskResultCache` at split
-// time: the cache maps each subtask's inputs to a content-addressed result
-// key; when the keyed result is already resident in the (shared, cross-run)
-// ObjectStore, the subtask is marked succeeded without being queued and the
-// master merges the stored blob — a cache read, not simulation work. The
-// implementation lives in src/incr (`incr::SubtaskCache`); dist only defines
-// the seam so the layering stays dist ← incr ← core.
+// `DistributedSimulator` runs over an optional `SubtaskResultCache`. The
+// cache hands it the shared, cross-run ObjectStore and this run's transient
+// key namespace in it, maps each subtask's inputs to a content-addressed
+// result key, and memoizes the split order of an unchanged input set. When a
+// keyed result is already resident, the subtask is marked succeeded without
+// being queued and the master merges the stored blob: a cache read, not
+// simulation work. The implementation lives in src/incr
+// (`incr::SubtaskCache`); dist only defines the seam so the layering stays
+// dist ← incr ← core.
 #pragma once
 
 #include <cstddef>
@@ -16,16 +18,26 @@
 #include <string>
 #include <vector>
 
+#include "dist/object_store.h"
 #include "net/flow.h"
 #include "net/ip.h"
 #include "net/route.h"
+#include "obs/provenance.h"
+#include "sim/route_sim.h"
 #include "sim/traffic_sim.h"
 
 namespace hoyan {
 
-// The cached payload of one traffic subtask (the store blob under its
-// content key). Route subtasks store their `NetworkRibs` under the content
-// key and their `RouteSimStats` under `<key>#stats`.
+// The one store blob a route subtask leaves under its result key: its RIBs,
+// the stats a cache hit replays, and, when the run recorded provenance, its
+// decision events tagged with the recorder's filter fingerprint.
+struct RouteSubtaskResult {
+  NetworkRibs ribs;
+  RouteSimStats stats;
+  std::optional<obs::RecordedRouteEvents> events;
+};
+
+// The one store blob a traffic subtask leaves under its result key.
 struct TrafficSubtaskResult {
   LinkLoadMap linkLoads;
   TrafficSimStats stats;
@@ -37,15 +49,32 @@ class SubtaskResultCache {
  public:
   virtual ~SubtaskResultCache() = default;
 
+  // The store cached results live in, and the namespace ("run7/") of the
+  // current run's transient blobs in it: subtask inputs and uncached
+  // results, erased when the run ends.
+  virtual ObjectStore& store() = 0;
+  virtual std::string transientPrefix() = 0;
+
+  // The split-order memo. Returns the sorted copy of a sequence whose raw,
+  // pre-sort content matches the one last stored; null means the caller
+  // sorts and hands the result to storeOrder. Only consulted under the
+  // ordering strategy: a random shuffle is seeded per run.
+  virtual std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
+      std::span<const InputRoute> inputs) = 0;
+  virtual std::shared_ptr<const std::vector<Flow>> cachedOrder(
+      std::span<const Flow> flows) = 0;
+  virtual void storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) = 0;
+  virtual void storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) = 0;
+
   // Content-addressed result key for a route subtask over `chunk` with the
   // recorded §3.2 coverage range.
   virtual std::string routeResultKey(std::span<const InputRoute> chunk,
                                      const std::optional<IpRange>& coverage) = 0;
   // Key for the dedicated local-routes subtask.
   virtual std::string localRoutesResultKey() = 0;
-  // Key for a traffic subtask over `chunk` that would load exactly the route
-  // result files named by `ribKeys` (content keys, in snapshot order) — route
-  // dirtiness composes into traffic keys through them.
+  // Key for a traffic subtask over `chunk` that loads exactly the route
+  // result files named by `ribKeys` (content keys, in subtask order), so
+  // route dirtiness composes into traffic keys through them.
   virtual std::string trafficResultKey(std::span<const Flow> chunk,
                                        std::span<const std::string> ribKeys) = 0;
 
@@ -55,31 +84,9 @@ class SubtaskResultCache {
   // Tells the cache a worker stored `bytes` under `key` this run (for LRU
   // byte accounting). Called from worker threads; must be thread-safe.
   virtual void stored(const std::string& key, size_t bytes) = 0;
-  // The run skipped the cache entirely (e.g. provenance recording is active,
-  // which cached subtasks cannot replay).
+  // A resident result was not served: its blob carries no provenance events
+  // recorded under this run's filter, so the subtask re-runs.
   virtual void noteBypass() = 0;
-};
-
-// Master-side split-plan cache seam: memoizes the sorted input order across
-// runs so an unchanged route/flow input set is not re-sorted (and its chunks
-// not re-fingerprinted) per run — on fully-warm runs the sort is the master's
-// largest fixed cost. Only consulted under the ordering strategy: a random
-// shuffle is seeded per run and must not be reused. Implemented in src/incr
-// (`incr::SplitCache`); dist only defines the seam.
-class SplitPlanCache {
- public:
-  virtual ~SplitPlanCache() = default;
-
-  // Returns the cached sorted copy when `inputs` matches — by content
-  // fingerprint — the sequence the cached order was built from; null means
-  // the caller must sort and hand the result to the matching store method.
-  virtual std::shared_ptr<const std::vector<InputRoute>> cachedRouteOrder(
-      std::span<const InputRoute> inputs) = 0;
-  virtual void storeRouteOrder(
-      std::shared_ptr<const std::vector<InputRoute>> ordered) = 0;
-  virtual std::shared_ptr<const std::vector<Flow>> cachedFlowOrder(
-      std::span<const Flow> flows) = 0;
-  virtual void storeFlowOrder(std::shared_ptr<const std::vector<Flow>> ordered) = 0;
 };
 
 }  // namespace hoyan

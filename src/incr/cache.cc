@@ -1,7 +1,7 @@
 #include "incr/cache.h"
 
 #include <algorithm>
-#include <vector>
+#include <utility>
 
 #include "incr/fingerprint.h"
 
@@ -39,6 +39,82 @@ void SubtaskCache::beginRun(const CacheFingerprints& fingerprints,
   std::lock_guard lock(mutex_);
   fingerprints_ = fingerprints;
   impact_ = impact;
+  if (!transient_.empty()) store_->erasePrefix(transient_);
+  transient_ = "run" + std::to_string(++runs_) + "/";
+}
+
+void SubtaskCache::endRun() {
+  {
+    std::lock_guard lock(mutex_);
+    if (transient_.empty()) return;
+    store_->erasePrefix(transient_);
+    transient_.clear();
+  }
+  evictToBudget();
+}
+
+std::string SubtaskCache::transientPrefix() {
+  std::lock_guard lock(mutex_);
+  return transient_;
+}
+
+template <typename T, typename HashFn>
+std::shared_ptr<const std::vector<T>> SubtaskCache::lookupOrder(OrderMemo<T>& memo,
+                                                                std::span<const T> inputs,
+                                                                HashFn hash) {
+  const uint64_t fp = hash(inputs);
+  std::lock_guard lock(mutex_);
+  if (memo.order && memo.sourceFp == fp) return memo.order;
+  memo.probeFp = fp;
+  return nullptr;
+}
+
+template <typename T>
+void SubtaskCache::bindOrder(OrderMemo<T>& memo,
+                             std::shared_ptr<const std::vector<T>> ordered) {
+  std::lock_guard lock(mutex_);
+  memo.order = std::move(ordered);
+  memo.sourceFp = std::exchange(memo.probeFp, std::nullopt);
+  memo.chunkFps.clear();
+}
+
+template <typename T, typename HashFn>
+uint64_t SubtaskCache::chunkFingerprint(OrderMemo<T>& memo, std::span<const T> chunk,
+                                        HashFn hash) {
+  std::unique_lock lock(mutex_);
+  const T* base = memo.order ? memo.order->data() : nullptr;
+  if (!base || chunk.data() < base ||
+      chunk.data() + chunk.size() > base + memo.order->size()) {
+    lock.unlock();
+    return hash(chunk);
+  }
+  const uint64_t memoKey = (static_cast<uint64_t>(chunk.data() - base) << 32) |
+                           static_cast<uint32_t>(chunk.size());
+  const auto it = memo.chunkFps.find(memoKey);
+  if (it != memo.chunkFps.end()) return it->second;
+  lock.unlock();
+  const uint64_t fp = hash(chunk);
+  lock.lock();
+  memo.chunkFps.emplace(memoKey, fp);
+  return fp;
+}
+
+std::shared_ptr<const std::vector<InputRoute>> SubtaskCache::cachedOrder(
+    std::span<const InputRoute> inputs) {
+  return lookupOrder(routeOrder_, inputs, fingerprintInputRouteChunk);
+}
+
+std::shared_ptr<const std::vector<Flow>> SubtaskCache::cachedOrder(
+    std::span<const Flow> flows) {
+  return lookupOrder(flowOrder_, flows, fingerprintFlowChunk);
+}
+
+void SubtaskCache::storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) {
+  bindOrder(routeOrder_, std::move(ordered));
+}
+
+void SubtaskCache::storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) {
+  bindOrder(flowOrder_, std::move(ordered));
 }
 
 std::string SubtaskCache::routeResultKey(std::span<const InputRoute> chunk,
@@ -53,13 +129,9 @@ std::string SubtaskCache::routeResultKey(std::span<const InputRoute> chunk,
                                       : fingerprints_.currentModel;
     optionsFp = fingerprints_.routeOptions;
   }
-  uint64_t chunkFp = 0;
-  std::optional<uint64_t> memo;
-  if (splitCache_) memo = splitCache_->routeChunkFingerprint(chunk);
-  chunkFp = memo ? *memo : fingerprintInputRouteChunk(chunk);
   Fnv1a h;
   h.mix(kTagRoute).mix(modelFp).mix(optionsFp);
-  h.mix(chunkFp);
+  h.mix(chunkFingerprint(routeOrder_, chunk, fingerprintInputRouteChunk));
   return "cas/r/" + fingerprintHex(h.digest());
 }
 
@@ -78,9 +150,7 @@ std::string SubtaskCache::trafficResultKey(std::span<const Flow> chunk,
     h.mix(kTagTraffic).mix(fingerprints_.forwardingState)
         .mix(fingerprints_.trafficOptions);
   }
-  std::optional<uint64_t> memo;
-  if (splitCache_) memo = splitCache_->flowChunkFingerprint(chunk);
-  h.mix(memo ? *memo : fingerprintFlowChunk(chunk));
+  h.mix(chunkFingerprint(flowOrder_, chunk, fingerprintFlowChunk));
   // Route dirtiness composes in transitively: a dirty route subtask has a new
   // content key, which changes every traffic key that loads its file.
   h.mix(static_cast<uint64_t>(ribKeys.size()));
@@ -141,8 +211,6 @@ void SubtaskCache::evictToBudget() {
       heap.pop_back();
       const std::string key = *victim.key;  // Outlive the node erase below.
       store_->erase(key);
-      store_->erase(key + "#stats");  // Route results ride with stats
-      store_->erase(key + "#prov");   // and recording runs with event logs.
       totalBytes_ -= victim.bytes;
       entries_.erase(key);
       evictions_->add(1);

@@ -21,12 +21,23 @@
 // Residency is bounded by a byte budget with LRU eviction at run boundaries
 // (`evictToBudget`). Hits/misses/evictions/bypasses are exported through
 // `incr.cache.*` metrics.
+//
+// The cache is the simulator's whole view of the engine: it also names each
+// run's transient namespace in the shared store and memoizes the split
+// order. An unchanged input set, matched by the fingerprint of the raw,
+// pre-sort sequence, reuses the previous run's sorted copy, and chunk
+// fingerprints over that copy are memoized by (offset, length), so
+// fully-warm runs skip both the O(n log n) sort and the per-subtask re-hash
+// of every chunk.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "dist/object_store.h"
 #include "dist/subtask_cache.h"
@@ -34,8 +45,6 @@
 #include "obs/telemetry.h"
 
 namespace hoyan::incr {
-
-class SplitCache;  // incr/fingerprint.h
 
 // Fingerprints of the run-wide inputs; per-subtask chunks are hashed at key
 // time. Computed once per run by the engine.
@@ -59,16 +68,22 @@ class SubtaskCache final : public SubtaskResultCache {
   // (the engine rebinds to each run's context). Not while a run is active.
   void bindTelemetry(obs::Telemetry& telemetry);
 
-  // Installs the run's fingerprints and change impact. Called by the engine
-  // before each simulation run.
+  // Installs the run's fingerprints and change impact and opens a fresh
+  // transient namespace ("run<N>/"), first erasing the blobs of a run that
+  // never reached endRun. Called by the engine before each simulation run.
   void beginRun(const CacheFingerprints& fingerprints, const ChangeImpact& impact);
-
-  // Optional split-plan cache: chunk fingerprints over its cached sorted
-  // vectors are memoized there, so warm-run key computation skips the
-  // per-chunk re-hash. Must outlive the cache (the engine owns both).
-  void setSplitCache(SplitCache* splitCache) { splitCache_ = splitCache; }
+  // Erases the run's transient blobs (cached results live under content keys
+  // outside the namespace) and evicts to budget. No-op outside a run.
+  void endRun();
 
   // SubtaskResultCache ------------------------------------------------------
+  ObjectStore& store() override { return *store_; }
+  std::string transientPrefix() override;
+  std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
+      std::span<const InputRoute> inputs) override;
+  std::shared_ptr<const std::vector<Flow>> cachedOrder(std::span<const Flow> flows) override;
+  void storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) override;
+  void storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) override;
   std::string routeResultKey(std::span<const InputRoute> chunk,
                              const std::optional<IpRange>& coverage) override;
   std::string localRoutesResultKey() override;
@@ -93,11 +108,30 @@ class SubtaskCache final : public SubtaskResultCache {
     uint64_t lastUsed = 0;  // Logical clock ticks, not wall time.
   };
 
+  // The memoized split order of one input kind.
+  template <typename T>
+  struct OrderMemo {
+    std::optional<uint64_t> sourceFp;  // The raw sequence `order` was sorted from.
+    std::optional<uint64_t> probeFp;   // The last missed probe; storeOrder binds it.
+    std::shared_ptr<const std::vector<T>> order;
+    // (offset << 32 | length) -> chunk fingerprint, over `order`'s buffer.
+    std::unordered_map<uint64_t, uint64_t> chunkFps;
+  };
+
+  template <typename T, typename HashFn>
+  std::shared_ptr<const std::vector<T>> lookupOrder(OrderMemo<T>& memo,
+                                                    std::span<const T> inputs,
+                                                    HashFn hash);
+  template <typename T>
+  void bindOrder(OrderMemo<T>& memo, std::shared_ptr<const std::vector<T>> ordered);
+  // `hash(chunk)`, memoized when `chunk` lies in the memo's sorted buffer.
+  template <typename T, typename HashFn>
+  uint64_t chunkFingerprint(OrderMemo<T>& memo, std::span<const T> chunk, HashFn hash);
+
   void publishGaugesLocked();
 
   ObjectStore* store_;
   size_t budgetBytes_;
-  SplitCache* splitCache_ = nullptr;
 
   mutable std::mutex mutex_;
   CacheFingerprints fingerprints_;
@@ -105,6 +139,10 @@ class SubtaskCache final : public SubtaskResultCache {
   std::unordered_map<std::string, Entry> entries_;
   size_t totalBytes_ = 0;
   uint64_t clock_ = 0;
+  uint64_t runs_ = 0;
+  std::string transient_;  // This run's namespace; empty outside a run.
+  OrderMemo<InputRoute> routeOrder_;
+  OrderMemo<Flow> flowOrder_;
 
   // Bound by bindTelemetry; never null.
   obs::RunJournal* journal_ = nullptr;

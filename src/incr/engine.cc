@@ -8,7 +8,6 @@ namespace hoyan::incr {
 
 IncrementalEngine::IncrementalEngine(IncrementalOptions options)
     : cache_(std::make_unique<SubtaskCache>(&store_, options.cacheBudgetBytes)) {
-  cache_->setSplitCache(&splitCache_);
   bindTelemetry(obs::Telemetry::disabled());
 }
 
@@ -38,12 +37,6 @@ const ChangeImpact& IncrementalEngine::beginRun(const NetworkModel& model,
   if (!base_)
     throw std::logic_error("IncrementalEngine: beginRun before setBaseModel");
   bindTelemetry(obs::Telemetry::resolve(options.telemetry));
-  // A prior run that threw before reaching endRun leaves its transient blobs
-  // behind; reclaim them before handing out a new prefix.
-  if (!runPrefix_.empty()) {
-    store_.erasePrefix(runPrefix_);
-    runPrefix_.clear();
-  }
   const bool isBase = &model == base_;
   lastImpact_ = isBase ? ChangeImpact{} : analyzeChangeImpact(*base_, model);
 
@@ -54,13 +47,9 @@ const ChangeImpact& IncrementalEngine::beginRun(const NetworkModel& model,
   fps.localRouteState = fingerprintLocalRouteState(model);
   fps.routeOptions = fingerprintRouteOptions(options.routeOptions);
   fps.trafficOptions = fingerprintTrafficOptions(options.trafficOptions);
+  // Also reclaims the transient blobs of a run that threw before endRun.
   cache_->beginRun(fps, lastImpact_);
-
-  runPrefix_ = "run" + std::to_string(++runCounter_) + "/";
-  options.store = &store_;
   options.cache = cache_.get();
-  options.splitCache = &splitCache_;
-  options.keyPrefix = runPrefix_;
   lastAssembly_ = RibAssemblyStats{};
   const char* verdict = isBase ? "base" : lastImpact_.allDirty ? "all_dirty" : "scoped";
   telemetry_->journal().impact(verdict, isBase ? "base model run" : lastImpact_.reason,
@@ -69,12 +58,7 @@ const ChangeImpact& IncrementalEngine::beginRun(const NetworkModel& model,
   return lastImpact_;
 }
 
-void IncrementalEngine::endRun() {
-  if (runPrefix_.empty()) return;
-  store_.erasePrefix(runPrefix_);
-  runPrefix_.clear();
-  cache_->evictToBudget();
-}
+void IncrementalEngine::endRun() { cache_->endRun(); }
 
 std::unique_ptr<const rcl::GlobalRib> IncrementalEngine::buildGlobalRib(
     const NetworkRibs& merged, std::span<const std::string> /*resultKeys*/) {

@@ -11,16 +11,18 @@
 //   engine.endRun();                    // drop transients, evict to budget
 //
 // `beginRun` diffs the run's model against the base (impact.h), computes the
-// run's fingerprints, and points the DistSimOptions at the shared store and
-// cache with a fresh per-run key prefix ("run<N>/") for transient blobs —
-// subtask inputs, provenance logs, uncached results. `endRun` erases that
-// prefix (cached results live under content keys outside it) and LRU-evicts
-// the cache down to its byte budget.
+// run's fingerprints, opens a fresh transient namespace ("run<N>/") in the
+// shared store for subtask inputs and uncached results, and points
+// `options.cache` at the cache, the simulator's one seam to the engine (the
+// store and the namespace come through it). `endRun` erases the namespace
+// (cached results live under content keys outside it) and LRU-evicts the
+// cache down to its byte budget.
 //
 // The engine reports into the observability context of the run passed to
 // `beginRun` (its `telemetry`, resolved by Telemetry::resolve): the impact
 // event, `incr.*` metrics, cache evictions and the store's gauges, until the
-// next beginRun. Before its first run, into the disabled context.
+// next beginRun or bindTelemetry. Before its first run, into the disabled
+// context.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 #include "dist/dist_sim.h"
 #include "dist/object_store.h"
 #include "incr/cache.h"
-#include "incr/fingerprint.h"
 #include "incr/impact.h"
 #include "obs/telemetry.h"
 #include "proto/network_model.h"
@@ -59,8 +60,8 @@ class IncrementalEngine {
   // keyed on an older base survive only until evicted.
   void setBaseModel(const NetworkModel& model);
 
-  // Prepares `options` for a cache-aware run over `model`: installs the
-  // shared store, the cache, and a fresh transient key prefix. Returns the
+  // Prepares `options` for a cache-aware run over `model`: sets
+  // `options.cache` and opens the run's transient namespace. Returns the
   // change impact vs the base model (empty when `model` *is* the base).
   // Throws std::logic_error if no base model is set.
   const ChangeImpact& beginRun(const NetworkModel& model, DistSimOptions& options);
@@ -78,21 +79,20 @@ class IncrementalEngine {
   ObjectStore& store() { return store_; }
   SubtaskCache& cache() { return *cache_; }
 
- private:
-  // Points every instrument and event at `telemetry`. Done on every
-  // beginRun, never skipped for a context at the same address: a caller may
-  // destroy a run's context and build the next one where it stood.
+  // Points every instrument and event, the store's included, at
+  // `telemetry`. Done on every beginRun, and by a fault sweep before it
+  // touches the store; never skipped for a context at the same address: a
+  // caller may destroy a run's context and build the next one where it
+  // stood.
   void bindTelemetry(obs::Telemetry& telemetry);
 
+ private:
   ObjectStore store_;
   std::unique_ptr<SubtaskCache> cache_;
-  SplitCache splitCache_;
   const NetworkModel* base_ = nullptr;
   uint64_t baseModelFp_ = 0;
   ChangeImpact lastImpact_;
   RibAssemblyStats lastAssembly_;
-  uint64_t runCounter_ = 0;
-  std::string runPrefix_;
 
   obs::Telemetry* telemetry_ = nullptr;  // Set by bindTelemetry; never null.
 };

@@ -493,86 +493,4 @@ uint64_t fingerprintFlowChunk(std::span<const Flow> chunk) {
   return h.digest();
 }
 
-// --- split-plan cache -------------------------------------------------------
-
-template <typename T, typename HashFn>
-std::shared_ptr<const std::vector<T>> SplitCache::cachedOrder(OrderState<T>& state,
-                                                              std::span<const T> inputs,
-                                                              HashFn&& hash) {
-  const uint64_t fp = hash(inputs);
-  std::lock_guard lock(mutex_);
-  if (state.setValid && state.order && fp == state.setFp) {
-    ++state.reuses;
-    return state.order;
-  }
-  // Remember the probe so the storeOrder that follows a miss can bind the
-  // sorted copy to this raw sequence's fingerprint.
-  state.probeFp = fp;
-  state.probeValid = true;
-  return nullptr;
-}
-
-template <typename T>
-void SplitCache::storeOrder(OrderState<T>& state,
-                            std::shared_ptr<const std::vector<T>> ordered) {
-  std::lock_guard lock(mutex_);
-  state.order = std::move(ordered);
-  state.setFp = state.probeFp;
-  state.setValid = state.probeValid;
-  state.probeValid = false;
-  state.chunkFps.clear();
-}
-
-template <typename T, typename HashFn>
-std::optional<uint64_t> SplitCache::chunkFingerprint(OrderState<T>& state,
-                                                     std::span<const T> chunk,
-                                                     HashFn&& hash) {
-  std::unique_lock lock(mutex_);
-  if (!state.order) return std::nullopt;
-  const T* base = state.order->data();
-  if (chunk.data() < base || chunk.data() + chunk.size() > base + state.order->size())
-    return std::nullopt;
-  const uint64_t memoKey = (static_cast<uint64_t>(chunk.data() - base) << 32) |
-                           static_cast<uint32_t>(chunk.size());
-  const auto it = state.chunkFps.find(memoKey);
-  if (it != state.chunkFps.end()) return it->second;
-  lock.unlock();
-  const uint64_t fp = hash(chunk);
-  lock.lock();
-  state.chunkFps.emplace(memoKey, fp);
-  return fp;
-}
-
-std::shared_ptr<const std::vector<InputRoute>> SplitCache::cachedRouteOrder(
-    std::span<const InputRoute> inputs) {
-  return cachedOrder(routes_, inputs, fingerprintInputRouteChunk);
-}
-
-void SplitCache::storeRouteOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) {
-  storeOrder(routes_, std::move(ordered));
-}
-
-std::shared_ptr<const std::vector<Flow>> SplitCache::cachedFlowOrder(
-    std::span<const Flow> flows) {
-  return cachedOrder(flows_, flows, fingerprintFlowChunk);
-}
-
-void SplitCache::storeFlowOrder(std::shared_ptr<const std::vector<Flow>> ordered) {
-  storeOrder(flows_, std::move(ordered));
-}
-
-std::optional<uint64_t> SplitCache::routeChunkFingerprint(
-    std::span<const InputRoute> chunk) {
-  return chunkFingerprint(routes_, chunk, fingerprintInputRouteChunk);
-}
-
-std::optional<uint64_t> SplitCache::flowChunkFingerprint(std::span<const Flow> chunk) {
-  return chunkFingerprint(flows_, chunk, fingerprintFlowChunk);
-}
-
-size_t SplitCache::routeOrderReuses() const {
-  std::lock_guard lock(mutex_);
-  return routes_.reuses;
-}
-
 }  // namespace hoyan::incr

@@ -12,17 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "config/device_config.h"
-#include "dist/subtask_cache.h"
 #include "net/flow.h"
 #include "net/route.h"
 #include "proto/network_model.h"
@@ -138,59 +133,5 @@ uint64_t fingerprintTrafficOptions(const TrafficSimOptions& options);
 
 uint64_t fingerprintInputRouteChunk(std::span<const InputRoute> chunk);
 uint64_t fingerprintFlowChunk(std::span<const Flow> chunk);
-
-// --- split-plan cache -------------------------------------------------------
-
-// Cross-run sorted-order cache for the master's split loops (the engine wires
-// one into DistSimOptions::splitCache). An unchanged input set — matched by
-// the fingerprint of the raw, pre-sort sequence — reuses the previous run's
-// sorted copy; chunk fingerprints over the cached copy are memoized by
-// (offset, length), so fully-warm runs skip both the O(n log n) sort and the
-// per-subtask re-hash of every chunk.
-class SplitCache final : public SplitPlanCache {
- public:
-  std::shared_ptr<const std::vector<InputRoute>> cachedRouteOrder(
-      std::span<const InputRoute> inputs) override;
-  void storeRouteOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) override;
-  std::shared_ptr<const std::vector<Flow>> cachedFlowOrder(
-      std::span<const Flow> flows) override;
-  void storeFlowOrder(std::shared_ptr<const std::vector<Flow>> ordered) override;
-
-  // Memoized fingerprint for a chunk aliasing the cached sorted vector;
-  // nullopt when `chunk` is not backed by it (the caller hashes directly).
-  std::optional<uint64_t> routeChunkFingerprint(std::span<const InputRoute> chunk);
-  std::optional<uint64_t> flowChunkFingerprint(std::span<const Flow> chunk);
-
-  size_t routeOrderReuses() const;
-
- private:
-  template <typename T>
-  struct OrderState {
-    // Fingerprint of the raw sequence the cached order was sorted from, and
-    // the fingerprint of the most recent (not yet stored) probe.
-    uint64_t setFp = 0;
-    bool setValid = false;
-    uint64_t probeFp = 0;
-    bool probeValid = false;
-    std::shared_ptr<const std::vector<T>> order;
-    // (offset << 32 | length) -> chunk fingerprint, over `order`'s buffer.
-    std::unordered_map<uint64_t, uint64_t> chunkFps;
-    size_t reuses = 0;
-  };
-
-  template <typename T, typename HashFn>
-  std::shared_ptr<const std::vector<T>> cachedOrder(OrderState<T>& state,
-                                                    std::span<const T> inputs,
-                                                    HashFn&& hash);
-  template <typename T>
-  void storeOrder(OrderState<T>& state, std::shared_ptr<const std::vector<T>> ordered);
-  template <typename T, typename HashFn>
-  std::optional<uint64_t> chunkFingerprint(OrderState<T>& state, std::span<const T> chunk,
-                                           HashFn&& hash);
-
-  mutable std::mutex mutex_;
-  OrderState<InputRoute> routes_;
-  OrderState<Flow> flows_;
-};
 
 }  // namespace hoyan::incr

@@ -126,12 +126,12 @@ bool parseExplainTarget(const std::string& spec, std::string& device, Prefix& pr
 
 // --- cached event logs -------------------------------------------------------
 //
-// The cross-run result cache stores each subtask's event log under
-// `<result key>#prov` so recording runs can serve cache hits and *replay*
-// the original execution's decision events. `filterFp` pins the recorder
-// configuration the events were captured under — a log recorded under a
-// different prefix filter or cap set must not be replayed (the subtask
-// re-runs instead).
+// A recording run's route subtasks carry their event log in their result
+// blob (dist's `RouteSubtaskResult`), so recording runs can serve cache hits
+// and *replay* the original execution's decision events. `filterFp` pins
+// the recorder configuration the events were captured under — a log
+// recorded under a different prefix filter or cap set must not be replayed
+// (the subtask re-runs instead).
 struct RecordedRouteEvents {
   uint64_t filterFp = 0;
   std::vector<RouteEvent> events;

@@ -255,6 +255,9 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
     return deviceInert[device] = relevance->deviceInert(device);
   };
 
+  // The verdict cache lives in the engine's store, whose instruments still
+  // point at the context of the engine's last run, which may be gone.
+  if (options.incremental) options.incremental->bindTelemetry(tel);
   ObjectStore* store =
       options.incremental ? &options.incremental->store() : nullptr;
   const bool caching = store != nullptr && !hints.cacheId.empty();

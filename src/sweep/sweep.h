@@ -79,7 +79,8 @@ struct SweepOptions {
   // Resolved by Telemetry::resolve (null: the process global, else the
   // disabled context). Per-scenario simulations record no provenance.
   obs::Telemetry* telemetry = nullptr;
-  // Verdict-cache host; null disables caching (every job simulates).
+  // Verdict-cache host; null disables caching (every job simulates). The
+  // sweep binds it to `telemetry` before touching its store.
   incr::IncrementalEngine* incremental = nullptr;
 };
 

@@ -341,5 +341,31 @@ TEST(DeriveHintsHoyanTest, IntentSweepDerivesHintsAndMatchesSerial) {
                std::invalid_argument);
 }
 
+TEST(DeriveHintsHoyanTest, IntentSweepCountsStoreTrafficInItsOwnContext) {
+  // Regression: the engine's store kept the instruments of the context its
+  // last run reported into. A sweep after that context was destroyed wrote
+  // its cached verdicts through freed counters (and while it lived, counted
+  // them into the wrong run).
+  SmallWan net = buildSmallWan();
+  Hoyan hoyan(net.topology, net.configs);
+  hoyan.setInputRoutes({ispRoute(net, "100.1.0.0/16")});
+  DistSimOptions simOptions;
+  simOptions.workers = 2;
+  hoyan.setSimulationOptions(simOptions);
+  hoyan.enableIncremental();
+  hoyan.configureTelemetry({});
+  hoyan.preprocess();
+  hoyan.configureTelemetry({});  // Destroys the context preprocess reported into.
+
+  KFailureOptions failure;
+  failure.k = 1;
+  const sweep::SweepResult swept = hoyan.sweepIntentFaultTolerance(
+      "prefix = 100.1.0.0/16 => POST |> count() >= 1", failure);
+  ASSERT_GT(swept.stats.evaluated, 0u);
+  ASSERT_NE(hoyan.telemetry(), nullptr);
+  EXPECT_EQ(hoyan.telemetry()->metrics().counter("store.bytes_written").value(),
+            swept.stats.evaluated);  // One byte per cached verdict.
+}
+
 }  // namespace
 }  // namespace hoyan

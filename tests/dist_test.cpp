@@ -1,15 +1,16 @@
-// Tests of the distributed simulation framework: queue/store/db primitives,
+// Tests of the distributed simulation framework: queue/store primitives,
 // distributed == centralized result equivalence, failure retry, the ordering
 // heuristic's dependency pruning, and the random-split comparison.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <stdexcept>
 #include <thread>
 
 #include "dist/dist_sim.h"
 #include "dist/message_queue.h"
 #include "dist/object_store.h"
-#include "dist/subtask_db.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
 #include "obs/telemetry.h"
@@ -65,18 +66,6 @@ TEST(ObjectStoreTest, TypedPutGetAndAccounting) {
   EXPECT_FALSE(store.contains("k"));
 }
 
-TEST(SubtaskDbTest, StatusLifecycle) {
-  SubtaskDb db;
-  SubtaskRecord record;
-  record.id = "route-0";
-  db.upsert(record);
-  db.update("route-0", [](SubtaskRecord& r) { r.status = SubtaskStatus::kRunning; });
-  EXPECT_EQ(db.get("route-0")->status, SubtaskStatus::kRunning);
-  EXPECT_EQ(db.countWithStatus(SubtaskStatus::kRunning), 1u);
-  db.update("nonexistent", [](SubtaskRecord&) { FAIL(); });
-  EXPECT_EQ(db.all().size(), 1u);
-}
-
 class DistSimTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -97,6 +86,37 @@ class DistSimTest : public ::testing::Test {
   std::vector<InputRoute> inputs_;
   std::vector<Flow> flows_;
 };
+
+// The job a phase reported under `id`, or null.
+const SubtaskMetric* findSubtask(const std::vector<SubtaskMetric>& subtasks,
+                                 const std::string& id) {
+  for (const SubtaskMetric& metric : subtasks)
+    if (metric.id == id) return &metric;
+  return nullptr;
+}
+
+// Retries a phase's subtasks made: one per attempt after the first.
+size_t extraAttempts(const std::vector<SubtaskMetric>& subtasks) {
+  size_t extra = 0;
+  for (const SubtaskMetric& metric : subtasks) {
+    EXPECT_GE(metric.attempts, 1) << metric.id;
+    extra += static_cast<size_t>(metric.attempts - 1);
+  }
+  return extra;
+}
+
+// Every route job survives and a traffic job exhausts: crash draws are
+// deterministic per (job id, attempt, seed).
+DistSimOptions trafficExhaustingOptions() {
+  DistSimOptions options;
+  options.workers = 2;
+  options.routeSubtasks = 8;
+  options.trafficSubtasks = 4;
+  options.workerFailureProbability = 0.5;
+  options.failureSeed = 28;
+  options.maxAttempts = 2;
+  return options;
+}
 
 TEST_F(DistSimTest, DistributedEqualsCentralizedRouteSimulation) {
   // Centralized reference.
@@ -170,11 +190,11 @@ TEST_F(DistSimTest, WorkerCrashesAreRetried) {
   const DistRouteResult result = sim.runRouteSimulation(inputs_);
   EXPECT_TRUE(result.succeeded);
   EXPECT_GT(result.retries, 0u);
-  // Retried subtasks recorded multiple attempts in the DB.
-  bool sawRetriedRecord = false;
-  for (const SubtaskRecord& record : sim.db().all())
-    if (record.attempts > 1) sawRetriedRecord = true;
-  EXPECT_TRUE(sawRetriedRecord);
+  // Retried subtasks report multiple attempts.
+  bool sawRetriedSubtask = false;
+  for (const SubtaskMetric& metric : result.subtasks)
+    if (metric.attempts > 1) sawRetriedSubtask = true;
+  EXPECT_TRUE(sawRetriedSubtask);
   // And the result still matches the centralized reference count.
   RouteSimOptions central;
   central.includeLocalRoutes = true;
@@ -227,21 +247,31 @@ TEST_F(DistSimTest, OrderingHeuristicPrunesRibFileLoads) {
 }
 
 TEST_F(DistSimTest, LoadAllBaselineReadsMoreBytes) {
-  DistSimOptions pruned;
-  pruned.workers = 2;
-  pruned.routeSubtasks = 16;
-  pruned.trafficSubtasks = 8;
-  DistributedSimulator prunedSim(*model_, pruned);
-  ASSERT_TRUE(prunedSim.runRouteSimulation(inputs_).succeeded);
-  const DistTrafficResult prunedResult = prunedSim.runTrafficSimulation(flows_);
+  // Dependency pruning is exact, not approximate: skipping the route files
+  // outside a subtask's destination range changes no link load by a bit.
+  for (const size_t workers : {1u, 3u, 6u}) {
+    DistSimOptions pruned;
+    pruned.workers = workers;
+    pruned.routeSubtasks = 16;
+    pruned.trafficSubtasks = 8;
+    DistributedSimulator prunedSim(*model_, pruned);
+    ASSERT_TRUE(prunedSim.runRouteSimulation(inputs_).succeeded);
+    const DistTrafficResult prunedResult = prunedSim.runTrafficSimulation(flows_);
 
-  DistSimOptions baseline = pruned;
-  baseline.loadAllRibs = true;
-  DistributedSimulator baselineSim(*model_, baseline);
-  ASSERT_TRUE(baselineSim.runRouteSimulation(inputs_).succeeded);
-  const DistTrafficResult baselineResult = baselineSim.runTrafficSimulation(flows_);
+    DistSimOptions baseline = pruned;
+    baseline.loadAllRibs = true;
+    DistributedSimulator baselineSim(*model_, baseline);
+    ASSERT_TRUE(baselineSim.runRouteSimulation(inputs_).succeeded);
+    const DistTrafficResult baselineResult = baselineSim.runTrafficSimulation(flows_);
 
-  EXPECT_LT(prunedResult.storeBytesRead, baselineResult.storeBytesRead);
+    EXPECT_LT(prunedResult.storeBytesRead, baselineResult.storeBytesRead) << workers;
+    ASSERT_GT(prunedResult.linkLoads.size(), 0u);
+    ASSERT_EQ(prunedResult.linkLoads.size(), baselineResult.linkLoads.size()) << workers;
+    for (const auto& entry : baselineResult.linkLoads.entries())
+      EXPECT_EQ(std::bit_cast<uint64_t>(prunedResult.linkLoads.get(entry.from, entry.to)),
+                std::bit_cast<uint64_t>(entry.bps))
+          << workers << " " << Names::str(entry.from) << "->" << Names::str(entry.to);
+  }
 }
 
 TEST_F(DistSimTest, SpansCoverEverySubtaskAttemptIncludingRetries) {
@@ -344,65 +374,75 @@ TEST_F(DistSimTest, ExhaustedSubtasksAreSurfacedWithCounter) {
   ASSERT_FALSE(result.failedSubtasks.empty());
   EXPECT_EQ(result.failedSubtasks.size(),
             telemetry.metrics().counter("dist.subtask_exhausted").value());
-  // Every surfaced id names a subtask that exhausted its attempts.
+  // The phase lists every job, failed ones too, and every surfaced id names
+  // one that used up its attempts.
+  EXPECT_EQ(result.subtasks.size(), options.routeSubtasks + 1);  // + route-local.
   for (const std::string& id : result.failedSubtasks) {
-    const auto record = sim.db().get(id);
-    ASSERT_TRUE(record.has_value()) << id;
-    EXPECT_EQ(record->status, SubtaskStatus::kFailed) << id;
-    EXPECT_EQ(record->attempts, options.maxAttempts) << id;
+    const SubtaskMetric* metric = findSubtask(result.subtasks, id);
+    ASSERT_NE(metric, nullptr) << id;
+    EXPECT_EQ(metric->attempts, options.maxAttempts) << id;
+    EXPECT_FALSE(metric->fromCache) << id;
   }
 }
 
 TEST_F(DistSimTest, ExhaustedTrafficSubtasksAreSurfaced) {
-  // Route phase runs clean into a shared store; a second simulator with
-  // certain crashes then runs only the traffic phase against it.
-  ObjectStore shared;
-  DistSimOptions clean;
-  clean.workers = 2;
-  clean.routeSubtasks = 8;
-  clean.store = &shared;
-  DistributedSimulator routeSim(*model_, clean);
-  ASSERT_TRUE(routeSim.runRouteSimulation(inputs_).succeeded);
+  const DistSimOptions options = trafficExhaustingOptions();
+  DistributedSimulator sim(*model_, options);
+  const DistRouteResult route = sim.runRouteSimulation(inputs_);
+  ASSERT_TRUE(route.succeeded) << "the failure seed no longer spares the route phase";
+  const DistTrafficResult result = sim.runTrafficSimulation(flows_);
+  EXPECT_FALSE(result.succeeded);
+  ASSERT_FALSE(result.failedSubtasks.empty());
+  EXPECT_EQ(result.subtasks.size(), options.trafficSubtasks);
+  for (const std::string& id : result.failedSubtasks) {
+    const SubtaskMetric* metric = findSubtask(result.subtasks, id);
+    ASSERT_NE(metric, nullptr) << id;
+    EXPECT_EQ(metric->attempts, options.maxAttempts) << id;
+  }
+}
 
-  DistSimOptions crashing = clean;
-  crashing.trafficSubtasks = 4;
+TEST_F(DistSimTest, TrafficWithoutASuccessfulRouteRunThrows) {
+  // Forwarding over an empty or partial RIB would blackhole every flow and
+  // still report success.
+  DistSimOptions options;
+  options.workers = 2;
+  options.routeSubtasks = 4;
+  options.trafficSubtasks = 4;
+  DistributedSimulator fresh(*model_, options);
+  EXPECT_THROW(fresh.runTrafficSimulation(flows_), std::logic_error);
+
+  DistSimOptions crashing = options;
   crashing.workerFailureProbability = 1.0;
   crashing.maxAttempts = 2;
-  DistributedSimulator trafficSim(*model_, crashing);
-  const DistTrafficResult result = trafficSim.runTrafficSimulation(flows_);
-  EXPECT_FALSE(result.succeeded);
-  EXPECT_FALSE(result.failedSubtasks.empty());
+  DistributedSimulator failed(*model_, crashing);
+  ASSERT_FALSE(failed.runRouteSimulation(inputs_).succeeded);
+  EXPECT_TRUE(failed.routeResultKeys().empty());
+  EXPECT_THROW(failed.runTrafficSimulation(flows_), std::logic_error);
 }
 
 TEST_F(DistSimTest, RetriesEqualExtraAttemptsAtEveryWorkerCount) {
   // Invariant linking the result-level retry count to per-subtask attempts:
-  // every retry re-queued exactly one subtask, so
-  //   retries == sum over ran subtasks of (attempts - 1),
+  // every retry re-queued exactly one subtask, so per phase
+  //   retries == sum over its subtasks of (attempts - 1),
   // with exhausted subtasks contributing maxAttempts - 1.
-  for (const size_t workers : {1u, 3u, 6u}) {
-    DistSimOptions options;
-    options.workers = workers;
-    options.routeSubtasks = 10;
-    options.trafficSubtasks = 6;
-    options.workerFailureProbability = 0.35;
-    options.failureSeed = 11;
-    options.maxAttempts = 8;
-    DistributedSimulator sim(*model_, options);
-    const DistRouteResult route = sim.runRouteSimulation(inputs_);
-    ASSERT_TRUE(route.succeeded) << workers;
-    const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
-    ASSERT_TRUE(traffic.succeeded) << workers;
-    size_t extraAttempts = 0;
-    for (const SubtaskRecord& record : sim.db().all()) {
-      ASSERT_GE(record.attempts, 1) << record.id;
-      extraAttempts += static_cast<size_t>(record.attempts - 1);
+  DistSimOptions recovering;
+  recovering.routeSubtasks = 10;
+  recovering.trafficSubtasks = 6;
+  recovering.workerFailureProbability = 0.35;
+  recovering.failureSeed = 11;
+  recovering.maxAttempts = 8;
+  for (const bool exhausting : {false, true}) {
+    for (const size_t workers : {1u, 3u, 6u}) {
+      DistSimOptions options = exhausting ? trafficExhaustingOptions() : recovering;
+      options.workers = workers;
+      DistributedSimulator sim(*model_, options);
+      const DistRouteResult route = sim.runRouteSimulation(inputs_);
+      ASSERT_TRUE(route.succeeded) << workers;
+      const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
+      EXPECT_EQ(traffic.succeeded, !exhausting) << workers;
+      EXPECT_EQ(route.retries, extraAttempts(route.subtasks)) << workers;
+      EXPECT_EQ(traffic.retries, extraAttempts(traffic.subtasks)) << workers;
     }
-    EXPECT_EQ(route.retries + traffic.retries, extraAttempts) << workers;
-    // The same per-subtask attempts surface through the result metrics.
-    size_t metricExtra = 0;
-    for (const SubtaskMetric& metric : route.subtasks)
-      metricExtra += static_cast<size_t>(metric.attempts - 1);
-    EXPECT_EQ(route.retries, metricExtra) << workers;
   }
 }
 

@@ -371,9 +371,9 @@ TEST_F(IncrementalEndToEndTest, RepeatedPlanIsServedEntirelyFromCache) {
 }
 
 TEST_F(IncrementalEndToEndTest, ProvenanceReplayServesCacheHitsAndEvents) {
-  // Recording runs store each route subtask's events as a compressed
-  // `<result key>#prov` blob, so a later identical run takes cache hits and
-  // replays the events instead of bypassing the cache (the old behavior).
+  // Recording runs store each route subtask's events in its result blob, so
+  // a later identical run takes cache hits and replays the events instead
+  // of bypassing the cache.
   auto warm = makeHoyan(true);
   obs::ProvenanceOptions provOptions;
   provOptions.enabled = true;
@@ -381,8 +381,8 @@ TEST_F(IncrementalEndToEndTest, ProvenanceReplayServesCacheHitsAndEvents) {
   warm->configureTelemetry({});
   warm->telemetry()->attach(&recorder);
   const ChangePlan plan = scopedPlan();
-  // The base-run cache entries carry no provenance blobs, so this run
-  // re-executes every route subtask and seeds the blobs.
+  // The base run recorded nothing, so its blobs carry no events: this run
+  // re-executes every route subtask and overwrites the blobs with events.
   warm->verifyChange(plan, intents_);
   const size_t recordedEvents = recorder.eventCount();
   EXPECT_GT(recordedEvents, 0u);
@@ -396,7 +396,7 @@ TEST_F(IncrementalEndToEndTest, ProvenanceReplayServesCacheHitsAndEvents) {
 }
 
 TEST_F(IncrementalEndToEndTest, ProvenanceFilterChangeInvalidatesReplay) {
-  // Stored #prov blobs carry the recording options' fingerprint. A run whose
+  // Stored events carry the recording options' fingerprint. A run whose
   // filter differs cannot serve its recorder from them, so the route phase
   // bypasses the cache and re-records under the new filter.
   auto warm = makeHoyan(true);
@@ -478,40 +478,69 @@ TEST(SubtaskCacheTest, EvictionByteAccountingRoundTripsToZero) {
   EXPECT_EQ(cache.totalBytes(), 0u);
 }
 
+TEST(SubtaskCacheTest, BudgetOneEvictionOfRecordedResultsEmptiesTheStore) {
+  // One blob per route result: evicting a recording run's results leaves no
+  // stats or event-log blobs behind.
+  const SmallWan net = buildSmallWan();
+  const NetworkModel model = net.model();
+  incr::IncrementalEngine engine(incr::IncrementalOptions{.cacheBudgetBytes = 1});
+  engine.setBaseModel(model);
+  obs::ProvenanceOptions provOptions;
+  provOptions.enabled = true;
+  obs::ProvenanceRecorder recorder(provOptions);
+  DistSimOptions options;
+  options.workers = 2;
+  options.routeSubtasks = 2;
+  options.routeOptions.provenance = &recorder;
+  engine.beginRun(model, options);
+  DistributedSimulator sim(model, options);
+  ASSERT_TRUE(sim.runRouteSimulation(std::vector<InputRoute>{
+                                         ispRoute(net, "100.1.0.0/16"),
+                                         ispRoute(net, "100.2.0.0/16")})
+                  .succeeded);
+  EXPECT_GT(recorder.eventCount(), 0u);
+  EXPECT_EQ(engine.cache().entryCount(), 3u);  // Two chunks and the local routes.
+  engine.endRun();
+  EXPECT_EQ(engine.cache().entryCount(), 0u);
+  EXPECT_EQ(engine.store().blobCount(), 0u);
+  EXPECT_EQ(engine.store().liveBytes(), 0u);
+}
+
 TEST(SplitCacheTest, ReusesSortedOrdersAndMemoizesChunkFingerprints) {
+  // The split-order memo, reached through the simulator's seam.
   const SmallWan net = buildSmallWan();
   std::vector<InputRoute> inputs{ispRoute(net, "100.2.0.0/16"),
                                  ispRoute(net, "100.1.0.0/16"),
                                  ispRoute(net, "100.3.0.0/16")};
-  incr::SplitCache cache;
+  ObjectStore store;
+  incr::SubtaskCache subtaskCache(&store, 0);
+  SubtaskResultCache& cache = subtaskCache;
   // Cold probe: no cached order yet; store one.
-  ASSERT_EQ(cache.cachedRouteOrder(inputs), nullptr);
+  ASSERT_EQ(cache.cachedOrder(inputs), nullptr);
   std::vector<InputRoute> sorted = inputs;
   std::sort(sorted.begin(), sorted.end(), [](const InputRoute& a, const InputRoute& b) {
     return a.route.prefix.firstAddress() < b.route.prefix.firstAddress();
   });
-  cache.storeRouteOrder(std::make_shared<const std::vector<InputRoute>>(sorted));
+  const auto stored = std::make_shared<const std::vector<InputRoute>>(sorted);
+  cache.storeOrder(stored);
 
   // Warm probe with the same (unsorted) inputs: the stored order comes back.
-  const auto cached = cache.cachedRouteOrder(inputs);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_EQ(cache.routeOrderReuses(), 1u);
-  ASSERT_EQ(cached->size(), sorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i)
-    EXPECT_EQ((*cached)[i].route.prefix.str(), sorted[i].route.prefix.str());
+  EXPECT_EQ(cache.cachedOrder(inputs), stored);
 
-  // Chunk fingerprints over the cached buffer memoize and agree with the
-  // direct hash; spans outside the cached buffer are not claimed.
-  const std::span<const InputRoute> chunk(cached->data(), 2);
-  const auto memoized = cache.routeChunkFingerprint(chunk);
-  ASSERT_TRUE(memoized.has_value());
-  EXPECT_EQ(*memoized, incr::fingerprintInputRouteChunk(chunk));
-  EXPECT_EQ(*cache.routeChunkFingerprint(chunk), *memoized);
-  EXPECT_FALSE(cache.routeChunkFingerprint(inputs).has_value());
+  // Keys over chunks of the cached buffer use memoized chunk fingerprints;
+  // they agree with keys hashed directly from an equal chunk elsewhere, and
+  // a neighbouring chunk gets its own.
+  const std::span<const InputRoute> chunk(stored->data(), 2);
+  const std::string key = cache.routeResultKey(chunk, std::nullopt);
+  EXPECT_EQ(cache.routeResultKey(chunk, std::nullopt), key);
+  const std::vector<InputRoute> copy(chunk.begin(), chunk.end());
+  EXPECT_EQ(cache.routeResultKey(copy, std::nullopt), key);
+  EXPECT_NE(cache.routeResultKey(std::span(stored->data() + 1, 2), std::nullopt), key);
 
-  // A different input set misses and invalidates nothing until stored.
-  std::vector<InputRoute> other{ispRoute(net, "100.9.0.0/16")};
-  EXPECT_EQ(cache.cachedRouteOrder(other), nullptr);
+  // A different input set misses, and the stored order stays until replaced.
+  const std::vector<InputRoute> other{ispRoute(net, "100.9.0.0/16")};
+  EXPECT_EQ(cache.cachedOrder(other), nullptr);
+  EXPECT_EQ(cache.cachedOrder(inputs), stored);
 }
 
 TEST(IncrementalEngineTest, BeginRunWithoutBaseModelThrows) {
@@ -531,9 +560,9 @@ TEST(IncrementalEngineTest, EndRunDropsTransientsAndKeepsCachedResults) {
   options.workers = 2;
   options.routeSubtasks = 2;
   engine.beginRun(model, options);
-  ASSERT_EQ(options.store, &engine.store());
-  ASSERT_NE(options.cache, nullptr);
-  ASSERT_FALSE(options.keyPrefix.empty());
+  ASSERT_EQ(options.cache, &engine.cache());
+  ASSERT_EQ(&options.cache->store(), &engine.store());
+  ASSERT_FALSE(options.cache->transientPrefix().empty());
 
   DistributedSimulator sim(model, options);
   const std::vector<InputRoute> inputs{testing::ispRoute(net, "100.1.0.0/16"),
@@ -557,6 +586,7 @@ TEST(IncrementalEngineTest, BeginRunReclaimsAnAbandonedRunsTransients) {
   options.workers = 2;
   options.routeSubtasks = 2;
   engine.beginRun(model, options);
+  const std::string firstPrefix = options.cache->transientPrefix();
   DistributedSimulator sim(model, options);
   const std::vector<InputRoute> inputs{testing::ispRoute(net, "100.1.0.0/16"),
                                        testing::ispRoute(net, "100.2.0.0/16")};
@@ -570,7 +600,7 @@ TEST(IncrementalEngineTest, BeginRunReclaimsAnAbandonedRunsTransients) {
   nextOptions.routeSubtasks = 2;
   engine.beginRun(model, nextOptions);
   EXPECT_LT(engine.store().blobCount(), blobsAfterRun);
-  EXPECT_NE(nextOptions.keyPrefix, options.keyPrefix);
+  EXPECT_NE(nextOptions.cache->transientPrefix(), firstPrefix);
   engine.endRun();
 }
 

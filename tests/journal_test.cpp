@@ -256,9 +256,10 @@ TEST_F(JournalDeterminismTest,
 }
 
 TEST_F(JournalDeterminismTest, ExhaustEventsAreByteIdenticalAcrossWorkerCounts) {
-  // A route + traffic pass in which some subtasks run out of attempts: the
-  // exhaust events, and the traffic phase over the surviving route files,
-  // are deterministic too.
+  // A route + traffic pass in which a traffic subtask runs out of attempts
+  // (crash draws are per job id, attempt and seed; seed 28 spares every
+  // route job, which the traffic phase needs): the exhaust events are
+  // deterministic too.
   const NetworkModel model = wan_.buildModel();
   const auto canonical = [&](size_t workers) {
     obs::TelemetryOptions telemetryOptions;
@@ -269,13 +270,13 @@ TEST_F(JournalDeterminismTest, ExhaustEventsAreByteIdenticalAcrossWorkerCounts) 
     options.routeSubtasks = 8;
     options.trafficSubtasks = 4;
     options.workerFailureProbability = 0.5;
-    options.failureSeed = 3;
+    options.failureSeed = 28;
     options.maxAttempts = 2;
     options.telemetry = &telemetry;
     DistributedSimulator sim(model, options);
-    const DistRouteResult route = sim.runRouteSimulation(inputs_);
+    EXPECT_TRUE(sim.runRouteSimulation(inputs_).succeeded);
     const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
-    EXPECT_FALSE(route.failedSubtasks.empty() && traffic.failedSubtasks.empty());
+    EXPECT_FALSE(traffic.failedSubtasks.empty());
     std::string error;
     EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
         << error;

@@ -407,7 +407,7 @@ TEST(PropGraphTest, FromRibsReconstructsLearnedFromEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached event logs (the cache's `#prov` side channel).
+// Cached event logs (carried in route result blobs).
 // ---------------------------------------------------------------------------
 
 TEST(ProvenanceCompressionTest, OptionsFingerprintTracksTheFilter) {

@@ -706,15 +706,16 @@ TEST(RegistryJournalAgreementTest, RouteAndTrafficWithCrashes) {
     hoyan.preprocess();
     hoyan.verifyChange(plan, intents);
     hoyan.verifyChange(plan, intents);
-    // One simulator run in which some subtasks exhaust their attempts.
+    // One simulator run in which a traffic subtask exhausts its attempts
+    // (seed 28 spares every route job, which the traffic phase needs).
     options.workerFailureProbability = 0.5;
-    options.failureSeed = 3;
+    options.failureSeed = 28;
     options.maxAttempts = 2;
     options.telemetry = &context;
     const NetworkModel model = wan.buildModel();
     context.journal().runBegin("exhausting", 0);
     DistributedSimulator simulator(model, options);
-    simulator.runRouteSimulation(inputs);
+    EXPECT_TRUE(simulator.runRouteSimulation(inputs).succeeded) << label;
     simulator.runTrafficSimulation(flows);
     context.journal().runEnd("exhausting", 0);
 
