@@ -16,7 +16,8 @@
 // Flags (also readable from the environment, bench_util-style):
 //   --json-out=<file>     BenchJson artifact (HOYAN_BENCH_JSON, default
 //                         kfailure_sweep.json): scenarios/sec, prune rate,
-//                         cache hit rate, speedups vs serial
+//                         input routes per job, cache hit rate, speedups vs
+//                         serial
 //   --journal-out=<file>  RunJournal JSONL for the preprocess + sweep runs
 //                         (HOYAN_JOURNAL_OUT, written by the bench_util
 //                         observability hook's global context);
@@ -147,12 +148,12 @@ int main() {
 
   const auto describe = [](const char* tag, const sweep::SweepResult& result,
                            double seconds) {
-    std::printf("%s: %zu scenarios (%zu pruned, %zu deduped) -> %zu jobs, "
-                "%zu cache hits, %zu evaluated, %zu counterexamples, %.3gs "
-                "(%.3g scenarios/s)\n",
+    std::printf("%s: %zu scenarios (%zu pruned, %zu deduped) -> %zu jobs of "
+                "%zu inputs, %zu cache hits, %zu evaluated, %zu counterexamples, "
+                "%.3gs (%.3g scenarios/s)\n",
                 tag, result.stats.enumerated, result.stats.pruned,
                 result.stats.deduped, result.stats.scheduled,
-                result.stats.cacheHits, result.stats.evaluated,
+                result.stats.jobInputs, result.stats.cacheHits, result.stats.evaluated,
                 result.result.counterexamples.size(), seconds,
                 seconds > 0 ? result.stats.enumerated / seconds : 0.0);
   };
@@ -258,6 +259,9 @@ int main() {
   artifact.metric("prune_rate", pruneRate);
   artifact.metric("dedupe_rate", dedupeRate);
   artifact.metric("jobs_scheduled", static_cast<double>(cold.stats.scheduled));
+  // Input routes each job simulates: the hints slice the inputs.
+  artifact.metric("job_inputs", static_cast<double>(cold.stats.jobInputs));
+  artifact.metric("derived_job_inputs", static_cast<double>(derived.stats.jobInputs));
   artifact.metric("warm_cache_hit_rate", warmHitRate);
   artifact.metric("counterexamples",
                   static_cast<double>(cold.result.counterexamples.size()));

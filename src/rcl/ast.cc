@@ -28,38 +28,49 @@ bool evalCompare(CompareOp op, const Scalar& a, const Scalar& b) {
   return false;
 }
 
+namespace {
+
+// `text` parsed as T when it is T's canonical rendering, else nothing.
+template <typename T>
+std::optional<T> canonicalLiteral(const std::string& text) {
+  std::optional<T> parsed = T::parse(text);
+  if (parsed && parsed->str() != text) parsed.reset();
+  return parsed;
+}
+
+}  // namespace
+
+PredicatePtr Predicate::compare(Field field, CompareOp op, Scalar value) {
+  auto node = std::make_shared<Predicate>();
+  node->kind = Kind::kFieldCompare;
+  node->field = field;
+  node->op = op;
+  if (!value.isNumber && field == Field::kPrefix)
+    node->prefixLiteral = canonicalLiteral<Prefix>(value.text);
+  if (!value.isNumber && field == Field::kNexthop)
+    node->addressLiteral = canonicalLiteral<IpAddress>(value.text);
+  node->value = std::move(value);
+  return node;
+}
+
 bool Predicate::eval(const RibRow& row) const {
   switch (kind) {
     case Kind::kFieldCompare: {
       // Equality guards run per row while filtering whole tables; compare in
       // place instead of materialising a Scalar (and, for prefix/nexthop, a
       // rendered string) for every row. Prefix/address text that is not the
-      // canonical form never equals a row's canonical render, matching the
-      // string-compare semantics of the slow path.
+      // canonical form has no literal and never equals a row's canonical
+      // render, matching the string-compare semantics of the slow path.
       if ((op == CompareOp::kEq || op == CompareOp::kNe) && !value.isNumber) {
         const bool want = op == CompareOp::kEq;
         switch (field) {
           case Field::kDevice: return (row.device == value.text) == want;
           case Field::kVrf: return (row.vrf == value.text) == want;
           case Field::kAsPath: return (row.asPath.str() == value.text) == want;
-          case Field::kPrefix: {
-            if (!eqCache.init) {
-              eqCache.prefix = Prefix::parse(value.text);
-              if (eqCache.prefix && eqCache.prefix->str() != value.text)
-                eqCache.prefix.reset();
-              eqCache.init = true;
-            }
-            return (eqCache.prefix && row.prefix == *eqCache.prefix) == want;
-          }
-          case Field::kNexthop: {
-            if (!eqCache.init) {
-              eqCache.address = IpAddress::parse(value.text);
-              if (eqCache.address && eqCache.address->str() != value.text)
-                eqCache.address.reset();
-              eqCache.init = true;
-            }
-            return (eqCache.address && row.nexthop == *eqCache.address) == want;
-          }
+          case Field::kPrefix:
+            return (prefixLiteral && row.prefix == *prefixLiteral) == want;
+          case Field::kNexthop:
+            return (addressLiteral && row.nexthop == *addressLiteral) == want;
           default: break;
         }
       }

@@ -51,14 +51,19 @@ struct Predicate {
   PredicatePtr left;
   PredicatePtr right;
 
-  // Lazily-parsed form of `value` for the allocation-free equality fast path
-  // in eval (filled on first use; intent checking is single-threaded).
-  struct EqCache {
-    bool init = false;
-    std::optional<Prefix> prefix;
-    std::optional<IpAddress> address;
-  };
-  mutable EqCache eqCache;
+  // `value` as the prefix (field kPrefix) or nexthop address (kNexthop) it
+  // names, parsed once when the comparison is built by `compare`. eval's
+  // allocation-free equality fast path and the GlobalRib prefix prefilter
+  // read them. Nothing writes them afterwards, so one parsed intent can be
+  // checked on many threads at once (a sweep checks it on every worker).
+  // Empty when `value` is not the canonical text of one: rows render
+  // canonically, so such a literal equals no row.
+  std::optional<Prefix> prefixLiteral;
+  std::optional<IpAddress> addressLiteral;
+
+  // Builds `field op value` with its literal parsed; the parser builds every
+  // comparison through it.
+  static PredicatePtr compare(Field field, CompareOp op, Scalar value);
 
   bool eval(const RibRow& row) const;
   std::string str() const;

@@ -180,29 +180,40 @@ GlobalRib GlobalRib::fromNetworkRibs(const NetworkRibs& ribs) {
 }
 
 void GlobalRib::clearIndex() {
-  deviceRows_.clear();
-  prefixRows_.clear();
-  bucketsBuilt_ = false;
+  deviceRows_.reset();
+  prefixRows_.reset();
   finalized_ = false;
 }
 
-void GlobalRib::buildBuckets() const {
-  for (uint32_t i = 0; i < rows_.size(); ++i) {
-    deviceRows_[rows_[i].device].push_back(i);
-    prefixRows_[rows_[i].prefix.str()].push_back(i);
+namespace {
+
+// The bucket of `key` in a lazily built row index keyed by `keyOf(row)`.
+template <typename Key, typename KeyOf>
+const std::vector<uint32_t>* bucketOf(
+    std::optional<std::unordered_map<Key, std::vector<uint32_t>>>& index,
+    const std::vector<RibRow>& rows, KeyOf keyOf, const Key& key) {
+  static const std::vector<uint32_t> kEmpty;
+  if (!index) {
+    index.emplace();
+    for (uint32_t i = 0; i < rows.size(); ++i) (*index)[keyOf(rows[i])].push_back(i);
   }
-  bucketsBuilt_ = true;
+  const auto it = index->find(key);
+  return it == index->end() ? &kEmpty : &it->second;
 }
 
-const std::vector<uint32_t>* GlobalRib::fieldBucket(Field field,
-                                                    const std::string& value) const {
-  static const std::vector<uint32_t> kEmpty;
+}  // namespace
+
+const std::vector<uint32_t>* GlobalRib::deviceBucket(const std::string& device) const {
   if (!finalized_) return nullptr;
-  if (field != Field::kDevice && field != Field::kPrefix) return nullptr;
-  if (!bucketsBuilt_) buildBuckets();
-  const auto& index = field == Field::kDevice ? deviceRows_ : prefixRows_;
-  const auto it = index.find(value);
-  return it == index.end() ? &kEmpty : &it->second;
+  return bucketOf(deviceRows_, rows_,
+                  [](const RibRow& row) -> const std::string& { return row.device; },
+                  device);
+}
+
+const std::vector<uint32_t>* GlobalRib::prefixBucket(const Prefix& prefix) const {
+  if (!finalized_) return nullptr;
+  return bucketOf(prefixRows_, rows_,
+                  [](const RibRow& row) -> const Prefix& { return row.prefix; }, prefix);
 }
 
 bool ribViewsEqual(const RibView& a, const RibView& b) {

@@ -87,23 +87,24 @@ class GlobalRib {
   void finalize() { finalized_ = true; }
   bool finalized() const { return finalized_; }
 
-  // Prefilter bucket: indices of the rows whose `field` renders exactly as
-  // `value`, in row order. Only kDevice and kPrefix are indexed. Returns null
-  // when the table is not finalized or the field is not indexed; a pointer to
-  // an empty vector when indexed but unpopulated (no matching row). The
-  // buckets are built lazily on first use (intent checking is
-  // single-threaded), so workloads whose guards are never indexable skip the
-  // build entirely.
-  const std::vector<uint32_t>* fieldBucket(Field field, const std::string& value) const;
+  // Prefilter buckets: the indices of the rows on `device`, or for `prefix`,
+  // in row order. Null when the table is not finalized, else a bucket that is
+  // empty when no row matches. Each field's index is built from the row
+  // values on its first lookup, and only that field's: nothing is rendered,
+  // and a table whose guards never name a field never indexes it. The build
+  // writes the table, so a table is checked by one thread at a time; a sweep
+  // job checks a table of its own.
+  const std::vector<uint32_t>* deviceBucket(const std::string& device) const;
+  const std::vector<uint32_t>* prefixBucket(const Prefix& prefix) const;
 
  private:
   void clearIndex();
-  void buildBuckets() const;
 
   std::vector<RibRow> rows_;
-  mutable std::unordered_map<std::string, std::vector<uint32_t>> deviceRows_;
-  mutable std::unordered_map<std::string, std::vector<uint32_t>> prefixRows_;
-  mutable bool bucketsBuilt_ = false;
+  // Empty until the first lookup of their field.
+  mutable std::optional<std::unordered_map<std::string, std::vector<uint32_t>>>
+      deviceRows_;
+  mutable std::optional<std::unordered_map<Prefix, std::vector<uint32_t>>> prefixRows_;
   bool finalized_ = false;
 };
 

@@ -592,14 +592,12 @@ class Parser {
 
   PredicatePtr parsePredicateAtom() {
     const Field field = parseField();
+    if (check(TokenKind::kCompare)) {
+      const CompareOp op = advance().op;
+      return Predicate::compare(field, op, parseScalar());
+    }
     auto node = std::make_shared<Predicate>();
     node->field = field;
-    if (check(TokenKind::kCompare)) {
-      node->kind = Predicate::Kind::kFieldCompare;
-      node->op = advance().op;
-      node->value = parseScalar();
-      return node;
-    }
     if (matchIdent("contains") || matchIdent("has")) {
       node->kind = Predicate::Kind::kContains;
       node->value = parseScalar();

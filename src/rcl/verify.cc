@@ -316,13 +316,14 @@ const Predicate* findIndexableConjunct(const Predicate& predicate) {
 RibView seedView(const Intent& intent, const GlobalRib& rib) {
   if (intent.kind == Intent::Kind::kGuarded && rib.finalized()) {
     if (const Predicate* conjunct = findIndexableConjunct(*intent.guard)) {
-      if (const std::vector<uint32_t>* bucket =
-              rib.fieldBucket(conjunct->field, conjunct->value.render())) {
-        RibView view;
-        view.rib = &rib;
-        view.rows = *bucket;
-        return view;
-      }
+      RibView view;
+      view.rib = &rib;
+      // A prefix literal that is not canonical text selects no row.
+      if (conjunct->field == Field::kDevice)
+        view.rows = *rib.deviceBucket(conjunct->value.text);
+      else if (conjunct->prefixLiteral)
+        view.rows = *rib.prefixBucket(*conjunct->prefixLiteral);
+      return view;
     }
   }
   return RibView::all(rib);

@@ -303,6 +303,25 @@ std::vector<NameId> deriveRelevantDevices(const NetworkModel& model,
 
 }  // namespace
 
+std::vector<Prefix> closeOverAggregates(const NetworkModel& model,
+                                        std::vector<Prefix> relevant) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const auto& [name, config] : model.configs.devices()) {
+      for (const AggregateConfig& aggregate : config.bgp.aggregates) {
+        if (!overlapsAny(relevant, aggregate.prefix)) continue;
+        if (std::find(relevant.begin(), relevant.end(), aggregate.prefix) !=
+            relevant.end())
+          continue;
+        relevant.push_back(aggregate.prefix);
+        changed = true;
+      }
+    }
+  }
+  return relevant;
+}
+
 DeriveResult deriveHints(const rcl::Intent& intent, const NetworkModel& model,
                          std::span<const InputRoute> inputs) {
   DeriveResult result;
@@ -338,29 +357,7 @@ DeriveResult deriveHints(const rcl::Intent& intent, const NetworkModel& model,
     return result;
   }
 
-  // Close over aggregates: a relevant more-specific can activate (or, via
-  // summary-only suppression, hide under) a configured aggregate, so the
-  // aggregate's own prefix joins the relevant set — and transitively.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [name, config] : model.configs.devices()) {
-      for (const AggregateConfig& aggregate : config.bgp.aggregates) {
-        if (!overlapsAny(relevant, aggregate.prefix)) continue;
-        bool present = false;
-        for (const Prefix& r : relevant)
-          if (r == aggregate.prefix) {
-            present = true;
-            break;
-          }
-        if (!present) {
-          relevant.push_back(aggregate.prefix);
-          changed = true;
-        }
-      }
-    }
-  }
-
+  relevant = closeOverAggregates(model, std::move(relevant));
   result.hints.relevantDevices = deriveRelevantDevices(model, inputs, relevant);
   result.scoped = true;
   return result;

@@ -21,7 +21,8 @@
 //     host routes, static routes, and configured aggregates. Evaluation uses
 //     Predicate::eval on a synthetic row (only `prefix` populated), so the
 //     scope matches checker semantics exactly, ranges and regexes included.
-//     Aggregates overlapping the set are closed over to a fixpoint.
+//     The set is then closed over aggregates (closeOverAggregates below, the
+//     one closure the sweep engine also applies to caller hints).
 //  3. The relevant-device list covers what prefix overlap alone cannot:
 //     holders of relevant routes reached over BGP sessions that do not ride
 //     the IGP. Holder devices (injectors and local originators) propagate
@@ -40,6 +41,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "net/route.h"
 #include "proto/network_model.h"
@@ -58,6 +60,16 @@ struct DeriveResult {
   // Why scoping failed (first reason); empty when `scoped`.
   std::string reason;
 };
+
+// Closes `relevant` over the configured aggregates that overlap it, to a
+// fixpoint. An aggregate's route exists while any of its contributors does,
+// and a summary-only aggregate hides them, so an aggregate overlapping a
+// relevant prefix couples the two: its own prefix joins the set, so every
+// contributor it covers overlaps the set too. deriveHints returns closed sets
+// (closing them again changes nothing); sweepKFailures closes whatever hints
+// it is given before it prunes and slices the inputs.
+std::vector<Prefix> closeOverAggregates(const NetworkModel& model,
+                                        std::vector<Prefix> relevant);
 
 // Derives pruning hints for checking `intent` over the RIBs of each degraded
 // model. `model` must be the sweep's base model with derived state built;

@@ -11,6 +11,7 @@
 #include "dist/job_runner.h"
 #include "incr/fingerprint.h"
 #include "sim/route_sim.h"
+#include "sweep/derive_hints.h"
 
 namespace hoyan::sweep {
 namespace {
@@ -67,9 +68,9 @@ struct CanonicalScenario {
   }
 };
 
-// Relevance analysis for pruning. An element is *inert* when, per the
-// SweepHints contract, failing it cannot change which routes exist for the
-// relevant prefixes or the state of the relevant devices:
+// Relevance analysis for pruning and slicing. An element is *inert* when,
+// per the SweepHints contract, failing it cannot change which routes exist
+// for the relevant prefixes or the state of the relevant devices:
 //  * it touches no relevant device;
 //  * it carries no IGP adjacency (an IS-IS-enabled link or a device with any
 //    IS-IS interface reshapes SPF, which reroutes everything);
@@ -78,17 +79,26 @@ struct CanonicalScenario {
 //  * no device it silences injects an input route overlapping a relevant
 //    prefix (injection points gone => the routes themselves change).
 // Overlap is checked both directions, so a covering or covered prefix — which
-// shifts longest-prefix forwarding — blocks inertness too.
+// shifts longest-prefix forwarding — blocks inertness too. The overlapping
+// inputs are also the only ones a job simulates: prefixes propagate
+// independently, and `prefixes` is closed over aggregates, so every route the
+// verdict can read comes from them or from local routes.
 class RelevanceIndex {
  public:
-  RelevanceIndex(const NetworkModel& model, std::span<const InputRoute> inputs,
-                 const SweepHints& hints)
-      : model_(model), prefixes_(hints.relevantPrefixes) {
-    relevantDevices_.insert(hints.relevantDevices.begin(),
-                            hints.relevantDevices.end());
-    for (const InputRoute& input : inputs)
-      if (overlapsRelevant(input.route.prefix)) injectors_.insert(input.device);
+  RelevanceIndex(const NetworkModel& model, std::vector<Prefix> prefixes,
+                 std::span<const NameId> devices, std::span<const InputRoute> inputs)
+      : model_(model),
+        prefixes_(std::move(prefixes)),
+        relevantDevices_(devices.begin(), devices.end()) {
+    for (const InputRoute& input : inputs) {
+      if (!overlapsRelevant(input.route.prefix)) continue;
+      inputs_.push_back(input);
+      injectors_.insert(input.device);
+    }
   }
+
+  // The input routes overlapping a relevant prefix, in input order.
+  std::span<const InputRoute> inputs() const { return inputs_; }
 
   bool linkInert(NameId a, NameId b) const {
     if (deviceTouchesRelevant(a) || deviceTouchesRelevant(b)) return false;
@@ -135,8 +145,9 @@ class RelevanceIndex {
   }
 
   const NetworkModel& model_;
-  std::span<const Prefix> prefixes_;
+  std::vector<Prefix> prefixes_;
   std::unordered_set<NameId> relevantDevices_;
+  std::vector<InputRoute> inputs_;
   std::unordered_set<NameId> injectors_;  // Devices injecting relevant routes.
 };
 
@@ -234,9 +245,17 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   out.stats.enumerated = scenarios.size();
 
   // --- classify: prune inert elements, dedupe by canonical fingerprint -----
+  // Scoped hints also slice the inputs: every job simulates only the routes
+  // the verdict can read.
   const bool pruning = !hints.relevantPrefixes.empty();
   std::optional<RelevanceIndex> relevance;
-  if (pruning) relevance.emplace(baseModel, inputs, hints);
+  if (pruning)
+    relevance.emplace(baseModel,
+                      closeOverAggregates(baseModel, hints.relevantPrefixes),
+                      hints.relevantDevices, inputs);
+  const std::span<const InputRoute> jobInputs =
+      pruning ? relevance->inputs() : inputs;
+  out.stats.jobInputs = jobInputs.size();
   // Memoized per-element inertness (elements recur across scenarios).
   std::unordered_map<uint64_t, bool> linkInert;
   std::unordered_map<NameId, bool> deviceInert;
@@ -400,7 +419,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
           local.rebuildDerivedForFailures();
           RouteSimOptions simOptions;
           simOptions.includeLocalRoutes = true;
-          RouteSimResult sim = simulateRoutes(local, inputs, simOptions);
+          RouteSimResult sim = simulateRoutes(local, jobInputs, simOptions);
           sim.ribs.buildForwardingIndex();
           job.verdict = property(local, sim.ribs);
           // Sample the worker's materialized footprint at its peak — overlay

@@ -10,6 +10,8 @@
 //  * pruning scenarios whose failed elements are provably inert for the
 //    property (caller-supplied relevance hints; see SweepHints) so they
 //    inherit the base network's verdict without a simulation;
+//  * slicing, under the same hints, the input routes each job simulates down
+//    to those the property can read;
 //  * deduping symmetric scenarios by impact fingerprint (parallel links,
 //    orientation, inert padding) so each distinct degraded network simulates
 //    once no matter how many scenarios map onto it;
@@ -43,12 +45,20 @@ namespace hoyan::sweep {
 // What the property reads — the engine cannot see through a NetworkProperty
 // closure, so the caller declares relevance. The contract: the property's
 // verdict may only depend on routes for prefixes overlapping
-// `relevantPrefixes` and on the state of `relevantDevices`. Failing an
-// element that (a) is not on a relevant device, (b) carries no IGP adjacency,
-// and (c) neither owns nor injects routes overlapping a relevant prefix then
-// cannot change the verdict, and the engine prunes such scenarios. Empty
-// `relevantPrefixes` means "reads everything": pruning is disabled and every
-// scenario simulates (dedupe still applies — it is unconditionally sound).
+// `relevantPrefixes` and on the state of `relevantDevices`. The engine first
+// closes `relevantPrefixes` over the configured aggregates that overlap them
+// (closeOverAggregates in sweep/derive_hints.h), since an aggregate's route
+// lives on its contributors. Against the closed set it then
+//  * prunes: failing an element that (a) is not on a relevant device, (b)
+//    carries no IGP adjacency, and (c) neither owns nor injects routes
+//    overlapping a relevant prefix cannot change the verdict, so such
+//    scenarios inherit the base verdict; and
+//  * slices: every job simulates only the input routes whose prefix overlaps
+//    the set (in either direction), plus all local routes, so the property
+//    is handed RIBs holding nothing else.
+// Empty `relevantPrefixes` means "reads everything": pruning and slicing are
+// off, every scenario simulates every input (dedupe still applies — it is
+// unconditionally sound).
 struct SweepHints {
   // Stable content id of the property (e.g. its RCL text or a descriptive
   // tag). Non-empty + an incremental engine => verdicts are cached under
@@ -92,6 +102,9 @@ struct SweepStats {
   size_t cacheHits = 0;   // Jobs served from the cas/k verdict cache.
   size_t evaluated = 0;   // Jobs actually simulated this sweep.
   size_t retries = 0;     // Worker attempts re-enqueued after a crash.
+  // Input routes each job simulates: those overlapping the closed relevant
+  // set under scoped hints, every input otherwise.
+  size_t jobInputs = 0;
   // Worker-model memory accounting (copy-on-write). Deep is what one worker
   // would hold if it deep-copied the base model (the pre-CoW design); peak is
   // the largest bytes any worker actually materialized during a job — shared

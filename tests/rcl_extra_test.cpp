@@ -635,6 +635,12 @@ const char* const kIntents[] = {
     "prefix > 99.0.0.0/8 => PRE |> count() >= 0",
     "forall device: PRE |> count() >= 0",
     "PRE |> distCnt(device) = POST |> distCnt(device)",
+    // Literals written in non-canonical form: the lexer masks the host bits
+    // of the first; the second is an address, which names no prefix row.
+    "prefix = 100.0.8.0/16 => PRE |> count() = 0",
+    "prefix = 100.0.8.0 => PRE |> count() = 0",
+    "prefix = 203.0.113.0/24 => PRE |> count() = 0",  // Absent from the table.
+    "nexthop = 10.64.0.4 => PRE = POST",
 };
 
 // Global RIBs of a generated WAN before and after a prefix-scoped policy

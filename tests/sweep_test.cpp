@@ -9,10 +9,16 @@
 #include <vector>
 
 #include "core/hoyan.h"
+#include "gen/wan_gen.h"
+#include "gen/workload_gen.h"
 #include "incr/engine.h"
 #include "inspect.h"
 #include "obs/run_registry.h"
 #include "obs/telemetry.h"
+#include "rcl/global_rib.h"
+#include "rcl/parser.h"
+#include "rcl/verify.h"
+#include "sweep/derive_hints.h"
 #include "sweep/sweep.h"
 #include "test_fixtures.h"
 #include "verify/properties.h"
@@ -38,10 +44,26 @@ void expectSameResult(const KFailureResult& expected, const KFailureResult& actu
   }
 }
 
+rcl::IntentPtr parseOrFail(const std::string& spec) {
+  const rcl::ParseOutcome outcome = rcl::parseIntent(spec);
+  EXPECT_TRUE(outcome.ok()) << spec << ": " << outcome.error;
+  return outcome.intent;
+}
+
+// An RCL intent as a sweep property: the audit-task reading on each degraded
+// network, as Hoyan::sweepIntentFaultTolerance states it.
+NetworkProperty intentProperty(rcl::IntentPtr intent) {
+  return [intent](const NetworkModel&, const NetworkRibs& ribs) {
+    const rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(ribs);
+    return rcl::checkIntent(*intent, rib, rib).satisfied;
+  };
+}
+
 // Adds a second external peer to the fixture: BR1 --- ISP2 over a non-IGP
-// link with an eBGP session, announcing 200.2.0.0/16. Irrelevant to any
-// property about 100.1.0.0/16, so its link is prunable under hints.
-NameId addSecondIsp(SmallWan& net, std::vector<InputRoute>& inputs) {
+// link with an eBGP session, announcing `prefix`. The default is irrelevant
+// to any property about 100.1.0.0/16, so its link is prunable under hints.
+NameId addSecondIsp(SmallWan& net, std::vector<InputRoute>& inputs,
+                    const std::string& prefix = "200.2.0.0/16") {
   Device isp2;
   isp2.name = Names::id("t-ISP2");
   isp2.role = DeviceRole::kExternalPeer;
@@ -79,7 +101,7 @@ NameId addSecondIsp(SmallWan& net, std::vector<InputRoute>& inputs) {
 
   InputRoute announcement;
   announcement.device = isp2.name;
-  announcement.route.prefix = *Prefix::parse("200.2.0.0/16");
+  announcement.route.prefix = *Prefix::parse(prefix);
   announcement.route.protocol = Protocol::kBgp;
   announcement.route.attrs.origin = BgpOrigin::kIgp;
   announcement.route.nexthop = isp2.loopback;
@@ -214,6 +236,93 @@ TEST_F(SweepTest, PruningSkipsInertScenariosAndMatchesSerial) {
   expectSameResult(serial, pruned.result, "pruned");
   EXPECT_GT(pruned.stats.pruned + pruned.stats.deduped, 0u);
   EXPECT_LT(pruned.stats.scheduled, pruned.stats.enumerated);
+  // The same hints slice the inputs: each job simulates only ISP1's route.
+  EXPECT_EQ(pruned.stats.jobInputs, 1u);
+
+  // Without relevance every job simulates every input.
+  sweep::SweepHints unscoped;
+  unscoped.cacheId = "reach-c2-100.1.2.3";
+  const sweep::SweepResult full =
+      sweep::sweepKFailures(model_, inputs_, reachProperty(), options, unscoped);
+  expectSameResult(serial, full.result, "unscoped");
+  EXPECT_EQ(full.stats.jobInputs, 2u);
+}
+
+TEST_F(SweepTest, CallerHintsAreClosedOverAggregates) {
+  // BR1 originates the aggregate 100.0.0.0/8 (not summary-only) from ISP1's
+  // 100.1.0.0/16 and ISP2's 100.2.0.0/16. The caller declares only
+  // 100.1.0.0/16 relevant, which the aggregate overlaps, so reading the
+  // aggregate keeps to the hints' contract. But the aggregate lives on
+  // ISP2's route too: failing both ISP links removes it. Without the closure
+  // the sweep pruned ISP2's link as inert (its only route does not overlap
+  // 100.1.0.0/16) and missed that counterexample.
+  addSecondIsp(net_, inputs_, "100.2.0.0/16");
+  AggregateConfig aggregate;
+  aggregate.prefix = *Prefix::parse("100.0.0.0/8");
+  aggregate.summaryOnly = false;
+  net_.configs.device(net_.br1).bgp.aggregates.push_back(aggregate);
+  model_ = net_.model();
+
+  const NetworkProperty property =
+      intentProperty(parseOrFail("prefix = 100.0.0.0/8 => POST |> count() >= 1"));
+  KFailureOptions failure;
+  failure.k = 2;
+  failure.maxCounterexamples = 50;
+  const KFailureResult serial = checkKFailures(model_, inputs_, property, failure);
+  ASSERT_EQ(serial.counterexamples.size(), 1u);
+
+  sweep::SweepHints hints;
+  hints.relevantPrefixes = {*Prefix::parse("100.1.0.0/16")};
+  sweep::SweepOptions options;
+  options.failure = failure;
+  options.workers = 3;
+  const sweep::SweepResult swept =
+      sweep::sweepKFailures(model_, inputs_, property, options, hints);
+  expectSameResult(serial, swept.result, "aggregate");
+  // The closed set covers ISP2's route, so the jobs simulate it too.
+  EXPECT_EQ(swept.stats.jobInputs, 2u);
+}
+
+TEST(SweepSharedIntentTest, WorkersCheckOneParsedIntentConcurrently) {
+  // Every worker checks the one parsed intent. deriveHints evaluates only the
+  // prefix conjunct of this guard, on the calling thread; the nexthop
+  // conjunct is first evaluated by the workers, all at once. Its literal is
+  // parsed when the predicate is built, so eval only reads (TSan reports a
+  // race if eval fills anything).
+  WanSpec wan;
+  wan.regions = 1;
+  wan.coresPerRegion = 2;
+  wan.bordersPerRegion = 1;
+  wan.dcsPerRegion = 1;
+  wan.seed = 101;
+  const GeneratedWan generated = generateWan(wan);
+  WorkloadSpec workload;
+  workload.prefixesPerIsp = 4;
+  workload.prefixesPerDc = 2;
+  workload.v6Share = 0;
+  const std::vector<InputRoute> inputs = generateInputRoutes(generated, workload);
+  const NetworkModel model = generated.buildModel();
+
+  const rcl::IntentPtr intent = parseOrFail(
+      "prefix = 100.0.1.0/24 and nexthop = 10.0.0.1 => POST |> count() >= 0");
+  ASSERT_TRUE(intent);
+  const NetworkProperty property = intentProperty(intent);
+  const sweep::DeriveResult derived = sweep::deriveHints(*intent, model, inputs);
+  ASSERT_TRUE(derived.scoped) << derived.reason;
+
+  KFailureOptions failure;
+  failure.k = 1;
+  failure.maxCounterexamples = 50;
+  for (const size_t workers : {3u, 6u}) {
+    sweep::SweepOptions options;
+    options.failure = failure;
+    options.workers = workers;
+    const sweep::SweepResult swept =
+        sweep::sweepKFailures(model, inputs, property, options, derived.hints);
+    EXPECT_GT(swept.stats.evaluated, 1u);
+    expectSameResult(checkKFailures(model, inputs, property, failure), swept.result,
+                     "workers=" + std::to_string(workers));
+  }
 }
 
 TEST_F(SweepTest, DedupeSharesSymmetricScenarios) {
