@@ -20,6 +20,29 @@ std::vector<double> loadedFractions(const DistTrafficResult& result) {
   return out;
 }
 
+// Per executed subtask: files loaded, and routes copied into its own RIB
+// (the local-routes file is forwarded over in place, not copied).
+struct LoadMeans {
+  double files = 0;
+  double routesMerged = 0;
+};
+
+LoadMeans loadMeans(const DistTrafficResult& result) {
+  LoadMeans means;
+  size_t executed = 0;
+  for (const SubtaskMetric& metric : result.subtasks) {
+    if (metric.fromCache) continue;
+    ++executed;
+    means.files += static_cast<double>(metric.ribFilesLoaded);
+    means.routesMerged += static_cast<double>(metric.routesMerged);
+  }
+  if (executed > 0) {
+    means.files /= static_cast<double>(executed);
+    means.routesMerged /= static_cast<double>(executed);
+  }
+  return means;
+}
+
 }  // namespace
 
 int main() {
@@ -30,6 +53,7 @@ int main() {
 
   std::vector<double> orderingFractions, randomFractions;
   size_t orderingBytes = 0, randomBytes = 0;
+  LoadMeans orderingMeans, randomMeans;
   for (const SplitStrategy strategy : {SplitStrategy::kOrdering, SplitStrategy::kRandom}) {
     DistSimOptions options;
     options.workers = 10;
@@ -42,9 +66,11 @@ int main() {
     if (strategy == SplitStrategy::kOrdering) {
       orderingFractions = loadedFractions(result);
       orderingBytes = result.storeBytesRead;
+      orderingMeans = loadMeans(result);
     } else {
       randomFractions = loadedFractions(result);
       randomBytes = result.storeBytesRead;
+      randomMeans = loadMeans(result);
     }
   }
 
@@ -71,6 +97,10 @@ int main() {
   if (!randomFractions.empty()) randomAverage /= randomFractions.size();
   std::printf("random: average loaded fraction %.0f%% (paper: ~all files)\n",
               100.0 * randomAverage);
+  std::printf("mean per subtask: ordering %.1f files loaded, %.0f routes merged; "
+              "random %.1f files loaded, %.0f routes merged\n",
+              orderingMeans.files, orderingMeans.routesMerged, randomMeans.files,
+              randomMeans.routesMerged);
   std::printf("object-store bytes read: ordering %zu vs random %zu (%.1fx)\n",
               orderingBytes, randomBytes,
               orderingBytes ? static_cast<double>(randomBytes) / orderingBytes : 0.0);

@@ -5,7 +5,6 @@
 #include "sim/local_routes.h"
 
 #include <algorithm>
-#include <functional>
 #include <random>
 #include <stdexcept>
 
@@ -105,29 +104,30 @@ std::shared_ptr<const std::vector<T>> splitOrder(std::span<const T> inputs,
   return shared;
 }
 
-// The forwarding RIB over route result files, merged in the order given:
-// merge, dedupe, re-select, index. The master and every traffic worker build
-// theirs here. `each` sees every loaded result before its routes merge.
-NetworkRibs buildRib(ObjectStore& store, std::span<const std::string> keys,
-                     const std::function<void(const RouteSubtaskResult&)>& each = {}) {
-  NetworkRibs ribs;
-  for (const std::string& key : keys) {
-    const auto file = store.get<RouteSubtaskResult>(key);
-    if (each) each(*file);
-    ribs.merge(file->ribs);
-  }
+// Makes merged route files forwardable: dedupe, re-select, index. The
+// master's merge, the local-routes file and every traffic subtask's own layer
+// end here.
+void finishRib(NetworkRibs& ribs) {
   dedupeRoutes(ribs);
   reselectAll(ribs);
   ribs.buildForwardingIndex();
-  return ribs;
 }
 
 size_t approxRouteBytes(size_t routes) { return routes * 96; }
-// A route result blob: its routes, its stats and its recorded events.
+// A route result blob as read: its routes, its stats and its recorded events.
 size_t approxResultBytes(const RouteSubtaskResult& result) {
   constexpr size_t kStatsBytes = 128;
   return approxRouteBytes(result.ribs.routeCount()) + kStatsBytes +
          (result.events ? result.events->payloadBytes() : 0);
+}
+// What the local-routes blob holds beyond that, used in place by traffic
+// subtasks: its LPM and prefix-union tries. 0 for other route files.
+size_t approxFibBytes(const RouteSubtaskResult& result) {
+  if (!result.prefixes) return 0;
+  size_t bytes = result.prefixes->approxBytes();
+  for (const auto& [deviceId, deviceRib] : result.ribs.devices())
+    for (const auto& [vrfId, vrfRib] : deviceRib.vrfs()) bytes += vrfRib.indexBytes();
+  return bytes;
 }
 size_t approxFlowBytes(size_t flows) { return flows * 48; }
 
@@ -284,6 +284,9 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
                                              : obs::ProvenanceOptions{});
         if (record.local) {
           installLocalRoutes(model_, output.ribs, prov ? &subProv : nullptr);
+          // Forwarding form, built once for every traffic subtask.
+          finishRib(output.ribs);
+          output.prefixes.emplace(output.ribs);
         } else {
           const auto chunk = store_->get<std::vector<InputRoute>>(record.inputKey);
           RouteSimOptions subOptions = options_.routeOptions;
@@ -301,8 +304,9 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
         obs::Span uploadSpan = tel.tracer().span("route.subtask.upload", "dist");
         if (prov) output.events = obs::RecordedRouteEvents{provFp, subProv.snapshot()};
         const size_t resultBytes = approxResultBytes(output);
-        store_->put(record.resultKey, std::move(output), resultBytes);
-        if (cache) cache->stored(record.resultKey, resultBytes);
+        const size_t fibBytes = approxFibBytes(output);
+        store_->put(record.resultKey, std::move(output), resultBytes, fibBytes);
+        if (cache) cache->stored(record.resultKey, resultBytes + fibBytes);
       },
       [&](size_t job, const JobOutcome& outcome) { jobs[job].settle(outcome); });
   result.retries = report.retries;
@@ -320,10 +324,13 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   // Stats and provenance come from the result blobs, so a cache hit replays
   // what its original execution stored. Events append in subtask order (not
   // worker completion order), re-sequenced as they go.
-  result.ribs = buildRib(*store_, routeResultKeys(), [&](const RouteSubtaskResult& file) {
-    result.stats.add(file.stats);
-    if (prov && file.events) prov->append(file.events->events);
-  });
+  for (const RouteFile& routeFile : routeFiles_) {
+    const auto file = store_->get<RouteSubtaskResult>(routeFile.resultKey);
+    result.stats.add(file->stats);
+    if (prov && file->events) prov->append(file->events->events);
+    result.ribs.merge(file->ribs);
+  }
+  finishRib(result.ribs);
   // Authoritative selection events from the merged, re-selected RIBs.
   if (prov) recordSelectionEvents(result.ribs, prov);
   // One master-side kernel event per route phase: per-subtask sums are
@@ -377,6 +384,11 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
     return options_.loadAllRibs || file.local || !dstRange ||
            dstRange->overlaps(*file.coverage);
   };
+  // A successful route run always has the local-routes file.
+  const std::string& localKey =
+      std::find_if(routeFiles_.begin(), routeFiles_.end(),
+                   [](const RouteFile& file) { return file.local; })
+          ->resultKey;
 
   // --- master: prepare subtasks ----------------------------------------------
   journal.phaseBegin("traffic.split");
@@ -437,7 +449,23 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
         TrafficJob& record = jobs[job];
         const auto chunk = store_->get<std::vector<Flow>>(record.inputKey);
         obs::Span loadSpan = tel.tracer().span("traffic.subtask.load_ribs", "dist");
-        const NetworkRibs ribs = buildRib(*store_, record.ribKeys);
+        // Fetch every route file. The local-routes file is forwarded over in
+        // place; the others are copied into this subtask's own layer.
+        std::shared_ptr<const RouteSubtaskResult> local;
+        NetworkRibs own;
+        size_t copied = 0;
+        for (const std::string& key : record.ribKeys) {
+          auto file = store_->get<RouteSubtaskResult>(key);
+          if (key == localKey) {
+            local = std::move(file);
+            continue;
+          }
+          own.merge(file->ribs);
+          copied += file->ribs.routeCount();
+        }
+        copied += foldSharedRoutes(own, local->ribs);
+        finishRib(own);
+        record.metric.routesMerged = copied;
         const size_t loaded = record.ribKeys.size();
         loadSpan.arg("loaded", std::to_string(loaded));
         loadSpan.finish();
@@ -446,8 +474,8 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
         obs::Span executeSpan = tel.tracer().span("traffic.subtask.execute", "dist");
         TrafficSimOptions subOptions = options_.trafficOptions;
         subOptions.telemetry = &telemetry_;
-        const TrafficSimResult subResult =
-            simulateTraffic(model_, ribs, *chunk, subOptions);
+        const TrafficSimResult subResult = simulateTraffic(
+            model_, ForwardingView(own, local->ribs, *local->prefixes), *chunk, subOptions);
         executeSpan.finish();
         record.output = TrafficSubtaskResult{subResult.linkLoads, subResult.stats, loaded,
                                              routeFiles_.size()};

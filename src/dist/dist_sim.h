@@ -17,6 +17,17 @@
 // split (for comparison, Fig. 5(d)) makes every traffic subtask depend on
 // nearly every route subtask; `loadAllRibs` is the paper's "baseline" that
 // skips dependency pruning entirely (Fig. 5(b)).
+//
+// What a traffic subtask fetches and what it copies: it fetches every route
+// file it loads, the local-routes file (direct, static and IS-IS routes)
+// included, so store bytes read and files loaded count all of them. The
+// local-routes subtask uploads its file in forwarding form (deduped,
+// re-selected, indexed, with its prefix union), and every traffic subtask
+// forwards over that one FIB in place, read-only. A subtask copies into its
+// own RIB only the routes of its other files, plus the local routes of any
+// cell both hold, appended last; it dedupes, re-selects and indexes that, and
+// forwards over the two layers (sim/forwarding_view.h), which give what one
+// merged RIB of its files would.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +85,10 @@ struct SubtaskMetric {
   int attempts = 1;
   size_t ribFilesLoaded = 0;
   size_t ribFilesTotal = 0;
+  // Routes an executed traffic subtask copied into its own RIB: those of its
+  // route files other than the local-routes file, plus the local routes
+  // folded into cells both hold. 0 when served from cache.
+  size_t routesMerged = 0;
   bool fromCache = false;  // Served from the result cache, never queued.
 };
 
@@ -131,7 +146,9 @@ class DistributedSimulator {
   struct RouteFile {
     std::string resultKey;
     std::optional<IpRange> coverage;  // The §3.2 range its routes cover.
-    bool local = false;  // The local-routes file: every traffic subtask loads it.
+    // The local-routes file: every traffic subtask loads it and forwards
+    // over it in place.
+    bool local = false;
   };
 
   const NetworkModel& model_;

@@ -7,7 +7,8 @@
 // the cumulative counters it tracks *residency* — live blob count and live
 // bytes — so store occupancy between the route and traffic phases is
 // visible; `bindTelemetry` mirrors residency into gauges and traffic into
-// counters.
+// counters. A blob may hold more than a read transfers (derived state its
+// readers use in place); residency counts that too, traffic does not.
 #pragma once
 
 #include <memory>
@@ -34,21 +35,26 @@ class ObjectStore {
     if (liveBytesGauge_) liveBytesGauge_->set(static_cast<int64_t>(liveBytes_));
   }
 
+  // Stores `value` under `key`. Writing it, and each read of it, transfers
+  // `approxBytes`; `derivedBytes` is state it keeps beyond that, built from
+  // its content and used in place by readers (the local-routes file's
+  // forwarding tries), counted in residency only.
   template <typename T>
-  void put(const std::string& key, T value, size_t approxBytes) {
+  void put(const std::string& key, T value, size_t approxBytes, size_t derivedBytes = 0) {
     auto blob = std::make_shared<Entry>();
     blob->object = std::make_shared<T>(std::move(value));
     blob->bytes = approxBytes;
+    blob->residentBytes = approxBytes + derivedBytes;
     std::lock_guard lock(mutex_);
     bytesWritten_ += approxBytes;
     if (bytesWrittenCounter_) bytesWrittenCounter_->add(approxBytes);
     auto& slot = objects_[key];
     if (slot) {
-      liveBytes_ -= slot->bytes;  // Overwrite: replace the old blob's bytes.
+      liveBytes_ -= slot->residentBytes;  // Overwrite: replace the old blob's bytes.
     } else if (blobCountGauge_) {
       blobCountGauge_->add(1);
     }
-    liveBytes_ += approxBytes;
+    liveBytes_ += blob->residentBytes;
     if (liveBytesGauge_) liveBytesGauge_->set(static_cast<int64_t>(liveBytes_));
     slot = std::move(blob);
   }
@@ -83,7 +89,7 @@ class ObjectStore {
     std::lock_guard lock(mutex_);
     const auto it = objects_.find(key);
     if (it == objects_.end()) return false;
-    liveBytes_ -= it->second->bytes;
+    liveBytes_ -= it->second->residentBytes;
     objects_.erase(it);
     if (blobCountGauge_) blobCountGauge_->add(-1);
     if (liveBytesGauge_) liveBytesGauge_->set(static_cast<int64_t>(liveBytes_));
@@ -97,7 +103,7 @@ class ObjectStore {
     size_t erased = 0;
     for (auto it = objects_.begin(); it != objects_.end();) {
       if (it->first.rfind(prefix, 0) == 0) {
-        liveBytes_ -= it->second->bytes;
+        liveBytes_ -= it->second->residentBytes;
         it = objects_.erase(it);
         ++erased;
       } else {
@@ -146,7 +152,8 @@ class ObjectStore {
  private:
   struct Entry {
     std::shared_ptr<void> object;
-    size_t bytes = 0;
+    size_t bytes = 0;          // Transferred per read (and once written).
+    size_t residentBytes = 0;  // Held while live: `bytes` plus derived state.
   };
 
   mutable std::mutex mutex_;

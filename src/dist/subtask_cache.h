@@ -23,6 +23,7 @@
 #include "net/ip.h"
 #include "net/route.h"
 #include "obs/provenance.h"
+#include "sim/forwarding_view.h"
 #include "sim/route_sim.h"
 #include "sim/traffic_sim.h"
 
@@ -31,10 +32,19 @@ namespace hoyan {
 // The one store blob a route subtask leaves under its result key: its RIBs,
 // the stats a cache hit replays, and, when the run recorded provenance, its
 // decision events tagged with the recorder's filter fingerprint.
+//
+// The local-routes file is uploaded in forwarding form: its RIBs deduped,
+// re-selected and indexed, plus their prefix union. Every traffic subtask
+// forwards over it in place as the shared layer of its ForwardingView
+// (sim/forwarding_view.h), read-only and concurrently. The master's merge
+// reads the same routes as from a raw file: installLocalRoutes already
+// selects every cell, and direct, static and IS-IS routes rank by admin
+// distance, then IGP cost, a strict weak order, so re-selecting moves none.
 struct RouteSubtaskResult {
   NetworkRibs ribs;
   RouteSimStats stats;
   std::optional<obs::RecordedRouteEvents> events;
+  std::optional<PrefixUnion> prefixes;  // The local-routes file only.
 };
 
 // The one store blob a traffic subtask leaves under its result key.

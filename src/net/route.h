@@ -146,6 +146,10 @@ class VrfRib {
   const std::vector<Route>* longestMatch(const IpAddress& dst) const;
   // The prefix an LPM for `dst` resolves to, if any.
   std::optional<Prefix> longestMatchPrefix(const IpAddress& dst) const;
+  // Estimated heap footprint of the LPM index; 0 until it is built.
+  size_t indexBytes() const {
+    return indexBuilt_ ? lpmV4_.approxBytes() + lpmV6_.approxBytes() : 0;
+  }
 
  private:
   PrefixRoutes routes_;

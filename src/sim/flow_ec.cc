@@ -4,20 +4,10 @@
 
 namespace hoyan {
 
-FlowEcPlan buildFlowEcs(const NetworkModel& model, const NetworkRibs& ribs,
+FlowEcPlan buildFlowEcs(const NetworkModel& model, const ForwardingView& view,
                         std::span<const Flow> flows, FlowEcStats* stats) {
-  // Union trie of every forwarding prefix in every RIB (per family). The
-  // stored value is unused; presence partitions the space.
-  PrefixTrie<char> unionV4;
-  PrefixTrie<char> unionV6;
-  for (const auto& [deviceId, deviceRib] : ribs.devices()) {
-    for (const auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
-      for (const auto& [prefix, routes] : vrfRib.routes()) {
-        if (routes.empty()) continue;
-        (prefix.family() == IpFamily::kV4 ? unionV4 : unionV6).insert(prefix, 1);
-      }
-    }
-  }
+  // The own layer's prefix union; a shared layer's comes prebuilt.
+  const PrefixUnion ownPrefixes(view.own());
 
   // Distinct PBR and ACL rules network-wide (flows matching them differently
   // can diverge even with identical LPM results).
@@ -52,12 +42,11 @@ FlowEcPlan buildFlowEcs(const NetworkModel& model, const NetworkRibs& ribs,
   std::unordered_map<size_t, size_t> classIndex;
   for (const Flow& flow : flows) {
     // Atom of the destination: the most specific union prefix covering it.
-    const auto& trie = flow.dst.isV4() ? unionV4 : unionV6;
-    const auto match = trie.longestMatch(flow.dst);
+    const std::optional<Prefix> atom = view.atom(ownPrefixes, flow.dst);
     size_t h = flow.ingressDevice;
     h = h * 0x9e3779b97f4a7c15ULL ^ flow.vrf;
-    h = h * 0x9e3779b97f4a7c15ULL ^ (match ? match->prefix.hashValue() : 0x12345);
-    h = h * 0x9e3779b97f4a7c15ULL ^ (match ? 1 : 0);
+    h = h * 0x9e3779b97f4a7c15ULL ^ (atom ? atom->hashValue() : 0x12345);
+    h = h * 0x9e3779b97f4a7c15ULL ^ (atom ? 1 : 0);
     h = h * 0x9e3779b97f4a7c15ULL ^ policySignature(flow);
     const auto [it, inserted] = classIndex.try_emplace(h, plan.representatives.size());
     if (inserted) {
@@ -70,7 +59,6 @@ FlowEcPlan buildFlowEcs(const NetworkModel& model, const NetworkRibs& ribs,
   if (stats) {
     stats->inputFlows = flows.size();
     stats->classes = plan.representatives.size();
-    stats->unionPrefixes = unionV4.size() + unionV6.size();
   }
   return plan;
 }

@@ -40,8 +40,8 @@ struct DagNode {
 
 class FlowForwarder {
  public:
-  FlowForwarder(const NetworkModel& model, const NetworkRibs& ribs)
-      : model_(model), ribs_(ribs) {}
+  FlowForwarder(const NetworkModel& model, const ForwardingView& view)
+      : model_(model), view_(view) {}
 
   FlowPath forward(const Flow& flow) {
     nodes_.clear();
@@ -219,9 +219,7 @@ class FlowForwarder {
     }
 
     // Normal LPM forwarding.
-    const DeviceRib* deviceRib = ribs_.findDevice(device);
-    const VrfRib* vrfRib = deviceRib ? deviceRib->findVrf(flow.vrf) : nullptr;
-    const std::vector<Route>* routes = vrfRib ? vrfRib->longestMatch(flow.dst) : nullptr;
+    const std::vector<Route>* routes = view_.longestMatch(device, flow.vrf, flow.dst);
     if (!routes || routes->empty()) {
       nodes_[index].terminal = FlowOutcome::kBlackholed;
       return;
@@ -271,14 +269,14 @@ class FlowForwarder {
   }
 
   const NetworkModel& model_;
-  const NetworkRibs& ribs_;
+  const ForwardingView& view_;
   std::vector<DagNode> nodes_;
   std::unordered_map<DagNodeKey, size_t, DagNodeKeyHash> nodeIndex_;
 };
 
 }  // namespace
 
-TrafficSimResult simulateTraffic(const NetworkModel& model, const NetworkRibs& ribs,
+TrafficSimResult simulateTraffic(const NetworkModel& model, const ForwardingView& view,
                                  std::span<const Flow> flows,
                                  const TrafficSimOptions& options) {
   obs::Telemetry& tel = obs::Telemetry::orDisabled(options.telemetry);
@@ -289,7 +287,7 @@ TrafficSimResult simulateTraffic(const NetworkModel& model, const NetworkRibs& r
   std::vector<Flow> representativeStorage;
   std::span<const Flow> toSimulate = flows;
   if (options.useEquivalenceClasses) {
-    FlowEcPlan plan = buildFlowEcs(model, ribs, flows, &result.stats.ec);
+    FlowEcPlan plan = buildFlowEcs(model, view, flows, &result.stats.ec);
     representativeStorage = std::move(plan.representatives);
     toSimulate = representativeStorage;
     result.flowToPath = std::move(plan.flowToClass);
@@ -302,7 +300,7 @@ TrafficSimResult simulateTraffic(const NetworkModel& model, const NetworkRibs& r
   result.stats.simulatedFlows = toSimulate.size();
 
   obs::Span forwardSpan = tel.tracer().span("traffic_sim.forward", "sim");
-  FlowForwarder forwarder(model, ribs);
+  FlowForwarder forwarder(model, view);
   result.paths.reserve(toSimulate.size());
   for (const Flow& flow : toSimulate) {
     FlowPath path = forwarder.forward(flow);
@@ -327,9 +325,9 @@ TrafficSimResult simulateTraffic(const NetworkModel& model, const NetworkRibs& r
   return result;
 }
 
-FlowPath simulateSingleFlow(const NetworkModel& model, const NetworkRibs& ribs,
+FlowPath simulateSingleFlow(const NetworkModel& model, const ForwardingView& view,
                             const Flow& flow) {
-  FlowForwarder forwarder(model, ribs);
+  FlowForwarder forwarder(model, view);
   return forwarder.forward(flow);
 }
 

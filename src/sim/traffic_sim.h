@@ -7,6 +7,12 @@
 // split across ECMP next hops (route-level ECMP times IGP-level ECMP), or
 // walked along an SR segment list. Volumes propagate through the DAG in
 // topological order; a cycle marks the flow as looped.
+//
+// Both entry points forward over a ForwardingView (forwarding_view.h): a
+// plain NetworkRibs, or a distributed traffic subtask's own RIBs layered over
+// the shared local-routes FIB. A lookup takes the longer of the two layers'
+// matches and the own layer wins a tie, so paths and loads are those of one
+// merged RIB.
 #pragma once
 
 #include <span>
@@ -101,14 +107,15 @@ struct TrafficSimResult {
   TrafficSimStats stats;
 };
 
-// Simulates all flows. `ribs` must have its forwarding index built.
-TrafficSimResult simulateTraffic(const NetworkModel& model, const NetworkRibs& ribs,
+// Simulates all flows. Every RIB of `view` must have its forwarding index
+// built.
+TrafficSimResult simulateTraffic(const NetworkModel& model, const ForwardingView& view,
                                  std::span<const Flow> flows,
                                  const TrafficSimOptions& options = {});
 
 // Simulates a single flow exactly (no EC), e.g. for intent counter-examples
 // and root-cause analysis.
-FlowPath simulateSingleFlow(const NetworkModel& model, const NetworkRibs& ribs,
+FlowPath simulateSingleFlow(const NetworkModel& model, const ForwardingView& view,
                             const Flow& flow);
 
 }  // namespace hoyan

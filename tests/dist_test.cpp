@@ -81,10 +81,103 @@ class DistSimTest : public ::testing::Test {
     flows_ = generateFlows(wan_, workload, 600);
   }
 
+  // wan_ with cells the local-routes file shares with BGP route files: (a) a
+  // preference-1 discard static on the first core for an announced prefix,
+  // which wins the cell, and (b) a preference-200 floating static on the
+  // first border for a prefix it learns over eBGP (distance 20), which loses
+  // the cell but is best in the local-routes file alone.
+  struct SharedCells {
+    GeneratedWan wan;
+    Prefix discarded;  // (a)
+    Prefix floating;   // (b)
+    std::vector<Flow> flows;  // flows_ plus flows to both from every core and border.
+  };
+  SharedCells withSharedCells() const {
+    SharedCells out{wan_, {}, {}, flows_};
+    const NameId core = wan_.cores.front();
+    const NameId border = wan_.borders.front();
+    const auto announcedBy = [&](auto&& wanted) {
+      for (const InputRoute& input : inputs_)
+        if (wanted(input.device)) return input.route.prefix;
+      ADD_FAILURE() << "no such announcement";
+      return Prefix{};
+    };
+    const auto peersWithBorder = [&](NameId device) {
+      for (const Adjacency& adj : model_->topology.adjacenciesOf(border))
+        if (adj.neighbor == device) return true;
+      return false;
+    };
+    out.floating = announcedBy(peersWithBorder);
+    out.discarded = announcedBy([&](NameId device) {
+      return device == wan_.externals.back() && !peersWithBorder(device);
+    });
+    StaticRouteConfig discard;
+    discard.prefix = out.discarded;
+    discard.discard = true;
+    out.wan.configs.device(core).staticRoutes.push_back(discard);
+    StaticRouteConfig floating;
+    floating.prefix = out.floating;
+    floating.nexthop = wan_.topology.findDevice(core)->loopback;
+    floating.preference = 200;
+    out.wan.configs.device(border).staticRoutes.push_back(floating);
+    std::vector<NameId> ingresses = wan_.cores;
+    ingresses.insert(ingresses.end(), wan_.borders.begin(), wan_.borders.end());
+    for (const NameId ingress : ingresses) {
+      for (const Prefix& prefix : {out.discarded, out.floating}) {
+        for (const IpAddress& dst : {prefix.firstAddress(), prefix.lastAddress()}) {
+          Flow flow = flows_.front();
+          flow.ingressDevice = ingress;
+          flow.dst = dst;
+          out.flows.push_back(flow);
+        }
+      }
+    }
+    return out;
+  }
+
   GeneratedWan wan_;
   std::unique_ptr<NetworkModel> model_;
   std::vector<InputRoute> inputs_;
   std::vector<Flow> flows_;
+};
+
+// A result cache over a store the test owns. It serves a hit for any key
+// whose blob is resident and records the route files each traffic subtask
+// loads. Traffic keys are positions in `trafficRibKeys`, so a run repeated
+// after clearing it hits.
+class RecordingCache : public SubtaskResultCache {
+ public:
+  ObjectStore& store() override { return store_; }
+  std::string transientPrefix() override { return "run/"; }
+  std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
+      std::span<const InputRoute>) override {
+    return nullptr;
+  }
+  std::shared_ptr<const std::vector<Flow>> cachedOrder(std::span<const Flow>) override {
+    return nullptr;
+  }
+  void storeOrder(std::shared_ptr<const std::vector<InputRoute>>) override {}
+  void storeOrder(std::shared_ptr<const std::vector<Flow>>) override {}
+  std::string routeResultKey(std::span<const InputRoute> chunk,
+                             const std::optional<IpRange>&) override {
+    // Same-prefix routes never straddle two subtasks, so first prefixes differ.
+    return "route/" + chunk.front().route.prefix.str();
+  }
+  std::string localRoutesResultKey() override { return "local"; }
+  std::string trafficResultKey(std::span<const Flow>,
+                               std::span<const std::string> ribKeys) override {
+    trafficRibKeys.emplace_back(ribKeys.begin(), ribKeys.end());
+    return "traffic/" + std::to_string(trafficRibKeys.size());
+  }
+  bool lookup(const std::string& key) override { return store_.contains(key); }
+  void stored(const std::string&, size_t) override {}
+  void noteBypass() override {}
+
+  // Per traffic subtask of the current run, in subtask order.
+  std::vector<std::vector<std::string>> trafficRibKeys;
+
+ private:
+  ObjectStore store_;
 };
 
 // The job a phase reported under `id`, or null.
@@ -179,6 +272,105 @@ TEST_F(DistSimTest, DistributedTrafficMatchesCentralized) {
   }
 }
 
+// The twin of DistributedTrafficMatchesCentralized where the local-routes
+// file shares cells with BGP route files, so the traffic workers' fold runs.
+TEST_F(DistSimTest, DistributedTrafficMatchesCentralizedWhereLocalAndBgpRoutesShareCells) {
+  const SharedCells shared = withSharedCells();
+  const NetworkModel model = shared.wan.buildModel();
+  RouteSimOptions central;
+  central.includeLocalRoutes = true;
+  // The centralized run's route-EC expansion copies a representative
+  // prefix's whole cell to the other prefixes of its class, local routes
+  // included, so the statics would spread to prefixes they were never
+  // configured for. Without ECs the reference holds them where they are.
+  central.useEquivalenceClasses = false;
+  RouteSimResult reference = simulateRoutes(model, inputs_, central);
+  reference.ribs.buildForwardingIndex();
+  const auto bestProtocol = [&](NameId device,
+                                const Prefix& prefix) -> std::optional<Protocol> {
+    const VrfRib* vrf = reference.ribs.findDevice(device)->findVrf(kInvalidName);
+    const std::vector<Route>* routes = vrf ? vrf->find(prefix) : nullptr;
+    if (!routes || routes->empty()) return std::nullopt;
+    return routes->front().protocol;
+  };
+  ASSERT_EQ(bestProtocol(wan_.cores.front(), shared.discarded), Protocol::kStatic);
+  ASSERT_EQ(bestProtocol(wan_.borders.front(), shared.floating), Protocol::kBgp);
+  const TrafficSimResult referenceTraffic =
+      simulateTraffic(model, reference.ribs, shared.flows);
+
+  DistSimOptions options;
+  options.workers = 4;
+  options.routeSubtasks = 16;
+  options.trafficSubtasks = 8;
+  DistributedSimulator sim(model, options);
+  ASSERT_TRUE(sim.runRouteSimulation(inputs_).succeeded);
+  const DistTrafficResult distributed = sim.runTrafficSimulation(shared.flows);
+  ASSERT_TRUE(distributed.succeeded);
+  EXPECT_EQ(distributed.stats.inputFlows, shared.flows.size());
+  ASSERT_EQ(distributed.linkLoads.size(), referenceTraffic.linkLoads.size());
+  for (const auto& entry : referenceTraffic.linkLoads.entries()) {
+    EXPECT_NEAR(distributed.linkLoads.get(entry.from, entry.to), entry.bps,
+                entry.bps * 1e-6 + 1e-6)
+        << Names::str(entry.from) << "->" << Names::str(entry.to);
+  }
+}
+
+// The local-routes blob holds its forwarding tries, charged to residency but
+// not to reads. routesMerged counts what an executed traffic subtask copies
+// into its own RIB: the routes of its route files other than the
+// local-routes file, plus the local routes folded into the cells both hold.
+// A cache hit copies none.
+TEST_F(DistSimTest, TrafficSubtasksShareTheLocalRoutesFib) {
+  const SharedCells shared = withSharedCells();
+  const NetworkModel model = shared.wan.buildModel();
+  RecordingCache cache;
+  DistSimOptions options;
+  options.workers = 3;
+  options.routeSubtasks = 16;
+  options.trafficSubtasks = 8;
+  options.cache = &cache;
+  DistributedSimulator sim(model, options);
+  ASSERT_TRUE(sim.runRouteSimulation(inputs_).succeeded);
+  EXPECT_GT(cache.store().liveBytes(), cache.store().bytesWritten());
+  const DistTrafficResult executed = sim.runTrafficSimulation(shared.flows);
+  ASSERT_TRUE(executed.succeeded);
+  ASSERT_EQ(cache.trafficRibKeys.size(), executed.subtasks.size());
+
+  const auto local = cache.store().get<RouteSubtaskResult>("local");
+  size_t folded = 0;
+  for (size_t i = 0; i < executed.subtasks.size(); ++i) {
+    const SubtaskMetric& metric = executed.subtasks[i];
+    NetworkRibs own;
+    size_t expected = 0;
+    for (const std::string& key : cache.trafficRibKeys[i]) {
+      if (key == "local") continue;
+      const auto file = cache.store().get<RouteSubtaskResult>(key);
+      own.merge(file->ribs);
+      expected += file->ribs.routeCount();
+    }
+    for (const auto& [deviceId, deviceRib] : own.devices()) {
+      for (const auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
+        for (const auto& [prefix, routes] : vrfRib.routes()) {
+          const DeviceRib* localDevice = local->ribs.findDevice(deviceId);
+          const VrfRib* localVrf = localDevice ? localDevice->findVrf(vrfId) : nullptr;
+          const std::vector<Route>* localRoutes = localVrf ? localVrf->find(prefix) : nullptr;
+          if (!localRoutes) continue;
+          folded += localRoutes->size();
+          expected += localRoutes->size();
+        }
+      }
+    }
+    EXPECT_FALSE(metric.fromCache) << metric.id;
+    EXPECT_EQ(metric.routesMerged, expected) << metric.id;
+  }
+  EXPECT_GT(folded, 0u) << "no subtask folded a shared cell";
+
+  cache.trafficRibKeys.clear();
+  const DistTrafficResult hit = sim.runTrafficSimulation(shared.flows);
+  ASSERT_EQ(hit.cacheHits, hit.subtasks.size());
+  for (const SubtaskMetric& metric : hit.subtasks) EXPECT_EQ(metric.routesMerged, 0u) << metric.id;
+}
+
 TEST_F(DistSimTest, WorkerCrashesAreRetried) {
   DistSimOptions options;
   options.workers = 4;
@@ -265,6 +457,12 @@ TEST_F(DistSimTest, LoadAllBaselineReadsMoreBytes) {
     const DistTrafficResult baselineResult = baselineSim.runTrafficSimulation(flows_);
 
     EXPECT_LT(prunedResult.storeBytesRead, baselineResult.storeBytesRead) << workers;
+    const auto routesMerged = [](const DistTrafficResult& result) {
+      size_t routes = 0;
+      for (const SubtaskMetric& metric : result.subtasks) routes += metric.routesMerged;
+      return routes;
+    };
+    EXPECT_LT(routesMerged(prunedResult), routesMerged(baselineResult)) << workers;
     ASSERT_GT(prunedResult.linkLoads.size(), 0u);
     ASSERT_EQ(prunedResult.linkLoads.size(), baselineResult.linkLoads.size()) << workers;
     for (const auto& entry : baselineResult.linkLoads.entries())
@@ -333,18 +531,22 @@ TEST_F(DistSimTest, SubtaskRuntimesAreRecorded) {
 TEST(ObjectStoreTest, ByteAccountingRoundTripsToZero) {
   ObjectStore store;
   store.put("run1/a", std::string("aa"), 100);
-  store.put("run1/b", std::string("bb"), 200);
+  // Derived state the blob keeps (40 bytes) is resident but never transferred.
+  store.put("run1/b", std::string("bb"), 200, 40);
   store.put("cas/r/x", std::string("xx"), 300);
-  EXPECT_EQ(store.liveBytes(), 600u);
+  EXPECT_EQ(store.liveBytes(), 640u);
+  EXPECT_EQ(store.bytesWritten(), 600u);
   EXPECT_EQ(store.blobCount(), 3u);
+  store.get<std::string>("run1/b");
+  EXPECT_EQ(store.bytesRead(), 200u);
   // Overwrite replaces the old blob's bytes instead of double-counting.
   store.put("cas/r/x", std::string("yy"), 50);
-  EXPECT_EQ(store.liveBytes(), 350u);
+  EXPECT_EQ(store.liveBytes(), 390u);
   EXPECT_EQ(store.blobCount(), 3u);
 
   EXPECT_FALSE(store.erase("missing"));
   EXPECT_TRUE(store.erase("cas/r/x"));
-  EXPECT_EQ(store.liveBytes(), 300u);
+  EXPECT_EQ(store.liveBytes(), 340u);
   EXPECT_EQ(store.erasePrefix("run1/"), 2u);
   EXPECT_EQ(store.liveBytes(), 0u);
   EXPECT_EQ(store.blobCount(), 0u);

@@ -3,8 +3,11 @@
 // aggregates, equivalence classes, forwarding, ECMP, loops, ACL/PBR/SR.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "config/parser.h"
 #include "config/printer.h"
+#include "config/vendor.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
 #include "sim/local_routes.h"
@@ -444,6 +447,179 @@ TEST(TrafficLoopTest, StaticRouteLoopDetected) {
   flow.volumeBps = 100;
   const FlowPath path = simulateSingleFlow(model, ribs, flow);
   EXPECT_EQ(path.outcome, FlowOutcome::kLooped);
+}
+
+// --- layered forwarding (sim/forwarding_view.h) ----------------------------------
+
+// One forwarding state built both ways: as one RIB (BGP and local routes
+// merged, deduped, re-selected, indexed), and as the distributed traffic
+// phase's two layers: the BGP routes with their shared cells folded, over the
+// local-routes FIB.
+struct BothWays {
+  NetworkRibs merged;
+  NetworkRibs shared;
+  PrefixUnion sharedPrefixes;
+  NetworkRibs own;
+
+  ForwardingView layered() const { return ForwardingView(own, shared, sharedPrefixes); }
+};
+
+void makeForwardable(NetworkRibs& ribs) {
+  dedupeRoutes(ribs);
+  reselectAll(ribs);
+  ribs.buildForwardingIndex();
+}
+
+BothWays buildBothWays(const NetworkModel& model, const std::vector<InputRoute>& inputs) {
+  const NetworkRibs bgp = simulateRoutes(model, inputs).ribs;
+  NetworkRibs local;
+  installLocalRoutes(model, local);
+  BothWays out;
+  out.merged.merge(bgp);
+  out.merged.merge(local);
+  makeForwardable(out.merged);
+  out.shared = local;
+  makeForwardable(out.shared);
+  out.sharedPrefixes = PrefixUnion(out.shared);
+  out.own = bgp;
+  foldSharedRoutes(out.own, out.shared);
+  makeForwardable(out.own);
+  return out;
+}
+
+// Flows from every internal device to each of `destinations`.
+std::vector<Flow> flowsTo(const SmallWan& net, const std::vector<std::string>& destinations) {
+  std::vector<Flow> flows;
+  for (const NameId ingress : {net.c1, net.c2, net.rr1, net.br1}) {
+    for (const std::string& destination : destinations) {
+      Flow flow;
+      flow.ingressDevice = ingress;
+      flow.src = *IpAddress::parse("20.0.0.1");
+      flow.dst = *IpAddress::parse(destination);
+      flow.dstPort = 80;
+      flow.volumeBps = 1000.0 / 3.0 + static_cast<double>(flows.size());
+      flows.push_back(flow);
+    }
+  }
+  return flows;
+}
+
+// Bit-identical paths and link loads from simulateTraffic, with and without
+// flow ECs, and identical classes from buildFlowEcs.
+void expectSameForwarding(const NetworkModel& model, const BothWays& ribs,
+                          const std::vector<Flow>& flows) {
+  for (const bool ecs : {false, true}) {
+    TrafficSimOptions options;
+    options.useEquivalenceClasses = ecs;
+    const TrafficSimResult merged = simulateTraffic(model, ribs.merged, flows, options);
+    const TrafficSimResult layered = simulateTraffic(model, ribs.layered(), flows, options);
+    EXPECT_EQ(layered.flowToPath, merged.flowToPath);
+    ASSERT_EQ(layered.paths.size(), merged.paths.size());
+    for (size_t i = 0; i < merged.paths.size(); ++i) {
+      const FlowPath& want = merged.paths[i];
+      const FlowPath& got = layered.paths[i];
+      EXPECT_EQ(got.outcome, want.outcome) << want.str();
+      ASSERT_EQ(got.hops.size(), want.hops.size()) << want.str() << "\n" << got.str();
+      for (size_t h = 0; h < want.hops.size(); ++h) {
+        EXPECT_EQ(got.hops[h].device, want.hops[h].device) << want.str();
+        EXPECT_EQ(got.hops[h].nextDevice, want.hops[h].nextDevice) << want.str();
+        EXPECT_EQ(got.hops[h].matchedPrefix, want.hops[h].matchedPrefix) << want.str();
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.hops[h].volumeShareBps),
+                  std::bit_cast<uint64_t>(want.hops[h].volumeShareBps))
+            << want.str();
+      }
+    }
+    ASSERT_EQ(layered.linkLoads.size(), merged.linkLoads.size());
+    for (const LinkLoadMap::Entry& entry : merged.linkLoads.entries())
+      EXPECT_EQ(std::bit_cast<uint64_t>(layered.linkLoads.get(entry.from, entry.to)),
+                std::bit_cast<uint64_t>(entry.bps))
+          << Names::str(entry.from) << "->" << Names::str(entry.to);
+  }
+  const FlowEcPlan merged = buildFlowEcs(model, ribs.merged, flows);
+  const FlowEcPlan layered = buildFlowEcs(model, ribs.layered(), flows);
+  EXPECT_EQ(layered.flowToClass, merged.flowToClass);
+}
+
+StaticRouteConfig staticRoute(const std::string& prefix, uint8_t preference) {
+  StaticRouteConfig route;
+  route.prefix = *Prefix::parse(prefix);
+  route.preference = preference;
+  return route;
+}
+
+// (a) A stale preference-1 discard static for an announced prefix (the shape
+// of riskStaleDiscardStatic) wins the combined cell: only the fold puts it
+// in the own layer, where the tie goes.
+TEST(LayeredForwardingTest, DiscardStaticForBgpPrefix) {
+  SmallWan net = buildSmallWan();
+  StaticRouteConfig discard = staticRoute("100.88.0.0/16", 1);
+  discard.discard = true;
+  net.configs.device(net.c2).staticRoutes.push_back(discard);
+  const NetworkModel model = net.model();
+  const BothWays ribs = buildBothWays(model, {ispRoute(net, "100.88.0.0/16")});
+  const Route* best = bestRoute(ribs.merged, net.c2, "100.88.0.0/16");
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->protocol, Protocol::kStatic);
+  expectSameForwarding(model, ribs, flowsTo(net, {"100.88.1.1", "100.88.255.254"}));
+}
+
+// (b) A preference-200 floating static for a prefix BR1 learns over eBGP
+// (distance 20) loses the combined cell but is best in the local layer
+// alone: the tie must go to the own layer.
+TEST(LayeredForwardingTest, FloatingStaticUnderBgpPrefix) {
+  SmallWan net = buildSmallWan(vendorA().name);
+  StaticRouteConfig floating = staticRoute("100.1.0.0/16", 200);
+  floating.nexthop = net.topology.findDevice(net.c1)->loopback;
+  net.configs.device(net.br1).staticRoutes.push_back(floating);
+  const NetworkModel model = net.model();
+  const BothWays ribs = buildBothWays(model, {ispRoute(net, "100.1.0.0/16")});
+  const Route* merged = bestRoute(ribs.merged, net.br1, "100.1.0.0/16");
+  const Route* local = bestRoute(ribs.shared, net.br1, "100.1.0.0/16");
+  ASSERT_NE(merged, nullptr);
+  ASSERT_NE(local, nullptr);
+  EXPECT_EQ(merged->protocol, Protocol::kBgp);
+  EXPECT_EQ(local->protocol, Protocol::kStatic);
+  expectSameForwarding(model, ribs, flowsTo(net, {"100.1.2.3", "100.1.255.1"}));
+}
+
+// A static /32 on C2 inside the announced /16.
+SmallWan hostRouteInsideBgpPrefix() {
+  SmallWan net = buildSmallWan();
+  StaticRouteConfig host = staticRoute("100.1.2.3/32", 1);
+  host.nexthop = net.topology.findDevice(net.rr1)->loopback;
+  net.configs.device(net.c2).staticRoutes.push_back(host);
+  return net;
+}
+
+// (c) The shared layer's longer match beats the own layer's.
+TEST(LayeredForwardingTest, LocalHostRouteInsideBgpPrefix) {
+  const SmallWan net = hostRouteInsideBgpPrefix();
+  const NetworkModel model = net.model();
+  const BothWays ribs = buildBothWays(model, {ispRoute(net, "100.1.0.0/16")});
+  expectSameForwarding(model, ribs, flowsTo(net, {"100.1.2.3", "100.1.2.4", "100.1.0.1"}));
+}
+
+// (d) The own layer's longer match beats the shared layer's supernet.
+TEST(LayeredForwardingTest, BgpPrefixInsideLocalSupernet) {
+  SmallWan net = buildSmallWan();
+  StaticRouteConfig supernet = staticRoute("100.0.0.0/8", 1);
+  supernet.nexthop = net.topology.findDevice(net.rr1)->loopback;
+  net.configs.device(net.c2).staticRoutes.push_back(supernet);
+  const NetworkModel model = net.model();
+  const BothWays ribs = buildBothWays(model, {ispRoute(net, "100.1.0.0/16")});
+  expectSameForwarding(model, ribs, flowsTo(net, {"100.1.2.3", "100.2.0.1", "100.0.0.1"}));
+}
+
+// (e) Flows to the /32 and to the rest of its covering BGP prefix fall in
+// different classes: the atom is the longer of the two prefix-union matches.
+TEST(LayeredForwardingTest, HostRouteAndRestOfBgpPrefixSplitClasses) {
+  const SmallWan net = hostRouteInsideBgpPrefix();
+  const NetworkModel model = net.model();
+  const BothWays ribs = buildBothWays(model, {ispRoute(net, "100.1.0.0/16")});
+  const std::vector<Flow> flows = flowsTo(net, {"100.1.2.3", "100.1.2.4"});
+  const FlowEcPlan plan = buildFlowEcs(model, ribs.layered(), flows);
+  EXPECT_NE(plan.flowToClass[0], plan.flowToClass[1]);
+  expectSameForwarding(model, ribs, flows);
 }
 
 // --- generated WAN end-to-end ----------------------------------------------------
