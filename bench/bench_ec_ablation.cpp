@@ -46,13 +46,7 @@ int main(int argc, char** argv) {
   g_wan = generateWan(wanSpec());
   g_model = g_wan.buildModel();
   g_inputs = generateInputRoutes(g_wan, benchWorkload());
-  {
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    RouteSimResult result = simulateRoutes(g_model, g_inputs, options);
-    g_ribs = std::move(result.ribs);
-    g_ribs.buildForwardingIndex();
-  }
+  g_ribs = simulateCentralized(g_model, g_inputs).ribs;
 
   benchmark::RunSpecifiedBenchmarks();
 
@@ -70,10 +64,9 @@ int main(int argc, char** argv) {
   // Simulation time with and without ECs.
   for (const bool useEc : {true, false}) {
     RouteSimOptions options;
-    options.includeLocalRoutes = true;
     options.useEquivalenceClasses = useEc;
     Stopwatch stopwatch;
-    benchmark::DoNotOptimize(simulateRoutes(g_model, g_inputs, options).stats.rounds);
+    benchmark::DoNotOptimize(simulateCentralized(g_model, g_inputs, options).stats.rounds);
     routeRows.push_back({useEc ? "route sim time (ECs on)" : "route sim time (ECs off)",
                          fmt(stopwatch.seconds()) + " s"});
   }

@@ -31,10 +31,9 @@ void runSweep(const std::string& label, const WanSpec& spec, size_t memoryBudget
     const size_t count = static_cast<size_t>(inputs.size() * fraction);
     const std::span<const InputRoute> slice(inputs.data(), count);
     RouteSimOptions options;
-    options.includeLocalRoutes = true;
     options.memoryBudgetRoutes = memoryBudget;
     Stopwatch stopwatch;
-    const RouteSimResult result = simulateRoutes(model, slice, options);
+    const RouteSimResult result = simulateCentralized(model, slice, options);
     g_rows.push_back({label, count, stopwatch.seconds(),
                       result.stats.outOfMemory ? "OUT-OF-MEMORY" : "ok"});
     if (result.stats.outOfMemory) break;  // The centralized run dies here.
@@ -45,10 +44,8 @@ void BM_CentralizedWan(benchmark::State& state) {
   const GeneratedWan wan = generateWan(wanSpec());
   const NetworkModel model = wan.buildModel();
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());
-  RouteSimOptions options;
-  options.includeLocalRoutes = true;
   for (auto _ : state) {
-    const RouteSimResult result = simulateRoutes(model, inputs, options);
+    const RouteSimResult result = simulateCentralized(model, inputs);
     benchmark::DoNotOptimize(result.ribs.routeCount());
   }
   state.counters["inputs"] = static_cast<double>(inputs.size());

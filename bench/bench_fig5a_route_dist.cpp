@@ -35,10 +35,8 @@ void runSeries(const std::string& label, const WanSpec& spec) {
   Series series;
   series.network = label;
   {
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
     Stopwatch stopwatch;
-    simulateRoutes(model, inputs, options);
+    simulateCentralized(model, inputs);
     series.centralizedSeconds = stopwatch.seconds();
   }
   DistSimOptions options;

@@ -38,9 +38,7 @@ int main(int argc, char** argv) {
   const GeneratedWan wan = generateWan(wanSpec());
   const NetworkModel model = wan.buildModel();
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());
-  RouteSimOptions options;
-  options.includeLocalRoutes = true;
-  const RouteSimResult base = simulateRoutes(model, inputs, options);
+  const RouteSimResult base = simulateCentralized(model, inputs);
   g_base = rcl::GlobalRib::fromNetworkRibs(base.ribs);
   // An "updated" RIB differing mildly (a community retagged), so intents
   // exercise both satisfied and violated paths.

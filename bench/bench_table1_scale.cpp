@@ -29,10 +29,8 @@ int main() {
     workload.prefixesPerIsp = 64;  // The high-priority subset.
     workload.prefixesPerDc = 16;
     const std::vector<InputRoute> inputs = generateInputRoutes(wan, workload);
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
     Stopwatch stopwatch;
-    simulateRoutes(model, inputs, options);
+    simulateCentralized(model, inputs);
     rows.push_back({"2017", std::to_string(wan.topology.deviceCount()),
                     std::to_string(inputs.size()), "-", "centralized",
                     fmt(stopwatch.seconds())});

@@ -23,10 +23,8 @@ int main() {
     const GeneratedWan wan = generateWan(wanSpec());
     const NetworkModel model = wan.buildModel();
     const std::vector<InputRoute> inputs = generateInputRoutes(wan, benchWorkload());
-    RouteSimOptions central;
-    central.includeLocalRoutes = true;
     Stopwatch centralWatch;
-    simulateRoutes(model, inputs, central);
+    simulateCentralized(model, inputs);
     const double centralSeconds = centralWatch.seconds();
     DistSimOptions options;
     options.workers = std::max(2u, std::thread::hardware_concurrency());

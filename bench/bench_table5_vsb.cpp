@@ -79,9 +79,7 @@ struct MiniNet {
   }
 
   RouteSimResult run(const std::vector<InputRoute>& inputs) {
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    return simulateRoutes(nb.build(), inputs, options);
+    return simulateCentralized(nb.build(), inputs);
   }
 
   const std::vector<Route>* routesAt(const RouteSimResult& result, NameId device,
@@ -276,12 +274,9 @@ int main() {
         sr.name = Names::id("SR");
         sr.endpoint = nb.loopback(b);
         nb.config(a).srPolicies.push_back(sr);
-        RouteSimOptions options;
-        options.includeLocalRoutes = true;
-        const auto result = simulateRoutes(
+        const auto result = simulateCentralized(
             nb.build(), std::vector<InputRoute>{nb.originate(b, "59.0.0.0/16"),
-                                                nb.originate(c, "59.0.0.0/16")},
-            options);
+                                                nb.originate(c, "59.0.0.0/16")});
         size_t forwarding = 0;
         if (const DeviceRib* rib = result.ribs.findDevice(a))
           if (const VrfRib* vrf = rib->findVrf(kInvalidName))

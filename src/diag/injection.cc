@@ -86,17 +86,11 @@ struct ExperimentResult {
 ExperimentResult runSimulations(Experiment& experiment, int maxRounds = 20) {
   ExperimentResult result;
   RouteSimOptions options;
-  options.includeLocalRoutes = true;
   options.maxRounds = maxRounds;
-  RouteSimResult sim = simulateRoutes(experiment.model, experiment.inputs, options);
+  RouteSimResult sim = simulateCentralized(experiment.model, experiment.inputs, options);
   result.simConverged = sim.stats.converged;
   result.simRibs = std::move(sim.ribs);
-  result.simRibs.buildForwardingIndex();
-  RouteSimOptions liveOptions;
-  liveOptions.includeLocalRoutes = true;
-  RouteSimResult live = simulateRoutes(experiment.live, experiment.liveInputs, liveOptions);
-  result.liveRibs = std::move(live.ribs);
-  result.liveRibs.buildForwardingIndex();
+  result.liveRibs = simulateCentralized(experiment.live, experiment.liveInputs).ribs;
   result.simLoads =
       simulateTraffic(experiment.model, result.simRibs, experiment.flows).linkLoads;
   result.liveLoads =

@@ -104,15 +104,6 @@ std::shared_ptr<const std::vector<T>> splitOrder(std::span<const T> inputs,
   return shared;
 }
 
-// Makes merged route files forwardable: dedupe, re-select, index. The
-// master's merge, the local-routes file and every traffic subtask's own layer
-// end here.
-void finishRib(NetworkRibs& ribs) {
-  dedupeRoutes(ribs);
-  reselectAll(ribs);
-  ribs.buildForwardingIndex();
-}
-
 size_t approxRouteBytes(size_t routes) { return routes * 96; }
 // A route result blob as read: its routes, its stats and its recorded events.
 size_t approxResultBytes(const RouteSubtaskResult& result) {
@@ -290,12 +281,8 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
         } else {
           const auto chunk = store_->get<std::vector<InputRoute>>(record.inputKey);
           RouteSimOptions subOptions = options_.routeOptions;
-          subOptions.includeLocalRoutes = false;
           subOptions.telemetry = &telemetry_;
           subOptions.provenance = prov ? &subProv : nullptr;
-          // Subtask-local selection is provisional (the master re-selects
-          // after merging); selection events come from the merged RIBs below.
-          subOptions.provenanceSelectionEvents = false;
           RouteSimResult subResult = simulateRoutes(model_, *chunk, subOptions);
           output.ribs = std::move(subResult.ribs);
           output.stats = subResult.stats;
@@ -330,9 +317,9 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
     if (prov && file->events) prov->append(file->events->events);
     result.ribs.merge(file->ribs);
   }
-  finishRib(result.ribs);
-  // Authoritative selection events from the merged, re-selected RIBs.
-  if (prov) recordSelectionEvents(result.ribs, prov);
+  // Selection events come from the merged, re-selected RIBs: a subtask's
+  // selection is provisional.
+  finishRib(result.ribs, prov);
   // One master-side kernel event per route phase: per-subtask sums are
   // deterministic (L1-level regex accounting), so the aggregate — and the
   // canonical journal — is byte-identical for any worker count.

@@ -124,8 +124,9 @@ uint64_t fingerprintLocalRouteState(const NetworkModel& model);
 
 // --- simulation options -----------------------------------------------------
 
-// Result-affecting route-sim knobs only (telemetry/provenance sinks and the
-// master-managed includeLocalRoutes flag are excluded).
+// Result-affecting route-sim knobs only: maxRounds, useEquivalenceClasses and
+// memoryBudgetRoutes (the telemetry and provenance sinks and policyMemo
+// change no result).
 uint64_t fingerprintRouteOptions(const RouteSimOptions& options);
 uint64_t fingerprintTrafficOptions(const TrafficSimOptions& options);
 

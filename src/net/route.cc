@@ -1,5 +1,7 @@
 #include "net/route.h"
 
+#include <iterator>
+
 namespace hoyan {
 
 std::string protocolName(Protocol p) {
@@ -90,6 +92,33 @@ void NetworkRibs::merge(const NetworkRibs& other) {
       }
     }
   }
+}
+
+void NetworkRibs::merge(NetworkRibs&& other) {
+  // Each map's merge moves the nodes whose keys the target lacks and leaves
+  // the shared keys behind in its source.
+  devices_.merge(other.devices_);
+  for (auto& [deviceId, deviceRib] : other.devices_) {
+    auto& myVrfs = devices_.find(deviceId)->second.vrfs();
+    myVrfs.merge(deviceRib.vrfs());
+    for (auto& [vrfId, theirs] : deviceRib.vrfs()) {
+      VrfRib& mine = myVrfs.find(vrfId)->second;
+      // Cells move from the smaller table into the larger, so a merge costs
+      // the smaller side; a cell both hold still lists our routes first.
+      const bool intoTheirs = mine.prefixCount() < theirs.prefixCount();
+      VrfRib& into = intoTheirs ? theirs : mine;
+      VrfRib& from = intoTheirs ? mine : theirs;
+      into.routes().merge(from.routes());
+      for (auto& [prefix, routes] : from.routes()) {
+        std::vector<Route>& cell = into.routes().find(prefix)->second;
+        cell.insert(intoTheirs ? cell.begin() : cell.end(),
+                    std::make_move_iterator(routes.begin()),
+                    std::make_move_iterator(routes.end()));
+      }
+      if (intoTheirs) mine = std::move(theirs);
+    }
+  }
+  other.devices_.clear();
 }
 
 }  // namespace hoyan

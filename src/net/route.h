@@ -209,6 +209,11 @@ class NetworkRibs {
   // results). Route lists for the same (device, vrf, prefix) are concatenated;
   // best-path selection across subtasks is re-run by the merger.
   void merge(const NetworkRibs& other);
+  // The same merge, consuming `other`: no route is copied. The devices and
+  // VRFs this lacks are spliced in, and a VRF both hold splices the cells of
+  // its smaller table into the larger; shared cells list this RIB's routes,
+  // then `other`'s.
+  void merge(NetworkRibs&& other);
 
  private:
   std::unordered_map<NameId, DeviceRib> devices_;

@@ -55,6 +55,10 @@ namespace hoyan {
 // across subtasks are identical for any worker count and the journal's
 // canonical export stays byte-stable.
 struct PolicyKernelStats {
+  // Every policy evaluation the route engine made, whichever path served it
+  // (memo hit, memo miss, a policy the memo does not cover, or the plain
+  // evaluator with the memo off or a recorder attached).
+  uint64_t evaluations = 0;
   uint64_t memoHits = 0;
   uint64_t memoMisses = 0;
   uint64_t regexCacheHits = 0;    // Engine-local (L1) compiled-pattern hits.
@@ -63,6 +67,7 @@ struct PolicyKernelStats {
   uint64_t attrClasses = 0;       // Interned attribute classes (table size).
 
   void add(const PolicyKernelStats& other) {
+    evaluations += other.evaluations;
     memoHits += other.memoHits;
     memoMisses += other.memoMisses;
     regexCacheHits += other.regexCacheHits;

@@ -308,19 +308,16 @@ CaseStudyResult runSrIgpCostDiagnosisCase() {
   obs::ProvenanceRecorder hoyanProv(provOptions);
 
   RouteSimOptions options;
-  options.includeLocalRoutes = true;
   // Ground truth (the live network's converged state).
   options.provenance = &liveProv;
   NetworkModel liveModel = liveNet.build();
-  RouteSimResult liveRoutes = simulateRoutes(liveModel, inputs, options);
-  liveRoutes.ribs.buildForwardingIndex();
+  const RouteSimResult liveRoutes = simulateCentralized(liveModel, inputs, options);
   const TrafficSimResult liveTraffic =
       simulateTraffic(liveModel, liveRoutes.ribs, flows);
   // Hoyan's (mis-modelled) simulation.
   options.provenance = &hoyanProv;
   NetworkModel hoyanModel = modelNet.build();
-  RouteSimResult hoyanRoutes = simulateRoutes(hoyanModel, inputs, options);
-  hoyanRoutes.ribs.buildForwardingIndex();
+  const RouteSimResult hoyanRoutes = simulateCentralized(hoyanModel, inputs, options);
   const TrafficSimResult hoyanTraffic =
       simulateTraffic(hoyanModel, hoyanRoutes.ribs, flows);
 

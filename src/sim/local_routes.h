@@ -3,7 +3,8 @@
 // Direct, static, and IS-IS routes exist on a device regardless of which
 // input routes a simulation subtask covers, so they are computed separately:
 // the distributed master schedules them as one dedicated subtask (§3.2)
-// rather than replicating them into every subtask's result.
+// rather than replicating them into every subtask's result, and centralized
+// simulation (simulateCentralized) merges the same file after its BGP routes.
 #pragma once
 
 #include <vector>
@@ -27,7 +28,8 @@ inline constexpr uint8_t kAggregateAdminDistance = 130;
 // active device into `ribs`. When `provenance` is set (and enabled), emits a
 // local-installed event per watched route in sorted (device, vrf, prefix)
 // order; `ribs` must start empty for those events to cover exactly the local
-// routes (both callers pass a fresh RIB set).
+// routes (the local-routes subtask and simulateCentralized both pass a fresh
+// RIB set, which they merge or finish afterwards).
 void installLocalRoutes(const NetworkModel& model, NetworkRibs& ribs,
                         obs::ProvenanceRecorder* provenance = nullptr);
 

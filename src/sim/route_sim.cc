@@ -170,20 +170,17 @@ class RouteSimEngine {
 
     // Materialise RIBs.
     obs::Span materializeSpan = tel.tracer().span("route_sim.materialize", "sim");
-    if (options_.includeLocalRoutes) installLocalRoutes(model_, result.ribs, prov_);
     for (auto& [key, cell] : cells_) {
       if (cell.selected.empty()) continue;
       auto& routes = result.ribs.device(key.device).vrf(key.vrf).routesFor(key.prefix);
       routes.insert(routes.end(), cell.selected.begin(), cell.selected.end());
     }
-    if (options_.includeLocalRoutes) reselectAll(result.ribs);
     if (options_.useEquivalenceClasses) expandEcResults(plan.classes, result.ribs);
-    if (prov_ && options_.provenanceSelectionEvents)
-      recordSelectionEvents(result.ribs, prov_);
     result.stats.installedRoutes = result.ribs.routeCount();
     materializeSpan.finish();
     result.stats.materializeSeconds = materializeSpan.seconds();
     result.stats.policy = kernel_.stats();
+    result.stats.policy.evaluations = policyEvaluations_;
     tel.metrics().counter("sim.policy_memo.hits").add(result.stats.policy.memoHits);
     tel.metrics().counter("sim.policy_memo.misses").add(result.stats.policy.memoMisses);
     tel.metrics().counter("sim.regex_cache.hits").add(result.stats.policy.regexCacheHits);
@@ -222,6 +219,7 @@ class RouteSimEngine {
   // decision trace only when `watch` says this prefix's events are recorded.
   bool applyPolicy(const PolicyContext& context, std::optional<NameId> policyName,
                    Route& route, bool watch, std::string* reason = nullptr) {
+    ++policyEvaluations_;
     if (memoEnabled_) return kernel_.evaluate(context, policyName, route);
     if (!watch && !reason) return evaluatePolicyInPlace(context, policyName, route);
     PolicyResult verdict = evaluatePolicy(context, policyName, route, /*explain=*/watch);
@@ -663,21 +661,19 @@ class RouteSimEngine {
   obs::ProvenanceRecorder* prov_ = nullptr;  // Null when disabled.
   PolicyEvalKernel kernel_;
   bool memoEnabled_ = false;  // options.policyMemo, minus the provenance bypass.
+  uint64_t policyEvaluations_ = 0;  // applyPolicy calls, on every path.
 };
 
-}  // namespace
-
-RouteSimResult simulateRoutes(const NetworkModel& model,
-                              std::span<const InputRoute> inputs,
-                              const RouteSimOptions& options) {
-  RouteSimEngine engine(model, options);
-  return engine.run(inputs);
-}
-
-void reselectAll(NetworkRibs& ribs) {
-  for (auto& [deviceId, deviceRib] : ribs.devices())
-    for (auto& [vrfId, vrfRib] : deviceRib.vrfs())
-      for (auto& [prefix, routes] : vrfRib.routes()) selectBestRoutes(routes);
+// Drops exact duplicates from one cell, keeping each route's first copy in
+// place and the cell's order.
+void dedupeInPlace(std::vector<Route>& routes) {
+  auto kept = routes.begin();
+  for (auto it = routes.begin(); it != routes.end(); ++it) {
+    if (std::find(routes.begin(), kept, *it) != kept) continue;
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
+  }
+  routes.erase(kept, routes.end());
 }
 
 void recordSelectionEvents(const NetworkRibs& ribs, obs::ProvenanceRecorder* recorder) {
@@ -715,7 +711,8 @@ void recordSelectionEvents(const NetworkRibs& ribs, obs::ProvenanceRecorder* rec
               break;
             case RouteType::kAlternate:
               event.kind = obs::RouteEventKind::kLostTieBreak;
-              event.detail = "lost on " + bgpDecisionStep(best, route);
+              event.detail = "lost on ";
+              event.detail += bgpDecisionStep(best, route);
               break;
           }
           recorder->record(std::move(event));
@@ -725,22 +722,38 @@ void recordSelectionEvents(const NetworkRibs& ribs, obs::ProvenanceRecorder* rec
   }
 }
 
-void dedupeRoutes(NetworkRibs& ribs) {
+}  // namespace
+
+RouteSimResult simulateRoutes(const NetworkModel& model,
+                              std::span<const InputRoute> inputs,
+                              const RouteSimOptions& options) {
+  RouteSimEngine engine(model, options);
+  return engine.run(inputs);
+}
+
+void finishRib(NetworkRibs& ribs, obs::ProvenanceRecorder* recorder) {
   for (auto& [deviceId, deviceRib] : ribs.devices()) {
     for (auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
       for (auto& [prefix, routes] : vrfRib.routes()) {
-        std::vector<Route> unique;
-        unique.reserve(routes.size());
-        for (const Route& route : routes) {
-          bool seen = false;
-          for (const Route& kept : unique)
-            if (kept == route) seen = true;
-          if (!seen) unique.push_back(route);
-        }
-        routes = std::move(unique);
+        dedupeInPlace(routes);
+        selectBestRoutes(routes);
       }
+      vrfRib.buildForwardingIndex();
     }
   }
+  recordSelectionEvents(ribs, recorder);
+}
+
+RouteSimResult simulateCentralized(const NetworkModel& model,
+                                   std::span<const InputRoute> inputs,
+                                   const RouteSimOptions& options) {
+  RouteSimResult result = simulateRoutes(model, inputs, options);
+  NetworkRibs local;
+  installLocalRoutes(model, local, options.provenance);
+  result.ribs.merge(std::move(local));
+  finishRib(result.ribs, options.provenance);
+  result.stats.installedRoutes = result.ribs.routeCount();
+  return result;
 }
 
 }  // namespace hoyan

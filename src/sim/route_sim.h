@@ -31,19 +31,11 @@ struct RouteSimOptions {
   // Emulated memory budget in installed-route count; exceeded => the task
   // aborts with outOfMemory (how centralized WAN+DCN runs failed, Fig. 1).
   size_t memoryBudgetRoutes = 0;  // 0 = unlimited.
-  // Install direct/static/IS-IS routes into the result RIBs. The distributed
-  // master runs exactly one local-routes subtask; centralized runs set this.
-  bool includeLocalRoutes = false;
   // Optional sink for per-phase spans/metrics (null = disabled, no cost).
   obs::Telemetry* telemetry = nullptr;
   // Optional route-decision provenance sink (null or disabled = no
   // recording, costing one branch).
   obs::ProvenanceRecorder* provenance = nullptr;
-  // Emit chosen-best/ecmp/lost-tie-break events from the final RIBs. The
-  // distributed master disables this on route subtasks (subtask-local
-  // selection is provisional) and calls recordSelectionEvents() itself after
-  // the merged reselect.
-  bool provenanceSelectionEvents = true;
   // Per-class policy-eval memoization (proto/policy_kernel.h). Results are
   // byte-identical either way — the flag exists for the determinism
   // differentials and the bench oracle, and is deliberately excluded from
@@ -93,25 +85,35 @@ struct RouteSimResult {
 // at external-peer devices propagate over their eBGP sessions into our
 // border routers (ingress policies apply there); inputs at our own devices
 // are locally originated (DC aggregates, redistribution).
+//
+// Returns what a distributed route subtask stores: the BGP and aggregate
+// routes, EC-expanded (every member prefix of a class holds a copy of its
+// representative's cell). It holds no local routes and no forwarding index,
+// and the recorder gets no selection events: each cell is ranked on its own
+// routes, which is provisional until finishRib ranks the merged RIB.
 RouteSimResult simulateRoutes(const NetworkModel& model,
                               std::span<const InputRoute> inputs,
                               const RouteSimOptions& options = {});
 
-// Re-runs best-path selection over every (device, vrf, prefix) cell. The
-// distributed master calls this after merging subtask results so routes from
-// different subtasks (and the local-routes subtask) are ranked together.
-void reselectAll(NetworkRibs& ribs);
+// Makes a merged RIB forwardable. The distributed master's merge, its
+// local-routes file, every traffic subtask and simulateCentralized end here.
+// Per (device, vrf, prefix) cell it drops exact duplicates (an aggregate
+// whose contributors span several route subtasks is originated once per
+// subtask) and re-runs best-path selection; then it builds the forwarding
+// index. With an enabled `recorder` it then emits the chosen-best /
+// chosen-ecmp / lost-tie-break events of every watched cell in sorted
+// (device, vrf, prefix) order; lost routes carry the deciding step of the
+// BGP decision process (proto/bgp.h bgpDecisionStep).
+void finishRib(NetworkRibs& ribs, obs::ProvenanceRecorder* recorder = nullptr);
 
-// Removes exact-duplicate routes within each (device, vrf, prefix) cell.
-// Needed after merging subtask results: an aggregate whose contributors span
-// several route subtasks is originated once per subtask.
-void dedupeRoutes(NetworkRibs& ribs);
-
-// Emits chosen-best / chosen-ecmp / lost-tie-break provenance events for
-// every (device, vrf, prefix) cell of `ribs` that the recorder watches, in
-// deterministic (sorted-key) order. Lost routes carry the deciding step of
-// the BGP decision process (proto/bgp.h bgpDecisionStep). No-op when
-// `recorder` is null or disabled.
-void recordSelectionEvents(const NetworkRibs& ribs, obs::ProvenanceRecorder* recorder);
+// Centralized route simulation, assembled the way the distributed master
+// assembles its route files: the simulateRoutes file, then a fresh
+// installLocalRoutes file merged after it, then finishRib. Returns the whole
+// forwardable RIB: BGP and local routes, indexed; `stats.installedRoutes`
+// counts all of it. `options.provenance` also gets the local-installed and
+// selection events.
+RouteSimResult simulateCentralized(const NetworkModel& model,
+                                   std::span<const InputRoute> inputs,
+                                   const RouteSimOptions& options = {});
 
 }  // namespace hoyan

@@ -417,10 +417,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
         try {
           overlay.apply(local.topology);
           local.rebuildDerivedForFailures();
-          RouteSimOptions simOptions;
-          simOptions.includeLocalRoutes = true;
-          RouteSimResult sim = simulateRoutes(local, jobInputs, simOptions);
-          sim.ribs.buildForwardingIndex();
+          const RouteSimResult sim = simulateCentralized(local, jobInputs);
           job.verdict = property(local, sim.ribs);
           // Sample the worker's materialized footprint at its peak — overlay
           // applied, derived state rebuilt — for the CoW accounting.

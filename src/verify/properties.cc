@@ -151,10 +151,7 @@ KFailureResult checkKFailures(const NetworkModel& baseModel,
     for (const auto& [a, b] : failures.failedLinks) degraded.topology.setLinkState(a, b, false);
     for (const NameId device : failures.failedDevices) degraded.topology.failDevice(device);
     degraded.rebuildDerived();
-    RouteSimOptions simOptions;
-    simOptions.includeLocalRoutes = true;
-    RouteSimResult sim = simulateRoutes(degraded, inputs, simOptions);
-    sim.ribs.buildForwardingIndex();
+    const RouteSimResult sim = simulateCentralized(degraded, inputs);
     ++result.scenariosChecked;
     if (!property(degraded, sim.ribs)) result.counterexamples.push_back(failures);
   };

@@ -27,9 +27,7 @@ using testing::SmallWan;
 // mean byte-identical verification inputs.
 std::string ribFingerprint(const NetworkModel& model,
                            std::span<const InputRoute> inputs) {
-  RouteSimOptions options;
-  options.includeLocalRoutes = true;
-  RouteSimResult sim = simulateRoutes(model, inputs, options);
+  const RouteSimResult sim = simulateCentralized(model, inputs);
   const rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(sim.ribs);
   std::string out;
   for (const rcl::RibRow& row : rib.rows()) {

@@ -25,11 +25,7 @@ class DiagTest : public ::testing::Test {
     workload.prefixesPerDc = 4;
     workload.v6Share = 0;
     inputs_ = generateInputRoutes(wan_, workload);
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    RouteSimResult result = simulateRoutes(*model_, inputs_, options);
-    ribs_ = std::move(result.ribs);
-    ribs_.buildForwardingIndex();
+    ribs_ = simulateCentralized(*model_, inputs_).ribs;
   }
 
   GeneratedWan wan_;

@@ -14,6 +14,7 @@
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
 #include "obs/telemetry.h"
+#include "test_fixtures.h"
 
 namespace hoyan {
 namespace {
@@ -212,46 +213,29 @@ DistSimOptions trafficExhaustingOptions() {
 }
 
 TEST_F(DistSimTest, DistributedEqualsCentralizedRouteSimulation) {
-  // Centralized reference.
-  RouteSimOptions central;
-  central.includeLocalRoutes = true;
-  RouteSimResult reference = simulateRoutes(*model_, inputs_, central);
-
-  DistSimOptions options;
-  options.workers = 4;
-  options.routeSubtasks = 16;
-  DistributedSimulator sim(*model_, options);
-  DistRouteResult distributed = sim.runRouteSimulation(inputs_);
-  ASSERT_TRUE(distributed.succeeded);
-  EXPECT_EQ(distributed.ribs.routeCount(), reference.ribs.routeCount());
-
-  // Every best route agrees (spot check through all devices/prefixes).
-  reference.ribs.buildForwardingIndex();
-  for (const auto& [deviceId, deviceRib] : reference.ribs.devices()) {
-    const DeviceRib* other = distributed.ribs.findDevice(deviceId);
-    ASSERT_NE(other, nullptr);
-    for (const auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
-      const VrfRib* otherVrf = other->findVrf(vrfId);
-      ASSERT_NE(otherVrf, nullptr) << Names::str(deviceId);
-      ASSERT_EQ(otherVrf->prefixCount(), vrfRib.prefixCount()) << Names::str(deviceId);
-      for (const auto& [prefix, routes] : vrfRib.routes()) {
-        const auto* otherRoutes = otherVrf->find(prefix);
-        ASSERT_NE(otherRoutes, nullptr) << prefix.str();
-        ASSERT_EQ(otherRoutes->size(), routes.size()) << prefix.str();
-        // Best routes must be identical.
-        EXPECT_TRUE(otherRoutes->front() == routes.front())
-            << Names::str(deviceId) << " " << prefix.str() << "\n  ref:  "
-            << routes.front().str() << "\n  dist: " << otherRoutes->front().str();
-      }
-    }
+  const RouteSimResult reference = simulateCentralized(*model_, inputs_);
+  // With one route subtask the master merges one BGP file, as
+  // simulateCentralized does; with 16, an aggregate's cell is assembled from
+  // the files of every subtask that originated it.
+  for (const size_t subtasks : {1, 16}) {
+    DistSimOptions options;
+    options.workers = 4;
+    options.routeSubtasks = subtasks;
+    DistributedSimulator sim(*model_, options);
+    const DistRouteResult distributed = sim.runRouteSimulation(inputs_);
+    ASSERT_TRUE(distributed.succeeded) << subtasks << " route subtasks";
+    EXPECT_EQ(distributed.ribs.routeCount(), reference.ribs.routeCount());
+    // Every cell agrees route for route: order, content and selection type.
+    const std::vector<std::string> differences =
+        testing::cellDifferences(reference.ribs, distributed.ribs);
+    EXPECT_TRUE(differences.empty())
+        << subtasks << " route subtasks: " << differences.size()
+        << " cells differ; the first is " << differences.front();
   }
 }
 
 TEST_F(DistSimTest, DistributedTrafficMatchesCentralized) {
-  RouteSimOptions central;
-  central.includeLocalRoutes = true;
-  RouteSimResult reference = simulateRoutes(*model_, inputs_, central);
-  reference.ribs.buildForwardingIndex();
+  const RouteSimResult reference = simulateCentralized(*model_, inputs_);
   const TrafficSimResult referenceTraffic =
       simulateTraffic(*model_, reference.ribs, flows_);
 
@@ -277,15 +261,7 @@ TEST_F(DistSimTest, DistributedTrafficMatchesCentralized) {
 TEST_F(DistSimTest, DistributedTrafficMatchesCentralizedWhereLocalAndBgpRoutesShareCells) {
   const SharedCells shared = withSharedCells();
   const NetworkModel model = shared.wan.buildModel();
-  RouteSimOptions central;
-  central.includeLocalRoutes = true;
-  // The centralized run's route-EC expansion copies a representative
-  // prefix's whole cell to the other prefixes of its class, local routes
-  // included, so the statics would spread to prefixes they were never
-  // configured for. Without ECs the reference holds them where they are.
-  central.useEquivalenceClasses = false;
-  RouteSimResult reference = simulateRoutes(model, inputs_, central);
-  reference.ribs.buildForwardingIndex();
+  const RouteSimResult reference = simulateCentralized(model, inputs_);
   const auto bestProtocol = [&](NameId device,
                                 const Prefix& prefix) -> std::optional<Protocol> {
     const VrfRib* vrf = reference.ribs.findDevice(device)->findVrf(kInvalidName);
@@ -388,9 +364,7 @@ TEST_F(DistSimTest, WorkerCrashesAreRetried) {
     if (metric.attempts > 1) sawRetriedSubtask = true;
   EXPECT_TRUE(sawRetriedSubtask);
   // And the result still matches the centralized reference count.
-  RouteSimOptions central;
-  central.includeLocalRoutes = true;
-  EXPECT_EQ(result.ribs.routeCount(), simulateRoutes(*model_, inputs_, central).ribs.routeCount());
+  EXPECT_EQ(result.ribs.routeCount(), simulateCentralized(*model_, inputs_).ribs.routeCount());
 }
 
 TEST_F(DistSimTest, ExhaustedRetriesFailTheTask) {

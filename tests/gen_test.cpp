@@ -127,9 +127,7 @@ TEST(GenWorkloadTest, DcnCoresGetScopedTables) {
   workload.prefixesPerDcnCore = 2;
   workload.v6Share = 0;
   const auto inputs = generateInputRoutes(wan, workload);
-  RouteSimOptions options;
-  options.includeLocalRoutes = true;
-  const RouteSimResult result = simulateRoutes(model, inputs, options);
+  const RouteSimResult result = simulateCentralized(model, inputs);
   // The DCN core sees DC-space routes but not the full ISP table (the DCGW's
   // DCN-OUT export policy scopes it).
   const DeviceRib* dcnRib = result.ribs.findDevice(wan.dcnCores[0]);

@@ -346,8 +346,42 @@ TEST(NetworkRibsTest, MergeConcatenatesRouteLists) {
   Route routeB = routeA;
   routeB.nexthop = *IpAddress::parse("9.9.9.9");
   b.device(device).vrf(kInvalidName).routesFor(routeB.prefix).push_back(routeB);
-  a.merge(b);
-  EXPECT_EQ(a.routeCount(), 2u);
+  NetworkRibs copied = a;
+  copied.merge(b);
+  EXPECT_EQ(copied.routeCount(), 2u);
+  const std::vector<Route>& shared = *copied.findDevice(device)->findVrf(kInvalidName)->find(
+      routeA.prefix);
+  ASSERT_EQ(shared.size(), 2u);
+  EXPECT_TRUE(shared[0] == routeA);
+  EXPECT_TRUE(shared[1] == routeB);
+
+  // The consuming merge orders shared cells the same way, and moves in the
+  // cells, VRFs and devices this RIB lacks without copying their routes, here
+  // from a larger table into our smaller one...
+  const Prefix other = *Prefix::parse("10.0.1.0/24");
+  Route routeC = routeA;
+  routeC.prefix = other;
+  b.device(device).vrf(kInvalidName).routesFor(other).push_back(routeC);
+  b.device(Names::id("R2")).vrf(kInvalidName).routesFor(other).push_back(routeC);
+  const Route* cellRoutes = b.device(device).vrf(kInvalidName).routesFor(other).data();
+  a.merge(std::move(b));
+  EXPECT_EQ(a.routeCount(), 4u);
+  const VrfRib* merged = a.findDevice(device)->findVrf(kInvalidName);
+  ASSERT_EQ(merged->find(routeA.prefix)->size(), 2u);
+  EXPECT_TRUE(merged->find(routeA.prefix)->at(0) == routeA);
+  EXPECT_TRUE(merged->find(routeA.prefix)->at(1) == routeB);
+  EXPECT_EQ(merged->find(other)->data(), cellRoutes);
+  ASSERT_NE(a.findDevice(Names::id("R2")), nullptr);
+  EXPECT_EQ(a.findDevice(Names::id("R2"))->routeCount(), 1u);
+  // ...and from a smaller table into our larger one.
+  NetworkRibs c;
+  Route routeD = routeA;
+  routeD.nexthop = *IpAddress::parse("8.8.8.8");
+  c.device(device).vrf(kInvalidName).routesFor(routeD.prefix).push_back(routeD);
+  a.merge(std::move(c));
+  ASSERT_EQ(merged->find(routeA.prefix)->size(), 3u);
+  EXPECT_TRUE(merged->find(routeA.prefix)->at(1) == routeB);
+  EXPECT_TRUE(merged->find(routeA.prefix)->at(2) == routeD);
 }
 
 TEST(FlowPathTest, DevicesVisitedAndLinkUse) {

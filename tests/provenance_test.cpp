@@ -160,8 +160,8 @@ TEST(ProvenanceSimTest, RecordsReceiveSelectAdvertiseChain) {
   ProvenanceRecorder recorder(watchAll());
   RouteSimOptions options;
   options.provenance = &recorder;
-  const RouteSimResult result =
-      simulateRoutes(net.model(), std::vector<InputRoute>{ispRoute(net, "100.1.0.0/16")}, options);
+  const RouteSimResult result = simulateCentralized(
+      net.model(), std::vector<InputRoute>{ispRoute(net, "100.1.0.0/16")}, options);
   ASSERT_TRUE(result.stats.converged);
 
   const Prefix prefix = *Prefix::parse("100.1.0.0/16");
@@ -175,6 +175,30 @@ TEST(ProvenanceSimTest, RecordsReceiveSelectAdvertiseChain) {
   // Every event carries a sequence number in recording order.
   for (size_t i = 1; i < events.size(); ++i)
     EXPECT_GT(events[i].seq, events[i - 1].seq);
+}
+
+// A route subtask's file is ranked only provisionally, so simulateRoutes
+// records no selection events; finishRib records them from the finished RIB.
+TEST(ProvenanceSimTest, SelectionEventsComeFromTheFinishedRib) {
+  const SmallWan net = buildSmallWan();
+  ProvenanceRecorder recorder(watchAll());
+  RouteSimOptions options;
+  options.provenance = &recorder;
+  RouteSimResult result = simulateRoutes(
+      net.model(), std::vector<InputRoute>{ispRoute(net, "100.1.0.0/16")}, options);
+  const auto selection = [&] {
+    const std::vector<RouteEvent> events = recorder.snapshot();
+    return static_cast<size_t>(
+        std::count_if(events.begin(), events.end(), [](const RouteEvent& e) {
+          return e.kind == RouteEventKind::kChosenBest ||
+                 e.kind == RouteEventKind::kChosenEcmp ||
+                 e.kind == RouteEventKind::kLostTieBreak;
+        }));
+  };
+  EXPECT_GT(recorder.eventCount(), 0u);
+  EXPECT_EQ(selection(), 0u);
+  finishRib(result.ribs, &recorder);
+  EXPECT_EQ(selection(), result.ribs.routeCount());
 }
 
 TEST(ProvenanceSimTest, PrefixFilterScopesTheLog) {
@@ -213,7 +237,7 @@ TEST(ProvenanceSimTest, TieBreakLossNamesDecidingStep) {
   ProvenanceRecorder recorder(watchAll());
   RouteSimOptions options;
   options.provenance = &recorder;
-  const RouteSimResult result = simulateRoutes(
+  const RouteSimResult result = simulateCentralized(
       net.model(), std::vector<InputRoute>{ispRoute(net, "100.3.0.0/16", /*med=*/10),
                     ispRoute(net, "100.3.0.0/16", /*med=*/50)},
       options);
@@ -275,7 +299,8 @@ TEST(ProvenanceSimTest, ExplainChainFollowsUpstreamDevices) {
   ProvenanceRecorder recorder(watchAll());
   RouteSimOptions options;
   options.provenance = &recorder;
-  simulateRoutes(net.model(), std::vector<InputRoute>{ispRoute(net, "100.1.0.0/16")}, options);
+  simulateCentralized(net.model(), std::vector<InputRoute>{ispRoute(net, "100.1.0.0/16")},
+                      options);
   // C1 learned the route via RR1 (from BR1): the chain must mention an
   // upstream section and the border's events.
   const std::string explain =

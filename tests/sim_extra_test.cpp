@@ -225,12 +225,8 @@ class SrTrafficTest : public ::testing::Test {
     sr.segments.push_back(net_.topology.findDevice(net_.rr1)->loopback);
     net_.configs.device(net_.c2).srPolicies.push_back(sr);
     model_ = std::make_unique<NetworkModel>(net_.model());
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    result_ = simulateRoutes(*model_,
-                             std::vector<InputRoute>{ispRoute(net_, "100.1.0.0/16")},
-                             options);
-    result_.ribs.buildForwardingIndex();
+    result_ = simulateCentralized(*model_,
+                                  std::vector<InputRoute>{ispRoute(net_, "100.1.0.0/16")});
   }
 
   SmallWan net_;

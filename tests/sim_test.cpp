@@ -19,6 +19,7 @@ namespace hoyan {
 namespace {
 
 using testing::buildSmallWan;
+using testing::cellDifferences;
 using testing::ispRoute;
 using testing::SmallWan;
 
@@ -276,7 +277,14 @@ TEST(LocalRoutesTest, DirectStaticAndIsisInstalled) {
 }
 
 TEST(RouteEcTest, SameAttrsSamePolicyFateCollapse) {
-  const SmallWan net = buildSmallWan();
+  SmallWan net = buildSmallWan();
+  // A discard static at C1 on the class representative (its lowest prefix).
+  // A local route is no simulation input: it must stay on that one prefix,
+  // not travel with the representative's results to the other members.
+  StaticRouteConfig discard;
+  discard.prefix = *Prefix::parse("100.10.0.0/24");
+  discard.discard = true;
+  net.configs.device(net.c1).staticRoutes.push_back(discard);
   const NetworkModel model = net.model();
   std::vector<InputRoute> inputs;
   // Four prefixes with identical attributes (one EC) + one different.
@@ -290,23 +298,22 @@ TEST(RouteEcTest, SameAttrsSamePolicyFateCollapse) {
   EXPECT_EQ(stats.inputRoutes, 5u);
   EXPECT_EQ(stats.classes, 2u);
   EXPECT_DOUBLE_EQ(stats.reductionFactor(), 2.5);
-  // Simulation with ECs must equal simulation without.
+  // Simulation with ECs must equal simulation without, cell for cell on
+  // every device.
   RouteSimOptions withEc;
   withEc.useEquivalenceClasses = true;
   RouteSimOptions withoutEc;
   withoutEc.useEquivalenceClasses = false;
-  const RouteSimResult fast = simulateRoutes(model, inputs, withEc);
-  const RouteSimResult slow = simulateRoutes(model, inputs, withoutEc);
-  EXPECT_EQ(fast.ribs.routeCount(), slow.ribs.routeCount());
-  for (const NameId device : {net.br1, net.c1, net.c2, net.rr1}) {
-    for (int i = 0; i < 4; ++i) {
-      const std::string prefix = "100.10." + std::to_string(i) + ".0/24";
-      const Route* a = bestRoute(fast.ribs, device, prefix);
-      const Route* b = bestRoute(slow.ribs, device, prefix);
-      ASSERT_NE(a, nullptr) << prefix;
-      ASSERT_NE(b, nullptr) << prefix;
-      EXPECT_TRUE(*a == *b) << prefix << " on " << Names::str(device);
-    }
+  const RouteSimResult fast = simulateCentralized(model, inputs, withEc);
+  const RouteSimResult slow = simulateCentralized(model, inputs, withoutEc);
+  const std::vector<std::string> differences = cellDifferences(slow.ribs, fast.ribs);
+  EXPECT_TRUE(differences.empty())
+      << differences.size() << " cells differ; the first is " << differences.front();
+  for (int i = 0; i < 4; ++i) {
+    const std::string prefix = "100.10." + std::to_string(i) + ".0/24";
+    const Route* best = bestRoute(fast.ribs, net.c1, prefix);
+    ASSERT_NE(best, nullptr) << prefix;
+    EXPECT_EQ(best->protocol, i == 0 ? Protocol::kStatic : Protocol::kBgp) << prefix;
   }
 }
 
@@ -317,11 +324,8 @@ class TrafficTest : public ::testing::Test {
   void SetUp() override {
     net_ = buildSmallWan();
     model_ = std::make_unique<NetworkModel>(net_.model());
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    result_ = simulateRoutes(*model_, std::vector<InputRoute>{ispRoute(net_, "100.1.0.0/16")},
-                             options);
-    result_.ribs.buildForwardingIndex();
+    result_ = simulateCentralized(*model_,
+                                  std::vector<InputRoute>{ispRoute(net_, "100.1.0.0/16")});
   }
 
   Flow makeFlow(NameId ingress, const std::string& dst, double volume = 1000) {
@@ -451,10 +455,10 @@ TEST(TrafficLoopTest, StaticRouteLoopDetected) {
 
 // --- layered forwarding (sim/forwarding_view.h) ----------------------------------
 
-// One forwarding state built both ways: as one RIB (BGP and local routes
-// merged, deduped, re-selected, indexed), and as the distributed traffic
-// phase's two layers: the BGP routes with their shared cells folded, over the
-// local-routes FIB.
+// One forwarding state built both ways: as one RIB (simulateCentralized:
+// BGP and local routes merged, deduped, re-selected, indexed), and as the
+// distributed traffic phase's two layers: the BGP routes with their shared
+// cells folded, over the local-routes FIB.
 struct BothWays {
   NetworkRibs merged;
   NetworkRibs shared;
@@ -464,26 +468,15 @@ struct BothWays {
   ForwardingView layered() const { return ForwardingView(own, shared, sharedPrefixes); }
 };
 
-void makeForwardable(NetworkRibs& ribs) {
-  dedupeRoutes(ribs);
-  reselectAll(ribs);
-  ribs.buildForwardingIndex();
-}
-
 BothWays buildBothWays(const NetworkModel& model, const std::vector<InputRoute>& inputs) {
-  const NetworkRibs bgp = simulateRoutes(model, inputs).ribs;
-  NetworkRibs local;
-  installLocalRoutes(model, local);
   BothWays out;
-  out.merged.merge(bgp);
-  out.merged.merge(local);
-  makeForwardable(out.merged);
-  out.shared = local;
-  makeForwardable(out.shared);
+  out.merged = simulateCentralized(model, inputs).ribs;
+  installLocalRoutes(model, out.shared);
+  finishRib(out.shared);
   out.sharedPrefixes = PrefixUnion(out.shared);
-  out.own = bgp;
+  out.own = simulateRoutes(model, inputs).ribs;
   foldSharedRoutes(out.own, out.shared);
-  makeForwardable(out.own);
+  finishRib(out.own);
   return out;
 }
 
@@ -639,12 +632,9 @@ TEST(GeneratedWanTest, ModelBuildsAndSimulationConverges) {
   workload.v6Share = 0;
   const std::vector<InputRoute> inputs = generateInputRoutes(wan, workload);
   ASSERT_FALSE(inputs.empty());
-  RouteSimOptions options;
-  options.includeLocalRoutes = true;
-  RouteSimResult result = simulateRoutes(model, inputs, options);
+  const RouteSimResult result = simulateCentralized(model, inputs);
   EXPECT_TRUE(result.stats.converged);
   // ISP routes must reach remote regions' cores.
-  result.ribs.buildForwardingIndex();
   const Route* remote = bestRoute(result.ribs, wan.cores.back(), "100.0.0.0/24");
   ASSERT_NE(remote, nullptr);
 

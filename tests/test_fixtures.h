@@ -1,11 +1,15 @@
 // Shared hand-built fixtures for protocol/simulation tests: a tiny WAN with
-// two core routers, a route reflector, a border, and an external ISP peer.
+// two core routers, a route reflector, a border, and an external ISP peer;
+// and a cell-by-cell RIB comparison.
 #pragma once
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "config/device_config.h"
 #include "config/vendor.h"
+#include "net/route.h"
 #include "proto/network_model.h"
 #include "topo/topology.h"
 
@@ -150,6 +154,50 @@ inline InputRoute ispRoute(const SmallWan& net, const std::string& prefix,
   input.route.nexthop = net.topology.findDevice(net.isp1)->loopback;
   input.route.nexthopDevice = net.isp1;
   return input;
+}
+
+// Describes every (device, vrf, prefix) cell in which `expected` and `actual`
+// differ: a cell only one of them holds, or two cells whose routes differ in
+// order, content (Route::operator==, learnedFrom included) or selection type.
+// Empty when both hold the same cells, route for route.
+inline std::vector<std::string> cellDifferences(const NetworkRibs& expected,
+                                                const NetworkRibs& actual) {
+  const auto render = [](const std::vector<Route>& routes) {
+    std::string out;
+    for (const Route& route : routes) {
+      out += "\n    " + route.str();
+      if (route.learnedFrom != kInvalidName) out += " from=" + Names::str(route.learnedFrom);
+    }
+    return out;
+  };
+  const auto sameCell = [](const std::vector<Route>& a, const std::vector<Route>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Route& x, const Route& y) { return x == y && x.type == y.type; });
+  };
+  std::vector<std::string> out;
+  // Reports the cells of `from` that `to` lacks and, when `compare`, the
+  // shared cells that differ (so the second pass reports each one once).
+  const auto scan = [&](const NetworkRibs& from, const NetworkRibs& to,
+                        const std::string& lacking, bool compare) {
+    for (const auto& [deviceId, deviceRib] : from.devices()) {
+      const DeviceRib* toDevice = to.findDevice(deviceId);
+      for (const auto& [vrfId, vrfRib] : deviceRib.vrfs()) {
+        const VrfRib* toVrf = toDevice ? toDevice->findVrf(vrfId) : nullptr;
+        for (const auto& [prefix, routes] : vrfRib.routes()) {
+          const std::vector<Route>* toRoutes = toVrf ? toVrf->find(prefix) : nullptr;
+          if (toRoutes && (!compare || sameCell(routes, *toRoutes))) continue;
+          std::string cell = Names::str(deviceId) + " " + prefix.str();
+          if (vrfId != kInvalidName) cell += " vrf " + Names::str(vrfId);
+          out.push_back(toRoutes ? cell + ":\n  expected" + render(routes) + "\n  actual" +
+                                       render(*toRoutes)
+                                 : cell + ": only " + lacking + render(routes));
+        }
+      }
+    }
+  };
+  scan(expected, actual, "expected", true);
+  scan(actual, expected, "actual", false);
+  return out;
 }
 
 }  // namespace hoyan::testing

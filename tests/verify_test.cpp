@@ -20,11 +20,7 @@ class VerifyTest : public ::testing::Test {
     net_ = buildSmallWan();
     model_ = std::make_unique<NetworkModel>(net_.model());
     inputs_ = {ispRoute(net_, "100.1.0.0/16")};
-    RouteSimOptions options;
-    options.includeLocalRoutes = true;
-    RouteSimResult result = simulateRoutes(*model_, inputs_, options);
-    ribs_ = std::move(result.ribs);
-    ribs_.buildForwardingIndex();
+    ribs_ = simulateCentralized(*model_, inputs_).ribs;
   }
 
   SmallWan net_;
