@@ -16,6 +16,7 @@ IpAddress localAddressFacing(const Device& device, const IpAddress& peerAddress)
 }  // namespace
 
 std::vector<BgpSession> deriveBgpSessions(const Topology& topology,
+                                          const AdjacencyTable& adjacency,
                                           const NetworkConfig& configs,
                                           const AddressIndex& addresses,
                                           const IgpState& igp,
@@ -64,9 +65,10 @@ std::vector<BgpSession> deriveBgpSessions(const Topology& topology,
       // directly adjacent (link-addressed eBGP) or IGP-reachable
       // (loopback-peered iBGP).
       {
-        bool adjacent = false;
-        for (const Adjacency& adj : topology.adjacenciesOf(name))
-          if (adj.neighbor == *peerName) adjacent = true;
+        const auto adjacencies = adjacency.of(name);
+        const bool adjacent =
+            std::any_of(adjacencies.begin(), adjacencies.end(),
+                        [&](const Adjacency& adj) { return adj.neighbor == *peerName; });
         if (!adjacent && !igp.path(name, *peerName).reachable()) {
           note(Names::str(name) + ": neighbor " + neighbor.peerAddress.str() +
                " on " + Names::str(*peerName) + " is unreachable (no adjacency "
@@ -160,6 +162,12 @@ std::string bgpDecisionStep(const Route& winner, const Route& loser) {
 
 void selectBestRoutes(std::vector<Route>& routes) {
   if (routes.empty()) return;
+  if (routes.size() == 1) {
+    // Most cells hold one route: stable_sort would still allocate its
+    // temporary buffer and move the route through it.
+    routes[0].type = RouteType::kBest;
+    return;
+  }
   std::stable_sort(routes.begin(), routes.end(), [](const Route& a, const Route& b) {
     if (a.adminDistance != b.adminDistance) return a.adminDistance < b.adminDistance;
     if (a.protocol != Protocol::kBgp && b.protocol != Protocol::kBgp)

@@ -39,9 +39,11 @@ struct BgpSession {
 // neighbour statement on one device resolves (via interface subnets or
 // loopbacks) to an active device whose ASN matches the configured remote-as,
 // and neither side is shut down (nor isolated on a session-shutdown-isolation
-// vendor). `problems` (optional) collects human-readable reasons for
-// half-configured or mismatched sessions.
+// vendor). `adjacency` holds the topology's active adjacencies. `problems`
+// (optional) collects human-readable reasons for half-configured or
+// mismatched sessions.
 std::vector<BgpSession> deriveBgpSessions(const Topology& topology,
+                                          const AdjacencyTable& adjacency,
                                           const NetworkConfig& configs,
                                           const AddressIndex& addresses,
                                           const IgpState& igp,

@@ -51,7 +51,7 @@ void runSpf(NameId source, const std::unordered_map<NameId, std::vector<Edge>>& 
 
 }  // namespace
 
-IgpState IgpState::compute(const Topology& topology) {
+IgpState IgpState::compute(const Topology& topology, const AdjacencyTable& adjacency) {
   IgpState state;
   // Group devices by domain and build the IS-IS adjacency graph: both
   // interface ends must be IS-IS enabled, the link up, devices active and in
@@ -65,7 +65,7 @@ IgpState IgpState::compute(const Topology& topology) {
   std::unordered_map<NameId, std::vector<Edge>> edges;
   for (const auto& [name, device] : topology.devices()) {
     if (device.igpDomain == kInvalidName) continue;
-    for (const Adjacency& adj : topology.adjacenciesOf(name)) {
+    for (const Adjacency& adj : adjacency.of(name)) {
       const Device* peer = topology.findDevice(adj.neighbor);
       if (!peer || peer->igpDomain != device.igpDomain) continue;
       const Interface* localItf = device.findInterface(adj.localInterface);

@@ -30,9 +30,10 @@ struct IgpPath {
 // Converged IS-IS state for the whole network.
 class IgpState {
  public:
-  // Runs SPF from every device of every domain. Interfaces must have IS-IS
-  // enabled on both ends of a link for it to form an adjacency.
-  static IgpState compute(const Topology& topology);
+  // Runs SPF from every device of every domain over `adjacency`, the
+  // topology's active adjacencies. Interfaces must have IS-IS enabled on both
+  // ends of a link for it to form an adjacency.
+  static IgpState compute(const Topology& topology, const AdjacencyTable& adjacency);
 
   // Path from `from` to `to`; unreachable (and cross-domain) pairs return a
   // path with cost kIgpInfinity.

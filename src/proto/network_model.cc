@@ -12,18 +12,15 @@ NetworkModel NetworkModel::build(Topology topology, NetworkConfig configs) {
 
 void NetworkModel::rebuildDerived() {
   addresses = AddressIndex::build(topology);
-  igp = IgpState::compute(topology);
-  sessionProblems.clear();
-  sessions = deriveBgpSessions(topology, configs, addresses, igp, &sessionProblems);
-  sessionsByDevice.clear();
-  for (size_t i = 0; i < sessions.size(); ++i)
-    sessionsByDevice[sessions[i].local].push_back(i);
+  rebuildDerivedForFailures();
 }
 
 void NetworkModel::rebuildDerivedForFailures() {
-  igp = IgpState::compute(topology);
+  adjacency = AdjacencyTable(topology);
+  igp = IgpState::compute(topology, adjacency);
   sessionProblems.clear();
-  sessions = deriveBgpSessions(topology, configs, addresses, igp, &sessionProblems);
+  sessions = deriveBgpSessions(topology, adjacency, configs, addresses, igp,
+                               &sessionProblems);
   sessionsByDevice.clear();
   for (size_t i = 0; i < sessions.size(); ++i)
     sessionsByDevice[sessions[i].local].push_back(i);
@@ -45,16 +42,16 @@ size_t approxSessionBytes(const NetworkModel& model) {
 }  // namespace
 
 size_t NetworkModel::approxDeepBytes() const {
-  return topology.approxBytes() + configs.approxBytes() + addresses.approxBytes() +
-         igp.approxBytes() + approxSessionBytes(*this);
+  return topology.approxBytes() + configs.approxBytes() + adjacency.approxBytes() +
+         addresses.approxBytes() + igp.approxBytes() + approxSessionBytes(*this);
 }
 
 size_t NetworkModel::materializedBytes(const NetworkModel& base) const {
   size_t bytes = topology.materializedBytes(base.topology);
   if (!configs.sharesStorageWith(base.configs)) bytes += configs.approxBytes();
   if (!addresses.sharesStorageWith(base.addresses)) bytes += addresses.approxBytes();
-  // IGP and session state are always recomputed per instance.
-  bytes += igp.approxBytes() + approxSessionBytes(*this);
+  // Adjacency, IGP and session state are always recomputed per instance.
+  bytes += adjacency.approxBytes() + igp.approxBytes() + approxSessionBytes(*this);
   return bytes;
 }
 

@@ -6,6 +6,7 @@
 // change plan incrementally, and rebuilds only the derived state.
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,8 @@ struct NetworkModel {
   NetworkConfig configs;
 
   // Derived state (valid after build()/rebuildDerived()).
+  // Active adjacencies per device; read them through adjacenciesOf().
+  AdjacencyTable adjacency;
   AddressIndex addresses;
   IgpState igp;
   std::vector<BgpSession> sessions;
@@ -36,11 +39,11 @@ struct NetworkModel {
   // Recomputes the derived state after topology/config mutation.
   void rebuildDerived();
 
-  // Recomputes only the failure-dependent derived state (IGP SPF, BGP
-  // sessions). Address ownership depends on the device inventory alone — not
-  // on link masks or failed devices — so a model sharing a base model's
-  // topology/config storage keeps the base's AddressIndex untouched. Only
-  // valid when the mutation since the last rebuild is a failure overlay
+  // Recomputes only the failure-dependent derived state (adjacencies, IGP
+  // SPF, BGP sessions). Address ownership depends on the device inventory
+  // alone — not on link masks or failed devices — so a model sharing a base
+  // model's topology/config storage keeps the base's AddressIndex untouched.
+  // Only valid when the mutation since the last rebuild is a failure overlay
   // (masked links, failed devices, setLinkState); config or inventory edits
   // need the full rebuildDerived().
   void rebuildDerivedForFailures();
@@ -52,6 +55,12 @@ struct NetworkModel {
   size_t materializedBytes(const NetworkModel& base) const;
 
   const VendorProfile& vendorOf(NameId device) const;
+
+  // The device's active adjacencies as of the last rebuild, in the order of
+  // Topology::adjacenciesOf; O(log devices), no allocation.
+  std::span<const Adjacency> adjacenciesOf(NameId device) const {
+    return adjacency.of(device);
+  }
 
   // Resolves the SR policy (if any) on `device` steering traffic to
   // `nexthop`; nullptr when no policy endpoint matches.

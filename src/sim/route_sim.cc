@@ -330,9 +330,10 @@ class RouteSimEngine {
       route.igpCost = path.cost;
     } else {
       // Not IGP-reachable: usable only if directly adjacent (eBGP peer).
-      bool adjacent = false;
-      for (const Adjacency& adj : model_.topology.adjacenciesOf(device))
-        if (adj.neighbor == *owner) adjacent = true;
+      const auto adjacencies = model_.adjacenciesOf(device);
+      const bool adjacent =
+          std::any_of(adjacencies.begin(), adjacencies.end(),
+                      [&](const Adjacency& adj) { return adj.neighbor == *owner; });
       if (!adjacent && !sr) return false;
       route.igpCost = 0;
     }

@@ -82,8 +82,11 @@ class FlowForwarder {
       }
       for (const auto& [target, fraction] : node.edges) {
         nodes_[target].volume += node.volume * fraction;
-        path.hops.push_back(FlowHop{node.key.device, nodes_[target].key.device,
-                                    node.matchedPrefix, node.volume * fraction});
+        // A same-device edge is an SR tunnel state change (entry, segment
+        // advance, exit): it carries the volume on, but crosses no link.
+        if (nodes_[target].key.device != node.key.device)
+          path.hops.push_back(FlowHop{node.key.device, nodes_[target].key.device,
+                                      node.matchedPrefix, node.volume * fraction});
         if (--nodes_[target].indegree == 0) ready.push_back(target);
       }
     }
@@ -125,7 +128,7 @@ class FlowForwarder {
                    const SrPolicyConfig* tunnel, uint32_t segmentIndex, double fraction) {
     if (targetDevice == hereDevice) return true;
     // Directly adjacent?
-    for (const Adjacency& adj : model_.topology.adjacenciesOf(hereDevice)) {
+    for (const Adjacency& adj : model_.adjacenciesOf(hereDevice)) {
       if (adj.neighbor == targetDevice) {
         addEdge(from, DagNodeKey{targetDevice, tunnel, segmentIndex, hereDevice}, fraction);
         return true;
@@ -150,7 +153,7 @@ class FlowForwarder {
     const DeviceConfig* config = model_.configs.findDevice(device);
 
     // ACL on the in-interface.
-    if (config && key.arrivedFrom != kInvalidName) {
+    if (config && !config->acls.empty() && key.arrivedFrom != kInvalidName) {
       const NameId inInterface = interfaceFacing(device, key.arrivedFrom);
       for (const auto& [aclName, acl] : config->acls) {
         const bool applied = std::find(acl.appliedInterfaces.begin(),
@@ -199,7 +202,7 @@ class FlowForwarder {
     }
 
     // PBR on the in-interface (bypasses the RIB).
-    if (config && key.arrivedFrom != kInvalidName) {
+    if (config && !config->pbrPolicies.empty() && key.arrivedFrom != kInvalidName) {
       const NameId inInterface = interfaceFacing(device, key.arrivedFrom);
       for (const auto& [policyName, policy] : config->pbrPolicies) {
         const bool applied = std::find(policy.appliedInterfaces.begin(),
@@ -263,7 +266,7 @@ class FlowForwarder {
   }
 
   NameId interfaceFacing(NameId device, NameId neighbor) const {
-    for (const Adjacency& adj : model_.topology.adjacenciesOf(device))
+    for (const Adjacency& adj : model_.adjacenciesOf(device))
       if (adj.neighbor == neighbor) return adj.localInterface;
     return kInvalidName;
   }

@@ -6,7 +6,9 @@
 // nodes: at each node the flow is PBR-checked, ACL-checked, LPM-looked-up,
 // split across ECMP next hops (route-level ECMP times IGP-level ECMP), or
 // walked along an SR segment list. Volumes propagate through the DAG in
-// topological order; a cycle marks the flow as looped.
+// topological order; a cycle marks the flow as looped. An edge between two
+// tunnel states of one device (SR entry, segment advance, exit) carries the
+// volume on but is no FlowHop and loads no link.
 //
 // Both entry points forward over a ForwardingView (forwarding_view.h): a
 // plain NetworkRibs, or a distributed traffic subtask's own RIBs layered over

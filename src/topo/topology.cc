@@ -55,25 +55,72 @@ size_t Topology::addLink(NameId deviceA, NameId interfaceA, NameId deviceB,
   return links.size() - 1;
 }
 
+namespace {
+
+// The adjacency of `link` (index `index`) seen from its A or B end.
+Adjacency endOf(const Link& link, size_t index, bool fromA) {
+  return fromA ? Adjacency{link.interfaceA, link.deviceB, link.interfaceB, index}
+               : Adjacency{link.interfaceB, link.deviceA, link.interfaceA, index};
+}
+
+}  // namespace
+
+bool Topology::linkActive(size_t index) const {
+  if (!linkUp(index)) return false;
+  const Link& link = (*links_)[index];
+  const auto endUp = [this](NameId device, NameId ifName) {
+    if (!deviceActive(device)) return false;
+    const Interface* itf = findDevice(device)->findInterface(ifName);
+    return itf && !itf->shutdown;
+  };
+  return endUp(link.deviceA, link.interfaceA) && endUp(link.deviceB, link.interfaceB);
+}
+
 std::vector<Adjacency> Topology::adjacenciesOf(NameId device) const {
   std::vector<Adjacency> out;
-  if (!deviceActive(device)) return out;
   const std::vector<Link>& links = *links_;
-  for (size_t i = 0; i < links.size(); ++i) {
-    const Link& link = links[i];
-    if (!linkUp(i) || !link.connects(device)) continue;
-    const NameId peer = link.peerOf(device);
-    if (!deviceActive(peer)) continue;
-    const NameId localIf = link.deviceA == device ? link.interfaceA : link.interfaceB;
-    const NameId peerIf = link.deviceA == device ? link.interfaceB : link.interfaceA;
-    const Device* self = findDevice(device);
-    const Device* other = findDevice(peer);
-    const Interface* selfItf = self ? self->findInterface(localIf) : nullptr;
-    const Interface* otherItf = other ? other->findInterface(peerIf) : nullptr;
-    if (!selfItf || selfItf->shutdown || !otherItf || otherItf->shutdown) continue;
-    out.push_back(Adjacency{localIf, peer, peerIf, i});
-  }
+  for (size_t i = 0; i < links.size(); ++i)
+    if (links[i].connects(device) && linkActive(i))
+      out.push_back(endOf(links[i], i, links[i].deviceA == device));
   return out;
+}
+
+AdjacencyTable::AdjacencyTable(const Topology& topology) {
+  // (device, adjacency) per active link end; a self-loop link has one end.
+  std::vector<std::pair<NameId, Adjacency>> ends;
+  const std::vector<Link>& links = topology.links();
+  for (size_t i = 0; i < links.size(); ++i) {
+    if (!topology.linkActive(i)) continue;
+    const Link& link = links[i];
+    ends.emplace_back(link.deviceA, endOf(link, i, true));
+    if (link.deviceB != link.deviceA) ends.emplace_back(link.deviceB, endOf(link, i, false));
+  }
+  // (device, link index) is unique per end, so this order is total.
+  std::sort(ends.begin(), ends.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second.linkIndex < b.second.linkIndex;
+  });
+  adjacencies_.reserve(ends.size());
+  for (const auto& [device, adjacency] : ends) {
+    if (devices_.empty() || devices_.back() != device) {
+      devices_.push_back(device);
+      offsets_.push_back(static_cast<uint32_t>(adjacencies_.size()));
+    }
+    adjacencies_.push_back(adjacency);
+  }
+  offsets_.push_back(static_cast<uint32_t>(adjacencies_.size()));
+}
+
+std::span<const Adjacency> AdjacencyTable::of(NameId device) const {
+  const auto it = std::lower_bound(devices_.begin(), devices_.end(), device);
+  if (it == devices_.end() || *it != device) return {};
+  const size_t slot = static_cast<size_t>(it - devices_.begin());
+  return std::span<const Adjacency>(adjacencies_).subspan(
+      offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+}
+
+size_t AdjacencyTable::approxBytes() const {
+  return sizeof(AdjacencyTable) + devices_.capacity() * sizeof(NameId) +
+         offsets_.capacity() * sizeof(uint32_t) + adjacencies_.capacity() * sizeof(Adjacency);
 }
 
 std::optional<Adjacency> Topology::resolveNexthop(NameId from,

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,7 +131,14 @@ class Topology {
   void clearLinkOverlay() { overlayDownLinks_.clear(); }
   size_t overlayMaskedLinks() const { return overlayDownLinks_.size(); }
 
-  // Active (link up, neither interface shut down) adjacencies of a device.
+  // True when link `index` forms an active adjacency: the link is up, both
+  // devices are active, and both interfaces exist and are not shut down. The
+  // one rule behind adjacenciesOf and AdjacencyTable.
+  bool linkActive(size_t index) const;
+
+  // Active adjacencies of a device, in link-index order (a self-loop link
+  // once). Rescans every link per call: callers holding a NetworkModel read
+  // its prebuilt table (NetworkModel::adjacenciesOf) instead.
   std::vector<Adjacency> adjacenciesOf(NameId device) const;
 
   // The device owning an interface whose subnet contains `addr` and that is
@@ -172,6 +180,29 @@ class Topology {
   std::shared_ptr<std::vector<Link>> links_;
   std::vector<size_t> overlayDownLinks_;  // Masked-down link indices.
   std::unordered_map<NameId, bool> failedDevices_;
+};
+
+// Every device's active adjacencies, built in one pass over the link table
+// with exactly Topology::adjacenciesOf's rule and order. It describes the
+// topology state it was built from, so it is derived state: rebuild it after
+// any link, interface or failure change (NetworkModel does, in
+// rebuildDerived and rebuildDerivedForFailures).
+class AdjacencyTable {
+ public:
+  AdjacencyTable() = default;
+  explicit AdjacencyTable(const Topology& topology);
+
+  // The device's adjacencies, element for element what
+  // Topology::adjacenciesOf returned at build time; empty for a failed or
+  // unknown device.
+  std::span<const Adjacency> of(NameId device) const;
+
+  size_t approxBytes() const;
+
+ private:
+  std::vector<NameId> devices_;    // Sorted; devices with an adjacency only.
+  std::vector<uint32_t> offsets_;  // devices_.size() + 1 bounds into adjacencies_.
+  std::vector<Adjacency> adjacencies_;
 };
 
 // A reversible link+device failure mask over one Topology instance. The

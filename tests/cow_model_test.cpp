@@ -74,8 +74,8 @@ void expectEquivalent(const NetworkModel& deep, const NetworkModel& cow,
     (void)device;
     EXPECT_EQ(deep.topology.deviceActive(name), cow.topology.deviceActive(name))
         << label << " device " << Names::str(name);
-    const auto deepAdj = deep.topology.adjacenciesOf(name);
-    const auto cowAdj = cow.topology.adjacenciesOf(name);
+    const auto deepAdj = deep.adjacenciesOf(name);
+    const auto cowAdj = cow.adjacenciesOf(name);
     ASSERT_EQ(deepAdj.size(), cowAdj.size()) << label << " " << Names::str(name);
     for (size_t i = 0; i < deepAdj.size(); ++i) {
       EXPECT_EQ(deepAdj[i].neighbor, cowAdj[i].neighbor) << label;

@@ -104,7 +104,7 @@ class DistSimTest : public ::testing::Test {
       return Prefix{};
     };
     const auto peersWithBorder = [&](NameId device) {
-      for (const Adjacency& adj : model_->topology.adjacenciesOf(border))
+      for (const Adjacency& adj : model_->adjacenciesOf(border))
         if (adj.neighbor == device) return true;
       return false;
     };

@@ -1,7 +1,14 @@
 // Tests for protocol engines: IS-IS SPF, policy evaluation with VSBs, BGP
-// session derivation, and the decision process.
+// session derivation, the decision process, and the model's adjacency table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "gen/wan_gen.h"
 #include "proto/bgp.h"
 #include "proto/isis.h"
 #include "proto/network_model.h"
@@ -16,9 +23,14 @@ using testing::SmallWan;
 
 // --- IS-IS ---------------------------------------------------------------
 
+// SPF over the topology's current adjacencies.
+IgpState spf(const Topology& topology) {
+  return IgpState::compute(topology, AdjacencyTable(topology));
+}
+
 TEST(IsisTest, SpfCostsOnSmallWan) {
   const SmallWan net = buildSmallWan();
-  const IgpState igp = IgpState::compute(net.topology);
+  const IgpState igp = spf(net.topology);
   EXPECT_EQ(igp.path(net.c1, net.c2).cost, 10u);
   EXPECT_EQ(igp.path(net.br1, net.c2).cost, 20u);  // BR1 -> C1 -> C2.
   EXPECT_EQ(igp.path(net.br1, net.rr1).cost, 20u);
@@ -29,7 +41,7 @@ TEST(IsisTest, SpfCostsOnSmallWan) {
 
 TEST(IsisTest, EcmpFirstHops) {
   const SmallWan net = buildSmallWan();
-  const IgpState igp = IgpState::compute(net.topology);
+  const IgpState igp = spf(net.topology);
   // BR1 -> RR1: via C1 (10+10); C1->RR1 direct; single path.
   const IgpPath& path = igp.path(net.br1, net.rr1);
   ASSERT_EQ(path.nextHops.size(), 1u);
@@ -42,7 +54,7 @@ TEST(IsisTest, EcmpFirstHops) {
 TEST(IsisTest, LinkFailureReroutes) {
   SmallWan net = buildSmallWan();
   net.topology.setLinkState(net.c1, net.c2, false);
-  const IgpState igp = IgpState::compute(net.topology);
+  const IgpState igp = spf(net.topology);
   // C1 -> C2 must now detour via RR1.
   EXPECT_EQ(igp.path(net.c1, net.c2).cost, 20u);
   ASSERT_EQ(igp.path(net.c1, net.c2).nextHops.size(), 1u);
@@ -52,10 +64,10 @@ TEST(IsisTest, LinkFailureReroutes) {
 TEST(IsisTest, DeviceFailureDisconnects) {
   SmallWan net = buildSmallWan();
   net.topology.failDevice(net.c1);
-  const IgpState igp = IgpState::compute(net.topology);
+  const IgpState igp = spf(net.topology);
   EXPECT_FALSE(igp.path(net.br1, net.c2).reachable());
   net.topology.restoreDevice(net.c1);
-  const IgpState restored = IgpState::compute(net.topology);
+  const IgpState restored = spf(net.topology);
   EXPECT_TRUE(restored.path(net.br1, net.c2).reachable());
 }
 
@@ -228,8 +240,10 @@ TEST(BgpSessionTest, RemoteAsMismatchBreaksSession) {
     if (neighbor.remoteAs == 65001) neighbor.remoteAs = 65002;
   std::vector<std::string> problems;
   const AddressIndex index = AddressIndex::build(net.topology);
-  const IgpState igp = IgpState::compute(net.topology);
-  const auto sessions = deriveBgpSessions(net.topology, net.configs, index, igp, &problems);
+  const AdjacencyTable adjacency(net.topology);
+  const IgpState igp = IgpState::compute(net.topology, adjacency);
+  const auto sessions =
+      deriveBgpSessions(net.topology, adjacency, net.configs, index, igp, &problems);
   EXPECT_EQ(sessions.size(), 6u);  // Only the iBGP sessions remain.
   EXPECT_FALSE(problems.empty());
 }
@@ -340,6 +354,114 @@ TEST_F(DecisionTest, AdminDistanceSeparatesProtocols) {
   EXPECT_EQ(routes[0].protocol, Protocol::kStatic);
   EXPECT_EQ(routes[0].type, RouteType::kBest);
   EXPECT_EQ(routes[1].type, RouteType::kAlternate);
+}
+
+TEST_F(DecisionTest, SelectBestRoutesMarksALoneRouteBest) {
+  std::vector<Route> routes = {route(100, 2)};
+  routes[0].type = RouteType::kAlternate;
+  selectBestRoutes(routes);
+  ASSERT_EQ(routes.size(), 1u);
+  EXPECT_EQ(routes[0].type, RouteType::kBest);
+}
+
+// --- adjacency table --------------------------------------------------------------
+
+// The model's table against Topology::adjacenciesOf, its oracle: for every
+// device the same adjacencies (neighbour, both interfaces, link index) in
+// the same order, and nothing for a failed or unknown device.
+void expectTableMatchesRescan(const NetworkModel& model, const std::string& label) {
+  for (const auto& [name, device] : model.topology.devices()) {
+    const std::vector<Adjacency> rescan = model.topology.adjacenciesOf(name);
+    const std::span<const Adjacency> table = model.adjacenciesOf(name);
+    ASSERT_EQ(table.size(), rescan.size()) << label << " " << Names::str(name);
+    for (size_t i = 0; i < rescan.size(); ++i) {
+      EXPECT_EQ(table[i].neighbor, rescan[i].neighbor) << label << " " << Names::str(name);
+      EXPECT_EQ(table[i].localInterface, rescan[i].localInterface) << label;
+      EXPECT_EQ(table[i].neighborInterface, rescan[i].neighborInterface) << label;
+      EXPECT_EQ(table[i].linkIndex, rescan[i].linkIndex) << label;
+    }
+    if (!model.topology.deviceActive(name)) {
+      EXPECT_TRUE(table.empty()) << label << " " << Names::str(name);
+    }
+  }
+  EXPECT_TRUE(model.adjacenciesOf(Names::id("adj-no-such-device")).empty()) << label;
+}
+
+// Adds a link beside an existing one, on fresh interfaces of both devices.
+void addParallelLink(Topology& topology, const Link& link, uint32_t& nextAddress) {
+  const auto addInterface = [&](NameId device) {
+    Device* owner = topology.findDevice(device);
+    Interface itf;
+    itf.name = Names::id(Names::str(device) + ":par" + std::to_string(owner->interfaces.size()));
+    itf.address = IpAddress::v4(nextAddress++);
+    itf.prefixLength = 31;
+    itf.isisEnabled = true;
+    owner->interfaces.push_back(itf);
+    return itf.name;
+  };
+  const NameId itfA = addInterface(link.deviceA);
+  const NameId itfB = addInterface(link.deviceB);
+  topology.addLink(link.deviceA, itfA, link.deviceB, itfB);
+}
+
+TEST(AdjacencyTableTest, MatchesTopologyRescanUnderFailuresAndShutdown) {
+  WanSpec spec;
+  spec.regions = 3;
+  spec.coresPerRegion = 2;
+  spec.dcsPerRegion = 1;
+  spec.seed = 11;
+  GeneratedWan wan = generateWan(spec);
+  // Parallel links beside every third link, and a self-loop, which the
+  // table must list once.
+  uint32_t nextAddress = (172u << 24) | (31u << 16);
+  const std::vector<Link> original = wan.topology.links();
+  std::vector<size_t> parallelIndices;
+  for (size_t i = 0; i < original.size(); i += 3) {
+    parallelIndices.push_back(wan.topology.links().size());
+    addParallelLink(wan.topology, original[i], nextAddress);
+  }
+  addParallelLink(wan.topology, Link{wan.cores[0], kInvalidName, wan.cores[0], kInvalidName},
+                  nextAddress);
+  NetworkModel model = wan.buildModel();
+  expectTableMatchesRescan(model, "built");
+  const auto selfLoops = std::count_if(
+      model.adjacenciesOf(wan.cores[0]).begin(), model.adjacenciesOf(wan.cores[0]).end(),
+      [&](const Adjacency& adj) { return adj.neighbor == wan.cores[0]; });
+  EXPECT_EQ(selfLoops, 1);
+
+  std::vector<NameId> devices;
+  for (const auto& [name, device] : model.topology.devices()) devices.push_back(name);
+  const std::vector<Link>& links = model.topology.links();
+  std::mt19937 rng(2025);
+  const auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  for (int round = 0; round < 60; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    FailureOverlay overlay;
+    for (size_t k = 1 + pick(3); k > 0; --k) {
+      const Link& link = links[pick(links.size())];
+      overlay.addLink(link.deviceA, link.deviceB);
+    }
+    if (round % 2 == 0) overlay.addDevice(devices[pick(devices.size())]);
+    overlay.apply(model.topology);
+    // One of a parallel pair down on its own, beside the overlay.
+    const size_t lone = parallelIndices[pick(parallelIndices.size())];
+    model.topology.maskLinkDown(lone);
+    model.rebuildDerivedForFailures();
+    expectTableMatchesRescan(model, label + " applied");
+    model.topology.unmaskLink(lone);
+    overlay.revert(model.topology);
+    model.rebuildDerivedForFailures();
+    expectTableMatchesRescan(model, label + " reverted");
+  }
+
+  const NameId core = wan.cores[1];
+  const size_t before = model.adjacenciesOf(core).size();
+  model.topology.findDevice(core)->interfaces.front().shutdown = true;
+  model.rebuildDerived();
+  expectTableMatchesRescan(model, "shutdown");
+  EXPECT_EQ(model.adjacenciesOf(core).size(), before - 1);
 }
 
 // --- address index ---------------------------------------------------------------

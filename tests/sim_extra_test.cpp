@@ -8,6 +8,7 @@
 #include "sim/route_sim.h"
 #include "sim/traffic_sim.h"
 #include "test_fixtures.h"
+#include "verify/properties.h"
 
 namespace hoyan {
 namespace {
@@ -246,6 +247,30 @@ TEST_F(SrTrafficTest, TunnelledFlowFollowsSegmentList) {
   // shortest IGP path (C2 -> C1 -> BR1).
   EXPECT_TRUE(path.usesLink(net_.c2, net_.rr1)) << path.str();
   EXPECT_TRUE(path.usesLink(net_.br1, net_.isp1));
+}
+
+TEST_F(SrTrafficTest, TunnelStateChangesAreNoHops) {
+  // Entering the tunnel at C2, passing its segment at RR1 and leaving it at
+  // BR1 each change tunnel state at one device: no hop, no link load.
+  Flow flow;
+  flow.ingressDevice = net_.c2;
+  flow.src = *IpAddress::parse("20.0.0.1");
+  flow.dst = *IpAddress::parse("100.1.2.3");
+  flow.volumeBps = 100;
+  const TrafficSimResult result =
+      simulateTraffic(*model_, result_.ribs, std::vector<Flow>{flow});
+  ASSERT_EQ(result.paths.size(), 1u);
+  const FlowPath& path = result.paths.front();
+  EXPECT_EQ(path.outcome, FlowOutcome::kExited);
+  for (const FlowHop& hop : path.hops) EXPECT_NE(hop.device, hop.nextDevice) << path.str();
+  for (const LinkLoadMap::Entry& entry : result.linkLoads.entries())
+    EXPECT_NE(entry.from, entry.to) << Names::str(entry.from);
+  // Every loaded entry is a real link, so none falls back to the default
+  // bandwidth in the utilization check.
+  for (const LoadViolation& violation : checkLinkLoads(model_->topology, result.linkLoads, 0))
+    EXPECT_NE(violation.from, violation.to) << violation.str();
+  EXPECT_DOUBLE_EQ(result.linkLoads.get(net_.c2, net_.rr1), 100.0);
+  EXPECT_DOUBLE_EQ(result.linkLoads.get(net_.br1, net_.isp1), 100.0);
 }
 
 TEST_F(SrTrafficTest, RouteMarkedViaSrAndCostZeroed) {

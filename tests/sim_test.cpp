@@ -398,7 +398,7 @@ TEST_F(TrafficTest, AclDropsMatchingFlow) {
   acl.rules.push_back({false, {}, {}, uint16_t{443}, {}});
   acl.rules.push_back({true, {}, {}, {}, {}});
   // Find C1's interface facing C2.
-  for (const Adjacency& adj : model_->topology.adjacenciesOf(net_.c1))
+  for (const Adjacency& adj : model_->adjacenciesOf(net_.c1))
     if (adj.neighbor == net_.c2) acl.appliedInterfaces.push_back(adj.localInterface);
   core.acls.emplace(acl.name, acl);
   Flow flow = makeFlow(net_.c2, "100.1.2.3");
@@ -408,6 +408,33 @@ TEST_F(TrafficTest, AclDropsMatchingFlow) {
   flow.dstPort = 80;
   const FlowPath allowed = simulateSingleFlow(*model_, result_.ribs, flow);
   EXPECT_EQ(allowed.outcome, FlowOutcome::kExited);
+}
+
+TEST_F(TrafficTest, FlowEcsKeepAclFatesApartBehindManyRules) {
+  // C1 denies port 443 from C2, then 69 rules no flow matches, then permits.
+  // A class key must keep the deny rule's match bit however many rules
+  // follow it; without it the port-80 flow joins the denied class.
+  DeviceConfig& core = model_->configs.device(net_.c1);
+  AclConfig acl;
+  acl.name = Names::id("BLOCK443-LONG");
+  acl.rules.push_back({false, {}, {}, uint16_t{443}, {}});
+  for (uint16_t port = 2000; port < 2069; ++port)
+    acl.rules.push_back({false, {}, {}, port, {}});
+  acl.rules.push_back({true, {}, {}, {}, {}});
+  for (const Adjacency& adj : model_->adjacenciesOf(net_.c1))
+    if (adj.neighbor == net_.c2) acl.appliedInterfaces.push_back(adj.localInterface);
+  core.acls.emplace(acl.name, acl);
+  Flow https = makeFlow(net_.c2, "100.1.2.3");
+  https.dstPort = 443;
+  const std::vector<Flow> flows = {https, makeFlow(net_.c2, "100.1.2.3")};
+  for (const bool ecs : {true, false}) {
+    TrafficSimOptions options;
+    options.useEquivalenceClasses = ecs;
+    const TrafficSimResult result = simulateTraffic(*model_, result_.ribs, flows, options);
+    EXPECT_EQ(result.stats.simulatedFlows, 2u) << "ECs " << ecs;
+    EXPECT_EQ(result.stats.deniedAcl, 1u) << "ECs " << ecs;
+    EXPECT_DOUBLE_EQ(result.linkLoads.get(net_.br1, net_.isp1), 1000.0) << "ECs " << ecs;
+  }
 }
 
 TEST_F(TrafficTest, PbrOverridesLpm) {
@@ -420,7 +447,7 @@ TEST_F(TrafficTest, PbrOverridesLpm) {
   rule.dstPort = 8080;
   rule.setNexthop = model_->topology.findDevice(net_.rr1)->loopback;
   pbr.rules.push_back(rule);
-  for (const Adjacency& adj : model_->topology.adjacenciesOf(net_.c1))
+  for (const Adjacency& adj : model_->adjacenciesOf(net_.c1))
     if (adj.neighbor == net_.c2) pbr.appliedInterfaces.push_back(adj.localInterface);
   core.pbrPolicies.emplace(pbr.name, pbr);
   Flow flow = makeFlow(net_.c2, "100.1.2.3");
