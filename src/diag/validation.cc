@@ -201,15 +201,6 @@ LoadAccuracyReport compareLinkLoads(const Topology& topology,
   obs::Telemetry& tel = obs::Telemetry::resolve(nullptr);
   obs::Span span = tel.tracer().span("diag.compare_link_loads", "diag");
   LoadAccuracyReport report;
-  const auto bandwidthOf = [&topology](NameId from, NameId to) -> double {
-    for (const Adjacency& adj : topology.adjacenciesOf(from)) {
-      if (adj.neighbor != to) continue;
-      const Device* device = topology.findDevice(from);
-      const Interface* itf = device ? device->findInterface(adj.localInterface) : nullptr;
-      if (itf) return itf->bandwidthBps;
-    }
-    return 100e9;
-  };
   for (const MonitoredLinkLoad& sample : monitored) {
     ++report.linksCompared;
     LinkLoadDelta delta;
@@ -217,7 +208,7 @@ LoadAccuracyReport compareLinkLoads(const Topology& topology,
     delta.to = sample.to;
     delta.monitoredBps = sample.bps;
     delta.simulatedBps = simulated.get(sample.from, sample.to);
-    delta.bandwidthBps = bandwidthOf(sample.from, sample.to);
+    delta.bandwidthBps = topology.capacityBps(sample.from, sample.to);
     if (std::abs(delta.deltaFraction()) > thresholdFraction)
       report.inaccurateLinks.push_back(delta);
   }
@@ -233,7 +224,7 @@ LoadAccuracyReport compareLinkLoads(const Topology& topology,
     delta.from = entry.from;
     delta.to = entry.to;
     delta.simulatedBps = entry.bps;
-    delta.bandwidthBps = bandwidthOf(entry.from, entry.to);
+    delta.bandwidthBps = topology.capacityBps(entry.from, entry.to);
     if (std::abs(delta.deltaFraction()) > thresholdFraction)
       report.inaccurateLinks.push_back(delta);
   }

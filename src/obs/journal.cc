@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <tuple>
 
 #include "obs/json.h"
@@ -25,61 +26,49 @@ void appendField(std::string& out, std::string_view name, uint64_t value) {
   out += std::to_string(value);
 }
 
-// The names of the type-specific numeric payload slots, per event type; null
-// when the type carries none.
-struct CountNames {
-  const char* names[4] = {nullptr, nullptr, nullptr, nullptr};
+// The journal's wire format: one row per JournalEventType in enum order,
+// then the toJsonl() trailer, the one row without `run`.
+constexpr JournalEventSpec kEventSpecs[] = {
+    {"run_begin", {"run", "id", "fp"}, {}},
+    {"phase_begin", {"run", "phase"}, {}},
+    {"impact", {"run", "note"}, {"dirty_devices", "dirty_ranges"}},
+    {"cache_bypass", {"run", "note"}, {}},
+    {"cache_hit", {"run", "phase", "id", "key"}, {}},
+    {"cache_miss", {"run", "phase", "id", "key"}, {}},
+    {"cache_evict", {"run", "key"}, {"bytes"}},
+    {"subtask_enqueue", {"run", "phase", "id"}, {}},
+    {"subtask_start", {"run", "phase", "id", "attempt"}, {}},
+    {"subtask_retry", {"run", "phase", "id", "attempt"}, {}},
+    {"subtask_exhaust", {"run", "phase", "id", "attempt"}, {}},
+    {"subtask_cancel", {"run", "phase", "id", "attempt"}, {}},
+    {"subtask_finish", {"run", "phase", "id", "attempt"}, {}},
+    {"sweep_plan", {"run", "phase", "note"}, {"enumerated", "pruned", "deduped", "scheduled"}},
+    {"sweep_verdict", {"run", "phase", "id", "note", "key"}, {"shared"}},
+    {"sweep_result", {"run", "phase"}, {"checked", "counterexamples", "cache_hits", "retries"}},
+    {"policy_kernel", {"run", "phase"}, {"memo_hits", "memo_misses", "regex_hits", "regex_misses"}},
+    {"phase_end", {"run", "phase"}, {}},
+    {"run_end", {"run", "id"}, {}},
+    {"journal_summary", {}, {"events", "dropped"}},
 };
-
-CountNames countNames(JournalEventType type) {
-  switch (type) {
-    case JournalEventType::kCacheEvict:
-      return {{"bytes"}};
-    case JournalEventType::kImpact:
-      return {{"dirty_devices", "dirty_ranges"}};
-    case JournalEventType::kSweepPlan:
-      return {{"enumerated", "pruned", "deduped", "scheduled"}};
-    case JournalEventType::kSweepVerdict:
-      return {{"shared"}};
-    case JournalEventType::kSweepResult:
-      return {{"checked", "counterexamples", "cache_hits", "retries"}};
-    case JournalEventType::kPolicyKernel:
-      return {{"memo_hits", "memo_misses", "regex_hits", "regex_misses"}};
-    default:
-      return {};
-  }
-}
+constexpr const JournalEventSpec& kSummarySpec = kEventSpecs[std::size(kEventSpecs) - 1];
+static_assert(std::size(kEventSpecs) == static_cast<size_t>(JournalEventType::kRunEnd) + 2);
 
 }  // namespace
 
-std::string_view journalEventTypeName(JournalEventType type) {
-  switch (type) {
-    case JournalEventType::kRunBegin: return "run_begin";
-    case JournalEventType::kPhaseBegin: return "phase_begin";
-    case JournalEventType::kImpact: return "impact";
-    case JournalEventType::kCacheBypass: return "cache_bypass";
-    case JournalEventType::kCacheHit: return "cache_hit";
-    case JournalEventType::kCacheMiss: return "cache_miss";
-    case JournalEventType::kCacheEvict: return "cache_evict";
-    case JournalEventType::kSubtaskEnqueue: return "subtask_enqueue";
-    case JournalEventType::kSubtaskStart: return "subtask_start";
-    case JournalEventType::kSubtaskRetry: return "subtask_retry";
-    case JournalEventType::kSubtaskExhaust: return "subtask_exhaust";
-    case JournalEventType::kSubtaskCancel: return "subtask_cancel";
-    case JournalEventType::kSubtaskFinish: return "subtask_finish";
-    case JournalEventType::kSweepPlan: return "sweep_plan";
-    case JournalEventType::kSweepVerdict: return "sweep_verdict";
-    case JournalEventType::kSweepResult: return "sweep_result";
-    case JournalEventType::kPolicyKernel: return "policy_kernel";
-    case JournalEventType::kPhaseEnd: return "phase_end";
-    case JournalEventType::kRunEnd: return "run_end";
-  }
-  return "unknown";
+const JournalEventSpec& journalEventSpec(JournalEventType type) {
+  return kEventSpecs[static_cast<size_t>(type)];
+}
+
+const JournalEventSpec* findJournalEventSpec(std::string_view ev) {
+  for (const JournalEventSpec& spec : kEventSpecs)
+    if (spec.name == ev) return &spec;
+  return nullptr;
 }
 
 std::string journalEventJson(const JournalEvent& event, bool canonical) {
+  const JournalEventSpec& spec = journalEventSpec(event.type);
   std::string out = "{\"ev\":\"";
-  out += journalEventTypeName(event.type);
+  out += spec.name;
   out += '"';
   appendField(out, "run", static_cast<uint64_t>(event.run));
   if (!canonical) {
@@ -111,9 +100,8 @@ std::string journalEventJson(const JournalEvent& event, bool canonical) {
     appendField(out, "fp", std::string_view(buffer));
   }
   if (event.hasCounts) {
-    const CountNames names = countNames(event.type);
-    for (int i = 0; i < 4; ++i)
-      if (names.names[i]) appendField(out, names.names[i], event.counts[i]);
+    for (size_t i = 0; i < spec.counts.size(); ++i)
+      if (!spec.counts[i].empty()) appendField(out, spec.counts[i], event.counts[i]);
   }
   out += '}';
   return out;
@@ -311,8 +299,12 @@ std::string RunJournal::toJsonl() const {
     out += journalEventJson(event, /*canonical=*/false);
     out += '\n';
   }
-  out += "{\"ev\":\"journal_summary\",\"events\":" + std::to_string(snapshot.size()) +
-         ",\"dropped\":" + std::to_string(dropped) + "}\n";
+  out += "{\"ev\":\"";
+  out += kSummarySpec.name;
+  out += '"';
+  appendField(out, kSummarySpec.counts[0], snapshot.size());
+  appendField(out, kSummarySpec.counts[1], dropped);
+  out += "}\n";
   return out;
 }
 

@@ -34,6 +34,7 @@
 //    cancellations, whose event *sets* are scheduling-dependent).
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
@@ -77,7 +78,21 @@ enum class JournalEventType : uint8_t {
   kRunEnd,
 };
 
-std::string_view journalEventTypeName(JournalEventType type);
+// The wire format of one line type: its `ev` name, the fields every line of
+// the type carries besides `ev` (`run` on all but the toJsonl() trailer),
+// and the names of its count slots (JournalEvent::counts, rendered in slot
+// order, all required). One table in journal.cc holds a row per
+// JournalEventType plus the `journal_summary` trailer; the JSONL renderer
+// writes from it and hoyan_inspect validates against it.
+struct JournalEventSpec {
+  std::string_view name;
+  std::array<std::string_view, 5> fields;  // Empty slots unused.
+  std::array<std::string_view, 4> counts;  // Empty slots unused.
+};
+
+const JournalEventSpec& journalEventSpec(JournalEventType type);
+// The row named `ev`, the trailer's included; null when no row has the name.
+const JournalEventSpec* findJournalEventSpec(std::string_view ev);
 
 // One recorded event. Only the fields the type uses are populated; the
 // renderers skip empty/negative fields.

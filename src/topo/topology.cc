@@ -85,6 +85,21 @@ std::vector<Adjacency> Topology::adjacenciesOf(NameId device) const {
   return out;
 }
 
+double Topology::capacityBps(NameId from, NameId to) const {
+  double total = 0;
+  bool anyActive = false;
+  for (size_t i = 0; i < links_->size(); ++i) {
+    const Link& link = (*links_)[i];
+    const bool fromA = link.deviceA == from && link.deviceB == to;
+    if ((fromA || (link.deviceA == to && link.deviceB == from)) && linkActive(i)) {
+      anyActive = true;
+      total += findDevice(from)->findInterface(fromA ? link.interfaceA : link.interfaceB)
+                   ->bandwidthBps;
+    }
+  }
+  return anyActive ? total : 100e9;
+}
+
 AdjacencyTable::AdjacencyTable(const Topology& topology) {
   // (device, adjacency) per active link end; a self-loop link has one end.
   std::vector<std::pair<NameId, Adjacency>> ends;

@@ -141,6 +141,12 @@ class Topology {
   // its prebuilt table (NetworkModel::adjacenciesOf) instead.
   std::vector<Adjacency> adjacenciesOf(NameId device) const;
 
+  // Capacity from `from` towards `to`: the `from`-side bandwidth summed over
+  // every active member link between the two (linkActive's rule), so
+  // parallel links add up; 100 Gb/s when no member is active. One pass over
+  // the link table.
+  double capacityBps(NameId from, NameId to) const;
+
   // The device owning an interface whose subnet contains `addr` and that is
   // directly adjacent to `from` — resolves a nexthop IP to the forwarding
   // neighbour.

@@ -80,14 +80,7 @@ std::vector<LoadViolation> checkLinkLoads(const Topology& topology,
                                           double maxUtilization) {
   std::vector<LoadViolation> violations;
   for (const auto& entry : loads.entries()) {
-    double bandwidth = 100e9;
-    for (const Adjacency& adj : topology.adjacenciesOf(entry.from)) {
-      if (adj.neighbor != entry.to) continue;
-      const Device* device = topology.findDevice(entry.from);
-      const Interface* itf = device ? device->findInterface(adj.localInterface) : nullptr;
-      if (itf) bandwidth = itf->bandwidthBps;
-      break;
-    }
+    const double bandwidth = topology.capacityBps(entry.from, entry.to);
     if (entry.bps > maxUtilization * bandwidth)
       violations.push_back({entry.from, entry.to, entry.bps, bandwidth});
   }

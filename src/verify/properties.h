@@ -68,6 +68,9 @@ struct LoadViolation {
   std::string str() const;
 };
 
+// Every directed device pair whose load exceeds `maxUtilization` of its
+// capacity (Topology::capacityBps: parallel member links add up), most
+// utilized first.
 std::vector<LoadViolation> checkLinkLoads(const Topology& topology,
                                           const LinkLoadMap& loads,
                                           double maxUtilization = 0.8);

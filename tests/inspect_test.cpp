@@ -1,5 +1,6 @@
-// Tests for the hoyan_inspect analysis library (tools/inspect.h): the flat
-// JSON-object reader, journal schema validation, per-run aggregation, and the
+// Tests for the hoyan_inspect analysis library (tools/inspect.h): journal
+// parsing through the one JSON reader (located errors, CRLF), schema
+// validation against the journal's event table, per-run aggregation, and the
 // straggler / worker-utilization / cold-vs-warm-diff analyses.
 #include <gtest/gtest.h>
 
@@ -12,29 +13,54 @@
 namespace hoyan {
 namespace {
 
-// --- flat JSON parsing -------------------------------------------------------
+// --- journal parsing ---------------------------------------------------------
 
 TEST(InspectParseTest, ReadsStringsNumbersAndEscapes) {
-  inspect::Event event;
-  ASSERT_TRUE(inspect::parseJsonObject(
-      R"({"ev":"run_begin","run":3,"id":"plan \"x\"\n","ms":1.5e2,"ok":true})",
-      event));
+  std::vector<inspect::Event> events;
+  std::string error;
+  ASSERT_TRUE(inspect::parseJournal(
+      R"({"ev":"run_begin","run":3,"id":"plan \"x\"\n","ms":1.5e2,"ok":true,)"
+      R"("name":"caf\u00e9"})",
+      events, error))
+      << error;
+  ASSERT_EQ(events.size(), 1u);
+  const inspect::Event& event = events[0];
   EXPECT_EQ(event.ev, "run_begin");
   EXPECT_EQ(event.num("run").value_or(-1), 3.0);
   EXPECT_EQ(event.str("id"), "plan \"x\"\n");
   EXPECT_EQ(event.num("ms").value_or(-1), 150.0);
-  EXPECT_EQ(event.str("ok"), "true");
+  ASSERT_NE(event.field("ok"), nullptr);
+  EXPECT_TRUE(event.field("ok")->boolean);
+  // \u escapes decode to UTF-8, as they do in status payloads.
+  EXPECT_EQ(event.str("name"), "caf\xc3\xa9");
   EXPECT_FALSE(event.num("absent").has_value());
+  EXPECT_FALSE(event.num("id").has_value()) << "a string is not a number";
 }
 
 TEST(InspectParseTest, RejectsMalformedObjects) {
-  inspect::Event event;
-  EXPECT_FALSE(inspect::parseJsonObject("", event));
-  EXPECT_FALSE(inspect::parseJsonObject("{", event));
-  EXPECT_FALSE(inspect::parseJsonObject(R"({"a":1)", event));
-  EXPECT_FALSE(inspect::parseJsonObject(R"({"a" 1})", event));
-  EXPECT_FALSE(inspect::parseJsonObject(R"({"a":1} trailing)", event));
-  EXPECT_FALSE(inspect::parseJsonObject(R"({"a":{"nested":1}})", event));
+  const struct {
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"{", "line 1, column 2: expected a string key"},
+      {R"({"a":1)", "line 1, column 7: expected ',' or '}'"},
+      {R"({"a" 1})", "line 1, column 6: expected ':'"},
+      {R"({"a":1} trailing)", "line 1, column 9: trailing characters after the document"},
+      {R"({"a":"unterminated)", "line 1, column 19: unterminated string"},
+      {R"({"run":1-1})", "line 1, column 9: expected ',' or '}'"},
+      {R"({"a":1e})", "line 1, column 8: expected a digit in the exponent"},
+      // A journal line is one flat object.
+      {R"({"a":{"nested":1}})", "line 1, column 6: nesting deeper than 1"},
+      {R"({"a":[1]})", "line 1, column 6: nesting deeper than 1"},
+      {R"(["ev"])", "line 1, column 1: expected a JSON object"},
+      {R"(  "ev")", "line 1, column 3: expected a JSON object"},
+  };
+  for (const auto& c : cases) {
+    std::vector<inspect::Event> events;
+    std::string error;
+    EXPECT_FALSE(inspect::parseJournal(c.line, events, error)) << c.line;
+    EXPECT_EQ(error, c.error) << c.line;
+  }
 }
 
 TEST(InspectParseTest, ParseJournalReportsTheOffendingLine) {
@@ -45,9 +71,36 @@ TEST(InspectParseTest, ParseJournalReportsTheOffendingLine) {
   EXPECT_EQ(events.size(), 1u);  // Blank lines are skipped.
   events.clear();
   EXPECT_FALSE(inspect::parseJournal(
-      "{\"ev\":\"phase_begin\",\"run\":1,\"phase\":\"p\"}\nnot json\n", events,
-      error));
-  EXPECT_NE(error.find("2"), std::string::npos) << error;
+      "{\"ev\":\"phase_begin\",\"run\":1,\"phase\":\"p\"}\n\n"
+      "{\"ev\":\"phase_end\",\"run\":1-1}\n",
+      events, error));
+  EXPECT_EQ(error, "line 3, column 26: expected ',' or '}'");
+}
+
+TEST(InspectParseTest, CrlfJournalsParseAndValidate) {
+  obs::RunJournal journal({.enabled = true});
+  journal.runBegin("crlf", 0xabc);
+  journal.subtaskStart("route", "route-0", 1, 0);
+  journal.subtaskFinish("route", "route-0", 1, 0, 0.010);
+  journal.runEnd("crlf", 0.020);
+  const std::string lf = journal.toJsonl();
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::string error;
+  EXPECT_TRUE(inspect::validateJournal(crlf, error)) << error;
+  std::vector<inspect::Event> lfEvents, crlfEvents;
+  ASSERT_TRUE(inspect::parseJournal(lf, lfEvents, error)) << error;
+  ASSERT_TRUE(inspect::parseJournal(crlf, crlfEvents, error)) << error;
+  ASSERT_EQ(crlfEvents.size(), lfEvents.size());
+  for (size_t i = 0; i < lfEvents.size(); ++i) {
+    EXPECT_EQ(crlfEvents[i].ev, lfEvents[i].ev) << i;
+    EXPECT_EQ(crlfEvents[i].fields.members.size(), lfEvents[i].fields.members.size()) << i;
+  }
+  EXPECT_EQ(inspect::renderSummary(inspect::aggregate(crlfEvents)),
+            inspect::renderSummary(inspect::aggregate(lfEvents)));
 }
 
 // --- validation --------------------------------------------------------------
@@ -58,13 +111,13 @@ TEST(InspectValidateTest, FlagsUnknownEventsAndMissingFields) {
       "{\"ev\":\"cache_hit\",\"run\":1,\"phase\":\"route\",\"id\":\"route-0\","
       "\"key\":\"cas/r/1\"}\n",
       error));
-  EXPECT_FALSE(inspect::validateJournal("{\"ev\":\"bogus\",\"run\":1}\n", error));
-  EXPECT_NE(error.find("unknown event type"), std::string::npos) << error;
+  EXPECT_FALSE(inspect::validateJournal("\n{\"ev\":\"bogus\",\"run\":1}\n", error));
+  EXPECT_EQ(error, "line 2, column 1: unknown event type 'bogus'");
   // Missing required field (`key` on cache_hit).
   EXPECT_FALSE(inspect::validateJournal(
       "{\"ev\":\"cache_hit\",\"run\":1,\"phase\":\"route\",\"id\":\"route-0\"}\n",
       error));
-  EXPECT_NE(error.find("key"), std::string::npos) << error;
+  EXPECT_EQ(error, "line 1, column 1: cache_hit: missing field 'key'");
   // Missing `run` (required on everything but journal_summary).
   EXPECT_FALSE(inspect::validateJournal(
       "{\"ev\":\"phase_begin\",\"phase\":\"route\"}\n", error));

@@ -1,7 +1,8 @@
 // Tests for the run flight recorder (src/obs/journal.h): schema validity of
-// every event type against the hoyan_inspect validator, canonical-export
-// byte-determinism across worker counts, bounded-buffer drop accounting, and
-// the disabled-mode zero-allocation guarantee.
+// every event type against the hoyan_inspect validator, a golden pin of the
+// wire format, canonical-export byte-determinism across worker counts,
+// bounded-buffer drop accounting, and the disabled-mode zero-allocation
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,6 +82,66 @@ TEST(JournalTest, EveryEventTypeValidatesAgainstTheInspectSchema) {
   // The canonical form (volatile fields stripped, no summary trailer) must
   // satisfy the same schema: nothing required is volatile.
   EXPECT_TRUE(inspect::validateJournal(journal.canonicalJsonl(), error)) << error;
+}
+
+// Replaces every `"t_ms":<number>` value with `#`, the one field of
+// emitAllEventTypes' operational lines that varies between runs.
+std::string maskTimes(std::string jsonl) {
+  const std::string tag = "\"t_ms\":";
+  for (size_t at = jsonl.find(tag); at != std::string::npos; at = jsonl.find(tag, at)) {
+    at += tag.size();
+    jsonl.replace(at, jsonl.find_first_not_of("0123456789.", at) - at, "#");
+  }
+  return jsonl;
+}
+
+// The wire format, pinned byte for byte. The writer and the validator read
+// one event table, so validation alone cannot see a renamed field, a moved
+// count slot or a changed field order; this golden can.
+TEST(JournalTest, WireFormatMatchesTheGolden) {
+  obs::RunJournal journal({.enabled = true});
+  emitAllEventTypes(journal);
+  EXPECT_EQ(journal.canonicalJsonl(), R"golden({"ev":"cache_evict","run":1,"key":"cas/r/old","bytes":4096}
+{"ev":"impact","run":1,"key":"prefix-scoped delta on 1 device(s)","note":"scoped","dirty_devices":1,"dirty_ranges":2}
+{"ev":"run_begin","run":1,"id":"plan-1","fp":"deadbeefcafef00d"}
+{"ev":"run_end","run":1,"id":"plan-1"}
+{"ev":"cache_bypass","run":1,"id":"route-3","key":"cas/r/abc","note":"prov_filter_mismatch"}
+{"ev":"sweep_plan","run":1,"phase":"fault_sweep","note":"none","enumerated":300,"pruned":20,"deduped":12,"scheduled":268}
+{"ev":"sweep_result","run":1,"phase":"fault_sweep","checked":300,"counterexamples":1,"cache_hits":240,"retries":0}
+{"ev":"sweep_verdict","run":1,"phase":"fault_sweep","id":"s000007","key":"cas/k/0123","note":"fail","shared":2}
+{"ev":"policy_kernel","run":1,"phase":"route","memo_hits":9000,"memo_misses":120,"regex_hits":4400,"regex_misses":16}
+{"ev":"cache_hit","run":1,"phase":"route","id":"route-0","key":"cas/r/0123"}
+{"ev":"subtask_enqueue","run":1,"phase":"route","id":"route-1"}
+{"ev":"subtask_start","run":1,"phase":"route","id":"route-1","attempt":1}
+{"ev":"subtask_retry","run":1,"phase":"route","id":"route-1","attempt":1}
+{"ev":"subtask_finish","run":1,"phase":"route","id":"route-1","attempt":2}
+{"ev":"cache_miss","run":1,"phase":"route","id":"route-1","key":"cas/r/4567"}
+{"ev":"subtask_exhaust","run":1,"phase":"route","id":"route-2","attempt":3}
+{"ev":"subtask_cancel","run":1,"phase":"route","id":"route-3","attempt":1}
+{"ev":"phase_begin","run":1,"phase":"route.split"}
+{"ev":"phase_end","run":1,"phase":"route.split"}
+)golden");
+  EXPECT_EQ(maskTimes(journal.toJsonl()), R"golden({"ev":"run_begin","run":1,"seq":0,"t_ms":#,"id":"plan-1","fp":"deadbeefcafef00d"}
+{"ev":"phase_begin","run":1,"seq":1,"t_ms":#,"phase":"route.split"}
+{"ev":"impact","run":1,"seq":2,"t_ms":#,"key":"prefix-scoped delta on 1 device(s)","note":"scoped","dirty_devices":1,"dirty_ranges":2}
+{"ev":"cache_bypass","run":1,"seq":3,"t_ms":#,"id":"route-3","key":"cas/r/abc","note":"prov_filter_mismatch"}
+{"ev":"cache_hit","run":1,"seq":4,"t_ms":#,"phase":"route","id":"route-0","key":"cas/r/0123"}
+{"ev":"cache_miss","run":1,"seq":5,"t_ms":#,"phase":"route","id":"route-1","key":"cas/r/4567"}
+{"ev":"cache_evict","run":1,"seq":6,"t_ms":#,"key":"cas/r/old","bytes":4096}
+{"ev":"subtask_enqueue","run":1,"seq":7,"t_ms":#,"phase":"route","id":"route-1"}
+{"ev":"subtask_start","run":1,"seq":8,"t_ms":#,"phase":"route","id":"route-1","attempt":1,"worker":0}
+{"ev":"subtask_retry","run":1,"seq":9,"t_ms":#,"phase":"route","id":"route-1","attempt":1,"worker":0}
+{"ev":"subtask_exhaust","run":1,"seq":10,"t_ms":#,"phase":"route","id":"route-2","attempt":3,"worker":1}
+{"ev":"subtask_cancel","run":1,"seq":11,"t_ms":#,"phase":"route","id":"route-3","attempt":1}
+{"ev":"subtask_finish","run":1,"seq":12,"t_ms":#,"phase":"route","id":"route-1","attempt":2,"worker":0,"ms":12.300}
+{"ev":"sweep_plan","run":1,"seq":13,"t_ms":#,"phase":"fault_sweep","note":"none","enumerated":300,"pruned":20,"deduped":12,"scheduled":268}
+{"ev":"sweep_verdict","run":1,"seq":14,"t_ms":#,"phase":"fault_sweep","id":"s000007","key":"cas/k/0123","note":"fail","shared":2}
+{"ev":"sweep_result","run":1,"seq":15,"t_ms":#,"phase":"fault_sweep","checked":300,"counterexamples":1,"cache_hits":240,"retries":0}
+{"ev":"policy_kernel","run":1,"seq":16,"t_ms":#,"phase":"route","memo_hits":9000,"memo_misses":120,"regex_hits":4400,"regex_misses":16}
+{"ev":"phase_end","run":1,"seq":17,"t_ms":#,"phase":"route.split","ms":500.000}
+{"ev":"run_end","run":1,"seq":18,"t_ms":#,"id":"plan-1","ms":1250.000}
+{"ev":"journal_summary","events":19,"dropped":0}
+)golden");
 }
 
 TEST(JournalTest, SweepPlanCarriesHintSourceNote) {

@@ -1,22 +1,22 @@
 // Tests of the telemetry subsystem: registry concurrency (atomic hot paths),
 // histogram bucketing, span nesting/ordering and the per-thread stack,
-// exporter round-trips (the JSON snapshot and Chrome trace parse back), the
-// instrumented queue/store bindings, and logger level gating.
+// exporter round-trips (the JSON snapshot and Chrome trace read back through
+// the one JSON reader), the reader's own grammar, the instrumented
+// queue/store bindings, and logger level gating.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "dist/message_queue.h"
 #include "dist/object_store.h"
+#include "json_testing.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -25,124 +25,115 @@
 namespace hoyan {
 namespace {
 
-// --- a minimal JSON parser, enough to round-trip the exporters -------------
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, std::shared_ptr<JsonObject>,
-               std::shared_ptr<JsonArray>>
-      value;
+using testing::member;
+using testing::parseJsonOrFail;
 
-  bool isObject() const { return std::holds_alternative<std::shared_ptr<JsonObject>>(value); }
-  const JsonObject& object() const { return *std::get<std::shared_ptr<JsonObject>>(value); }
-  const JsonArray& array() const { return *std::get<std::shared_ptr<JsonArray>>(value); }
-  double number() const { return std::get<double>(value); }
-  const std::string& str() const { return std::get<std::string>(value); }
-};
+// --- the JSON reader --------------------------------------------------------
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+TEST(JsonReaderTest, ReadsEveryKindInDocumentOrder) {
+  const obs::JsonValue root = parseJsonOrFail(
+      " {\"z\":[1,-2.5,3e2,-0,0.125E-1],\"a\":{\"t\":true,\"f\":false,\"n\":null},\r\n"
+      "\t\"s\":\"q\\\"b\\\\s\\/f\\bn\\nr\\rt\\tf\\f\"} \n");
+  ASSERT_EQ(root.kind, obs::JsonValue::Kind::kObject);
+  ASSERT_EQ(root.members.size(), 3u);
+  EXPECT_EQ(root.members[0].first, "z") << "document order, not sorted";
+  EXPECT_EQ(root.members[1].first, "a");
+  const std::vector<obs::JsonValue>& numbers = member(root, "z").items;
+  ASSERT_EQ(numbers.size(), 5u);
+  EXPECT_EQ(numbers[0].number, 1);
+  EXPECT_EQ(numbers[1].number, -2.5);
+  EXPECT_EQ(numbers[2].number, 300);
+  EXPECT_EQ(numbers[3].number, 0);
+  EXPECT_DOUBLE_EQ(numbers[4].number, 0.0125);
+  const obs::JsonValue& a = member(root, "a");
+  EXPECT_EQ(member(a, "t").kind, obs::JsonValue::Kind::kBool);
+  EXPECT_TRUE(member(a, "t").boolean);
+  EXPECT_FALSE(member(a, "f").boolean);
+  EXPECT_EQ(member(a, "n").kind, obs::JsonValue::Kind::kNull);
+  EXPECT_EQ(root.str("s"), "q\"b\\s/f\bn\nr\rt\tf\f");
+  EXPECT_EQ(root.num("s", 7), 7) << "a member of another kind reads the fallback";
+  EXPECT_EQ(root.str("absent", "x"), "x");
+  EXPECT_EQ(a.find("absent"), nullptr);
+  EXPECT_EQ(numbers[0].find("z"), nullptr) << "find on a non-object";
+}
 
-  JsonValue parse() {
-    JsonValue value = parseValue();
-    skipSpace();
-    EXPECT_EQ(pos_, text_.size()) << "trailing JSON content";
-    return value;
+// Each case names where parsing stopped. None is JSON, though a reader
+// that scans numbers with strtod or by character class takes each of the
+// first eleven (`[1e400]` as infinity).
+TEST(JsonReaderTest, RejectsWhatRfc8259RejectsAtTheOffendingByte) {
+  const struct {
+    std::string text;
+    size_t line, column;
+  } cases[] = {
+      {"[+1]", 1, 2},
+      {"[0x10]", 1, 3},
+      {"[nan]", 1, 2},
+      {"[inf]", 1, 2},
+      {"[.5]", 1, 2},
+      {"[01]", 1, 3},
+      {"[1.]", 1, 4},
+      {"{\"a\":1e}", 1, 8},
+      {"{\"a\":1-2}", 1, 7},
+      {"[\"a\nb\"]", 1, 4},
+      {"[1e400]", 1, 2},
+      {"", 1, 1},
+      {"{\"a\":", 1, 6},
+      {"{} trailing", 1, 4},
+      {"{\"a\" 1}", 1, 6},
+      {"\"unterminated", 1, 14},
+      {"[1,]", 1, 4},
+      {"{\"a\":1,}", 1, 8},
+      {"{1:2}", 1, 2},
+      {"[\"\\x\"]", 1, 3},
+      {"{\n  \"a\": 1,\n  \"b\": tru\n}", 3, 8},
+  };
+  for (const auto& c : cases) {
+    const obs::JsonParse parsed = obs::parseJson(c.text);
+    EXPECT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.error.line, c.line) << c.text << " -> " << parsed.error.str();
+    EXPECT_EQ(parsed.error.column, c.column) << c.text << " -> " << parsed.error.str();
+    EXPECT_EQ(parsed.value.kind, obs::JsonValue::Kind::kNull) << c.text;
   }
+  EXPECT_EQ(obs::parseJson("[1,\n 2 x]").error.str(), "line 2, column 4: expected ',' or ']'");
+  EXPECT_TRUE(obs::parseJson(" {} ").ok()) << "whitespace around the value is fine";
+}
 
- private:
-  void skipSpace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+TEST(JsonReaderTest, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(parseJsonOrFail("\"\\u00e9\"").text, "\xc3\xa9");
+  EXPECT_EQ(parseJsonOrFail("\"\\u20AC\"").text, "\xe2\x82\xac");
+  EXPECT_EQ(parseJsonOrFail("\"\\ud83d\\ude00\"").text, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(parseJsonOrFail("\"a\\u0000b\"").text, std::string("a\0b", 3));
+  EXPECT_EQ(parseJsonOrFail("\"caf\xc3\xa9\"").text, "caf\xc3\xa9") << "raw UTF-8 passes";
+  for (const char* bad : {"\"\\ud83d\"", "\"\\ud83d\\u0041\"", "\"\\ude00\"",
+                          "\"\\u12\"", "\"\\u12g4\""}) {
+    const obs::JsonParse parsed = obs::parseJson(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error.line, 1u) << bad;
+    EXPECT_GE(parsed.error.column, 2u) << bad;
   }
-  char peek() {
-    skipSpace();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  void expect(char c) {
-    skipSpace();
-    ASSERT_LT(pos_, text_.size());
-    ASSERT_EQ(text_[pos_], c) << "at offset " << pos_;
-    ++pos_;
-  }
+}
 
-  JsonValue parseValue() {
-    const char c = peek();
-    if (c == '{') return parseObject();
-    if (c == '[') return parseArray();
-    if (c == '"') return JsonValue{parseString()};
-    if (c == 't') { pos_ += 4; return JsonValue{true}; }
-    if (c == 'f') { pos_ += 5; return JsonValue{false}; }
-    if (c == 'n') { pos_ += 4; return JsonValue{nullptr}; }
-    return parseNumber();
-  }
+// Whatever the escaper writes, the reader gives back byte for byte.
+TEST(JsonReaderTest, ReadsBackEveryByteTheEscaperWrites) {
+  std::string bytes;
+  for (int c = 0; c < 256; ++c) bytes += static_cast<char>(c);
+  EXPECT_EQ(parseJsonOrFail("\"" + obs::jsonEscape(bytes) + "\"").text, bytes);
+}
 
-  JsonValue parseObject() {
-    auto object = std::make_shared<JsonObject>();
-    expect('{');
-    if (peek() == '}') { ++pos_; return JsonValue{object}; }
-    while (true) {
-      std::string key = parseString();
-      expect(':');
-      (*object)[key] = parseValue();
-      if (peek() == ',') { ++pos_; continue; }
-      expect('}');
-      break;
-    }
-    return JsonValue{object};
-  }
-
-  JsonValue parseArray() {
-    auto array = std::make_shared<JsonArray>();
-    expect('[');
-    if (peek() == ']') { ++pos_; return JsonValue{array}; }
-    while (true) {
-      array->push_back(parseValue());
-      if (peek() == ',') { ++pos_; continue; }
-      expect(']');
-      break;
-    }
-    return JsonValue{array};
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        ++pos_;
-        switch (text_[pos_]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': pos_ += 4; out += '?'; break;
-          default: out += text_[pos_];
-        }
-      } else {
-        out += text_[pos_];
-      }
-      ++pos_;
-    }
-    ++pos_;  // Closing quote.
-    return out;
-  }
-
-  JsonValue parseNumber() {
-    skipSpace();
-    size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) || text_[end] == '-' ||
-            text_[end] == '+' || text_[end] == '.' || text_[end] == 'e' || text_[end] == 'E'))
-      ++end;
-    const double value = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return JsonValue{value};
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+TEST(JsonReaderTest, DeepNestingIsALocatedErrorNotACrash) {
+  const obs::JsonParse deep = obs::parseJson(std::string(1 << 20, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.error.str(), "line 1, column " + std::to_string(obs::kMaxJsonDepth + 1) +
+                                  ": nesting deeper than " +
+                                  std::to_string(obs::kMaxJsonDepth));
+  EXPECT_TRUE(obs::parseJson(std::string(obs::kMaxJsonDepth, '[') +
+                             std::string(obs::kMaxJsonDepth, ']'))
+                  .ok());
+  // A lower cap: depth 1 admits one flat object or array.
+  EXPECT_TRUE(obs::parseJson("{\"a\":1,\"b\":\"x\"}", 1).ok());
+  EXPECT_EQ(obs::parseJson("{\"a\":[1]}", 1).error.str(),
+            "line 1, column 6: nesting deeper than 1");
+}
 
 // --- metrics ----------------------------------------------------------------
 
@@ -216,21 +207,20 @@ TEST(MetricsTest, JsonSnapshotRoundTrips) {
   registry.histogram("lat", {1.0}).observe(0.5);
   registry.histogram("lat").observe(2.0);
 
-  const JsonValue root = JsonParser(registry.toJson()).parse();
-  ASSERT_TRUE(root.isObject());
-  const JsonObject& counters = root.object().at("counters").object();
-  EXPECT_EQ(counters.at("dist.retries").number(), 3.0);
-  const JsonObject& gauge = root.object().at("gauges").object().at("mq.depth").object();
-  EXPECT_EQ(gauge.at("value").number(), 5.0);
-  EXPECT_EQ(gauge.at("max").number(), 5.0);
-  const JsonObject& histogram = root.object().at("histograms").object().at("lat").object();
-  EXPECT_EQ(histogram.at("count").number(), 2.0);
-  EXPECT_EQ(histogram.at("sum").number(), 2.5);
-  const JsonArray& buckets = histogram.at("buckets").array();
+  const obs::JsonValue root = parseJsonOrFail(registry.toJson());
+  ASSERT_EQ(root.kind, obs::JsonValue::Kind::kObject);
+  EXPECT_EQ(member(member(root, "counters"), "dist.retries").number, 3.0);
+  const obs::JsonValue& gauge = member(member(root, "gauges"), "mq.depth");
+  EXPECT_EQ(member(gauge, "value").number, 5.0);
+  EXPECT_EQ(member(gauge, "max").number, 5.0);
+  const obs::JsonValue& histogram = member(member(root, "histograms"), "lat");
+  EXPECT_EQ(member(histogram, "count").number, 2.0);
+  EXPECT_EQ(member(histogram, "sum").number, 2.5);
+  const std::vector<obs::JsonValue>& buckets = member(histogram, "buckets").items;
   ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_EQ(buckets[0].object().at("le").number(), 1.0);
-  EXPECT_EQ(buckets[0].object().at("count").number(), 1.0);
-  EXPECT_EQ(buckets[1].object().at("le").str(), "+Inf");
+  EXPECT_EQ(member(buckets[0], "le").number, 1.0);
+  EXPECT_EQ(member(buckets[0], "count").number, 1.0);
+  EXPECT_EQ(buckets[1].str("le"), "+Inf");
 }
 
 TEST(MetricsTest, PrometheusTextExposition) {
@@ -268,13 +258,12 @@ TEST(MetricsTest, PrometheusQuantileLines) {
   EXPECT_NE(text.find("lat_seconds_quantile{quantile=\"0.95\"} 95"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_quantile{quantile=\"0.99\"} 99"), std::string::npos);
   // And the JSON snapshot carries the same quantiles.
-  const JsonValue root = JsonParser(registry.toJson()).parse();
-  const JsonObject& quantiles = root.object().at("histograms").object()
-                                    .at("lat_seconds").object()
-                                    .at("quantiles").object();
-  EXPECT_EQ(quantiles.at("p50").number(), 50.0);
-  EXPECT_EQ(quantiles.at("p95").number(), 95.0);
-  EXPECT_EQ(quantiles.at("p99").number(), 99.0);
+  const obs::JsonValue root = parseJsonOrFail(registry.toJson());
+  const obs::JsonValue& quantiles =
+      member(member(member(root, "histograms"), "lat_seconds"), "quantiles");
+  EXPECT_EQ(member(quantiles, "p50").number, 50.0);
+  EXPECT_EQ(member(quantiles, "p95").number, 95.0);
+  EXPECT_EQ(member(quantiles, "p99").number, 99.0);
 }
 
 TEST(MetricsTest, HistogramQuantileNearestRank) {
@@ -475,18 +464,17 @@ TEST(TraceTest, ChromeTraceJsonParsesBack) {
     obs::Span inner = tracer.span("route.subtask", "dist");
     inner.arg("id", "route-7");
   }
-  const JsonValue root = JsonParser(tracer.toChromeTraceJson()).parse();
-  const JsonArray& events = root.object().at("traceEvents").array();
+  const obs::JsonValue root = parseJsonOrFail(tracer.toChromeTraceJson());
+  const std::vector<obs::JsonValue>& events = member(root, "traceEvents").items;
   ASSERT_EQ(events.size(), 2u);
-  for (const JsonValue& event : events) {
-    const JsonObject& fields = event.object();
-    EXPECT_EQ(fields.at("ph").str(), "X");
-    EXPECT_EQ(fields.at("cat").str(), "dist");
-    EXPECT_GE(fields.at("dur").number(), 0.0);
-    EXPECT_GE(fields.at("tid").number(), 1.0);
+  for (const obs::JsonValue& event : events) {
+    EXPECT_EQ(member(event, "ph").text, "X");
+    EXPECT_EQ(member(event, "cat").text, "dist");
+    EXPECT_GE(member(event, "dur").number, 0.0);
+    EXPECT_GE(member(event, "tid").number, 1.0);
   }
-  EXPECT_EQ(events[0].object().at("name").str(), "route.subtask");
-  EXPECT_EQ(events[0].object().at("args").object().at("id").str(), "route-7");
+  EXPECT_EQ(member(events[0], "name").text, "route.subtask");
+  EXPECT_EQ(member(member(events[0], "args"), "id").text, "route-7");
 }
 
 TEST(TraceTest, ChromeTraceJsonEscapesControlCharacters) {
@@ -501,10 +489,13 @@ TEST(TraceTest, ChromeTraceJsonEscapesControlCharacters) {
   EXPECT_TRUE(std::none_of(json.begin(), json.end(),
                            [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
       << "raw control character in " << json;
-  const JsonValue root = JsonParser(json).parse();
-  const JsonArray& events = root.object().at("traceEvents").array();
+  const obs::JsonValue root = parseJsonOrFail(json);
+  const std::vector<obs::JsonValue>& events = member(root, "traceEvents").items;
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].object().at("name").str(), "carriage\rreturn");
+  EXPECT_EQ(member(events[0], "name").text, "carriage\rreturn");
+  // Decoded byte for byte, the embedded NUL included.
+  EXPECT_EQ(member(member(events[0], "args"), "detail").text,
+            std::string("tab\tnul\0unit\x1f", 13));
 }
 
 TEST(TraceTest, ConcurrentSpansRecordPerThreadIds) {

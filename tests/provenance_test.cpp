@@ -10,6 +10,7 @@
 #include "config/vendor.h"
 #include "core/hoyan.h"
 #include "diag/prop_graph.h"
+#include "json_testing.h"
 #include "obs/provenance.h"
 #include "obs/telemetry.h"
 #include "scenario/net_builder.h"
@@ -27,6 +28,8 @@ using obs::RouteEvent;
 using obs::RouteEventKind;
 using testing::buildSmallWan;
 using testing::ispRoute;
+using testing::member;
+using testing::parseJsonOrFail;
 using testing::SmallWan;
 
 ProvenanceOptions watchAll() {
@@ -145,10 +148,12 @@ TEST(ProvenanceTest, ParseExplainTarget) {
 TEST(ProvenanceTest, EventJsonNamesKindAndEscapes) {
   RouteEvent e = event(RouteEventKind::kPolicyDenied, "R1", "10.0.0.0/8", "R2");
   e.detail = "clause \"10\"";
-  const std::string json = e.toJson();
-  EXPECT_NE(json.find("\"kind\":\"policy-denied\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\\\"10\\\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"device\":\"R1\""), std::string::npos) << json;
+  const obs::JsonValue json = parseJsonOrFail(e.toJson());
+  EXPECT_EQ(member(json, "kind").text, "policy-denied");
+  EXPECT_EQ(member(json, "device").text, "R1");
+  EXPECT_EQ(member(json, "peer").text, "R2");
+  EXPECT_EQ(member(json, "prefix").text, "10.0.0.0/8");
+  EXPECT_EQ(member(json, "detail").text, "clause \"10\"");
 }
 
 // ---------------------------------------------------------------------------
@@ -288,10 +293,15 @@ TEST(ProvenanceSimTest, VsbApplicationRecordedAndExplained) {
 
   const auto kinds = kindsFor(recorder.snapshot(), a, prefix);
   EXPECT_TRUE(hasKind(kinds, RouteEventKind::kVsbApplied));
-  const std::string explain = recorder.explainJson(a, prefix);
-  EXPECT_NE(explain.find("vsb-applied"), std::string::npos) << explain;
-  EXPECT_NE(explain.find("igp-cost-zero-via-sr-tunnel"), std::string::npos)
-      << explain;
+  const obs::JsonValue explain = parseJsonOrFail(recorder.explainJson(a, prefix));
+  EXPECT_EQ(member(explain, "device").text, Names::str(a));
+  const std::vector<obs::JsonValue>& events = member(explain, "events").items;
+  const auto vsb = std::find_if(events.begin(), events.end(), [](const obs::JsonValue& e) {
+    return e.str("kind") == "vsb-applied";
+  });
+  ASSERT_NE(vsb, events.end());
+  EXPECT_NE(vsb->str("detail").find("igp-cost-zero-via-sr-tunnel"), std::string::npos)
+      << vsb->str("detail");
 }
 
 TEST(ProvenanceSimTest, ExplainChainFollowsUpstreamDevices) {
@@ -303,14 +313,27 @@ TEST(ProvenanceSimTest, ExplainChainFollowsUpstreamDevices) {
                       options);
   // C1 learned the route via RR1 (from BR1): the chain must mention an
   // upstream section and the border's events.
-  const std::string explain =
-      recorder.explainJson(net.c1, *Prefix::parse("100.1.0.0/16"));
-  EXPECT_NE(explain.find("\"upstream\""), std::string::npos) << explain;
-  EXPECT_NE(explain.find(Names::str(net.br1)), std::string::npos) << explain;
+  const obs::JsonValue explain =
+      parseJsonOrFail(recorder.explainJson(net.c1, *Prefix::parse("100.1.0.0/16")));
+  EXPECT_EQ(member(explain, "device").text, Names::str(net.c1));
+  EXPECT_EQ(member(explain, "dropped").number, 0);
+  ASSERT_NE(explain.find("upstream"), nullptr);
+  std::vector<std::string> chain;
+  std::vector<const obs::JsonValue*> pending = {&explain};
+  while (!pending.empty()) {
+    const obs::JsonValue* node = pending.back();
+    pending.pop_back();
+    chain.push_back(node->str("device"));
+    if (const obs::JsonValue* upstream = node->find("upstream"))
+      for (const obs::JsonValue& next : upstream->items) pending.push_back(&next);
+  }
+  EXPECT_NE(std::find(chain.begin(), chain.end(), Names::str(net.br1)), chain.end());
   // Unknown pairs explain to an empty-events object, not an error.
-  const std::string none =
-      recorder.explainJson(Names::id("no-such-device"), *Prefix::parse("1.0.0.0/8"));
-  EXPECT_NE(none.find("\"events\":[]"), std::string::npos) << none;
+  const obs::JsonValue none = parseJsonOrFail(
+      recorder.explainJson(Names::id("no-such-device"), *Prefix::parse("1.0.0.0/8")));
+  EXPECT_EQ(member(none, "events").kind, obs::JsonValue::Kind::kArray);
+  EXPECT_TRUE(member(none, "events").items.empty());
+  EXPECT_EQ(none.find("upstream"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,9 +415,18 @@ TEST(PropGraphTest, DotAndJsonExports) {
   EXPECT_NE(dot.find("digraph"), std::string::npos) << dot;
   EXPECT_NE(dot.find("\"ex-A\" -> \"ex-B\""), std::string::npos) << dot;
   EXPECT_NE(dot.find("dashed"), std::string::npos) << dot;  // Denied edges.
-  const std::string json = graph.toJson();
-  EXPECT_NE(json.find("\"kind\":\"denied\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"nodes\":"), std::string::npos) << json;
+  const obs::JsonValue json = parseJsonOrFail(graph.toJson());
+  const std::vector<obs::JsonValue>& nodes = member(json, "nodes").items;
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_EQ(nodes[0].text, "ex-A");
+  EXPECT_EQ(nodes[1].text, "ex-B");
+  const std::vector<obs::JsonValue>& edges = member(json, "edges").items;
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(member(edges[0], "from").text, "ex-A");
+  EXPECT_EQ(member(edges[0], "to").text, "ex-B");
+  EXPECT_EQ(member(edges[0], "prefix").text, "10.0.0.0/8");
+  EXPECT_EQ(member(edges[0], "kind").text, "denied");
+  EXPECT_EQ(member(edges[0], "detail").text, "clause 10");
 }
 
 TEST(PropGraphTest, JsonExportEscapesControlCharacters) {
@@ -412,6 +444,10 @@ TEST(PropGraphTest, JsonExportEscapesControlCharacters) {
   EXPECT_TRUE(std::none_of(json.begin(), json.end(),
                            [](char c) { return static_cast<unsigned char>(c) < 0x20; }))
       << "raw control character in " << json;
+  const obs::JsonValue root = parseJsonOrFail(json);
+  const std::vector<obs::JsonValue>& edges = member(root, "edges").items;
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(member(edges[0], "detail").text, "clause\t10\r\x01");
 }
 
 TEST(PropGraphTest, FromRibsReconstructsLearnedFromEdges) {

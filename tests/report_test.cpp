@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "core/report_json.h"
+#include "json_testing.h"
 #include "obs/json.h"
 #include "scenario/audit_catalog.h"
 #include "scenario/scenarios.h"
 
 namespace hoyan {
 namespace {
+
+using testing::member;
+using testing::parseJsonOrFail;
 
 TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
   using obs::jsonEscape;
@@ -70,16 +74,30 @@ TEST_F(ReportTest, JsonReportRoundTripsKeyFields) {
   IntentSet intents;
   intents.rclIntents = {"PRE = POST"};
   const ChangeVerificationResult result = hoyan_->verifyChange(plan, intents);
-  const std::string json = toJson(plan.name, result);
-  EXPECT_NE(json.find("\"plan\":\"json-check\""), std::string::npos);
-  EXPECT_NE(json.find("\"satisfied\":false"), std::string::npos);
-  EXPECT_NE(json.find("commandErrors"), std::string::npos);
-  EXPECT_NE(json.find("broken-command"), std::string::npos);
-  // Balanced braces/brackets (cheap structural sanity).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  const obs::JsonValue root = parseJsonOrFail(toJson(plan.name, result));
+  ASSERT_EQ(root.kind, obs::JsonValue::Kind::kObject);
+  EXPECT_EQ(member(root, "plan").text, "json-check");
+  EXPECT_EQ(member(root, "satisfied").kind, obs::JsonValue::Kind::kBool);
+  EXPECT_FALSE(member(root, "satisfied").boolean);
+  const std::vector<obs::JsonValue>& errors = member(root, "commandErrors").items;
+  ASSERT_EQ(errors.size(), result.commandErrors.size());
+  ASSERT_FALSE(errors.empty());
+  EXPECT_EQ(errors[0].text, result.commandErrors[0].str());
+  EXPECT_NE(errors[0].text.find("broken-command"), std::string::npos);
+  const obs::JsonValue& routeSim = member(root, "routeSim");
+  EXPECT_EQ(member(routeSim, "installedRoutes").number,
+            static_cast<double>(result.routeStats.installedRoutes));
+  EXPECT_EQ(member(routeSim, "converged").boolean, result.routeStats.converged);
+  EXPECT_EQ(member(member(root, "trafficSim"), "inputFlows").number,
+            static_cast<double>(result.trafficStats.inputFlows));
+  const std::vector<obs::JsonValue>& rcl = member(root, "rcl").items;
+  ASSERT_EQ(rcl.size(), result.rclOutcomes.size());
+  for (size_t i = 0; i < rcl.size(); ++i) {
+    EXPECT_EQ(member(rcl[i], "spec").text, result.rclOutcomes[i].specification);
+    EXPECT_EQ(member(rcl[i], "satisfied").boolean, result.rclOutcomes[i].result.satisfied);
+  }
+  EXPECT_EQ(member(root, "pathViolations").kind, obs::JsonValue::Kind::kArray);
+  EXPECT_EQ(member(root, "loadViolations").kind, obs::JsonValue::Kind::kArray);
 }
 
 TEST_F(ReportTest, JsonForSatisfiedChangeIsCompact) {
@@ -90,6 +108,15 @@ TEST_F(ReportTest, JsonForSatisfiedChangeIsCompact) {
   const std::string json = toJson("noop", result);
   EXPECT_NE(json.find("\"satisfied\":true"), std::string::npos);
   EXPECT_NE(json.find("\"violations\":[]"), std::string::npos);
+  const obs::JsonValue root = parseJsonOrFail(json);
+  EXPECT_TRUE(member(root, "satisfied").boolean);
+  EXPECT_TRUE(member(root, "commandErrors").items.empty());
+  const std::vector<obs::JsonValue>& rcl = member(root, "rcl").items;
+  ASSERT_EQ(rcl.size(), 1u);
+  EXPECT_EQ(member(rcl[0], "spec").text, "PRE = POST");
+  EXPECT_TRUE(member(rcl[0], "satisfied").boolean);
+  EXPECT_EQ(member(rcl[0], "violations").kind, obs::JsonValue::Kind::kArray);
+  EXPECT_TRUE(member(rcl[0], "violations").items.empty());
 }
 
 }  // namespace

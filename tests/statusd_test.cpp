@@ -21,6 +21,7 @@
 #include "obs/run_registry.h"
 #include "obs/statusd.h"
 #include "obs/telemetry.h"
+#include "json_testing.h"
 #include "status_client.h"
 #include "sweep/sweep.h"
 #include "test_fixtures.h"
@@ -32,11 +33,13 @@ namespace {
 using obs::RunRegistry;
 using obs::RunSnapshot;
 using obs::StatusServer;
+using obs::JsonValue;
 using obs::StatusServerOptions;
 using statusclient::HttpResult;
-using statusclient::JsonValue;
 using testing::buildSmallWan;
 using testing::ispRoute;
+using testing::member;
+using testing::parseJsonOrFail;
 using testing::SmallWan;
 
 // --- RunRegistry ------------------------------------------------------------
@@ -237,12 +240,11 @@ TEST(RunRegistryTest, FedWhetherTheJournalIsOffOnOrFull) {
   const std::string off = settle({});
   EXPECT_EQ(settle({.journal = true}), off);
   EXPECT_EQ(settle({.journal = true, .journalCapacity = 2}), off);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(off, root)) << off;
+  const JsonValue root = parseJsonOrFail(off);
   EXPECT_EQ(root.str("state"), "failed");
   EXPECT_EQ(root.str("phase"), "route.exec");
-  EXPECT_EQ(root.find("subtasks")->num("succeeded"), 6);
-  EXPECT_EQ(root.find("subtasks")->num("failed"), 1);
+  EXPECT_EQ(member(root, "subtasks").num("succeeded"), 6);
+  EXPECT_EQ(member(root, "subtasks").num("failed"), 1);
 }
 
 TEST(RunRegistryTest, ContextGlobalRoundTrips) {
@@ -263,8 +265,7 @@ TEST(RunRegistryTest, ContextGlobalRoundTrips) {
   EXPECT_EQ(obs::Telemetry::global(), nullptr);
   EXPECT_EQ(&obs::Telemetry::resolve(nullptr), &obs::Telemetry::disabled());
   EXPECT_EQ(current.status, 200);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(current.body, root)) << current.body;
+  const JsonValue root = parseJsonOrFail(current.body);
   EXPECT_EQ(root.str("name"), "global-run");
 }
 
@@ -290,8 +291,7 @@ TEST(RunJsonTest, SnapshotSchemaRoundTripsThroughClientParser) {
   snapshot.cacheBypasses = 1;
   snapshot.active.push_back({"route:9", 3, 0.5, true});
 
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(obs::runSnapshotToJson(snapshot), root));
+  const JsonValue root = parseJsonOrFail(obs::runSnapshotToJson(snapshot));
   EXPECT_EQ(root.num("id"), 7);
   EXPECT_EQ(root.str("name"), "verify \"q1\"");
   EXPECT_EQ(root.str("state"), "running");
@@ -322,10 +322,9 @@ TEST(RunJsonTest, SnapshotOmitsEmptyImpactAndZeroHitRate) {
   RunSnapshot snapshot;
   snapshot.id = 1;
   snapshot.state = "running";
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(obs::runSnapshotToJson(snapshot), root));
+  const JsonValue root = parseJsonOrFail(obs::runSnapshotToJson(snapshot));
   EXPECT_EQ(root.find("impact"), nullptr);
-  EXPECT_DOUBLE_EQ(root.find("cache")->num("hit_rate"), 0);  // Not NaN.
+  EXPECT_DOUBLE_EQ(member(root, "cache").num("hit_rate"), 0);  // Not NaN.
 }
 
 TEST(RunJsonTest, SummarySchema) {
@@ -336,8 +335,7 @@ TEST(RunJsonTest, SummarySchema) {
   summary.phase = "traffic.merge";
   summary.elapsedSeconds = 0.5;
   summary.succeeded = 8;
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(obs::runSummaryToJson(summary), root));
+  const JsonValue root = parseJsonOrFail(obs::runSummaryToJson(summary));
   EXPECT_EQ(root.num("id"), 3);
   EXPECT_EQ(root.str("state"), "succeeded");
   EXPECT_EQ(root.str("phase"), "traffic.merge");
@@ -365,15 +363,14 @@ class StatusHandleTest : public ::testing::Test {
 TEST_F(StatusHandleTest, HealthzReportsCurrentRun) {
   auto empty = server_->handle("GET", "/healthz");
   EXPECT_EQ(empty.status, 200);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(empty.body, root)) << empty.body;
+  JsonValue root = parseJsonOrFail(empty.body);
   EXPECT_EQ(root.str("status"), "ok");
-  EXPECT_EQ(root.find("current")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(member(root, "current").kind, JsonValue::Kind::kNull);
 
   journal().runBegin("verify-a", 0);
   journal().phaseBegin("route.exec");
   auto live = server_->handle("GET", "/healthz");
-  ASSERT_TRUE(statusclient::parseJson(live.body, root));
+  root = parseJsonOrFail(live.body);
   const JsonValue* current = root.find("current");
   ASSERT_NE(current, nullptr);
   EXPECT_EQ(current->str("name"), "verify-a");
@@ -402,22 +399,21 @@ TEST_F(StatusHandleTest, RunListAndSnapshotEndpoints) {
 
   auto list = server_->handle("GET", "/runs");
   EXPECT_EQ(list.status, 200);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(list.body, root));
+  JsonValue root = parseJsonOrFail(list.body);
   EXPECT_EQ(root.num("current"), static_cast<double>(second));
-  ASSERT_EQ(root.find("runs")->items.size(), 2u);
+  ASSERT_EQ(member(root, "runs").items.size(), 2u);
 
   auto byId = server_->handle("GET", "/runs/" + std::to_string(first));
   EXPECT_EQ(byId.status, 200);
-  ASSERT_TRUE(statusclient::parseJson(byId.body, root));
+  root = parseJsonOrFail(byId.body);
   EXPECT_EQ(root.str("name"), "one");
   EXPECT_EQ(root.str("state"), "succeeded");
 
   auto current = server_->handle("GET", "/runs/current");
   EXPECT_EQ(current.status, 200);
-  ASSERT_TRUE(statusclient::parseJson(current.body, root));
+  root = parseJsonOrFail(current.body);
   EXPECT_EQ(root.str("name"), "two");
-  EXPECT_EQ(root.find("subtasks")->num("pending"), 2);
+  EXPECT_EQ(member(root, "subtasks").num("pending"), 2);
 }
 
 TEST_F(StatusHandleTest, ErrorStatuses) {
@@ -430,8 +426,7 @@ TEST_F(StatusHandleTest, ErrorStatuses) {
       << "no provenance recorder attached";
   // Every error body is itself valid JSON with an "error" member.
   auto error = server_->handle("GET", "/runs/banana");
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(error.body, root));
+  const JsonValue root = parseJsonOrFail(error.body);
   EXPECT_FALSE(root.str("error").empty());
 }
 
@@ -445,8 +440,7 @@ TEST_F(StatusHandleTest, ExplainAnswers404ForAnUnknownDeviceWithoutInterningIt) 
   auto unknown =
       server_->handle("GET", "/explain?device=" + device + "&prefix=10.0.0.0/24");
   EXPECT_EQ(unknown.status, 404);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(unknown.body, root)) << unknown.body;
+  const JsonValue root = parseJsonOrFail(unknown.body);
   EXPECT_EQ(root.str("error"), "unknown device");
   EXPECT_FALSE(Names::find(device)) << "/explain interned a client's device name";
   // An interned device with no recorded events still answers.
@@ -488,10 +482,9 @@ TEST(StatusServerSocketTest, ServesOverLoopbackThroughStatusClient) {
   ASSERT_TRUE(statusclient::httpGet("127.0.0.1", server.port(),
                                     "/runs/" + std::to_string(id), result));
   EXPECT_EQ(result.status, 200);
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(result.body, root)) << result.body;
+  const JsonValue root = parseJsonOrFail(result.body);
   EXPECT_EQ(root.str("name"), "socket-run");
-  EXPECT_EQ(root.find("subtasks")->num("pending"), 5);
+  EXPECT_EQ(member(root, "subtasks").num("pending"), 5);
 
   ASSERT_TRUE(statusclient::httpGet("127.0.0.1", server.port(), "/metrics", result));
   EXPECT_EQ(result.status, 200);
@@ -566,11 +559,12 @@ TEST(ConcurrentScrapeTest, FourThreadsHammerEndpointsDuringVerify) {
         // run* (preprocess and verify are separate runs, each restarting
         // from zero).
         if (target == "/runs/current" && result.status == 200) {
-          JsonValue root;
-          if (!statusclient::parseJson(result.body, root)) {
+          const obs::JsonParse parsed = obs::parseJson(result.body);
+          if (!parsed.ok()) {
             scrapeFailures.fetch_add(1);
             continue;
           }
+          const JsonValue& root = parsed.value;
           const double runId = root.num("id", -1);
           if (runId != lastRunId) {
             lastRunId = runId;
@@ -761,35 +755,42 @@ TEST(RegistryJournalAgreementTest, EarlyExitSweep) {
 
 // --- status client ----------------------------------------------------------
 
+// hoyan_top reads its payloads through the one JSON reader (obs::parseJson);
+// these pin what it needs of it. The reader's full grammar is obs_test's.
 TEST(StatusClientJsonTest, ParsesEscapesAndNesting) {
-  JsonValue root;
-  ASSERT_TRUE(statusclient::parseJson(
-      R"({"a":[1,2.5,-3e2],"b":{"c":"x\ny A","d":true,"e":null}})", root));
-  ASSERT_EQ(root.find("a")->items.size(), 3u);
-  EXPECT_DOUBLE_EQ(root.find("a")->items[2].number, -300);
-  EXPECT_EQ(root.find("b")->str("c"), "x\ny A");
-  EXPECT_TRUE(root.find("b")->find("d")->boolean);
-  EXPECT_EQ(root.find("b")->find("e")->kind, JsonValue::Kind::kNull);
+  const JsonValue root = parseJsonOrFail(
+      R"({"a":[1,2.5,-3e2],"b":{"c":"x\ny A","d":true,"e":null,"f":"caf\u00e9"}})");
+  ASSERT_EQ(member(root, "a").items.size(), 3u);
+  EXPECT_DOUBLE_EQ(member(root, "a").items[2].number, -300);
+  const JsonValue& b = member(root, "b");
+  EXPECT_EQ(b.str("c"), "x\ny A");
+  EXPECT_TRUE(member(b, "d").boolean);
+  EXPECT_EQ(member(b, "e").kind, JsonValue::Kind::kNull);
+  // \u escapes decode to UTF-8, as they do in journals.
+  EXPECT_EQ(b.str("f"), "caf\xc3\xa9");
 }
 
 TEST(StatusClientJsonTest, RejectsMalformedDocuments) {
-  JsonValue root;
-  EXPECT_FALSE(statusclient::parseJson("{\"a\":", root));
-  EXPECT_FALSE(statusclient::parseJson("{} trailing", root));
-  EXPECT_FALSE(statusclient::parseJson("{\"a\" 1}", root));
-  EXPECT_FALSE(statusclient::parseJson("\"unterminated", root));
-  EXPECT_TRUE(statusclient::parseJson(" {} ", root)) << "whitespace is fine";
+  for (const char* bad : {"{\"a\":", "{} trailing", "{\"a\" 1}", "\"unterminated",
+                          "{\"n\":+1}", "{\"n\":0x10}", "{\"n\":nan}", "{\"n\":.5}",
+                          "{\"s\":\"raw\nnewline\"}"}) {
+    const obs::JsonParse parsed = obs::parseJson(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error.line, 1u) << bad;
+    EXPECT_GT(parsed.error.column, 1u) << bad;
+  }
+  EXPECT_TRUE(obs::parseJson(" {} ").ok()) << "whitespace is fine";
+  // A hostile body nests without bound: an error, not a stack overflow.
+  EXPECT_FALSE(obs::parseJson(std::string(1 << 20, '[')).ok());
 }
 
 TEST(StatusClientRenderTest, RendersDashboardFrame) {
-  JsonValue run;
-  ASSERT_TRUE(statusclient::parseJson(
+  const JsonValue run = parseJsonOrFail(
       R"({"id":7,"name":"verify","state":"running","phase":"route.exec",)"
       R"("elapsed_seconds":65.5,"subtasks":{"pending":2,"running":1,)"
       R"("succeeded":5,"failed":0,"retries":1},"cache":{"hits":3,"misses":1,)"
       R"("bypasses":0,"hit_rate":0.75},"impact":"2 devices",)"
-      R"("active":[{"id":"route:3","worker":2,"seconds":1.5,"straggler":true}]})",
-      run));
+      R"("active":[{"id":"route:3","worker":2,"seconds":1.5,"straggler":true}]})");
   const std::string frame = statusclient::renderTop(run, 2.5);
   EXPECT_NE(frame.find("run #7 \"verify\""), std::string::npos) << frame;
   EXPECT_NE(frame.find("running"), std::string::npos);

@@ -2,6 +2,7 @@
 // intents, and k-failure fault-tolerance checking.
 #include <gtest/gtest.h>
 
+#include "diag/validation.h"
 #include "sim/local_routes.h"
 #include "sim/route_sim.h"
 #include "test_fixtures.h"
@@ -53,6 +54,47 @@ TEST_F(VerifyTest, LoadIntentFlagsOverUtilizedLinks) {
   EXPECT_EQ(violations[0].to, net_.c2);
   EXPECT_NEAR(violations[0].utilization(), 0.9, 1e-9);
   EXPECT_TRUE(checkLinkLoads(model_->topology, loads, 0.95).empty());
+}
+
+// Parallel member links between two devices add up to one capacity, under
+// the rule adjacencies use, and both load checks read it.
+TEST_F(VerifyTest, ParallelLinksAddUpToOneCapacity) {
+  Topology& topology = model_->topology;
+  Interface c1Side;
+  c1Side.name = Names::id("t-C1:parallel");
+  c1Side.address = *IpAddress::parse("172.31.0.1");
+  topology.findDevice(net_.c1)->interfaces.push_back(c1Side);
+  Interface c2Side;
+  c2Side.name = Names::id("t-C2:parallel");
+  c2Side.address = *IpAddress::parse("172.31.0.2");
+  topology.findDevice(net_.c2)->interfaces.push_back(c2Side);
+  topology.addLink(net_.c1, c1Side.name, net_.c2, c2Side.name);
+
+  LinkLoadMap loads;
+  loads.add(net_.c2, net_.c1, 150e9);  // Over two 100G members.
+  const std::vector<MonitoredLinkLoad> monitored = {{net_.c2, net_.c1, 50e9}};
+  const auto bandwidthCompared = [&] {
+    const LoadAccuracyReport report = compareLinkLoads(topology, loads, monitored, 0.1);
+    return report.inaccurateLinks.size() == 1 ? report.inaccurateLinks[0].bandwidthBps : -1;
+  };
+  EXPECT_EQ(topology.capacityBps(net_.c2, net_.c1), 200e9);
+  EXPECT_TRUE(checkLinkLoads(topology, loads, 0.8).empty());
+  EXPECT_EQ(bandwidthCompared(), 200e9);
+  // Each direction sums its own side's interfaces.
+  topology.findDevice(net_.c2)->findInterface(c2Side.name)->bandwidthBps = 40e9;
+  EXPECT_EQ(topology.capacityBps(net_.c2, net_.c1), 140e9);
+  EXPECT_EQ(topology.capacityBps(net_.c1, net_.c2), 200e9);
+  topology.findDevice(net_.c2)->findInterface(c2Side.name)->bandwidthBps = 100e9;
+
+  // One member shut: one member's capacity again.
+  topology.findDevice(net_.c1)->findInterface(c1Side.name)->shutdown = true;
+  EXPECT_EQ(topology.capacityBps(net_.c2, net_.c1), 100e9);
+  const auto violations = checkLinkLoads(topology, loads, 0.8);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_DOUBLE_EQ(violations[0].utilization(), 1.5);
+  EXPECT_EQ(bandwidthCompared(), 100e9);
+  // No active member at all (a pair with no link): the 100G default.
+  EXPECT_EQ(topology.capacityBps(net_.c2, net_.br1), 100e9);
 }
 
 TEST_F(VerifyTest, PathChangeIntentDetectsUnmovedFlows) {

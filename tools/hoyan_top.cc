@@ -11,7 +11,8 @@
 //
 // `--run` takes a numeric run id or "current" (the default: follow the
 // newest run). `--once` prints a single frame and exits — scripting form.
-// Exit codes: 0 success, 1 the server became unreachable, 2 usage error.
+// Exit codes: 0 success, 1 the server became unreachable or answered with a
+// malformed payload, 2 usage error.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +49,8 @@ bool hasFlag(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using hoyan::obs::JsonValue;
   using hoyan::statusclient::HttpResult;
-  using hoyan::statusclient::JsonValue;
 
   const std::string portText = flagValue(argc, argv, "port");
   if (portText.empty()) {
@@ -106,11 +107,13 @@ int main(int argc, char** argv) {
           std::chrono::milliseconds(static_cast<int>(interval * 1000)));
       continue;
     }
-    JsonValue run;
-    if (result.status != 200 || !hoyan::statusclient::parseJson(result.body, run)) {
-      std::fprintf(stderr, "hoyan_top: bad response (HTTP %d)\n", result.status);
+    const hoyan::obs::JsonParse parsed = hoyan::obs::parseJson(result.body);
+    if (result.status != 200 || !parsed.ok()) {
+      std::fprintf(stderr, "hoyan_top: bad response (HTTP %d%s%s)\n", result.status,
+                   parsed.ok() ? "" : ", ", parsed.ok() ? "" : parsed.error.str().c_str());
       return 1;
     }
+    const JsonValue& run = parsed.value;
     const JsonValue* subtasks = run.find("subtasks");
     const double done = subtasks ? subtasks->num("succeeded") + subtasks->num("failed") : 0;
     const double throughput = lastDone >= 0 ? (done - lastDone) / interval : -1;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
+
+#include "obs/journal.h"
 
 namespace hoyan::inspect {
 
@@ -36,135 +37,12 @@ std::string fmtPct(double fraction) {
   return buffer;
 }
 
-// --- flat JSON object reader ------------------------------------------------
-
-struct Reader {
-  const std::string& text;
-  size_t pos = 0;
-
-  bool done() const { return pos >= text.size(); }
-  char peek() const { return text[pos]; }
-  bool consume(char c) {
-    if (done() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  void skipSpace() {
-    while (!done() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  }
-
-  bool readString(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (!done()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (done()) return false;
-        const char escape = text[pos++];
-        switch (escape) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= h - '0';
-              else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-              else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-              else return false;
-            }
-            // Journal escapes are control characters only; render as-is when
-            // in latin-1 range, else '?'.
-            out += code < 0x100 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // Unterminated.
-  }
-
-  bool readNumber(std::string& out) {
-    const size_t start = pos;
-    if (!done() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    bool digits = false;
-    while (!done() && ((text[pos] >= '0' && text[pos] <= '9') || text[pos] == '.' ||
-                       text[pos] == 'e' || text[pos] == 'E' || text[pos] == '-' ||
-                       text[pos] == '+')) {
-      if (text[pos] >= '0' && text[pos] <= '9') digits = true;
-      ++pos;
-    }
-    if (!digits) return false;
-    out = text.substr(start, pos - start);
-    return true;
-  }
-};
-
 }  // namespace
 
-std::optional<double> Event::num(const std::string& name) const {
-  const std::string* value = field(name);
-  if (!value || value->empty()) return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end != value->c_str() + value->size()) return std::nullopt;
-  return parsed;
-}
-
-bool parseJsonObject(const std::string& line, Event& event) {
-  event.ev.clear();
-  event.fields.clear();
-  Reader reader{line};
-  reader.skipSpace();
-  if (!reader.consume('{')) return false;
-  reader.skipSpace();
-  if (reader.consume('}')) {
-    reader.skipSpace();
-    return reader.done();
-  }
-  while (true) {
-    reader.skipSpace();
-    std::string key, value;
-    if (!reader.readString(key)) return false;
-    reader.skipSpace();
-    if (!reader.consume(':')) return false;
-    reader.skipSpace();
-    if (reader.done()) return false;
-    const char c = reader.peek();
-    if (c == '"') {
-      if (!reader.readString(value)) return false;
-    } else if (c == 't' && line.compare(reader.pos, 4, "true") == 0) {
-      value = "true";
-      reader.pos += 4;
-    } else if (c == 'f' && line.compare(reader.pos, 5, "false") == 0) {
-      value = "false";
-      reader.pos += 5;
-    } else {
-      if (!reader.readNumber(value)) return false;
-    }
-    if (key == "ev")
-      event.ev = value;
-    else
-      event.fields[key] = value;
-    reader.skipSpace();
-    if (reader.consume(',')) continue;
-    if (!reader.consume('}')) return false;
-    break;
-  }
-  reader.skipSpace();
-  return reader.done();
+std::optional<double> Event::num(std::string_view name) const {
+  const obs::JsonValue* value = field(name);
+  if (!value || value->kind != obs::JsonValue::Kind::kNumber) return std::nullopt;
+  return value->number;
 }
 
 bool parseJournal(const std::string& text, std::vector<Event>& events,
@@ -173,90 +51,57 @@ bool parseJournal(const std::string& text, std::vector<Event>& events,
   size_t pos = 0;
   size_t lineNo = 0;
   while (pos < text.size()) {
-    const size_t eol = text.find('\n', pos);
-    const std::string line =
-        eol == std::string::npos ? text.substr(pos) : text.substr(pos, eol - pos);
-    pos = eol == std::string::npos ? text.size() : eol + 1;
+    const size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = std::string_view(text).substr(pos, eol - pos);
+    pos = eol + 1;
     ++lineNo;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Event event;
-    if (!parseJsonObject(line, event)) {
-      error = "line " + std::to_string(lineNo) + ": malformed JSON object";
+    const size_t start = line.find_first_not_of(" \t\r");
+    if (start == std::string_view::npos) continue;
+    // Depth 1: a journal line is one flat object.
+    obs::JsonParse parsed = obs::parseJson(line, 1);
+    if (parsed.ok() && parsed.value.kind != obs::JsonValue::Kind::kObject)
+      parsed.error = {1, start + 1, "expected a JSON object"};
+    if (!parsed.ok()) {
+      parsed.error.line = lineNo;
+      error = parsed.error.str();
       return false;
     }
+    Event event;
+    event.ev = parsed.value.str("ev");
+    event.line = lineNo;
+    event.column = start + 1;
+    event.fields = std::move(parsed.value);
     events.push_back(std::move(event));
   }
   return true;
 }
 
-namespace {
-
-// Required fields per event type. `run` is required on every journal event
-// (journal_summary excepted); durations/worker ids are volatile and therefore
-// optional (canonical journals strip them).
-const std::map<std::string, std::vector<std::string>>& eventSchema() {
-  static const std::map<std::string, std::vector<std::string>> schema = {
-      {"run_begin", {"id", "fp"}},
-      {"run_end", {"id"}},
-      {"phase_begin", {"phase"}},
-      {"phase_end", {"phase"}},
-      {"impact", {"note", "dirty_devices", "dirty_ranges"}},
-      {"cache_bypass", {"note"}},
-      {"cache_hit", {"phase", "id", "key"}},
-      {"cache_miss", {"phase", "id", "key"}},
-      {"cache_evict", {"key", "bytes"}},
-      {"subtask_enqueue", {"phase", "id"}},
-      {"subtask_start", {"phase", "id", "attempt"}},
-      {"subtask_retry", {"phase", "id", "attempt"}},
-      {"subtask_exhaust", {"phase", "id", "attempt"}},
-      {"subtask_cancel", {"phase", "id", "attempt"}},
-      {"subtask_finish", {"phase", "id", "attempt"}},
-      {"sweep_plan",
-       {"phase", "note", "enumerated", "pruned", "deduped", "scheduled"}},
-      {"sweep_verdict", {"phase", "id", "note", "key", "shared"}},
-      {"sweep_result",
-       {"phase", "checked", "counterexamples", "cache_hits", "retries"}},
-      {"policy_kernel",
-       {"phase", "memo_hits", "memo_misses", "regex_hits", "regex_misses"}},
-      {"journal_summary", {"events", "dropped"}},
-  };
-  return schema;
-}
-
-}  // namespace
-
 bool validateJournal(const std::string& text, std::string& error) {
   std::vector<Event> events;
   if (!parseJournal(text, events, error)) return false;
-  const auto& schema = eventSchema();
-  for (size_t i = 0; i < events.size(); ++i) {
-    const Event& event = events[i];
-    const auto at = [&] { return "event " + std::to_string(i + 1) + " (" + event.ev + ")"; };
-    const auto it = schema.find(event.ev);
-    if (it == schema.end()) {
-      error = "event " + std::to_string(i + 1) + ": unknown event type '" +
-              event.ev + "'";
+  for (const Event& event : events) {
+    const auto fail = [&](const std::string& what) {
+      error = obs::JsonError{event.line, event.column, what}.str();
       return false;
-    }
-    if (event.ev != "journal_summary" && !event.field("run")) {
-      error = at() + ": missing field 'run'";
-      return false;
-    }
-    for (const std::string& required : it->second) {
-      if (!event.field(required)) {
-        error = at() + ": missing field '" + required + "'";
-        return false;
-      }
-    }
+    };
+    const obs::JournalEventSpec* spec = obs::findJournalEventSpec(event.ev);
+    if (!spec) return fail("unknown event type '" + event.ev + "'");
+    const auto missing = [&](std::string_view name) {
+      return fail(event.ev + ": missing field '" + std::string(name) + "'");
+    };
+    for (const std::string_view name : spec->fields)
+      if (!name.empty() && !event.field(name)) return missing(name);
+    for (const std::string_view name : spec->counts)
+      if (!name.empty() && !event.field(name)) return missing(name);
   }
   return true;
 }
 
 JournalStats aggregate(const std::vector<Event>& events) {
   JournalStats stats;
-  std::map<std::string, size_t> runIndexByKey;  // run number -> runs index.
+  std::map<double, size_t> runIndexByKey;  // run number -> runs index.
   const auto runFor = [&](const Event& event) -> RunStats& {
-    const std::string key = event.str("run");
+    const double key = event.num("run").value_or(-1);
     const auto it = runIndexByKey.find(key);
     if (it != runIndexByKey.end()) return stats.runs[it->second];
     runIndexByKey.emplace(key, stats.runs.size());

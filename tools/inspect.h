@@ -2,9 +2,11 @@
 //
 // A journal is the JSONL file `RunJournal::toJsonl()` (operational form,
 // with seq/t_ms/worker/ms and a trailing journal_summary line) or
-// `canonicalJsonl()` (volatile fields stripped) writes. Every line is a flat
-// JSON object — string and number values only — so parsing here is a small
-// hand-rolled flat-object reader, not a general JSON library.
+// `canonicalJsonl()` (volatile fields stripped) writes. Every line is one
+// flat JSON object (no nested objects or arrays), read through the one JSON
+// reader (obs::parseJson); LF and CRLF line ends both work. Validation checks
+// each line against the journal's event table (obs::findJournalEventSpec),
+// the one the writer renders from.
 //
 // Five analyses:
 //   validate    schema-check every line (unknown events / missing fields fail)
@@ -18,25 +20,26 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace hoyan::inspect {
 
-// One parsed journal line: the event name plus its raw fields (numbers kept
-// as text; `num()` converts on demand).
+// One parsed journal line: its event name, where its object starts (1-based,
+// for located validation errors) and the whole flat object.
 struct Event {
   std::string ev;
-  std::map<std::string, std::string> fields;
+  size_t line = 0;
+  size_t column = 0;
+  obs::JsonValue fields;
 
-  const std::string* field(const std::string& name) const {
-    const auto it = fields.find(name);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-  std::optional<double> num(const std::string& name) const;
-  std::string str(const std::string& name) const {
-    const std::string* value = field(name);
-    return value ? *value : std::string();
-  }
+  const obs::JsonValue* field(std::string_view name) const { return fields.find(name); }
+  // A number field; nullopt when absent or not a number.
+  std::optional<double> num(std::string_view name) const;
+  // A string field; empty when absent or not a string.
+  std::string str(std::string_view name) const { return fields.str(name); }
 };
 
 // Reads a journal into `out`: a file path, or "-" for stdin, so
@@ -44,18 +47,16 @@ struct Event {
 // Returns false when the file cannot be opened (stdin never fails to open).
 bool readInput(const std::string& path, std::string& out);
 
-// Parses one flat JSON object (`{"k":"v","n":1.5,...}`). Returns false on
-// malformed input (trailing garbage counts as malformed).
-bool parseJsonObject(const std::string& line, Event& event);
-
-// Parses a whole journal. On failure returns false and sets `error` to
-// "<line number>: <what>".
+// Parses a whole journal, one JSON object per line; blank lines are
+// skipped. On failure returns false and sets `error` to
+// "line L, column C: <what>".
 bool parseJournal(const std::string& text, std::vector<Event>& events,
                   std::string& error);
 
-// Schema validation: every line parses, every `ev` is a known journal event
-// type (or journal_summary), and the fields each type requires are present.
-// Returns false and sets `error` on the first violation.
+// Schema validation: every line parses, every `ev` names a row of the
+// journal's event table (journal_summary included), and the fields that row
+// requires are present. Returns false and sets `error` on the first
+// violation.
 bool validateJournal(const std::string& text, std::string& error);
 
 // --- aggregation ------------------------------------------------------------

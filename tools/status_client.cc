@@ -5,11 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace hoyan::statusclient {
 
@@ -62,168 +60,6 @@ bool httpGet(const std::string& host, uint16_t port, const std::string& target,
   return true;
 }
 
-// --- minimal JSON -----------------------------------------------------------
-
-namespace {
-
-struct JsonReader {
-  const std::string& text;
-  size_t pos = 0;
-
-  void skipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-      ++pos;
-  }
-  bool consume(char c) {
-    skipSpace();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool parseString(std::string& out) {
-    if (!consume('"')) return false;
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        char esc = text[pos++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // The payloads only escape control characters; encode the BMP
-            // code point as UTF-8 without surrogate-pair handling.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xc0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else {
-              out += static_cast<char>(0xe0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            }
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // Unterminated.
-  }
-
-  bool parseValue(JsonValue& out) {
-    skipSpace();
-    if (pos >= text.size()) return false;
-    char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out.kind = JsonValue::Kind::kObject;
-      skipSpace();
-      if (consume('}')) return true;
-      while (true) {
-        std::string key;
-        if (!parseString(key) || !consume(':')) return false;
-        JsonValue value;
-        if (!parseValue(value)) return false;
-        out.members.emplace_back(std::move(key), std::move(value));
-        if (consume(',')) continue;
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out.kind = JsonValue::Kind::kArray;
-      skipSpace();
-      if (consume(']')) return true;
-      while (true) {
-        JsonValue value;
-        if (!parseValue(value)) return false;
-        out.items.push_back(std::move(value));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return parseString(out.text);
-    }
-    if (text.compare(pos, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      pos += 5;
-      return true;
-    }
-    if (text.compare(pos, 4, "null") == 0) {
-      out.kind = JsonValue::Kind::kNull;
-      pos += 4;
-      return true;
-    }
-    // Number.
-    char* end = nullptr;
-    out.number = std::strtod(text.c_str() + pos, &end);
-    if (!end || end == text.c_str() + pos) return false;
-    out.kind = JsonValue::Kind::kNumber;
-    pos = static_cast<size_t>(end - text.c_str());
-    return true;
-  }
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members)
-    if (name == key) return &value;
-  return nullptr;
-}
-
-double JsonValue::num(const std::string& key, double fallback) const {
-  const JsonValue* value = find(key);
-  return value && value->kind == Kind::kNumber ? value->number : fallback;
-}
-
-std::string JsonValue::str(const std::string& key,
-                           const std::string& fallback) const {
-  const JsonValue* value = find(key);
-  return value && value->kind == Kind::kString ? value->text : fallback;
-}
-
-bool parseJson(const std::string& textIn, JsonValue& out) {
-  out = JsonValue{};  // The object/array cases append, so reuse must reset.
-  JsonReader reader{textIn};
-  if (!reader.parseValue(out)) return false;
-  reader.skipSpace();
-  return reader.pos == textIn.size();
-}
-
 // --- dashboard --------------------------------------------------------------
 
 namespace {
@@ -255,9 +91,9 @@ std::string progressBar(double fraction, int width) {
 
 }  // namespace
 
-std::string renderTop(const JsonValue& run, double throughput, int width) {
-  const JsonValue* subtasks = run.find("subtasks");
-  const JsonValue* cache = run.find("cache");
+std::string renderTop(const obs::JsonValue& run, double throughput, int width) {
+  const obs::JsonValue* subtasks = run.find("subtasks");
+  const obs::JsonValue* cache = run.find("cache");
   const double pending = subtasks ? subtasks->num("pending") : 0;
   const double running = subtasks ? subtasks->num("running") : 0;
   const double succeeded = subtasks ? subtasks->num("succeeded") : 0;
@@ -302,11 +138,11 @@ std::string renderTop(const JsonValue& run, double throughput, int width) {
   const std::string impact = run.str("impact");
   if (!impact.empty()) out += "impact: " + impact + "\n";
 
-  const JsonValue* active = run.find("active");
-  if (active && active->kind == JsonValue::Kind::kArray && !active->items.empty()) {
+  const obs::JsonValue* active = run.find("active");
+  if (active && active->kind == obs::JsonValue::Kind::kArray && !active->items.empty()) {
     out += "active subtasks:\n";
-    for (const JsonValue& row : active->items) {
-      const JsonValue* straggler = row.find("straggler");
+    for (const obs::JsonValue& row : active->items) {
+      const obs::JsonValue* straggler = row.find("straggler");
       std::snprintf(buffer, sizeof(buffer), "  w%-3d %-24s %8s%s\n",
                     static_cast<int>(row.num("worker", -1)),
                     row.str("id", "?").c_str(),

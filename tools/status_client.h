@@ -1,15 +1,14 @@
 // Client side of the embedded status server (src/obs/statusd.h), behind the
-// `hoyan_top` CLI: a blocking HTTP/1.1 GET over POSIX sockets, a minimal
-// recursive-descent JSON reader (the endpoints' payloads are small and
-// known), and the terminal-dashboard renderer. A library so the tests can
-// drive parsing and rendering without a live server; standalone by design —
-// no dependency on the hoyan libraries, mirroring hoyan_inspect_lib.
+// `hoyan_top` CLI: a blocking HTTP/1.1 GET over POSIX sockets and the
+// terminal-dashboard renderer. Payloads are read with the one JSON reader
+// (obs::parseJson). A library so the tests can drive rendering without a
+// live server, like hoyan_inspect_lib.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "obs/json.h"
 
 namespace hoyan::statusclient {
 
@@ -23,29 +22,6 @@ struct HttpResult {
 bool httpGet(const std::string& host, uint16_t port, const std::string& target,
              HttpResult& out, int timeoutMs = 2000);
 
-// --- minimal JSON -----------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string text;
-  std::vector<std::pair<std::string, JsonValue>> members;  // kObject
-  std::vector<JsonValue> items;                            // kArray
-
-  // Object member by key; null when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
-  // Convenience getters with fallbacks (wrong-kind returns the fallback).
-  double num(const std::string& key, double fallback = 0) const;
-  std::string str(const std::string& key,
-                  const std::string& fallback = "") const;
-};
-
-// Parses a complete JSON document (trailing whitespace allowed, trailing
-// garbage is a parse failure).
-bool parseJson(const std::string& textIn, JsonValue& out);
-
 // --- dashboard --------------------------------------------------------------
 
 // Renders one `/runs/<id>` payload as the hoyan_top dashboard frame: header
@@ -53,6 +29,6 @@ bool parseJson(const std::string& textIn, JsonValue& out);
 // throughput, cache hit rate, and the active-subtask table with stragglers
 // flagged. `throughput` is subtasks/s between the caller's last two polls
 // (negative = unknown, first frame). `width` bounds the progress bar.
-std::string renderTop(const JsonValue& run, double throughput, int width = 72);
+std::string renderTop(const obs::JsonValue& run, double throughput, int width = 72);
 
 }  // namespace hoyan::statusclient
