@@ -150,11 +150,13 @@ void Hoyan::enableIncremental(incr::IncrementalOptions options) {
 }
 
 void Hoyan::setInputRoutes(std::vector<InputRoute> inputs) {
+  sortForSplit(inputs);
   inputRoutes_ = std::move(inputs);
   preprocessed_ = false;
 }
 
 void Hoyan::setInputFlows(std::vector<Flow> flows) {
+  sortForSplit(flows);
   inputFlows_ = std::move(flows);
   preprocessed_ = false;
 }

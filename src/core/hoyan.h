@@ -110,7 +110,10 @@ class Hoyan {
                                const std::vector<std::string>& configTexts);
 
   // Registers the pre-built simulation inputs (from the input route/flow
-  // building services).
+  // building services), kept in split order (sortForSplit, dist_sim.h): the
+  // distributed master then splits them in place on every run, and
+  // inputRoutes()/inputFlows() return them in that order, equal keys in
+  // registration order.
   void setInputRoutes(std::vector<InputRoute> inputs);
   void setInputFlows(std::vector<Flow> flows);
 

@@ -79,29 +79,32 @@ std::optional<IpRange> destinationRange(std::span<const Flow> flows) {
   return range;
 }
 
-// The order a phase splits its inputs in: sorted by `less` under the ordering
-// strategy (§3.2, done offline by the input building services), shuffled by
-// `shuffleSeed` under the random one. An unchanged input set reuses the
-// cache's memoized sorted copy instead of re-sorting (ordering strategy
-// only: the shuffle is seeded per run).
+// The split order (§3.2): routes by the last address of their prefix, then
+// by prefix, so same-prefix routes are adjacent; flows by destination.
+constexpr auto routeSplitLess = [](const InputRoute& a, const InputRoute& b) {
+  const IpAddress lastA = a.route.prefix.lastAddress();
+  const IpAddress lastB = b.route.prefix.lastAddress();
+  if (!(lastA == lastB)) return lastA < lastB;
+  return a.route.prefix < b.route.prefix;
+};
+constexpr auto flowSplitLess = [](const Flow& a, const Flow& b) { return a.dst < b.dst; };
+
+// The sequence a phase splits. Under the ordering strategy: `inputs` itself
+// when already in split order (as Hoyan registers them), else a sorted copy
+// held in `copy`. Under the random one: a copy shuffled by `shuffleSeed`.
 template <typename T, typename Less>
-std::shared_ptr<const std::vector<T>> splitOrder(std::span<const T> inputs,
-                                                 const DistSimOptions& options,
-                                                 Less less, uint64_t shuffleSeed) {
-  const bool sorted = options.strategy == SplitStrategy::kOrdering;
-  SubtaskResultCache* cache = sorted ? options.cache : nullptr;
-  if (cache)
-    if (auto hit = cache->cachedOrder(inputs)) return hit;
-  std::vector<T> ordered(inputs.begin(), inputs.end());
-  if (sorted) {
-    std::stable_sort(ordered.begin(), ordered.end(), less);
+std::span<const T> splitOrder(std::span<const T> inputs, SplitStrategy strategy, Less less,
+                              uint64_t shuffleSeed, std::vector<T>& copy) {
+  const bool ordering = strategy == SplitStrategy::kOrdering;
+  if (ordering && std::is_sorted(inputs.begin(), inputs.end(), less)) return inputs;
+  copy.assign(inputs.begin(), inputs.end());
+  if (ordering) {
+    std::stable_sort(copy.begin(), copy.end(), less);
   } else {
     std::mt19937_64 rng(shuffleSeed);
-    std::shuffle(ordered.begin(), ordered.end(), rng);
+    std::shuffle(copy.begin(), copy.end(), rng);
   }
-  auto shared = std::make_shared<const std::vector<T>>(std::move(ordered));
-  if (cache) cache->storeOrder(shared);
-  return shared;
+  return copy;
 }
 
 size_t approxRouteBytes(size_t routes) { return routes * 96; }
@@ -124,6 +127,14 @@ size_t approxFlowBytes(size_t flows) { return flows * 48; }
 
 }  // namespace
 
+void sortForSplit(std::vector<InputRoute>& inputs) {
+  std::stable_sort(inputs.begin(), inputs.end(), routeSplitLess);
+}
+
+void sortForSplit(std::vector<Flow>& flows) {
+  std::stable_sort(flows.begin(), flows.end(), flowSplitLess);
+}
+
 DistributedSimulator::DistributedSimulator(const NetworkModel& model,
                                            DistSimOptions options)
     : model_(model),
@@ -133,12 +144,7 @@ DistributedSimulator::DistributedSimulator(const NetworkModel& model,
   if (options_.routeSubtasks == 0) options_.routeSubtasks = 1;
   if (options_.trafficSubtasks == 0) options_.trafficSubtasks = 1;
   store_ = options_.cache ? &options_.cache->store() : &ownStore_;
-  obs::MetricsRegistry& metrics = telemetry_.metrics();
-  store_->bindTelemetry(
-      &metrics.gauge("store.blobs", "Live blobs in the object store."),
-      &metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs."),
-      &metrics.counter("store.bytes_read", "Bytes read from the object store."),
-      &metrics.counter("store.bytes_written", "Bytes written to the object store."));
+  store_->bindTelemetry(telemetry_.metrics());
 }
 
 std::vector<std::string> DistributedSimulator::routeResultKeys() const {
@@ -186,18 +192,9 @@ DistRouteResult DistributedSimulator::runRouteSimulation(
   // --- master: prepare subtasks -------------------------------------------
   journal.phaseBegin("route.split");
   obs::Span splitSpan = tel.tracer().span("route.split", "dist");
-  // Order by the last IP address of the prefix; keep same-prefix routes
-  // adjacent.
-  const auto orderedInputs = splitOrder(
-      inputs, options_,
-      [](const InputRoute& a, const InputRoute& b) {
-        const IpAddress lastA = a.route.prefix.lastAddress();
-        const IpAddress lastB = b.route.prefix.lastAddress();
-        if (!(lastA == lastB)) return lastA < lastB;
-        return a.route.prefix < b.route.prefix;
-      },
-      options_.failureSeed * 7919 + 13);
-  const std::span<const InputRoute> ordered(*orderedInputs);
+  std::vector<InputRoute> copy;
+  const std::span<const InputRoute> ordered = splitOrder(
+      inputs, options_.strategy, routeSplitLess, options_.failureSeed * 7919 + 13, copy);
 
   const size_t subtaskCount = std::min(options_.routeSubtasks,
                                        std::max<size_t>(ordered.size(), 1));
@@ -380,11 +377,9 @@ DistTrafficResult DistributedSimulator::runTrafficSimulation(
   // --- master: prepare subtasks ----------------------------------------------
   journal.phaseBegin("traffic.split");
   obs::Span splitSpan = tel.tracer().span("traffic.split", "dist");
-  // Order by destination address.
-  const auto orderedFlows = splitOrder(
-      flows, options_, [](const Flow& a, const Flow& b) { return a.dst < b.dst; },
-      options_.failureSeed * 104729 + 41);
-  const std::span<const Flow> ordered(*orderedFlows);
+  std::vector<Flow> copy;
+  const std::span<const Flow> ordered = splitOrder(
+      flows, options_.strategy, flowSplitLess, options_.failureSeed * 104729 + 41, copy);
 
   const size_t subtaskCount =
       std::min(options_.trafficSubtasks, std::max<size_t>(ordered.size(), 1));

@@ -13,10 +13,13 @@
 // of their prefix and split contiguously, each route subtask recording the
 // address range its results cover; input flows are pre-sorted by destination
 // and split contiguously, so a traffic subtask only loads the route result
-// files whose recorded range overlaps its own destination range. A random
-// split (for comparison, Fig. 5(d)) makes every traffic subtask depend on
-// nearly every route subtask; `loadAllRibs` is the paper's "baseline" that
-// skips dependency pruning entirely (Fig. 5(b)).
+// files whose recorded range overlaps its own destination range. The
+// pre-sort is `sortForSplit`, done once where the inputs are registered (the
+// paper's input building services sort offline); the master splits a sorted
+// input in place and sorts a copy of any other. A random split (for
+// comparison, Fig. 5(d)) makes every traffic subtask depend on nearly every
+// route subtask; `loadAllRibs` is the paper's "baseline" that skips
+// dependency pruning entirely (Fig. 5(b)).
 //
 // What a traffic subtask fetches and what it copies: it fetches every route
 // file it loads, the local-routes file (direct, static and IS-IS routes)
@@ -72,10 +75,10 @@ struct DistSimOptions {
   // the disabled context).
   obs::Telemetry* telemetry = nullptr;
   // The incremental engine's side of the run (src/incr): the shared store
-  // and this run's transient namespace in it, content-addressed result keys,
-  // and the split-order memo. Null = the simulator owns a private store and
-  // every subtask runs. A recording run is served a route hit only when the
-  // blob's events were recorded under its filter; it replays them.
+  // and this run's transient namespace in it, and content-addressed result
+  // keys. Null = the simulator owns a private store and every subtask runs.
+  // A recording run is served a route hit only when the blob's events were
+  // recorded under its filter; it replays them.
   SubtaskResultCache* cache = nullptr;
 };
 
@@ -119,6 +122,13 @@ struct DistTrafficResult {
   std::vector<std::string> failedSubtasks;
   size_t cacheHits = 0;  // Subtasks served from the result cache.
 };
+
+// Stable-sorts inputs into the order the ordering strategy splits them in:
+// routes by the last address of their prefix, then by prefix, so same-prefix
+// routes are adjacent; flows by destination. Ties keep their relative order,
+// so sorting here or at split time gives the same sequence.
+void sortForSplit(std::vector<InputRoute>& inputs);
+void sortForSplit(std::vector<Flow>& flows);
 
 // Runs one simulation task (route, then optionally traffic) on an in-process
 // worker pool. Route results stay in the object store between the phases, so

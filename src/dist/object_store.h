@@ -6,9 +6,10 @@
 // saving of the ordering heuristic (Fig. 5(d)) without real sockets. Beyond
 // the cumulative counters it tracks *residency* — live blob count and live
 // bytes — so store occupancy between the route and traffic phases is
-// visible; `bindTelemetry` mirrors residency into gauges and traffic into
-// counters. A blob may hold more than a read transfers (derived state its
-// readers use in place); residency counts that too, traffic does not.
+// visible; `bindTelemetry` mirrors residency into the `store.*` gauges and
+// traffic into the `store.*` counters. A blob may hold more than a read
+// transfers (derived state its readers use in place); residency counts that
+// too, traffic does not.
 #pragma once
 
 #include <memory>
@@ -23,16 +24,24 @@ namespace hoyan {
 
 class ObjectStore {
  public:
-  // All pointers optional and must outlive the store.
-  void bindTelemetry(obs::Gauge* blobCount, obs::Gauge* liveBytes,
-                     obs::Counter* bytesRead, obs::Counter* bytesWritten) {
+  // Reports into `metrics`' store.blobs and store.live_bytes gauges and
+  // store.bytes_read and store.bytes_written counters from now on, setting
+  // the gauges to the current residency. `metrics` must outlive the store.
+  void bindTelemetry(obs::MetricsRegistry& metrics) {
+    obs::Gauge& blobCount = metrics.gauge("store.blobs", "Live blobs in the object store.");
+    obs::Gauge& liveBytes =
+        metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs.");
+    obs::Counter& bytesRead =
+        metrics.counter("store.bytes_read", "Bytes read from the object store.");
+    obs::Counter& bytesWritten =
+        metrics.counter("store.bytes_written", "Bytes written to the object store.");
     std::lock_guard lock(mutex_);
-    blobCountGauge_ = blobCount;
-    liveBytesGauge_ = liveBytes;
-    bytesReadCounter_ = bytesRead;
-    bytesWrittenCounter_ = bytesWritten;
-    if (blobCountGauge_) blobCountGauge_->set(static_cast<int64_t>(objects_.size()));
-    if (liveBytesGauge_) liveBytesGauge_->set(static_cast<int64_t>(liveBytes_));
+    blobCountGauge_ = &blobCount;
+    liveBytesGauge_ = &liveBytes;
+    bytesReadCounter_ = &bytesRead;
+    bytesWrittenCounter_ = &bytesWritten;
+    blobCount.set(static_cast<int64_t>(objects_.size()));
+    liveBytes.set(static_cast<int64_t>(liveBytes_));
   }
 
   // Stores `value` under `key`. Writing it, and each read of it, transfers

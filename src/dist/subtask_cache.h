@@ -2,17 +2,15 @@
 //
 // `DistributedSimulator` runs over an optional `SubtaskResultCache`. The
 // cache hands it the shared, cross-run ObjectStore and this run's transient
-// key namespace in it, maps each subtask's inputs to a content-addressed
-// result key, and memoizes the split order of an unchanged input set. When a
-// keyed result is already resident, the subtask is marked succeeded without
-// being queued and the master merges the stored blob: a cache read, not
-// simulation work. The implementation lives in src/incr
+// key namespace in it, and maps each subtask's inputs to a content-addressed
+// result key. When a keyed result is already resident, the subtask is marked
+// succeeded without being queued and the master merges the stored blob: a
+// cache read, not simulation work. The implementation lives in src/incr
 // (`incr::SubtaskCache`); dist only defines the seam so the layering stays
 // dist ← incr ← core.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -64,17 +62,6 @@ class SubtaskResultCache {
   // results, erased when the run ends.
   virtual ObjectStore& store() = 0;
   virtual std::string transientPrefix() = 0;
-
-  // The split-order memo. Returns the sorted copy of a sequence whose raw,
-  // pre-sort content matches the one last stored; null means the caller
-  // sorts and hands the result to storeOrder. Only consulted under the
-  // ordering strategy: a random shuffle is seeded per run.
-  virtual std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
-      std::span<const InputRoute> inputs) = 0;
-  virtual std::shared_ptr<const std::vector<Flow>> cachedOrder(
-      std::span<const Flow> flows) = 0;
-  virtual void storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) = 0;
-  virtual void storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) = 0;
 
   // Content-addressed result key for a route subtask over `chunk` with the
   // recorded §3.2 coverage range.

@@ -1,7 +1,7 @@
 #include "incr/cache.h"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "incr/fingerprint.h"
 
@@ -58,65 +58,6 @@ std::string SubtaskCache::transientPrefix() {
   return transient_;
 }
 
-template <typename T, typename HashFn>
-std::shared_ptr<const std::vector<T>> SubtaskCache::lookupOrder(OrderMemo<T>& memo,
-                                                                std::span<const T> inputs,
-                                                                HashFn hash) {
-  const uint64_t fp = hash(inputs);
-  std::lock_guard lock(mutex_);
-  if (memo.order && memo.sourceFp == fp) return memo.order;
-  memo.probeFp = fp;
-  return nullptr;
-}
-
-template <typename T>
-void SubtaskCache::bindOrder(OrderMemo<T>& memo,
-                             std::shared_ptr<const std::vector<T>> ordered) {
-  std::lock_guard lock(mutex_);
-  memo.order = std::move(ordered);
-  memo.sourceFp = std::exchange(memo.probeFp, std::nullopt);
-  memo.chunkFps.clear();
-}
-
-template <typename T, typename HashFn>
-uint64_t SubtaskCache::chunkFingerprint(OrderMemo<T>& memo, std::span<const T> chunk,
-                                        HashFn hash) {
-  std::unique_lock lock(mutex_);
-  const T* base = memo.order ? memo.order->data() : nullptr;
-  if (!base || chunk.data() < base ||
-      chunk.data() + chunk.size() > base + memo.order->size()) {
-    lock.unlock();
-    return hash(chunk);
-  }
-  const uint64_t memoKey = (static_cast<uint64_t>(chunk.data() - base) << 32) |
-                           static_cast<uint32_t>(chunk.size());
-  const auto it = memo.chunkFps.find(memoKey);
-  if (it != memo.chunkFps.end()) return it->second;
-  lock.unlock();
-  const uint64_t fp = hash(chunk);
-  lock.lock();
-  memo.chunkFps.emplace(memoKey, fp);
-  return fp;
-}
-
-std::shared_ptr<const std::vector<InputRoute>> SubtaskCache::cachedOrder(
-    std::span<const InputRoute> inputs) {
-  return lookupOrder(routeOrder_, inputs, fingerprintInputRouteChunk);
-}
-
-std::shared_ptr<const std::vector<Flow>> SubtaskCache::cachedOrder(
-    std::span<const Flow> flows) {
-  return lookupOrder(flowOrder_, flows, fingerprintFlowChunk);
-}
-
-void SubtaskCache::storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) {
-  bindOrder(routeOrder_, std::move(ordered));
-}
-
-void SubtaskCache::storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) {
-  bindOrder(flowOrder_, std::move(ordered));
-}
-
 std::string SubtaskCache::routeResultKey(std::span<const InputRoute> chunk,
                                          const std::optional<IpRange>& coverage) {
   uint64_t modelFp;
@@ -131,7 +72,7 @@ std::string SubtaskCache::routeResultKey(std::span<const InputRoute> chunk,
   }
   Fnv1a h;
   h.mix(kTagRoute).mix(modelFp).mix(optionsFp);
-  h.mix(chunkFingerprint(routeOrder_, chunk, fingerprintInputRouteChunk));
+  h.mix(fingerprintInputRouteChunk(chunk));
   return "cas/r/" + fingerprintHex(h.digest());
 }
 
@@ -150,7 +91,7 @@ std::string SubtaskCache::trafficResultKey(std::span<const Flow> chunk,
     h.mix(kTagTraffic).mix(fingerprints_.forwardingState)
         .mix(fingerprints_.trafficOptions);
   }
-  h.mix(chunkFingerprint(flowOrder_, chunk, fingerprintFlowChunk));
+  h.mix(fingerprintFlowChunk(chunk));
   // Route dirtiness composes in transitively: a dirty route subtask has a new
   // content key, which changes every traffic key that loads its file.
   h.mix(static_cast<uint64_t>(ribKeys.size()));

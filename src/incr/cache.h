@@ -23,21 +23,16 @@
 // `incr.cache.*` metrics.
 //
 // The cache is the simulator's whole view of the engine: it also names each
-// run's transient namespace in the shared store and memoizes the split
-// order. An unchanged input set, matched by the fingerprint of the raw,
-// pre-sort sequence, reuses the previous run's sorted copy, and chunk
-// fingerprints over that copy are memoized by (offset, length), so
-// fully-warm runs skip both the O(n log n) sort and the per-subtask re-hash
-// of every chunk.
+// run's transient namespace in the shared store. Keys hash each subtask's
+// chunk directly: inputs registered in split order (dist_sim.h) reach the
+// split already sorted, so what a warm run repeats is that hashing alone.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "dist/object_store.h"
 #include "dist/subtask_cache.h"
@@ -79,11 +74,6 @@ class SubtaskCache final : public SubtaskResultCache {
   // SubtaskResultCache ------------------------------------------------------
   ObjectStore& store() override { return *store_; }
   std::string transientPrefix() override;
-  std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
-      std::span<const InputRoute> inputs) override;
-  std::shared_ptr<const std::vector<Flow>> cachedOrder(std::span<const Flow> flows) override;
-  void storeOrder(std::shared_ptr<const std::vector<InputRoute>> ordered) override;
-  void storeOrder(std::shared_ptr<const std::vector<Flow>> ordered) override;
   std::string routeResultKey(std::span<const InputRoute> chunk,
                              const std::optional<IpRange>& coverage) override;
   std::string localRoutesResultKey() override;
@@ -108,26 +98,6 @@ class SubtaskCache final : public SubtaskResultCache {
     uint64_t lastUsed = 0;  // Logical clock ticks, not wall time.
   };
 
-  // The memoized split order of one input kind.
-  template <typename T>
-  struct OrderMemo {
-    std::optional<uint64_t> sourceFp;  // The raw sequence `order` was sorted from.
-    std::optional<uint64_t> probeFp;   // The last missed probe; storeOrder binds it.
-    std::shared_ptr<const std::vector<T>> order;
-    // (offset << 32 | length) -> chunk fingerprint, over `order`'s buffer.
-    std::unordered_map<uint64_t, uint64_t> chunkFps;
-  };
-
-  template <typename T, typename HashFn>
-  std::shared_ptr<const std::vector<T>> lookupOrder(OrderMemo<T>& memo,
-                                                    std::span<const T> inputs,
-                                                    HashFn hash);
-  template <typename T>
-  void bindOrder(OrderMemo<T>& memo, std::shared_ptr<const std::vector<T>> ordered);
-  // `hash(chunk)`, memoized when `chunk` lies in the memo's sorted buffer.
-  template <typename T, typename HashFn>
-  uint64_t chunkFingerprint(OrderMemo<T>& memo, std::span<const T> chunk, HashFn hash);
-
   void publishGaugesLocked();
 
   ObjectStore* store_;
@@ -141,8 +111,6 @@ class SubtaskCache final : public SubtaskResultCache {
   uint64_t clock_ = 0;
   uint64_t runs_ = 0;
   std::string transient_;  // This run's namespace; empty outside a run.
-  OrderMemo<InputRoute> routeOrder_;
-  OrderMemo<Flow> flowOrder_;
 
   // Bound by bindTelemetry; never null.
   obs::RunJournal* journal_ = nullptr;

@@ -14,16 +14,11 @@ IncrementalEngine::IncrementalEngine(IncrementalOptions options)
 void IncrementalEngine::bindTelemetry(obs::Telemetry& telemetry) {
   telemetry_ = &telemetry;
   cache_->bindTelemetry(telemetry);
-  obs::MetricsRegistry& metrics = telemetry.metrics();
   // The persistent store's gauges track engine-side mutations too (erasePrefix
   // in beginRun/endRun), so a live /metrics scrape between simulator runs
   // never serves stale residency. A simulator over this store re-binds it to
   // the same context.
-  store_.bindTelemetry(
-      &metrics.gauge("store.blobs", "Live blobs in the object store."),
-      &metrics.gauge("store.live_bytes", "Bytes held by live object-store blobs."),
-      &metrics.counter("store.bytes_read", "Bytes read from the object store."),
-      &metrics.counter("store.bytes_written", "Bytes written to the object store."));
+  store_.bindTelemetry(telemetry.metrics());
 }
 
 void IncrementalEngine::setBaseModel(const NetworkModel& model) {

@@ -77,6 +77,36 @@ TEST_F(HoyanFacadeTest, PreprocessBuildsBaseState) {
   EXPECT_GT(hoyan_->baseLinkLoads().size(), 0u);
 }
 
+// Registration keeps the inputs in split order (sortForSplit): routes by the
+// last address of their prefix, then by prefix; flows by destination. Ties
+// (same prefix, same destination) keep their registration order.
+TEST_F(HoyanFacadeTest, InputsAreKeptInSplitOrderWithTiesInRegistrationOrder) {
+  Hoyan hoyan(net_.topology, net_.configs);
+  hoyan.setInputRoutes({ispRoute(net_, "100.2.0.0/16"), ispRoute(net_, "100.1.0.0/16", 7),
+                        ispRoute(net_, "100.1.128.0/17"), ispRoute(net_, "100.1.0.0/24"),
+                        ispRoute(net_, "100.1.0.0/16", 9)});
+  std::vector<std::string> routes;
+  for (const InputRoute& input : hoyan.inputRoutes())
+    routes.push_back(input.route.prefix.str() + " med " + std::to_string(input.route.attrs.med));
+  EXPECT_EQ(routes, (std::vector<std::string>{"100.1.0.0/24 med 0", "100.1.0.0/16 med 7",
+                                               "100.1.0.0/16 med 9", "100.1.128.0/17 med 0",
+                                               "100.2.0.0/16 med 0"}));
+
+  std::vector<Flow> flows;
+  uint16_t port = 0;
+  for (const char* dst : {"100.2.0.1", "100.1.2.3", "100.0.0.1", "100.1.2.3"}) {
+    Flow flow;
+    flow.ingressDevice = net_.c2;
+    flow.dst = *IpAddress::parse(dst);
+    flow.dstPort = ++port;  // Registration order.
+    flows.push_back(flow);
+  }
+  hoyan.setInputFlows(flows);
+  std::vector<uint16_t> ports;
+  for (const Flow& flow : hoyan.inputFlows()) ports.push_back(flow.dstPort);
+  EXPECT_EQ(ports, (std::vector<uint16_t>{3, 2, 4, 1}));
+}
+
 TEST_F(HoyanFacadeTest, VerifyRequiresPreprocess) {
   Hoyan fresh(net_.topology, net_.configs);
   EXPECT_THROW(fresh.verifyChange({}, {}), std::logic_error);

@@ -5,6 +5,7 @@
 // as ground truth; nondeterminism would poison it.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/hoyan.h"
@@ -103,10 +104,10 @@ TEST_F(DeterminismTest, ProvenanceLogIsIdenticalAcrossWorkerCounts) {
 
 TEST_F(DeterminismTest, IncrementalWarmRunsAreByteIdenticalToColdRuns) {
   // The incremental engine's cache must be invisible in the results: for a
-  // corpus with both a prefix-scoped change (partial cache reuse) and an
-  // all-dirty change (full re-run), a cache-enabled Hoyan must produce
-  // byte-identical RIB rows, matching link loads, and identical RCL verdicts
-  // to a cache-less one, at more than one worker count.
+  // corpus with a prefix-scoped change (partial cache reuse), an all-dirty
+  // change (full re-run) and a change of the input set, a cache-enabled Hoyan
+  // must produce byte-identical RIB rows, matching link loads, and identical
+  // RCL verdicts to a cache-less one, at more than one worker count.
   ChangePlan scoped;
   scoped.name = "scoped";
   scoped.commands =
@@ -118,14 +119,38 @@ TEST_F(DeterminismTest, IncrementalWarmRunsAreByteIdenticalToColdRuns) {
   ChangePlan allDirty;
   allDirty.name = "all-dirty";
   allDirty.commands = "device CORE-0-0\nstatic-route 77.0.0.0/8 discard\n";
+  // Withdraws one announced v4 prefix and announces a new one. Registration
+  // keeps the inputs in split order, v6 last, so the appended v4 route leaves
+  // them unsorted: this is the plan whose split sorts a copy.
+  const auto firstV4 = std::find_if(inputs_.begin(), inputs_.end(), [](const InputRoute& input) {
+    return input.route.prefix.family() == IpFamily::kV4;
+  });
+  ASSERT_NE(firstV4, inputs_.end());
+  ASSERT_TRUE(std::any_of(inputs_.begin(), inputs_.end(), [](const InputRoute& input) {
+    return input.route.prefix.family() == IpFamily::kV6;
+  }));
+  ChangePlan reinput;
+  reinput.name = "re-input";
+  reinput.withdrawnPrefixes = {firstV4->route.prefix};
+  InputRoute announced = *firstV4;
+  announced.route.prefix = *Prefix::parse("100.0.250.0/24");
+  reinput.newInputRoutes = {announced};
+  // The input set the plan leaves, registered as is on a reference Hoyan.
+  std::vector<InputRoute> reinputSet = inputs_;
+  std::erase_if(reinputSet, [&](const InputRoute& input) {
+    return input.route.prefix == reinput.withdrawnPrefixes.front();
+  });
+  for (const InputRoute& input : reinputSet)
+    ASSERT_FALSE(input.route.prefix == announced.route.prefix);
+  reinputSet.push_back(announced);
   IntentSet intents;
   intents.rclIntents = {"not prefix = 100.0.8.0/24 => PRE = POST"};
   intents.maxLinkUtilization = 5.0;  // Forces the traffic phase.
 
   for (const size_t workers : {2u, 7u}) {
-    const auto makeHoyan = [&](bool incremental) {
+    const auto makeHoyan = [&](bool incremental, const std::vector<InputRoute>& inputs) {
       auto hoyan = std::make_unique<Hoyan>(wan_.topology, wan_.configs);
-      hoyan->setInputRoutes(inputs_);
+      hoyan->setInputRoutes(inputs);
       hoyan->setInputFlows(flows_);
       DistSimOptions options;
       options.workers = workers;
@@ -136,10 +161,10 @@ TEST_F(DeterminismTest, IncrementalWarmRunsAreByteIdenticalToColdRuns) {
       hoyan->preprocess();
       return hoyan;
     };
-    auto cold = makeHoyan(false);
-    auto warm = makeHoyan(true);
+    auto cold = makeHoyan(false, inputs_);
+    auto warm = makeHoyan(true, inputs_);
     // Repeat the scoped plan so the warm run also exercises full-hit replay.
-    for (const ChangePlan* plan : {&scoped, &allDirty, &scoped}) {
+    for (const ChangePlan* plan : {&scoped, &allDirty, &reinput, &scoped}) {
       const ChangeVerificationResult coldResult = cold->verifyChange(*plan, intents);
       const ChangeVerificationResult warmResult = warm->verifyChange(*plan, intents);
       const auto coldRows = rowTexts(coldResult.updatedRibs);
@@ -157,6 +182,15 @@ TEST_F(DeterminismTest, IncrementalWarmRunsAreByteIdenticalToColdRuns) {
         EXPECT_EQ(coldResult.rclOutcomes[i].result.satisfied,
                   warmResult.rclOutcomes[i].result.satisfied)
             << plan->name << " w" << workers;
+      if (plan != &reinput) continue;
+      // The same post-change state as an empty plan on the resulting inputs.
+      const ChangeVerificationResult expected =
+          makeHoyan(false, reinputSet)->verifyChange(ChangePlan{}, intents);
+      EXPECT_EQ(rowTexts(expected.updatedRibs), coldRows) << "w" << workers;
+      ASSERT_EQ(expected.updatedLinkLoads.size(), coldResult.updatedLinkLoads.size());
+      for (const auto& entry : expected.updatedLinkLoads.entries())
+        EXPECT_EQ(coldResult.updatedLinkLoads.get(entry.from, entry.to), entry.bps)
+            << "w" << workers;
     }
     // The scoped plan's final repetition must actually have reused results.
     const ChangeVerificationResult warmAgain = warm->verifyChange(scoped, intents);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <bit>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -13,7 +14,9 @@
 #include "dist/object_store.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
+#include "incr/engine.h"
 #include "obs/telemetry.h"
+#include "rcl/global_rib.h"
 #include "test_fixtures.h"
 
 namespace hoyan {
@@ -150,15 +153,6 @@ class RecordingCache : public SubtaskResultCache {
  public:
   ObjectStore& store() override { return store_; }
   std::string transientPrefix() override { return "run/"; }
-  std::shared_ptr<const std::vector<InputRoute>> cachedOrder(
-      std::span<const InputRoute>) override {
-    return nullptr;
-  }
-  std::shared_ptr<const std::vector<Flow>> cachedOrder(std::span<const Flow>) override {
-    return nullptr;
-  }
-  void storeOrder(std::shared_ptr<const std::vector<InputRoute>>) override {}
-  void storeOrder(std::shared_ptr<const std::vector<Flow>>) override {}
   std::string routeResultKey(std::span<const InputRoute> chunk,
                              const std::optional<IpRange>&) override {
     // Same-prefix routes never straddle two subtasks, so first prefixes differ.
@@ -345,6 +339,76 @@ TEST_F(DistSimTest, TrafficSubtasksShareTheLocalRoutesFib) {
   const DistTrafficResult hit = sim.runTrafficSimulation(shared.flows);
   ASSERT_EQ(hit.cacheHits, hit.subtasks.size());
   for (const SubtaskMetric& metric : hit.subtasks) EXPECT_EQ(metric.routesMerged, 0u) << metric.id;
+}
+
+// Inputs already in split order (sortForSplit, as Hoyan registers them) are
+// split in place; raw inputs are stable-sorted into a copy first. Both give
+// the same sequence, so the two runs agree on every observable: RIB rows,
+// link-load bits, the route files each traffic subtask loads, and every
+// subtask's content key (the cache_miss lines of the canonical journal).
+TEST_F(DistSimTest, InputsInSplitOrderSplitLikeRawInputs) {
+  std::vector<InputRoute> sortedInputs = inputs_;
+  sortForSplit(sortedInputs);
+  std::vector<Flow> sortedFlows = flows_;
+  sortForSplit(sortedFlows);
+  const auto prefixes = [](const std::vector<InputRoute>& inputs) {
+    std::vector<std::string> out;
+    for (const InputRoute& input : inputs) out.push_back(input.route.prefix.str());
+    return out;
+  };
+  const auto destinations = [](const std::vector<Flow>& flows) {
+    std::vector<std::string> out;
+    for (const Flow& flow : flows) out.push_back(flow.dst.str());
+    return out;
+  };
+  ASSERT_NE(prefixes(sortedInputs), prefixes(inputs_)) << "raw routes already sorted";
+  ASSERT_NE(destinations(sortedFlows), destinations(flows_)) << "raw flows already sorted";
+
+  struct Observed {
+    std::vector<std::string> rows;
+    std::map<uint64_t, uint64_t> loadBits;  // (from, to) -> bits of the load.
+    std::vector<size_t> ribFilesLoaded;
+    std::string journal;
+  };
+  const auto run = [&](size_t workers, const std::vector<InputRoute>& inputs,
+                       const std::vector<Flow>& flows) {
+    obs::Telemetry telemetry(obs::TelemetryOptions{.journal = true});
+    incr::IncrementalEngine engine;
+    engine.setBaseModel(*model_);
+    DistSimOptions options;
+    options.workers = workers;
+    options.routeSubtasks = 16;
+    options.trafficSubtasks = 8;
+    options.telemetry = &telemetry;
+    engine.beginRun(*model_, options);
+    DistributedSimulator sim(*model_, options);
+    const DistRouteResult routes = sim.runRouteSimulation(inputs);
+    EXPECT_TRUE(routes.succeeded);
+    const DistTrafficResult traffic = sim.runTrafficSimulation(flows);
+    EXPECT_TRUE(traffic.succeeded);
+    engine.endRun();
+    Observed out;
+    const rcl::GlobalRib global = rcl::GlobalRib::fromNetworkRibs(routes.ribs);
+    for (const rcl::RibRow& row : global.rows()) out.rows.push_back(row.str());
+    for (const auto& entry : traffic.linkLoads.entries())
+      out.loadBits[(uint64_t{entry.from} << 32) | entry.to] = std::bit_cast<uint64_t>(entry.bps);
+    for (const SubtaskMetric& metric : traffic.subtasks)
+      out.ribFilesLoaded.push_back(metric.ribFilesLoaded);
+    out.journal = telemetry.journal().canonicalJsonl();
+    return out;
+  };
+  for (const size_t workers : {1u, 3u}) {
+    const Observed raw = run(workers, inputs_, flows_);
+    const Observed sorted = run(workers, sortedInputs, sortedFlows);
+    EXPECT_FALSE(raw.rows.empty());
+    EXPECT_EQ(sorted.rows, raw.rows) << workers << " workers";
+    EXPECT_FALSE(raw.loadBits.empty());
+    EXPECT_EQ(sorted.loadBits, raw.loadBits) << workers << " workers";
+    EXPECT_EQ(sorted.ribFilesLoaded.size(), 8u);
+    EXPECT_EQ(sorted.ribFilesLoaded, raw.ribFilesLoaded) << workers << " workers";
+    EXPECT_NE(raw.journal.find("\"ev\":\"cache_miss\""), std::string::npos);
+    EXPECT_EQ(sorted.journal, raw.journal) << workers << " workers";
+  }
 }
 
 TEST_F(DistSimTest, WorkerCrashesAreRetried) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "inspect.h"
+#include "inspect_testing.h"
 #include "obs/journal.h"
 
 namespace hoyan {
@@ -90,7 +91,7 @@ TEST(InspectParseTest, CrlfJournalsParseAndValidate) {
     crlf += c;
   }
   std::string error;
-  EXPECT_TRUE(inspect::validateJournal(crlf, error)) << error;
+  EXPECT_TRUE(testing::validateJournalText(crlf, error)) << error;
   std::vector<inspect::Event> lfEvents, crlfEvents;
   ASSERT_TRUE(inspect::parseJournal(lf, lfEvents, error)) << error;
   ASSERT_TRUE(inspect::parseJournal(crlf, crlfEvents, error)) << error;
@@ -107,22 +108,22 @@ TEST(InspectParseTest, CrlfJournalsParseAndValidate) {
 
 TEST(InspectValidateTest, FlagsUnknownEventsAndMissingFields) {
   std::string error;
-  EXPECT_TRUE(inspect::validateJournal(
+  EXPECT_TRUE(testing::validateJournalText(
       "{\"ev\":\"cache_hit\",\"run\":1,\"phase\":\"route\",\"id\":\"route-0\","
       "\"key\":\"cas/r/1\"}\n",
       error));
-  EXPECT_FALSE(inspect::validateJournal("\n{\"ev\":\"bogus\",\"run\":1}\n", error));
+  EXPECT_FALSE(testing::validateJournalText("\n{\"ev\":\"bogus\",\"run\":1}\n", error));
   EXPECT_EQ(error, "line 2, column 1: unknown event type 'bogus'");
   // Missing required field (`key` on cache_hit).
-  EXPECT_FALSE(inspect::validateJournal(
+  EXPECT_FALSE(testing::validateJournalText(
       "{\"ev\":\"cache_hit\",\"run\":1,\"phase\":\"route\",\"id\":\"route-0\"}\n",
       error));
   EXPECT_EQ(error, "line 1, column 1: cache_hit: missing field 'key'");
   // Missing `run` (required on everything but journal_summary).
-  EXPECT_FALSE(inspect::validateJournal(
+  EXPECT_FALSE(testing::validateJournalText(
       "{\"ev\":\"phase_begin\",\"phase\":\"route\"}\n", error));
   EXPECT_NE(error.find("run"), std::string::npos) << error;
-  EXPECT_TRUE(inspect::validateJournal(
+  EXPECT_TRUE(testing::validateJournalText(
       "{\"ev\":\"journal_summary\",\"events\":0,\"dropped\":0}\n", error))
       << error;
 }
@@ -197,7 +198,7 @@ TEST(InspectSweepTest, AggregatesAndRendersSweepEvents) {
   journal.runEnd("fault-sweep", 0.5);
 
   std::string error;
-  ASSERT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
+  ASSERT_TRUE(testing::validateJournalText(journal.toJsonl(), error)) << error;
   std::vector<inspect::Event> events;
   ASSERT_TRUE(inspect::parseJournal(journal.toJsonl(), events, error)) << error;
 
@@ -242,10 +243,10 @@ TEST(InspectSweepTest, AcceptsAndCountsCancelledSubtasks) {
   journal.runEnd("fault-sweep", 0.01);
 
   std::string error;
-  ASSERT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
-  ASSERT_TRUE(inspect::validateJournal(journal.canonicalJsonl(), error)) << error;
+  ASSERT_TRUE(testing::validateJournalText(journal.toJsonl(), error)) << error;
+  ASSERT_TRUE(testing::validateJournalText(journal.canonicalJsonl(), error)) << error;
   // The attempt is required, like every other subtask line.
-  EXPECT_FALSE(inspect::validateJournal(
+  EXPECT_FALSE(testing::validateJournalText(
       "{\"ev\":\"subtask_cancel\",\"run\":1,\"phase\":\"sweep\",\"id\":\"j1\"}\n",
       error));
   std::vector<inspect::Event> events;

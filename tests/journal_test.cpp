@@ -15,6 +15,7 @@
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
 #include "inspect.h"
+#include "inspect_testing.h"
 #include "obs/journal.h"
 #include "obs/telemetry.h"
 
@@ -78,10 +79,10 @@ TEST(JournalTest, EveryEventTypeValidatesAgainstTheInspectSchema) {
   EXPECT_EQ(journal.eventCount(), 19u);
 
   std::string error;
-  EXPECT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
+  EXPECT_TRUE(testing::validateJournalText(journal.toJsonl(), error)) << error;
   // The canonical form (volatile fields stripped, no summary trailer) must
   // satisfy the same schema: nothing required is volatile.
-  EXPECT_TRUE(inspect::validateJournal(journal.canonicalJsonl(), error)) << error;
+  EXPECT_TRUE(testing::validateJournalText(journal.canonicalJsonl(), error)) << error;
 }
 
 // Replaces every `"t_ms":<number>` value with `#`, the one field of
@@ -154,7 +155,7 @@ TEST(JournalTest, SweepPlanCarriesHintSourceNote) {
   ASSERT_GE(events.size(), 2u);
   EXPECT_EQ(events[0].str("note"), "derived");
   EXPECT_EQ(events[1].str("note"), "none");
-  EXPECT_TRUE(inspect::validateJournal(journal.toJsonl(), error)) << error;
+  EXPECT_TRUE(testing::validateJournalText(journal.toJsonl(), error)) << error;
   // The hint source is semantic, not volatile: the canonical export keeps it.
   std::vector<inspect::Event> canonical;
   ASSERT_TRUE(inspect::parseJournal(journal.canonicalJsonl(), canonical, error))
@@ -299,7 +300,7 @@ class JournalDeterminismTest : public ::testing::Test {
         " apply local-pref 150\n";
     hoyan.verifyChange(plan, intents_);
     std::string error;
-    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+    EXPECT_TRUE(testing::validateJournalText(telemetry.journal().toJsonl(), error))
         << error;
     return telemetry.journal().canonicalJsonl();
   }
@@ -350,7 +351,7 @@ TEST_F(JournalDeterminismTest, ExhaustEventsAreByteIdenticalAcrossWorkerCounts) 
     const DistTrafficResult traffic = sim.runTrafficSimulation(flows_);
     EXPECT_FALSE(traffic.failedSubtasks.empty());
     std::string error;
-    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+    EXPECT_TRUE(testing::validateJournalText(telemetry.journal().toJsonl(), error))
         << error;
     return telemetry.journal().canonicalJsonl();
   };

@@ -13,6 +13,7 @@
 #include "gen/workload_gen.h"
 #include "incr/engine.h"
 #include "inspect.h"
+#include "inspect_testing.h"
 #include "obs/run_registry.h"
 #include "obs/telemetry.h"
 #include "rcl/global_rib.h"
@@ -483,7 +484,7 @@ TEST_F(SweepTest, JournalEventsValidateAndAreDeterministicAcrossWorkerCounts) {
     options.telemetry = &telemetry;
     sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
     std::string error;
-    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+    EXPECT_TRUE(testing::validateJournalText(telemetry.journal().toJsonl(), error))
         << error;
     return telemetry.journal().canonicalJsonl();
   };
@@ -515,7 +516,7 @@ TEST_F(SweepTest, JournalWithRetriesIsDeterministicAcrossWorkerCounts) {
         sweep::sweepKFailures(model_, inputs_, reachProperty(), options);
     EXPECT_GT(swept.stats.retries, 0u) << "fault injection never fired";
     std::string error;
-    EXPECT_TRUE(inspect::validateJournal(telemetry.journal().toJsonl(), error))
+    EXPECT_TRUE(testing::validateJournalText(telemetry.journal().toJsonl(), error))
         << error;
     return telemetry.journal().canonicalJsonl();
   };

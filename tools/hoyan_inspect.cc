@@ -53,24 +53,8 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const char* path = argv[2];
 
-  if (command == "validate") {
-    std::string text;
-    if (!hoyan::inspect::readInput(path, text)) {
-      std::fprintf(stderr, "hoyan_inspect: cannot read %s\n", path);
-      return 2;
-    }
-    std::string error;
-    if (!hoyan::inspect::validateJournal(text, error)) {
-      std::fprintf(stderr, "hoyan_inspect: %s: %s\n", path, error.c_str());
-      return 1;
-    }
-    std::vector<hoyan::inspect::Event> events;
-    hoyan::inspect::parseJournal(text, events, error);
-    std::printf("ok: %zu events\n", events.size());
-    return 0;
-  }
-
-  if (command == "summary" || command == "stragglers" || command == "workers") {
+  if (command == "validate" || command == "summary" || command == "stragglers" ||
+      command == "workers") {
     std::string text;
     if (!hoyan::inspect::readInput(path, text)) {
       std::fprintf(stderr, "hoyan_inspect: cannot read %s\n", path);
@@ -78,11 +62,14 @@ int main(int argc, char** argv) {
     }
     std::vector<hoyan::inspect::Event> events;
     std::string error;
-    if (!hoyan::inspect::parseJournal(text, events, error)) {
+    if (!hoyan::inspect::parseJournal(text, events, error) ||
+        (command == "validate" && !hoyan::inspect::validateJournal(events, error))) {
       std::fprintf(stderr, "hoyan_inspect: %s: %s\n", path, error.c_str());
       return 1;
     }
-    if (command == "summary") {
+    if (command == "validate") {
+      std::printf("ok: %zu events\n", events.size());
+    } else if (command == "summary") {
       std::fputs(hoyan::inspect::renderSummary(hoyan::inspect::aggregate(events)).c_str(),
                  stdout);
     } else if (command == "stragglers") {

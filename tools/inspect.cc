@@ -76,9 +76,7 @@ bool parseJournal(const std::string& text, std::vector<Event>& events,
   return true;
 }
 
-bool validateJournal(const std::string& text, std::string& error) {
-  std::vector<Event> events;
-  if (!parseJournal(text, events, error)) return false;
+bool validateJournal(const std::vector<Event>& events, std::string& error) {
   for (const Event& event : events) {
     const auto fail = [&](const std::string& what) {
       error = obs::JsonError{event.line, event.column, what}.str();

@@ -53,11 +53,11 @@ bool readInput(const std::string& path, std::string& out);
 bool parseJournal(const std::string& text, std::vector<Event>& events,
                   std::string& error);
 
-// Schema validation: every line parses, every `ev` names a row of the
+// Schema validation of parseJournal's events: every `ev` names a row of the
 // journal's event table (journal_summary included), and the fields that row
-// requires are present. Returns false and sets `error` on the first
-// violation.
-bool validateJournal(const std::string& text, std::string& error);
+// requires are present. Returns false and sets `error` to
+// "line L, column C: <what>", located at the first offending line's object.
+bool validateJournal(const std::vector<Event>& events, std::string& error);
 
 // --- aggregation ------------------------------------------------------------
 
