@@ -3,9 +3,15 @@
 // AS_SET segments matter for the aggregation vendor-specific behaviours of
 // Table 5 ("common AS path prefix": when aggregating without as-set, whether
 // the common AS-path prefix of the contributors is kept).
+//
+// A path is a shared immutable value: one reference to a representation that
+// holds the segments, the rendered text and the hash, all computed once when
+// the path is built. Copying a path (and so a Route) allocates nothing, and
+// every copy reads the same text and hash. `prepend` and `appendSet` build a
+// new representation; the old one stays with the copies that hold it.
 #pragma once
 
-#include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,64 +34,48 @@ class AsPath {
 
   AsPath() = default;
   explicit AsPath(std::vector<Asn> sequence) {
-    if (!sequence.empty()) segments_.push_back({SegmentType::kSequence, std::move(sequence)});
+    if (sequence.empty()) return;
+    std::vector<Segment> segments;
+    segments.push_back({SegmentType::kSequence, std::move(sequence)});
+    rep_ = Rep::make(std::move(segments));
   }
 
-  // The render cache is an atomic slot, so the special members are spelled
-  // out: copies share the source's cached rendering (same segments ⇒ same
-  // text), moves steal it, and both leave the source consistent.
-  AsPath(const AsPath& other)
-      : segments_(other.segments_), render_(other.render_.load(std::memory_order_acquire)) {}
-  AsPath(AsPath&& other) noexcept
-      : segments_(std::move(other.segments_)),
-        render_(other.render_.exchange(nullptr, std::memory_order_acq_rel)) {}
-  AsPath& operator=(const AsPath& other) {
-    if (this != &other) {
-      segments_ = other.segments_;
-      render_.store(other.render_.load(std::memory_order_acquire), std::memory_order_release);
-    }
-    return *this;
-  }
-  AsPath& operator=(AsPath&& other) noexcept {
-    if (this != &other) {
-      segments_ = std::move(other.segments_);
-      render_.store(other.render_.exchange(nullptr, std::memory_order_acq_rel),
-                    std::memory_order_release);
-    }
-    return *this;
-  }
+  // A moved-from path is the empty path (the reference moves with it).
 
-  bool empty() const { return segments_.empty(); }
-  const std::vector<Segment>& segments() const { return segments_; }
+  bool empty() const { return !rep_; }
+  const std::vector<Segment>& segments() const {
+    return rep_ ? rep_->segments : kNoSegments;
+  }
 
   // Path length per the BGP decision process: an AS_SET counts as one hop.
-  size_t length() const {
-    size_t n = 0;
-    for (const Segment& s : segments_)
-      n += s.type == SegmentType::kSet ? 1 : s.asns.size();
-    return n;
-  }
+  size_t length() const { return rep_ ? rep_->length : 0; }
 
   // Prepends `asn` at the front of the path (route advertisement over eBGP).
   void prepend(Asn asn) {
-    if (segments_.empty() || segments_.front().type != SegmentType::kSequence) {
-      segments_.insert(segments_.begin(), {SegmentType::kSequence, {asn}});
+    std::vector<Segment> segments;
+    const std::vector<Segment>& old = this->segments();
+    if (old.empty() || old.front().type != SegmentType::kSequence) {
+      segments.reserve(old.size() + 1);
+      segments.push_back({SegmentType::kSequence, {asn}});
+      segments.insert(segments.end(), old.begin(), old.end());
     } else {
-      auto& seq = segments_.front().asns;
+      segments = old;
+      auto& seq = segments.front().asns;
       seq.insert(seq.begin(), asn);
     }
-    invalidateRender();
+    rep_ = Rep::make(std::move(segments));
   }
 
   // Appends an AS_SET segment (route aggregation with as-set).
   void appendSet(std::vector<Asn> asns) {
-    segments_.push_back({SegmentType::kSet, std::move(asns)});
-    invalidateRender();
+    std::vector<Segment> segments = this->segments();
+    segments.push_back({SegmentType::kSet, std::move(asns)});
+    rep_ = Rep::make(std::move(segments));
   }
 
   // True if `asn` appears anywhere in the path (AS-loop prevention).
   bool contains(Asn asn) const {
-    for (const Segment& s : segments_)
+    for (const Segment& s : segments())
       for (const Asn a : s.asns)
         if (a == asn) return true;
     return false;
@@ -93,75 +83,75 @@ class AsPath {
 
   // The neighbouring AS the route was learned from (first ASN), or 0.
   Asn firstAsn() const {
-    for (const Segment& s : segments_)
+    for (const Segment& s : segments())
       if (!s.asns.empty()) return s.asns.front();
     return 0;
   }
   // The originating AS (last ASN), or 0.
   Asn originAsn() const {
-    for (auto it = segments_.rbegin(); it != segments_.rend(); ++it)
+    const std::vector<Segment>& all = segments();
+    for (auto it = all.rbegin(); it != all.rend(); ++it)
       if (!it->asns.empty()) return it->asns.back();
     return 0;
   }
 
   // Renders as "100 200 {300,400}" — the textual form route-policy AS-path
-  // regular expressions match against. Memoized per instance: policy
-  // evaluation matches the same path against every as-path-list entry and the
-  // same route flows through many policies, so the rendering is computed once
-  // and shared across copies (the cache rides along on copy, and mutators
-  // drop only their own instance's reference). Concurrent const readers are
-  // safe: the slot is an atomic shared_ptr and the returned reference is kept
-  // alive by whichever value won the publish race.
-  const std::string& str() const {
-    if (auto cached = render_.load(std::memory_order_acquire)) return *cached;
-    auto built = std::make_shared<const std::string>(render());
-    std::shared_ptr<const std::string> expected;
-    if (render_.compare_exchange_strong(expected, built, std::memory_order_acq_rel,
-                                        std::memory_order_acquire))
-      return *built;    // We published it; render_ keeps it alive.
-    return *expected;   // A concurrent reader won; use its (equal) rendering.
-  }
+  // regular expressions match against. Rendered once, when the path is built.
+  const std::string& str() const { return rep_ ? rep_->text : kEmptyText; }
 
   friend bool operator==(const AsPath& a, const AsPath& b) {
-    return a.segments_ == b.segments_;  // The render cache is derived state.
+    if (a.rep_ == b.rep_) return true;
+    if (!a.rep_ || !b.rep_) return false;  // Only the empty path has no rep.
+    return a.rep_->hash == b.rep_->hash && a.rep_->segments == b.rep_->segments;
   }
 
-  size_t hashValue() const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const Segment& s : segments_) {
-      h = (h ^ static_cast<size_t>(s.type)) * 0x100000001b3ULL;
-      for (const Asn a : s.asns) h = (h ^ a) * 0x100000001b3ULL;
-    }
-    return h;
-  }
+  size_t hashValue() const { return rep_ ? rep_->hash : kEmptyHash; }
 
  private:
-  std::string render() const {
-    std::string out;
-    for (const Segment& s : segments_) {
-      if (!out.empty()) out += ' ';
-      if (s.type == SegmentType::kSet) {
-        out += '{';
-        for (size_t i = 0; i < s.asns.size(); ++i) {
-          if (i) out += ',';
-          out += std::to_string(s.asns[i]);
-        }
-        out += '}';
-      } else {
-        for (size_t i = 0; i < s.asns.size(); ++i) {
-          if (i) out += ' ';
-          out += std::to_string(s.asns[i]);
-        }
+  static constexpr size_t kEmptyHash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
+  static inline const std::vector<Segment> kNoSegments;
+  static inline const std::string kEmptyText;
+
+  struct Rep {
+    std::vector<Segment> segments;  // Never empty: the empty path has no Rep.
+    std::string text;
+    size_t hash = kEmptyHash;
+    size_t length = 0;
+
+    static std::shared_ptr<const Rep> make(std::vector<Segment> segments) {
+      auto rep = std::make_shared<Rep>();
+      rep->segments = std::move(segments);
+      for (const Segment& s : rep->segments) {
+        rep->hash = (rep->hash ^ static_cast<size_t>(s.type)) * 0x100000001b3ULL;
+        for (const Asn a : s.asns) rep->hash = (rep->hash ^ a) * 0x100000001b3ULL;
+        rep->length += s.type == SegmentType::kSet ? 1 : s.asns.size();
       }
+      rep->text = render(rep->segments);
+      return rep;
     }
-    return out;
-  }
 
-  void invalidateRender() { render_.store(nullptr, std::memory_order_release); }
+    static std::string render(const std::vector<Segment>& segments) {
+      std::string out;
+      char digits[16];
+      const auto appendAsn = [&](Asn asn) {
+        const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, asn);
+        out.append(digits, end);
+      };
+      for (const Segment& s : segments) {
+        if (!out.empty()) out += ' ';
+        const bool set = s.type == SegmentType::kSet;
+        if (set) out += '{';
+        for (size_t i = 0; i < s.asns.size(); ++i) {
+          if (i) out += set ? ',' : ' ';
+          appendAsn(s.asns[i]);
+        }
+        if (set) out += '}';
+      }
+      return out;
+    }
+  };
 
-  std::vector<Segment> segments_;
-  // Lazily rendered textual form; null until first str(). Shared on copy.
-  mutable std::atomic<std::shared_ptr<const std::string>> render_;
+  std::shared_ptr<const Rep> rep_;  // Null: the empty path.
 };
 
 }  // namespace hoyan

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,52 +36,76 @@ class Community {
 
 // An always-sorted, duplicate-free set of communities. Sorted storage gives
 // cheap equality (needed for input-route equivalence classes, §3.1) and
-// deterministic rendering.
+// deterministic rendering. Like AsPath it is a shared immutable value: copies
+// share one sorted vector (a Route copy allocates nothing), and `insert`,
+// `erase` and `clear` build a new one, leaving the copies unchanged.
 class CommunitySet {
  public:
   CommunitySet() = default;
   CommunitySet(std::initializer_list<Community> values) {
-    for (const Community c : values) insert(c);
+    std::vector<Community> sorted(values);
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    assign(std::move(sorted));
   }
 
   void insert(Community c) {
-    const auto it = std::lower_bound(values_.begin(), values_.end(), c);
-    if (it == values_.end() || *it != c) values_.insert(it, c);
+    const auto it = std::lower_bound(begin(), end(), c);
+    if (it != end() && *it == c) return;
+    std::vector<Community> next;
+    next.reserve(size() + 1);
+    next.insert(next.end(), begin(), it);
+    next.push_back(c);
+    next.insert(next.end(), it, end());
+    assign(std::move(next));
   }
   void erase(Community c) {
-    const auto it = std::lower_bound(values_.begin(), values_.end(), c);
-    if (it != values_.end() && *it == c) values_.erase(it);
+    const auto it = std::lower_bound(begin(), end(), c);
+    if (it == end() || *it != c) return;
+    std::vector<Community> next;
+    next.reserve(size() - 1);
+    next.insert(next.end(), begin(), it);
+    next.insert(next.end(), it + 1, end());
+    assign(std::move(next));
   }
-  bool contains(Community c) const {
-    return std::binary_search(values_.begin(), values_.end(), c);
-  }
-  void clear() { values_.clear(); }
-  bool empty() const { return values_.empty(); }
-  size_t size() const { return values_.size(); }
+  bool contains(Community c) const { return std::binary_search(begin(), end(), c); }
+  void clear() { values_.reset(); }
+  bool empty() const { return !values_; }
+  size_t size() const { return values_ ? values_->size() : 0; }
 
-  auto begin() const { return values_.begin(); }
-  auto end() const { return values_.end(); }
+  const Community* begin() const { return values_ ? values_->data() : nullptr; }
+  const Community* end() const { return values_ ? values_->data() + values_->size() : nullptr; }
 
   // Renders as "100:1 200:2" (space separated, sorted).
   std::string str() const {
     std::string out;
-    for (const Community c : values_) {
+    for (const Community c : *this) {
       if (!out.empty()) out += ' ';
       out += c.str();
     }
     return out;
   }
 
-  friend bool operator==(const CommunitySet&, const CommunitySet&) = default;
+  friend bool operator==(const CommunitySet& a, const CommunitySet& b) {
+    return a.values_ == b.values_ || std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 
   size_t hashValue() const {
     size_t h = 0x811c9dc5;
-    for (const Community c : values_) h = (h ^ c.raw()) * 0x01000193;
+    for (const Community c : *this) h = (h ^ c.raw()) * 0x01000193;
     return h;
   }
 
  private:
-  std::vector<Community> values_;
+  // An empty set holds no vector: `empty()` reads that.
+  void assign(std::vector<Community> values) {
+    if (values.empty())
+      values_.reset();
+    else
+      values_ = std::make_shared<std::vector<Community>>(std::move(values));
+  }
+
+  std::shared_ptr<const std::vector<Community>> values_;  // Null: the empty set.
 };
 
 }  // namespace hoyan

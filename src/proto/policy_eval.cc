@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <regex>
 
 #include "proto/policy_kernel.h"
 
@@ -69,7 +68,7 @@ bool asPathListMatches(const PolicyContext& context, NameId listName, const Rout
     if (reason) *reason = "as-path-list " + Names::str(listName) + " undefined";
     return context.vendor->undefinedFilterMatchesAll;
   }
-  // One rendering for every entry (and memoized on the path instance itself).
+  // The path's text is rendered once, when the path is built.
   const std::string& pathStr = route.attrs.asPath.str();
   for (const AsPathListEntry& entry : list->entries) {
     // Engine-attached evaluations go through the kernel's L1 pattern cache;
@@ -90,7 +89,7 @@ bool asPathListMatches(const PolicyContext& context, NameId listName, const Rout
       if (context.kernel) context.kernel->countBadRegexEval();
       continue;
     }
-    if (std::regex_search(pathStr, compiled->regex)) {
+    if (compiled->dfa.search(pathStr)) {
       if (reason)
         *reason = "as-path-list " + Names::str(listName) + " entry \"" + entry.regex + "\"";
       return entry.permit;
@@ -117,10 +116,7 @@ bool nodeMatches(const PolicyContext& context, const PolicyMatch& match,
 }  // namespace
 
 bool asPathMatches(const AsPath& path, const std::string& pattern) {
-  const std::shared_ptr<const AsPathRegexCache::Compiled> compiled =
-      AsPathRegexCache::global().get(pattern);
-  if (!compiled->valid) return false;  // An invalid pattern matches nothing.
-  return std::regex_search(path.str(), compiled->regex);
+  return AsPathRegexCache::global().get(pattern)->matches(path.str());
 }
 
 void applySets(const PolicyContext& context, const PolicySets& sets, Route& route) {

@@ -59,8 +59,10 @@ void applySets(const PolicyContext& context, const PolicySets& sets, Route& rout
 
 // AS-path regular-expression matching. The paper notes Hoyan's early AS-path
 // regex implementation was flawed (Table 4, "implementation bugs"); this one
-// translates vendor-style anchors (`_` = boundary) to std::regex and matches
-// against the canonical rendering of the path.
+// translates vendor-style anchors (`_` = boundary) to ECMAScript syntax and
+// matches the canonical rendering of the path through the pattern's DFA in
+// the process-wide cache (proto/policy_kernel.h), with std::regex_search's
+// verdict. An invalid or unsupported pattern matches nothing.
 bool asPathMatches(const AsPath& path, const std::string& pattern);
 
 }  // namespace hoyan

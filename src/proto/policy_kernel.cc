@@ -1,5 +1,6 @@
 #include "proto/policy_kernel.h"
 
+#include <regex>
 #include <utility>
 
 #include "obs/log.h"
@@ -8,8 +9,8 @@ namespace hoyan {
 namespace {
 
 // Translates a vendor-style as-path pattern (`_` = boundary: start, end, or
-// space) into ECMAScript regex syntax. Mirrors what asPathMatches always did;
-// centralised here so every pattern is translated exactly once per process.
+// space) into ECMAScript regex syntax, so every pattern is translated exactly
+// once per process.
 std::string translatePattern(const std::string& pattern) {
   std::string translated;
   translated.reserve(pattern.size() + 16);
@@ -43,12 +44,14 @@ std::shared_ptr<const AsPathRegexCache::Compiled> AsPathRegexCache::get(
     const auto it = byPattern_.find(pattern);
     if (it != byPattern_.end()) return it->second;
   }
-  // Compile outside the lock (regex construction is the expensive part);
-  // losers of a concurrent compile race discard their copy.
+  // Compile outside the lock (building the DFA is the expensive part);
+  // losers of a concurrent compile race discard their copy. std::regex's
+  // constructor decides validity, so the accepted grammar is libstdc++'s.
   auto compiled = std::make_shared<Compiled>();
+  const std::string translated = translatePattern(pattern);
   try {
-    compiled->regex = std::regex(translatePattern(pattern));
-    compiled->valid = true;
+    const std::regex check(translated);
+    compiled->valid = compiled->dfa.compile(translated, compiled->error);
   } catch (const std::regex_error& error) {
     compiled->valid = false;
     compiled->error = error.what();

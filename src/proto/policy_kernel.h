@@ -2,26 +2,29 @@
 // *inside* propagation).
 //
 // Route propagation spends most of a cold run inside evaluatePolicy: every
-// received/advertised/leaked route walks the policy nodes, re-renders its
-// AS path, and — worst of all — recompiles a std::regex per as-path-list
-// entry. But routes cluster: thousands of prefixes share one DC aggregate's
-// attribute set, and a policy's verdict depends only on the fields it reads.
-// The kernel collapses that repetition in three layers:
+// received/advertised/leaked route walks the policy nodes and matches its AS
+// path against every as-path-list entry. But routes cluster: thousands of
+// prefixes share one DC aggregate's attribute set, and a policy's verdict
+// depends only on the fields it reads. The kernel collapses that repetition
+// in three layers:
 //
-//  1. AsPathRegexCache — vendor as-path patterns translate+compile exactly
-//     once per process (thread-safe for dist workers); each engine keeps a
-//     mutex-free L1 view. Invalid patterns are surfaced (once-per-pattern
-//     warning + `sim.policy.bad_regex`) instead of silently matching nothing.
+//  1. AsPathRegexCache — vendor as-path patterns are translated and compiled
+//     exactly once per process (thread-safe for dist workers) into a DFA
+//     (proto/as_path_dfa.h), shared read-only by every worker; each engine
+//     keeps a mutex-free L1 view. std::regex's constructor stays the one-time
+//     validity check. Invalid patterns, and the constructs the DFA does not
+//     model, are surfaced (once-per-pattern warning + `sim.policy.bad_regex`)
+//     instead of silently matching nothing.
 //  2. AttrInternTable — hash-conses BgpAttributes into per-engine
 //     AttrClassIds, so attribute sets compare and hash in O(1) downstream.
 //  3. Policy-eval memoization — (device, policy, AttrClassId, + the route
 //     fields the policy actually reads) → verdict + rewritten attribute
 //     class. A hit replays the outcome without touching the policy. The memo
 //     is *structurally gated*: it engages only for policies that match
-//     as-path lists, where a hit replaces regex-search chains. Match-cheap
-//     policies (prefix/community matchers, permit-alls) evaluate directly —
-//     walking their two or three nodes costs less than hashing the
-//     attribute set, so memoizing them is a measured net loss.
+//     as-path lists. Match-cheap policies (prefix/community matchers,
+//     permit-alls) evaluate directly — walking their two or three nodes
+//     costs less than hashing the attribute set, so memoizing them is a
+//     measured net loss.
 //
 // Invariants (tested by the determinism differentials and bench gate):
 //  * Byte-identity: a memoized evaluation produces a route byte-identical to
@@ -40,12 +43,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <regex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "net/route.h"
+#include "proto/as_path_dfa.h"
 #include "proto/policy_eval.h"
 
 namespace hoyan {
@@ -94,9 +97,16 @@ struct PolicyKernelStats {
 class AsPathRegexCache {
  public:
   struct Compiled {
-    std::regex regex;   // Meaningful only when `valid`.
+    AsPathDfa dfa;      // Meaningful only when `valid`.
     bool valid = false;
-    std::string error;  // regex_error::what() for invalid patterns.
+    std::string error;  // Why the pattern is invalid: regex_error::what(), or
+                        // the construct the DFA does not model.
+
+    // std::regex_search over the rendered path; an invalid pattern matches
+    // nothing.
+    bool matches(const std::string& pathText) const {
+      return valid && dfa.search(pathText);
+    }
   };
 
   static AsPathRegexCache& global();

@@ -1,7 +1,5 @@
 #include "rcl/ast.h"
 
-#include <regex>
-
 namespace hoyan::rcl {
 
 std::string compareOpName(CompareOp op) {
@@ -53,6 +51,15 @@ PredicatePtr Predicate::compare(Field field, CompareOp op, Scalar value) {
   return node;
 }
 
+PredicatePtr Predicate::matches(Field field, std::string regex) {
+  auto node = std::make_shared<Predicate>();
+  node->kind = Kind::kMatches;
+  node->field = field;
+  node->compiledRegex = std::make_shared<const std::regex>(regex);
+  node->regex = std::move(regex);
+  return node;
+}
+
 bool Predicate::eval(const RibRow& row) const {
   switch (kind) {
     case Kind::kFieldCompare: {
@@ -80,14 +87,9 @@ bool Predicate::eval(const RibRow& row) const {
       return row.setFieldContains(field, value);
     case Kind::kInSet:
       return valueSet.contains(row.fieldValue(field));
-    case Kind::kMatches: {
-      try {
-        const std::regex re(regex);
-        return std::regex_search(row.fieldValue(field).render(), re);
-      } catch (const std::regex_error&) {
-        return false;
-      }
-    }
+    case Kind::kMatches:
+      return compiledRegex &&
+             std::regex_search(row.fieldValue(field).render(), *compiledRegex);
     case Kind::kAnd: return left->eval(row) && right->eval(row);
     case Kind::kOr: return left->eval(row) || right->eval(row);
     case Kind::kImply: return !left->eval(row) || right->eval(row);

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,17 @@ struct Predicate {
   std::optional<Prefix> prefixLiteral;
   std::optional<IpAddress> addressLiteral;
 
+  // `regex` compiled once, by `matches`, and only read afterwards (a sweep
+  // checks one intent on every worker). Null on a predicate not built by
+  // `matches`, which then matches no row.
+  std::shared_ptr<const std::regex> compiledRegex;
+
   // Builds `field op value` with its literal parsed; the parser builds every
   // comparison through it.
   static PredicatePtr compare(Field field, CompareOp op, Scalar value);
+  // Builds `field matches "regex"` with the regex compiled; the parser builds
+  // every match through it. Throws std::regex_error for an invalid regex.
+  static PredicatePtr matches(Field field, std::string regex);
 
   bool eval(const RibRow& row) const;
   std::string str() const;

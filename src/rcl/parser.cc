@@ -45,6 +45,14 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// An error that no other reading of the text avoids, such as an invalid
+// regex after `matches`: backtracking does not catch it, so it reaches the
+// caller with its own message and location.
+class FatalParseError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 bool isValueChar(char c) {
   return std::isxdigit(static_cast<unsigned char>(c)) || c == '.' || c == ':' || c == '/';
 }
@@ -609,10 +617,14 @@ class Parser {
       return node;
     }
     if (matchIdent("matches")) {
-      node->kind = Predicate::Kind::kMatches;
       if (!check(TokenKind::kString)) throw ParseError("matches expects a string");
-      node->regex = advance().text;
-      return node;
+      const Token& regex = advance();
+      try {
+        return Predicate::matches(field, regex.text);
+      } catch (const std::regex_error& error) {
+        throw FatalParseError("column " + std::to_string(regex.position + 1) +
+                              ": bad regex \"" + regex.text + "\": " + error.what());
+      }
     }
     throw ParseError("expected predicate operator after field");
   }
@@ -637,6 +649,8 @@ ParseOutcome parseIntent(std::string_view text) {
     Parser parser(lex(text));
     outcome.intent = parser.parse();
   } catch (const ParseError& error) {
+    outcome.error = error.what();
+  } catch (const FatalParseError& error) {
     outcome.error = error.what();
   }
   return outcome;

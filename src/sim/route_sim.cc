@@ -51,6 +51,11 @@ struct ReceivedRoute {
   uint32_t pathId = 0;
 };
 
+// Every route a cell holds is BGP-family (kBgp or kAggregate): inputs are
+// injected as kBgp unless they are aggregates, the engine originates
+// aggregates as kAggregate, leaks copy a BGP-family best, and received routes
+// were sent as kBgp. So `selected` ranks exactly the routes advertisement
+// ranks, and advertisement reads it instead of ranking the cell again.
 struct Cell {
   std::vector<ReceivedRoute> adjIn;
   std::vector<Route> localOrigin;  // Inputs injected here, aggregates, leaks.
@@ -116,15 +121,16 @@ class RouteSimEngine {
 
     obs::Span propagateSpan = tel.tracer().span("route_sim.propagate", "sim");
 
-    // Inject inputs as locally originated routes at their devices.
+    // Inject inputs as locally originated routes at their devices, as BGP
+    // routes (the BGP-family invariant above Cell).
     for (const InputRoute& input : effective) {
       if (!model_.topology.deviceActive(input.device)) continue;
       Route route = input.route;
       if (route.protocol != Protocol::kBgp && route.protocol != Protocol::kAggregate)
         route.protocol = Protocol::kBgp;
       Cell& cell = cellFor(CellKey{input.device, route.vrf, route.prefix});
-      cell.localOrigin.push_back(route);
       dirty_.insert({CellKey{input.device, route.vrf, route.prefix}, true});
+      cell.localOrigin.push_back(std::move(route));
       ++installed_;
     }
 
@@ -308,7 +314,7 @@ class RouteSimEngine {
       if (watch)
         emitEvent(obs::RouteEventKind::kReceived, receiver, receiverSide.vrf,
                   adv.prefix, session.local, std::move(reason), route.str());
-      cell.adjIn.push_back(ReceivedRoute{route, reverseIdx, pathId++});
+      cell.adjIn.push_back(ReceivedRoute{std::move(route), reverseIdx, pathId++});
       ++installed_;
     }
     dirty_[key] = true;
@@ -506,19 +512,10 @@ class RouteSimEngine {
     const VendorProfile& vendor = model_.vendorOf(key.device);
     // Deny-policy isolation: the device advertises nothing.
     if (config->isolated && vendor.isolationViaDenyPolicy) return;
-    Cell& cell = cellFor(key);
-
-    // BGP best + ECMP among BGP-family routes (selection within the BGP
-    // table is independent of admin-distance competition with static/IGP).
-    std::vector<Route> bgpRoutes;
-    bgpRoutes.reserve(cell.adjIn.size() + cell.localOrigin.size());
-    for (const ReceivedRoute& received : cell.adjIn) bgpRoutes.push_back(received.route);
-    for (const Route& route : cell.localOrigin)
-      if (route.protocol == Protocol::kBgp || route.protocol == Protocol::kAggregate)
-        bgpRoutes.push_back(route);
-    selectBestRoutes(bgpRoutes);
-    // Keep best + ECMP candidates only.
-    std::erase_if(bgpRoutes, [](const Route& r) { return r.type == RouteType::kAlternate; });
+    // BGP best + ECMP: the cell holds only BGP-family routes (see Cell), and
+    // reselectCell ranked them earlier in this loop step. The candidates are
+    // its non-alternate routes, in rank order; the best comes first.
+    const std::vector<Route>& ranked = cellFor(key).selected;
 
     // Suppress aggregate contributors (summary-only).
     const bool suppressed = isSuppressedContributor(*config, key);
@@ -534,10 +531,12 @@ class RouteSimEngine {
       // re-evaluates unchanged advertisements every dirty round, and only
       // rounds that alter the advertised set are provenance-worthy.
       std::vector<obs::RouteEvent> events;
-      if (!bgpRoutes.empty() && !suppressed) {
-        const size_t limit = session.addPathSend ? bgpRoutes.size() : 1;
-        for (size_t i = 0; i < limit && i < bgpRoutes.size(); ++i) {
-          const Route& candidate = bgpRoutes[i];
+      if (!suppressed) {
+        const size_t limit = session.addPathSend ? ranked.size() : 1;
+        size_t considered = 0;
+        for (const Route& candidate : ranked) {
+          if (candidate.type == RouteType::kAlternate) continue;
+          if (considered++ == limit) break;
           if (!mayAdvertise(candidate, session, key)) continue;
           Route outbound = candidate;
           applyEgress(*config, session, outbound);

@@ -5,12 +5,10 @@
 // guarantee.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
+#include "alloc_counter.h"
 #include "core/hoyan.h"
 #include "gen/wan_gen.h"
 #include "gen/workload_gen.h"
@@ -18,34 +16,6 @@
 #include "inspect_testing.h"
 #include "obs/journal.h"
 #include "obs/telemetry.h"
-
-// Global allocation counter for the zero-allocation test. Counting only —
-// behavior is unchanged, so the rest of the suite runs normally.
-namespace {
-std::atomic<size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort takes its buffer from them): a
-// sanitizer's own nothrow new would otherwise be freed by the delete below.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocations;
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace hoyan {
 namespace {
@@ -226,7 +196,7 @@ TEST(JournalTest, DisabledEmittersDoNotAllocate) {
   const std::string phase = "route";
   const std::string id = "route-7";
   const std::string key = "cas/r/0123";
-  const size_t before = g_allocations.load();
+  const size_t before = testing::allocationCount();
   journal.runBegin(phase, 1);
   journal.phaseBegin(phase);
   journal.impact(phase, id, 1, 2);
@@ -245,7 +215,7 @@ TEST(JournalTest, DisabledEmittersDoNotAllocate) {
   journal.policyKernel(phase, 1, 2, 3, 4);
   journal.phaseEnd(phase, 0.5);
   journal.runEnd(phase, 1.0);
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(testing::allocationCount(), before);
   EXPECT_EQ(journal.eventCount(), 0u);
 }
 

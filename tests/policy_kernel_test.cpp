@@ -1,9 +1,16 @@
 // Tests for the cold-run policy-evaluation kernel (proto/policy_kernel.h):
-// the process-wide compiled-regex cache, attribute interning, per-class
-// memoization (byte-identity against the plain evaluator), lazy reason
-// traces, bad-regex surfacing, and the AsPath render memo.
+// the process-wide compiled-regex cache and its DFA (differential against
+// std::regex), attribute interning, per-class memoization (byte-identity
+// against the plain evaluator), lazy reason traces, bad-regex surfacing, and
+// the shared AsPath / CommunitySet values (a Route copy allocates nothing).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <regex>
+#include <set>
+
+#include "alloc_counter.h"
 #include "config/vendor.h"
 #include "net/as_path.h"
 #include "proto/policy_eval.h"
@@ -42,10 +49,119 @@ TEST(AsPathRegexCacheTest, TranslatesUnderscoreBoundaries) {
   const auto compiled = cache.get("_123_");
   ASSERT_TRUE(compiled->valid);
   const AsPath path({100, 123, 300});
-  EXPECT_TRUE(std::regex_search(path.str(), compiled->regex));
+  EXPECT_TRUE(compiled->matches(path.str()));
   // `_23_` must not match inside 123 (boundary semantics).
   const auto inner = cache.get("_23_");
-  EXPECT_FALSE(std::regex_search(path.str(), inner->regex));
+  EXPECT_FALSE(inner->matches(path.str()));
+}
+
+// --- the DFA against std::regex -----------------------------------------------
+
+// The vendor translation the cache applies (`_` = start, space or end).
+std::string translated(const std::string& pattern) {
+  std::string out;
+  for (const char c : pattern) out += c == '_' ? std::string("(^| |$)") : std::string(1, c);
+  return out;
+}
+
+// Seeded differential: patterns glued from vendor-syntax pieces, matched
+// against rendered paths (and a few raw strings) by the DFA and by
+// std::regex_search. A pattern is valid exactly when std::regex accepts it,
+// it uses no unsupported construct and its automaton fits the state cap
+// (only a glued `{64512}`-style count exceeds it here); every valid pattern
+// gives std::regex's verdict on every text.
+TEST(AsPathDfaTest, AgreesWithStdRegexOnGeneratedPatterns) {
+  const std::vector<std::string> pieces = {
+      "1", "2", "12", "123", "64512", "0", " ", "_", "_", "^", "$", ".", "*", "+",
+      "?", "|", "(", ")", "(?:", "{2}", "{1,3}", "{0,}", "{", "}", "]", ",", "-",
+      "[0-9]", "[^1]", "[12]", "[ ]", "[[:digit:]]", "[1-3]", "[]", "[^]", "[{},]",
+      "\\d", "\\D", "\\s", "\\w", "\\.", "\\{", "\\}", "\\(", "\\x31",
+      "\\u0032", "\\c1", "\\0", "*?", ".*", "(1|2)", "(_1|2_)"};
+  const std::vector<std::string> unsupported = {"\\1", "(?=1)", "(?!2)", "\\b", "\\B"};
+  const std::set<std::string> quantifiers = {"*", "+", "?", "{2}", "{1,3}", "{0,}",
+                                             "{", "*?", ".*"};
+  std::mt19937 rng(20261019);
+  const auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+
+  const std::vector<Asn> asns = {1, 2, 12, 21, 123, 100, 200, 64512, 65001};
+  std::vector<std::string> texts = {"", "1", "12 123", "0", "1\n2", "2\r1", "a b"};
+  for (int i = 0; i < 33; ++i) {
+    std::vector<Asn> sequence;
+    for (size_t n = pick(5); n > 0; --n) sequence.push_back(asns[pick(asns.size())]);
+    AsPath path(sequence);
+    if (pick(4) == 0) path.appendSet({asns[pick(asns.size())], asns[pick(asns.size())]});
+    texts.push_back(path.str());
+  }
+
+  AsPathRegexCache cache;
+  size_t validPatterns = 0;
+  size_t unsupportedPatterns = 0;
+  size_t overCap = 0;
+  size_t verdicts = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string pattern;
+    bool usesUnsupported = false;
+    size_t quantifierPieces = 0;
+    for (size_t n = 1 + pick(7); n > 0; --n) {
+      if (pick(30) == 0) {
+        pattern += unsupported[pick(unsupported.size())];
+        usesUnsupported = true;
+      } else {
+        const std::string& piece = pieces[pick(pieces.size())];
+        quantifierPieces += quantifiers.count(piece);
+        pattern += piece;
+      }
+    }
+    std::optional<std::regex> oracle;
+    try {
+      oracle.emplace(translated(pattern));
+    } catch (const std::regex_error&) {
+    }
+    const auto compiled = cache.get(pattern);
+    if (!oracle || usesUnsupported) {
+      EXPECT_FALSE(compiled->valid) << pattern;
+      unsupportedPatterns += oracle && usesUnsupported;
+      continue;
+    }
+    if (!compiled->valid && compiled->error.find("-state") != std::string::npos) {
+      ++overCap;
+      continue;
+    }
+    ASSERT_TRUE(compiled->valid) << pattern << ": " << compiled->error;
+    ++validPatterns;
+    // libstdc++'s default executor backtracks, exponentially on nested
+    // quantifiers (`.*{0,}`); patterns with more than one quantifier are
+    // checked against its polynomial executor, the same automaton searched
+    // breadth-first, which finds a match exactly when one exists.
+    if (quantifierPieces > 1)
+      oracle.emplace(translated(pattern),
+                     std::regex::ECMAScript | std::regex_constants::__polynomial);
+    for (const std::string& text : texts) {
+      ASSERT_EQ(compiled->matches(text), std::regex_search(text, *oracle))
+          << "pattern \"" << pattern << "\" on \"" << text << "\"";
+      ++verdicts;
+    }
+  }
+  EXPECT_GT(validPatterns, 1500u);
+  EXPECT_GT(unsupportedPatterns, 10u);
+  EXPECT_LT(overCap, 5u);
+  EXPECT_EQ(verdicts, validPatterns * texts.size());
+}
+
+// Constructs std::regex accepts but a DFA cannot model (or not within the
+// state cap) are invalid: they match nothing, like a pattern std::regex
+// rejects.
+TEST(AsPathDfaTest, UnsupportedConstructsAreInvalid) {
+  AsPathRegexCache cache;
+  for (const std::string pattern :
+       {"(1)\\1", "1(?=2)", "1(?!2)", "\\b1", "1\\B", "1.{16}"}) {
+    ASSERT_NO_THROW(std::regex(translated(pattern))) << pattern;
+    const auto compiled = cache.get(pattern);
+    EXPECT_FALSE(compiled->valid) << pattern;
+    EXPECT_NE(compiled->error.find("unsupported by the as-path matcher"), std::string::npos)
+        << compiled->error;
+    EXPECT_FALSE(compiled->matches("1 1 2 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1")) << pattern;
+  }
 }
 
 // --- AttrInternTable ---------------------------------------------------------
@@ -250,6 +366,28 @@ TEST_F(PolicyKernelTest, BadRegexIsCountedAndMatchesPlainEvaluator) {
   EXPECT_GE(kernel_.stats().badRegexEvals, 1u);
 }
 
+TEST_F(PolicyKernelTest, UnsupportedPatternCountsAsBadRegex) {
+  const NameId listName = Names::id("LOOKAHEAD");
+  AsPathList list;
+  list.name = listName;
+  list.entries.push_back({true, "65001(?= )"});
+  config_.asPathLists.emplace(listName, list);
+  const NameId name = Names::id("MATCH-LOOKAHEAD");
+  RoutePolicy& policy = config_.routePolicy(name);
+  PolicyNode node;
+  node.sequence = 10;
+  node.action = PolicyAction::kPermit;
+  node.match.asPathList = listName;
+  policy.upsertNode(node);
+
+  // std::regex would match "65001 70000"; the unsupported entry matches
+  // nothing, so the policy falls through, with and without the kernel.
+  const PolicyContext plain{&config_, &vendorA(), 64512};
+  EXPECT_EQ(evaluatePolicy(plain, name, makeRoute()).matchedNode, std::nullopt);
+  evalBothWays(name, makeRoute());
+  EXPECT_EQ(kernel_.stats().badRegexEvals, 1u);
+}
+
 TEST_F(PolicyKernelTest, RegexL1CountsPerEngine) {
   const NameId listName = Names::id("L1");
   AsPathList list;
@@ -336,13 +474,13 @@ TEST_F(PolicyKernelTest, ReasonsAreLazilyFormatted) {
   EXPECT_EQ(silent.matchedNode, traced.matchedNode);
 }
 
-// --- AsPath render memo ------------------------------------------------------
+// --- AsPath: a shared value rendered once ------------------------------------
 
 TEST(AsPathRenderTest, StrIsMemoizedPerInstance) {
   AsPath path({100, 200});
   const std::string& first = path.str();
   EXPECT_EQ(first, "100 200");
-  // Same storage on repeat calls (the memo, not a fresh temporary).
+  // Same storage on repeat calls (rendered once, not a fresh temporary).
   EXPECT_EQ(&path.str(), &first);
 }
 
@@ -359,12 +497,88 @@ TEST(AsPathRenderTest, CopiesShareAndMovesSteal) {
   AsPath path({100, 200});
   const std::string& rendered = path.str();
   AsPath copy = path;
-  EXPECT_EQ(&copy.str(), &rendered);  // Shared cache, equal segments.
+  EXPECT_EQ(&copy.str(), &rendered);  // One shared representation.
   copy.prepend(1);
   EXPECT_EQ(copy.str(), "1 100 200");
   EXPECT_EQ(path.str(), "100 200");  // The original is untouched.
   AsPath moved = std::move(path);
   EXPECT_EQ(&moved.str(), &rendered);
+  EXPECT_TRUE(path.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty.
+  EXPECT_EQ(path, AsPath());
+}
+
+// The hash is FNV-1a over (segment type, ASNs…) per segment, as route
+// equivalence classes, intern tables and unordered iteration expect.
+TEST(AsPathRenderTest, HashIsFnvOverTheSegments) {
+  AsPath path({100, 200});
+  path.appendSet({300, 400});
+  size_t expected = 0xcbf29ce484222325ULL;
+  for (const auto& [type, asns] : std::vector<std::pair<size_t, std::vector<Asn>>>{
+           {0, {100, 200}}, {1, {300, 400}}}) {
+    expected = (expected ^ type) * 0x100000001b3ULL;
+    for (const Asn asn : asns) expected = (expected ^ asn) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(path.hashValue(), expected);
+  EXPECT_EQ(AsPath().hashValue(), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(AsPath(std::vector<Asn>{}), AsPath());
+}
+
+// --- CommunitySet value semantics --------------------------------------------
+
+TEST(CommunitySetTest, CopiesShareAndWritesLeaveTheSourceUnchanged) {
+  const CommunitySet source{Community(300, 3), Community(100, 1), Community(200, 2)};
+  size_t expectedHash = 0x811c9dc5;
+  for (const uint32_t raw : {Community(100, 1).raw(), Community(200, 2).raw(),
+                             Community(300, 3).raw()})
+    expectedHash = (expectedHash ^ raw) * 0x01000193;
+  EXPECT_EQ(source.hashValue(), expectedHash);
+  EXPECT_EQ(source.str(), "100:1 200:2 300:3");
+
+  CommunitySet copy = source;
+  EXPECT_EQ(copy.begin(), source.begin());  // One shared vector.
+  copy.insert(Community(100, 1));           // Already present: still shared.
+  copy.erase(Community(9, 9));              // Absent: still shared.
+  EXPECT_EQ(copy.begin(), source.begin());
+
+  CommunitySet inserted = source;
+  inserted.insert(Community(150, 5));
+  CommunitySet erased = source;
+  erased.erase(Community(200, 2));
+  CommunitySet cleared = source;
+  cleared.clear();
+  EXPECT_EQ(inserted.str(), "100:1 150:5 200:2 300:3");
+  EXPECT_EQ(erased.str(), "100:1 300:3");
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(source.str(), "100:1 200:2 300:3");
+  EXPECT_EQ(source.size(), 3u);
+  EXPECT_EQ(source.hashValue(), expectedHash);
+
+  // Erasing to empty gives the default set, hash included.
+  CommunitySet drained{Community(1, 1)};
+  drained.erase(Community(1, 1));
+  EXPECT_EQ(drained, CommunitySet());
+  EXPECT_EQ(cleared, CommunitySet());
+  EXPECT_EQ(drained.hashValue(), CommunitySet().hashValue());
+  EXPECT_EQ(CommunitySet().hashValue(), 0x811c9dc5u);
+}
+
+// --- Route copies --------------------------------------------------------------
+
+TEST(RouteCopyTest, CopyingARouteAllocatesNothing) {
+  Route route;
+  route.prefix = *Prefix::parse("10.0.0.0/24");
+  route.attrs.asPath = AsPath({65001, 65002, 65003, 65004});
+  route.attrs.communities = CommunitySet{Community(100, 1), Community(200, 2),
+                                         Community(300, 3)};
+  Route assigned;
+  const size_t before = testing::allocationCount();
+  Route copy = route;
+  assigned = copy;
+  const size_t allocations = testing::allocationCount() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(copy, route);
+  EXPECT_EQ(assigned, route);
+  EXPECT_EQ(assigned.attrs.asPath.str(), "65001 65002 65003 65004");
 }
 
 }  // namespace

@@ -161,6 +161,25 @@ TEST(RclParserTest, ReportsErrors) {
   EXPECT_FALSE(parseIntent("PRE = POST trailing").ok());
 }
 
+// `matches` compiles its regex when the parser builds the predicate: an
+// invalid one is a located parse error, not a guard that silently matches no
+// row (which made the intent below vacuously satisfied).
+TEST(RclParserTest, InvalidMatchesRegexIsALocatedParseError) {
+  const ParseOutcome bad =
+      parseIntent("aspath matches \"(unclosed\" => PRE |> count() = POST |> count()");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.error.find("column 16: bad regex \"(unclosed\""), std::string::npos)
+      << bad.error;
+  const ParseOutcome filtered = parseIntent("POST || (prefix matches \"[\") |> count() = 0");
+  ASSERT_FALSE(filtered.ok());
+  EXPECT_NE(filtered.error.find("column 25: bad regex"), std::string::npos)
+      << filtered.error;
+
+  const ParseOutcome good = parseIntent("prefix matches \"^20\" => POST |> count() = 1");
+  ASSERT_TRUE(good.ok()) << good.error;
+  EXPECT_TRUE(good.intent->guard->compiledRegex);
+}
+
 TEST(RclParserTest, SizeMetricCountsInternalNodes) {
   // A guarded intent: guard (1 internal: the comparison) + guard node +
   // compare node + aggregate node...

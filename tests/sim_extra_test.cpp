@@ -46,6 +46,16 @@ TEST(AddPathTest, RrWithAddPathAdvertisesEcmpSet) {
   ASSERT_NE(onBorder, nullptr);
   EXPECT_GE(onBorder->size(), 2u);  // Both paths delivered via add-path.
 
+  // An alternate is not part of the set: with C2's path longer, the RR ranks
+  // it below C1's, and add-path sends only the best.
+  InputRoute longer = fromC2;
+  longer.route.attrs.asPath = AsPath({65010});
+  const RouteSimResult bestOnly =
+      simulateRoutes(model, std::vector<InputRoute>{fromC1, longer});
+  const auto* bestOnBorder = routesAt(bestOnly, net.br1, "21.0.0.0/16");
+  ASSERT_NE(bestOnBorder, nullptr);
+  EXPECT_EQ(bestOnBorder->size(), 1u);
+
   // Without add-path, only the RR's best path arrives.
   SmallWan plain = buildSmallWan();
   const NetworkModel plainModel = plain.model();
