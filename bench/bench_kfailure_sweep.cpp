@@ -16,8 +16,8 @@
 // Flags (also readable from the environment, bench_util-style):
 //   --json-out=<file>     BenchJson artifact (HOYAN_BENCH_JSON, default
 //                         kfailure_sweep.json): scenarios/sec, prune rate,
-//                         input routes per job, cache hit rate, speedups vs
-//                         serial
+//                         input routes per job, local routes installed,
+//                         cache hit rate, speedups vs serial
 //   --journal-out=<file>  RunJournal JSONL for the preprocess + sweep runs
 //                         (HOYAN_JOURNAL_OUT, written by the bench_util
 //                         observability hook's global context);
@@ -149,13 +149,13 @@ int main() {
   const auto describe = [](const char* tag, const sweep::SweepResult& result,
                            double seconds) {
     std::printf("%s: %zu scenarios (%zu pruned, %zu deduped) -> %zu jobs of "
-                "%zu inputs, %zu cache hits, %zu evaluated, %zu counterexamples, "
-                "%.3gs (%.3g scenarios/s)\n",
+                "%zu inputs, %zu cache hits, %zu evaluated (%zu local routes "
+                "installed), %zu counterexamples, %.3gs (%.3g scenarios/s)\n",
                 tag, result.stats.enumerated, result.stats.pruned,
                 result.stats.deduped, result.stats.scheduled,
                 result.stats.jobInputs, result.stats.cacheHits, result.stats.evaluated,
-                result.result.counterexamples.size(), seconds,
-                seconds > 0 ? result.stats.enumerated / seconds : 0.0);
+                result.stats.localRoutesInstalled, result.result.counterexamples.size(),
+                seconds, seconds > 0 ? result.stats.enumerated / seconds : 0.0);
   };
   describe("cold sweep", cold, coldSeconds);
   describe("warm sweep", warm, warmSeconds);
@@ -262,6 +262,12 @@ int main() {
   // Input routes each job simulates: the hints slice the inputs.
   artifact.metric("job_inputs", static_cast<double>(cold.stats.jobInputs));
   artifact.metric("derived_job_inputs", static_cast<double>(derived.stats.jobInputs));
+  // Local routes installed over the jobs each cold sweep evaluated: the
+  // hints slice them too.
+  artifact.metric("local_routes_installed",
+                  static_cast<double>(cold.stats.localRoutesInstalled));
+  artifact.metric("derived_local_routes_installed",
+                  static_cast<double>(derived.stats.localRoutesInstalled));
   artifact.metric("warm_cache_hit_rate", warmHitRate);
   artifact.metric("counterexamples",
                   static_cast<double>(cold.result.counterexamples.size()));

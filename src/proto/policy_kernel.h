@@ -10,7 +10,7 @@
 //
 //  1. AsPathRegexCache — vendor as-path patterns are translated and compiled
 //     exactly once per process (thread-safe for dist workers) into a DFA
-//     (proto/as_path_dfa.h), shared read-only by every worker; each engine
+//     (net/as_path_dfa.h), shared read-only by every worker; each engine
 //     keeps a mutex-free L1 view. std::regex's constructor stays the one-time
 //     validity check. Invalid patterns, and the constructs the DFA does not
 //     model, are surfaced (once-per-pattern warning + `sim.policy.bad_regex`)
@@ -48,7 +48,7 @@
 #include <vector>
 
 #include "net/route.h"
-#include "proto/as_path_dfa.h"
+#include "net/as_path_dfa.h"
 #include "proto/policy_eval.h"
 
 namespace hoyan {

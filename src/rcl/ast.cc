@@ -1,5 +1,8 @@
 #include "rcl/ast.h"
 
+#include <regex>
+#include <stdexcept>
+
 namespace hoyan::rcl {
 
 std::string compareOpName(CompareOp op) {
@@ -52,10 +55,18 @@ PredicatePtr Predicate::compare(Field field, CompareOp op, Scalar value) {
 }
 
 PredicatePtr Predicate::matches(Field field, std::string regex) {
+  try {
+    const std::regex check(regex);
+  } catch (const std::regex_error& error) {
+    throw std::invalid_argument(error.what());
+  }
+  auto dfa = std::make_shared<AsPathDfa>();
+  std::string error;
+  if (!dfa->compile(regex, error)) throw std::invalid_argument(error);
   auto node = std::make_shared<Predicate>();
   node->kind = Kind::kMatches;
   node->field = field;
-  node->compiledRegex = std::make_shared<const std::regex>(regex);
+  node->compiledRegex = std::move(dfa);
   node->regex = std::move(regex);
   return node;
 }
@@ -88,8 +99,14 @@ bool Predicate::eval(const RibRow& row) const {
     case Kind::kInSet:
       return valueSet.contains(row.fieldValue(field));
     case Kind::kMatches:
-      return compiledRegex &&
-             std::regex_search(row.fieldValue(field).render(), *compiledRegex);
+      // The row's own text where it holds one; the other fields render.
+      if (!compiledRegex) return false;
+      switch (field) {
+        case Field::kDevice: return compiledRegex->search(row.device);
+        case Field::kVrf: return compiledRegex->search(row.vrf);
+        case Field::kAsPath: return compiledRegex->search(row.asPath.str());
+        default: return compiledRegex->search(row.fieldValue(field).render());
+      }
     case Kind::kAnd: return left->eval(row) && right->eval(row);
     case Kind::kOr: return left->eval(row) || right->eval(row);
     case Kind::kImply: return !left->eval(row) || right->eval(row);

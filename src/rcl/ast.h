@@ -13,10 +13,10 @@
 
 #include <memory>
 #include <optional>
-#include <regex>
 #include <string>
 #include <vector>
 
+#include "net/as_path_dfa.h"
 #include "rcl/global_rib.h"
 #include "rcl/value.h"
 
@@ -62,16 +62,20 @@ struct Predicate {
   std::optional<Prefix> prefixLiteral;
   std::optional<IpAddress> addressLiteral;
 
-  // `regex` compiled once, by `matches`, and only read afterwards (a sweep
-  // checks one intent on every worker). Null on a predicate not built by
-  // `matches`, which then matches no row.
-  std::shared_ptr<const std::regex> compiledRegex;
+  // `regex` compiled once, by `matches`, into the automaton as-path lists
+  // use, and only read afterwards (a sweep checks one intent on every
+  // worker). Null on a predicate not built by `matches`, which then matches
+  // no row.
+  std::shared_ptr<const AsPathDfa> compiledRegex;
 
   // Builds `field op value` with its literal parsed; the parser builds every
   // comparison through it.
   static PredicatePtr compare(Field field, CompareOp op, Scalar value);
   // Builds `field matches "regex"` with the regex compiled; the parser builds
-  // every match through it. Throws std::regex_error for an invalid regex.
+  // every match through it. std::regex's constructor decides validity, as
+  // for as-path lists. Throws std::invalid_argument, saying why, for a regex
+  // std::regex rejects or one the automaton does not model (a backreference,
+  // a lookahead, `\b`/`\B`, or too many states).
   static PredicatePtr matches(Field field, std::string regex);
 
   bool eval(const RibRow& row) const;

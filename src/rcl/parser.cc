@@ -621,7 +621,7 @@ class Parser {
       const Token& regex = advance();
       try {
         return Predicate::matches(field, regex.text);
-      } catch (const std::regex_error& error) {
+      } catch (const std::invalid_argument& error) {
         throw FatalParseError("column " + std::to_string(regex.position + 1) +
                               ": bad regex \"" + regex.text + "\": " + error.what());
       }

@@ -8,11 +8,11 @@
 namespace hoyan {
 namespace {
 
-// Collects the direct routes of one device: interface subnets, the extra /32
-// (or /128) host route each non-host interface address produces (the Table-5
-// "/32 route" footnote), and the loopback host route.
-std::vector<Route> directRoutesOf(const Device& device) {
-  std::vector<Route> out;
+// Calls `visit` with each direct route of one device: interface subnets, the
+// extra /32 (or /128) host route each non-host interface address produces
+// (the Table-5 "/32 route" footnote), and the loopback host route.
+template <typename Visit>
+void forEachDirectRoute(const Device& device, Visit&& visit) {
   {
     Route loopback;
     loopback.prefix = Prefix(device.loopback, static_cast<uint8_t>(device.loopback.width()));
@@ -20,7 +20,7 @@ std::vector<Route> directRoutesOf(const Device& device) {
     loopback.adminDistance = kDirectAdminDistance;
     loopback.nexthop = device.loopback;
     loopback.nexthopDevice = device.name;
-    out.push_back(loopback);
+    visit(loopback);
   }
   for (const Interface& itf : device.interfaces) {
     if (itf.shutdown) continue;
@@ -32,15 +32,14 @@ std::vector<Route> directRoutesOf(const Device& device) {
     subnet.nexthop = itf.address;
     subnet.nexthopDevice = device.name;
     subnet.outInterface = itf.name;
-    out.push_back(subnet);
+    visit(subnet);
     if (!subnet.prefix.isHostRoute()) {
       Route host = subnet;
       host.prefix = Prefix(itf.address, static_cast<uint8_t>(itf.address.width()));
       host.fromDirectSlash32 = true;
-      out.push_back(host);
+      visit(host);
     }
   }
-  return out;
 }
 
 std::vector<Route> staticRoutesOf(const NetworkModel& model, const DeviceConfig& config) {
@@ -63,30 +62,43 @@ std::vector<Route> staticRoutesOf(const NetworkModel& model, const DeviceConfig&
 
 }  // namespace
 
-void installLocalRoutes(const NetworkModel& model, NetworkRibs& ribs,
-                        obs::ProvenanceRecorder* provenance) {
+size_t installLocalRoutes(const NetworkModel& model, NetworkRibs& ribs,
+                          obs::ProvenanceRecorder* provenance,
+                          const LocalPrefixSet* keep) {
+  const auto kept = [keep](const Prefix& prefix) {
+    return keep == nullptr || keep->contains(prefix);
+  };
+  size_t installed = 0;
+  if (keep && keep->empty()) return installed;  // Nothing to build, rank or record.
   for (const auto& [name, device] : model.topology.devices()) {
     if (!model.topology.deviceActive(name)) continue;
-    DeviceRib& deviceRib = ribs.device(name);
-    const auto install = [&deviceRib](const Route& route) {
-      deviceRib.vrf(route.vrf).routesFor(route.prefix).push_back(route);
+    DeviceRib* deviceRib = nullptr;
+    const auto install = [&](const Route& route) {
+      if (!deviceRib) deviceRib = &ribs.device(name);
+      deviceRib->vrf(route.vrf).routesFor(route.prefix).push_back(route);
+      ++installed;
     };
-    for (const Route& route : directRoutesOf(device)) install(route);
+    forEachDirectRoute(device, [&](const Route& route) {
+      if (kept(route.prefix)) install(route);
+    });
     if (const DeviceConfig* config = model.configs.findDevice(name))
-      for (const Route& route : staticRoutesOf(model, *config)) install(route);
+      for (const Route& route : staticRoutesOf(model, *config))
+        if (kept(route.prefix)) install(route);
     // IS-IS: loopbacks of all same-domain devices, with SPF cost and ECMP
     // first hops expanded to one route per nexthop device.
     if (device.igpDomain == kInvalidName) continue;
     for (const NameId member : model.igp.domainMembers(name)) {
       if (member == name) continue;
-      const IgpPath& path = model.igp.path(name, member);
-      if (!path.reachable()) continue;
       const Device* target = model.topology.findDevice(member);
       if (!target) continue;
+      const Prefix loopback(target->loopback,
+                            static_cast<uint8_t>(target->loopback.width()));
+      if (!kept(loopback)) continue;
+      const IgpPath& path = model.igp.path(name, member);
+      if (!path.reachable()) continue;
       for (const NameId hop : path.nextHops) {
         Route route;
-        route.prefix =
-            Prefix(target->loopback, static_cast<uint8_t>(target->loopback.width()));
+        route.prefix = loopback;
         route.protocol = Protocol::kIsis;
         route.adminDistance = kIsisAdminDistance;
         route.igpCost = path.cost;
@@ -129,6 +141,7 @@ void installLocalRoutes(const NetworkModel& model, NetworkRibs& ribs,
       }
     }
   }
+  return installed;
 }
 
 std::vector<InputRoute> computeRedistributedInputs(const NetworkModel& model) {
@@ -144,11 +157,11 @@ std::vector<InputRoute> computeRedistributedInputs(const NetworkModel& model) {
     for (const Redistribution& redist : config.bgp.redistributions) {
       switch (redist.from) {
         case Protocolish::kDirect:
-          for (Route route : directRoutesOf(*device)) {
+          forEachDirectRoute(*device, [&](const Route& route) {
             // Table 5 "redistributing /32 route".
-            if (route.fromDirectSlash32 && !vendor.redistributeDirectSlash32) continue;
-            candidates.push_back(route);
-          }
+            if (!route.fromDirectSlash32 || vendor.redistributeDirectSlash32)
+              candidates.push_back(route);
+          });
           break;
         case Protocolish::kStatic:
           for (Route route : staticRoutesOf(model, config)) candidates.push_back(route);

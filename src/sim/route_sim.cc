@@ -746,10 +746,12 @@ void finishRib(NetworkRibs& ribs, obs::ProvenanceRecorder* recorder) {
 
 RouteSimResult simulateCentralized(const NetworkModel& model,
                                    std::span<const InputRoute> inputs,
-                                   const RouteSimOptions& options) {
+                                   const RouteSimOptions& options,
+                                   const LocalPrefixSet* keepLocal) {
   RouteSimResult result = simulateRoutes(model, inputs, options);
   NetworkRibs local;
-  installLocalRoutes(model, local, options.provenance);
+  result.stats.localRoutes =
+      installLocalRoutes(model, local, options.provenance, keepLocal);
   result.ribs.merge(std::move(local));
   finishRib(result.ribs, options.provenance);
   result.stats.installedRoutes = result.ribs.routeCount();

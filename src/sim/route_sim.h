@@ -16,6 +16,7 @@
 #include "net/route.h"
 #include "proto/network_model.h"
 #include "proto/policy_kernel.h"
+#include "sim/local_routes.h"
 #include "sim/route_ec.h"
 
 namespace hoyan::obs {
@@ -49,6 +50,7 @@ struct RouteSimStats {
   size_t rounds = 0;
   size_t messagesProcessed = 0;
   size_t installedRoutes = 0;
+  size_t localRoutes = 0;  // Routes simulateCentralized's installLocalRoutes installed.
   bool converged = true;
   bool outOfMemory = false;
   EcStats ec;
@@ -110,10 +112,18 @@ void finishRib(NetworkRibs& ribs, obs::ProvenanceRecorder* recorder = nullptr);
 // assembles its route files: the simulateRoutes file, then a fresh
 // installLocalRoutes file merged after it, then finishRib. Returns the whole
 // forwardable RIB: BGP and local routes, indexed; `stats.installedRoutes`
-// counts all of it. `options.provenance` also gets the local-installed and
-// selection events.
+// counts all of it and `stats.localRoutes` the local routes installed.
+// `options.provenance` also gets the local-installed and selection events.
+//
+// `keepLocal` is installLocalRoutes's keep set: null installs every local
+// route, a set only the routes whose prefix it holds. A scoped k-failure
+// sweep job passes the local prefixes its property can read (sweep/sweep.h).
+// It is an argument, not a RouteSimOptions field, because options are
+// fingerprinted into incremental cache keys and a keep set is not a
+// simulation setting.
 RouteSimResult simulateCentralized(const NetworkModel& model,
                                    std::span<const InputRoute> inputs,
-                                   const RouteSimOptions& options = {});
+                                   const RouteSimOptions& options = {},
+                                   const LocalPrefixSet* keepLocal = nullptr);
 
 }  // namespace hoyan

@@ -70,19 +70,22 @@ struct CanonicalScenario {
 
 // Relevance analysis for pruning and slicing. An element is *inert* when,
 // per the SweepHints contract, failing it cannot change which routes exist
-// for the relevant prefixes or the state of the relevant devices:
-//  * it touches no relevant device;
+// for the relevant prefixes, where they forward, or the state of the
+// relevant devices:
+//  * it touches no relevant device and no *originator*: a device that
+//    injects an input route, or configures a static or an aggregate,
+//    overlapping a relevant prefix (failing the device removes those
+//    routes; failing its link cuts the session or the static's next hop);
 //  * it carries no IGP adjacency (an IS-IS-enabled link or a device with any
-//    IS-IS interface reshapes SPF, which reroutes everything);
-//  * none of its interface subnets overlaps a relevant prefix (direct routes
-//    and nexthop resolution for those prefixes are untouched); and
-//  * no device it silences injects an input route overlapping a relevant
-//    prefix (injection points gone => the routes themselves change).
+//    IS-IS interface reshapes SPF, which reroutes everything); and
+//  * none of its interface subnets, and for a device not its loopback,
+//    overlaps a relevant prefix (direct routes and nexthop resolution for
+//    those prefixes are untouched).
 // Overlap is checked both directions, so a covering or covered prefix — which
 // shifts longest-prefix forwarding — blocks inertness too. The overlapping
-// inputs are also the only ones a job simulates: prefixes propagate
-// independently, and `prefixes` is closed over aggregates, so every route the
-// verdict can read comes from them or from local routes.
+// inputs and local routes are also the only ones a job simulates: prefixes
+// propagate independently, and `prefixes` is closed over aggregates, so
+// every route the verdict can read comes from them.
 class RelevanceIndex {
  public:
   RelevanceIndex(const NetworkModel& model, std::vector<Prefix> prefixes,
@@ -93,12 +96,37 @@ class RelevanceIndex {
     for (const InputRoute& input : inputs) {
       if (!overlapsRelevant(input.route.prefix)) continue;
       inputs_.push_back(input);
-      injectors_.insert(input.device);
+      originators_.insert(input.device);
+    }
+    // Every prefix a local route can have, on any degraded network: failures
+    // only mask links and devices, so they add none. Returns whether
+    // `prefix` is kept.
+    const auto keepIfRelevant = [this](const Prefix& prefix) {
+      if (localPrefixes_.contains(prefix)) return true;
+      if (!overlapsRelevant(prefix)) return false;
+      localPrefixes_.insert(prefix);
+      return true;
+    };
+    for (const auto& [name, device] : model.topology.devices()) {
+      keepIfRelevant(Prefix(device.loopback, static_cast<uint8_t>(device.loopback.width())));
+      for (const Interface& itf : device.interfaces) {
+        keepIfRelevant(itf.subnet());
+        keepIfRelevant(Prefix(itf.address, static_cast<uint8_t>(itf.address.width())));
+      }
+    }
+    for (const auto& [name, config] : model.configs.devices()) {
+      for (const StaticRouteConfig& route : config.staticRoutes)
+        if (keepIfRelevant(route.prefix)) originators_.insert(name);
+      for (const AggregateConfig& aggregate : config.bgp.aggregates)
+        if (overlapsRelevant(aggregate.prefix)) originators_.insert(name);
     }
   }
 
   // The input routes overlapping a relevant prefix, in input order.
   std::span<const InputRoute> inputs() const { return inputs_; }
+  // The local-route prefixes overlapping a relevant prefix: the keep set of
+  // every job's installLocalRoutes.
+  const LocalPrefixSet& localPrefixes() const { return localPrefixes_; }
 
   bool linkInert(NameId a, NameId b) const {
     if (deviceTouchesRelevant(a) || deviceTouchesRelevant(b)) return false;
@@ -116,12 +144,12 @@ class RelevanceIndex {
     if (deviceTouchesRelevant(device)) return false;
     const Device* dev = model_.topology.findDevice(device);
     if (!dev) return true;  // Unknown device: failing it is a no-op.
-    if (overlapsRelevant(
+    if (localPrefixes_.contains(
             Prefix(dev->loopback, static_cast<uint8_t>(dev->loopback.width()))))
       return false;  // Owns a relevant host route (the loopback).
     for (const Interface& itf : dev->interfaces) {
       if (itf.isisEnabled) return false;
-      if (overlapsRelevant(itf.subnet())) return false;
+      if (localPrefixes_.contains(itf.subnet())) return false;
     }
     return true;
   }
@@ -134,21 +162,22 @@ class RelevanceIndex {
   }
 
   bool deviceTouchesRelevant(NameId device) const {
-    return relevantDevices_.contains(device) || injectors_.contains(device);
+    return relevantDevices_.contains(device) || originators_.contains(device);
   }
 
   bool interfaceInert(NameId device, NameId ifName) const {
     const Device* dev = model_.topology.findDevice(device);
     const Interface* itf = dev ? dev->findInterface(ifName) : nullptr;
     if (!itf) return true;
-    return !itf->isisEnabled && !overlapsRelevant(itf->subnet());
+    return !itf->isisEnabled && !localPrefixes_.contains(itf->subnet());
   }
 
   const NetworkModel& model_;
   std::vector<Prefix> prefixes_;
   std::unordered_set<NameId> relevantDevices_;
   std::vector<InputRoute> inputs_;
-  std::unordered_set<NameId> injectors_;  // Devices injecting relevant routes.
+  std::unordered_set<NameId> originators_;  // Of relevant inputs, statics, aggregates.
+  LocalPrefixSet localPrefixes_;
 };
 
 // One enumerated scenario, in the oracle's evaluation order. `failures` is
@@ -164,14 +193,15 @@ struct Scenario {
 // One unique degraded network to evaluate. Jobs resolve out of order on
 // worker threads; scenarios commit in order against `state`/`verdict`.
 // `state` changes only before the run or inside the executor's serialized
-// settle callback, which also orders each body's `verdict` write before the
-// commit that reads it.
+// settle callback, which also orders each body's `verdict` and
+// `localRoutes` writes before it reads them.
 struct Job {
   CanonicalScenario canonical;
-  std::string cacheKey;  // Empty = verdict cache off for this sweep.
-  size_t shared = 0;     // Scenarios mapping onto this job.
-  int state = 0;         // 0 pending, 1 resolved, 2 failed (exhausted).
-  bool verdict = false;  // Valid once state == 1.
+  std::string cacheKey;    // Empty = verdict cache off for this sweep.
+  size_t shared = 0;       // Scenarios mapping onto this job.
+  int state = 0;           // 0 pending, 1 resolved, 2 failed (exhausted).
+  bool verdict = false;    // Valid once state == 1.
+  size_t localRoutes = 0;  // Installed by the body that evaluated the job.
 };
 
 }  // namespace
@@ -245,8 +275,8 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
   out.stats.enumerated = scenarios.size();
 
   // --- classify: prune inert elements, dedupe by canonical fingerprint -----
-  // Scoped hints also slice the inputs: every job simulates only the routes
-  // the verdict can read.
+  // Scoped hints also slice the inputs and the local routes: every job
+  // simulates only the routes the verdict can read.
   const bool pruning = !hints.relevantPrefixes.empty();
   std::optional<RelevanceIndex> relevance;
   if (pruning)
@@ -255,6 +285,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
                       hints.relevantDevices, inputs);
   const std::span<const InputRoute> jobInputs =
       pruning ? relevance->inputs() : inputs;
+  const LocalPrefixSet* jobLocalPrefixes = pruning ? &relevance->localPrefixes() : nullptr;
   out.stats.jobInputs = jobInputs.size();
   // Memoized per-element inertness (elements recur across scenarios).
   std::unordered_map<uint64_t, bool> linkInert;
@@ -417,8 +448,10 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
         try {
           overlay.apply(local.topology);
           local.rebuildDerivedForFailures();
-          const RouteSimResult sim = simulateCentralized(local, jobInputs);
+          const RouteSimResult sim =
+              simulateCentralized(local, jobInputs, {}, jobLocalPrefixes);
           job.verdict = property(local, sim.ribs);
+          job.localRoutes = sim.stats.localRoutes;
           // Sample the worker's materialized footprint at its peak — overlay
           // applied, derived state rebuilt — for the CoW accounting.
           const size_t materialized = local.materializedBytes(baseModel);
@@ -437,6 +470,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
       },
       [&](size_t j, const JobOutcome& outcome) {
         jobs[j].state = outcome.succeeded ? 1 : 2;
+        if (outcome.succeeded) out.stats.localRoutesInstalled += jobs[j].localRoutes;
         commitReady();
       });
   if (!commitComplete()) {

@@ -10,8 +10,8 @@
 //  * pruning scenarios whose failed elements are provably inert for the
 //    property (caller-supplied relevance hints; see SweepHints) so they
 //    inherit the base network's verdict without a simulation;
-//  * slicing, under the same hints, the input routes each job simulates down
-//    to those the property can read;
+//  * slicing, under the same hints, the input routes each job simulates and
+//    the local routes it installs down to those the property can read;
 //  * deduping symmetric scenarios by impact fingerprint (parallel links,
 //    orientation, inert padding) so each distinct degraded network simulates
 //    once no matter how many scenarios map onto it;
@@ -50,15 +50,18 @@ namespace hoyan::sweep {
 // (closeOverAggregates in sweep/derive_hints.h), since an aggregate's route
 // lives on its contributors. Against the closed set it then
 //  * prunes: failing an element that (a) is not on a relevant device, (b)
-//    carries no IGP adjacency, and (c) neither owns nor injects routes
-//    overlapping a relevant prefix cannot change the verdict, so such
-//    scenarios inherit the base verdict; and
+//    carries no IGP adjacency, and (c) neither owns nor originates routes
+//    overlapping a relevant prefix (its loopback and interface subnets; the
+//    inputs, statics and aggregates of a device or of a link's endpoints)
+//    cannot change the verdict, so such scenarios inherit the base verdict;
+//    and
 //  * slices: every job simulates only the input routes whose prefix overlaps
-//    the set (in either direction), plus all local routes, so the property
-//    is handed RIBs holding nothing else.
+//    the set (in either direction), and installs only the local routes
+//    (direct, static, IS-IS) whose prefix does, so the property is handed
+//    RIBs holding nothing else.
 // Empty `relevantPrefixes` means "reads everything": pruning and slicing are
-// off, every scenario simulates every input (dedupe still applies — it is
-// unconditionally sound).
+// off, every scenario simulates every input and local route (dedupe still
+// applies — it is unconditionally sound).
 struct SweepHints {
   // Stable content id of the property (e.g. its RCL text or a descriptive
   // tag). Non-empty + an incremental engine => verdicts are cached under
@@ -105,6 +108,11 @@ struct SweepStats {
   // Input routes each job simulates: those overlapping the closed relevant
   // set under scoped hints, every input otherwise.
   size_t jobInputs = 0;
+  // Local routes installed, summed over the jobs this sweep evaluated: under
+  // scoped hints a job installs only those whose prefix overlaps the closed
+  // relevant set, otherwise all of them. Deterministic for a cold sweep that
+  // evaluates every job (no early exit cancels one).
+  size_t localRoutesInstalled = 0;
   // Worker-model memory accounting (copy-on-write). Deep is what one worker
   // would hold if it deep-copied the base model (the pre-CoW design); peak is
   // the largest bytes any worker actually materialized during a job — shared

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <regex>
 
 #include "rcl/parser.h"
 #include "rcl/verify.h"
@@ -178,6 +179,78 @@ TEST(RclParserTest, InvalidMatchesRegexIsALocatedParseError) {
   const ParseOutcome good = parseIntent("prefix matches \"^20\" => POST |> count() = 1");
   ASSERT_TRUE(good.ok()) << good.error;
   EXPECT_TRUE(good.intent->guard->compiledRegex);
+}
+
+// A pattern std::regex accepts but the matching automaton does not model is
+// the same located parse error as one std::regex rejects.
+TEST(RclParserTest, UnsupportedMatchesRegexIsALocatedParseError) {
+  const ParseOutcome lookahead =
+      parseIntent("aspath matches \"1(?=2)\" => PRE |> count() = POST |> count()");
+  ASSERT_FALSE(lookahead.ok());
+  EXPECT_NE(lookahead.error.find("column 16: bad regex \"1(?=2)\""), std::string::npos)
+      << lookahead.error;
+  EXPECT_NE(lookahead.error.find("unsupported"), std::string::npos) << lookahead.error;
+}
+
+// `matches` runs on the as-path automaton: it searches the row's own text
+// for device, vrf and aspath and the rendered value of every other field.
+// Each field of three varied rows, under patterns aimed at every field's
+// text, must give std::regex_search's verdict on that field's render.
+TEST(RclMatchesTest, AutomatonAgreesWithStdRegexOnEveryField) {
+  std::vector<RibRow> rows;
+  {
+    RibRow r = row("t-C1", "global", "100.1.0.0/16", {"100:1", "65000:20"}, 200, "9.0.0.4");
+    r.med = 5;
+    r.igpCost = 20;
+    r.asPath = AsPath({65000, 100});
+    r.origin = BgpOrigin::kIgp;
+    rows.push_back(r);
+  }
+  {
+    RibRow r = row("BR-2", "mgmt", "2001:db8::/32", {}, 100, "2001:db8::1");
+    r.weight = 32768;
+    r.asPath = AsPath({64512});
+    r.asPath.appendSet({65001, 65002});
+    r.routeType = RouteType::kEcmp;
+    r.protocol = Protocol::kIsis;
+    r.origin = BgpOrigin::kEgp;
+    rows.push_back(r);
+  }
+  {
+    RibRow r = row("dc1", "global", "9.0.0.3/32", {}, 100, "0.0.0.0");
+    r.routeType = RouteType::kAlternate;
+    r.protocol = Protocol::kDirect;
+    rows.push_back(r);
+  }
+  const std::vector<std::string> patterns = {
+      "^65000", "100$", "^$", ".*", "t-", "^BR-[0-9]", "glob|mgmt", "^100\\.1\\.",
+      ":", "::", "^2001", "^9\\.0\\.0\\.[0-9]+$", "^20$", "^[0-9]{3}$", "5",
+      "65000:20", "\\{", "\\d+ \\d+", "BEST|ECMP", "^(isis|bgp)$", "incomplete",
+      "^igp$", "[[:alpha:]]+", "\\s", "a*", "(0|1)+$", "/32$", "^[^0-9]"};
+  const std::vector<Field> fields = {
+      Field::kDevice,   Field::kVrf,     Field::kPrefix,      Field::kNexthop,
+      Field::kLocalPref, Field::kMed,    Field::kWeight,      Field::kIgpCost,
+      Field::kCommunities, Field::kAsPath, Field::kRouteType, Field::kProtocol,
+      Field::kOrigin};
+  size_t verdicts = 0;
+  size_t matched = 0;
+  for (const std::string& pattern : patterns) {
+    const std::regex oracle(pattern);
+    for (const Field field : fields) {
+      const PredicatePtr predicate = Predicate::matches(field, pattern);
+      for (const RibRow& r : rows) {
+        const std::string text = r.fieldValue(field).render();
+        const bool expected = std::regex_search(text, oracle);
+        EXPECT_EQ(predicate->eval(r), expected)
+            << fieldName(field) << " matches \"" << pattern << "\" on \"" << text << "\"";
+        ++verdicts;
+        matched += expected;
+      }
+    }
+  }
+  EXPECT_EQ(verdicts, patterns.size() * fields.size() * rows.size());
+  EXPECT_GT(matched, verdicts / 10);
+  EXPECT_LT(matched, verdicts * 4 / 5);
 }
 
 TEST(RclParserTest, SizeMetricCountsInternalNodes) {

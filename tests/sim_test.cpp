@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <set>
 
 #include "config/parser.h"
 #include "config/printer.h"
@@ -274,6 +275,94 @@ TEST(LocalRoutesTest, DirectStaticAndIsisInstalled) {
   ASSERT_NE(installedStatic, nullptr);
   EXPECT_EQ(installedStatic->protocol, Protocol::kStatic);
   EXPECT_EQ(installedStatic->nexthopDevice, net.c2);
+}
+
+// A keep set restricts installLocalRoutes to the cells it names, and each
+// kept cell is the unrestricted (null keep set) install's, route for route
+// and in order. A set of every prefix keeps everything; an empty set
+// installs none.
+TEST(LocalRoutesTest, KeepSetInstallsExactlyTheUnrestrictedCellsItNames) {
+  SmallWan net = buildSmallWan();
+  // An extra IS-IS link RR1-BR1 gives BR1 two equal-cost paths to C2, so
+  // C2's loopback cell on BR1 holds two IS-IS routes.
+  {
+    Device* rr1 = net.topology.findDevice(net.rr1);
+    Device* br1 = net.topology.findDevice(net.br1);
+    Interface a;
+    a.name = Names::id("t-RR1:br1");
+    a.address = *IpAddress::parse("172.30.0.1");
+    a.isisEnabled = true;
+    rr1->interfaces.push_back(a);
+    Interface b;
+    b.name = Names::id("t-BR1:rr1");
+    b.address = *IpAddress::parse("172.30.0.2");
+    b.isisEnabled = true;
+    br1->interfaces.push_back(b);
+    net.topology.addLink(net.rr1, a.name, net.br1, b.name);
+  }
+  StaticRouteConfig toC2;
+  toC2.prefix = *Prefix::parse("50.0.0.0/8");
+  toC2.nexthop = net.topology.findDevice(net.c2)->loopback;
+  net.configs.device(net.c1).staticRoutes.push_back(toC2);
+  // A floating static on the prefix of C2's loopback: one cell, two
+  // protocols.
+  StaticRouteConfig floating;
+  floating.prefix = Prefix(net.topology.findDevice(net.c2)->loopback, 32);
+  floating.nexthop = net.topology.findDevice(net.rr1)->loopback;
+  floating.preference = 200;
+  net.configs.device(net.br1).staticRoutes.push_back(floating);
+  const NetworkModel model = net.model();
+
+  NetworkRibs all;
+  const size_t allCount = installLocalRoutes(model, all);
+  EXPECT_EQ(allCount, all.routeCount());
+  std::set<Prefix> prefixes;
+  for (const auto& [device, deviceRib] : all.devices())
+    for (const auto& [vrf, vrfRib] : deviceRib.vrfs())
+      for (const auto& [prefix, routes] : vrfRib.routes()) prefixes.insert(prefix);
+
+  // Keep every other prefix, the contended loopback, and one no route has.
+  LocalPrefixSet keep;
+  bool take = true;
+  for (const Prefix& prefix : prefixes) {
+    if (take) keep.insert(prefix);
+    take = !take;
+  }
+  keep.insert(floating.prefix);
+  keep.insert(*Prefix::parse("77.0.0.0/8"));
+  NetworkRibs expected;
+  std::set<Protocol> keptProtocols;
+  for (const auto& [device, deviceRib] : all.devices())
+    for (const auto& [vrf, vrfRib] : deviceRib.vrfs())
+      for (const auto& [prefix, routes] : vrfRib.routes()) {
+        if (!keep.contains(prefix)) continue;
+        expected.device(device).vrf(vrf).routesFor(prefix) = routes;
+        for (const Route& route : routes) keptProtocols.insert(route.protocol);
+      }
+  EXPECT_EQ(keptProtocols,
+            (std::set<Protocol>{Protocol::kDirect, Protocol::kStatic, Protocol::kIsis}));
+  const std::vector<Route>* contended =
+      expected.device(net.br1).vrf(kInvalidName).find(floating.prefix);
+  ASSERT_NE(contended, nullptr);
+  EXPECT_EQ(contended->size(), 3u);  // Two IS-IS ECMP routes and the static.
+
+  NetworkRibs kept;
+  const size_t keptCount = installLocalRoutes(model, kept, nullptr, &keep);
+  EXPECT_EQ(keptCount, expected.routeCount());
+  EXPECT_GT(keptCount, 0u);
+  EXPECT_LT(keptCount, allCount);
+  for (const std::string& difference : cellDifferences(expected, kept))
+    ADD_FAILURE() << difference;
+
+  LocalPrefixSet everything(prefixes.begin(), prefixes.end());
+  NetworkRibs viaEverything;
+  EXPECT_EQ(installLocalRoutes(model, viaEverything, nullptr, &everything), allCount);
+  EXPECT_TRUE(cellDifferences(all, viaEverything).empty());
+
+  const LocalPrefixSet none;
+  NetworkRibs empty;
+  EXPECT_EQ(installLocalRoutes(model, empty, nullptr, &none), 0u);
+  EXPECT_TRUE(empty.devices().empty());
 }
 
 TEST(RouteEcTest, SameAttrsSamePolicyFateCollapse) {

@@ -3,6 +3,7 @@
 // results byte-identical to the serial oracle `checkKFailures`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,7 @@
 #include "rcl/global_rib.h"
 #include "rcl/parser.h"
 #include "rcl/verify.h"
+#include "sim/route_sim.h"
 #include "sweep/derive_hints.h"
 #include "sweep/sweep.h"
 #include "test_fixtures.h"
@@ -109,6 +111,34 @@ NameId addSecondIsp(SmallWan& net, std::vector<InputRoute>& inputs,
   announcement.route.nexthopDevice = isp2.name;
   inputs.push_back(announcement);
   return isp2.name;
+}
+
+// Adds a /30 link a --- b, a at `addressA` and b at `addressB`; `isis`
+// enables IS-IS on both ends at cost 10.
+void addLink(SmallWan& net, NameId a, const std::string& addressA, NameId b,
+             const std::string& addressB, bool isis) {
+  const auto end = [&](NameId device, const std::string& address, NameId peer) {
+    Interface itf;
+    itf.name = Names::id(Names::str(device) + ":" + Names::str(peer));
+    itf.address = *IpAddress::parse(address);
+    itf.prefixLength = 30;
+    itf.isisEnabled = isis;
+    net.topology.findDevice(device)->interfaces.push_back(itf);
+    return itf.name;
+  };
+  const NameId itfA = end(a, addressA, b);
+  const NameId itfB = end(b, addressB, a);
+  net.topology.addLink(a, itfA, b, itfB);
+}
+
+// The global-RIB rows a centralized simulation of `model` gives `prefix`.
+size_t rowsFor(const NetworkModel& model, const std::vector<InputRoute>& inputs,
+               const Prefix& prefix) {
+  const rcl::GlobalRib rib = rcl::GlobalRib::fromNetworkRibs(
+      simulateCentralized(model, inputs).ribs);
+  return static_cast<size_t>(std::count_if(
+      rib.rows().begin(), rib.rows().end(),
+      [&](const rcl::RibRow& row) { return row.prefix == prefix; }));
 }
 
 class SweepTest : public ::testing::Test {
@@ -282,6 +312,156 @@ TEST_F(SweepTest, CallerHintsAreClosedOverAggregates) {
   expectSameResult(serial, swept.result, "aggregate");
   // The closed set covers ISP2's route, so the jobs simulate it too.
   EXPECT_EQ(swept.stats.jobInputs, 2u);
+}
+
+// Adds t-DC, a DC gateway with no IS-IS interface on a non-IGP link to BR1,
+// holding a discard static on `staticPrefix`.
+NameId addDcGateway(SmallWan& net, const std::string& staticPrefix) {
+  Device dc;
+  dc.name = Names::id("t-DC");
+  dc.role = DeviceRole::kDcGateway;
+  dc.loopback = *IpAddress::parse("9.0.0.50");
+  net.topology.addDevice(dc);
+  DeviceConfig config;
+  config.hostname = dc.name;
+  config.vendor = vendorB().name;
+  config.routerId = dc.loopback;
+  StaticRouteConfig discard;
+  discard.prefix = *Prefix::parse(staticPrefix);
+  discard.discard = true;
+  config.staticRoutes.push_back(discard);
+  net.configs.mutableDevices().emplace(dc.name, std::move(config));
+  addLink(net, net.br1, "172.23.0.1", dc.name, "172.23.0.2", /*isis=*/false);
+  return dc.name;
+}
+
+TEST_F(SweepTest, DeviceOwningARelevantStaticIsNotInert) {
+  // t-DC alone carries 100.1.0.0/24, so failing it removes the prefix's
+  // only route. Its loopback and subnet overlap nothing relevant: a sweep
+  // that did not count its static as an originated route would prune the
+  // device as inert and miss that counterexample.
+  const NameId dc = addDcGateway(net_, "100.1.0.0/24");
+  model_ = net_.model();
+
+  const rcl::IntentPtr intent = parseOrFail("prefix = 100.1.0.0/24 => POST |> count() >= 1");
+  const NetworkProperty property = intentProperty(intent);
+  KFailureOptions failure;
+  failure.k = 1;
+  failure.includeDeviceFailures = true;
+  failure.maxCounterexamples = 50;
+  const KFailureResult serial = checkKFailures(model_, inputs_, property, failure);
+  ASSERT_EQ(serial.counterexamples.size(), 1u);
+  EXPECT_EQ(serial.counterexamples[0].failedDevices, std::vector<NameId>{dc});
+
+  sweep::SweepHints caller;
+  caller.relevantPrefixes = {*Prefix::parse("100.1.0.0/24")};
+  const sweep::DeriveResult derived = sweep::deriveHints(*intent, model_, inputs_);
+  ASSERT_TRUE(derived.scoped) << derived.reason;
+  for (const size_t workers : {1u, 3u}) {
+    sweep::SweepOptions options;
+    options.failure = failure;
+    options.workers = workers;
+    const std::string label = " workers=" + std::to_string(workers);
+    expectSameResult(
+        serial, sweep::sweepKFailures(model_, inputs_, property, options, caller).result,
+        "caller" + label);
+    expectSameResult(
+        serial, sweep::sweepKFailures(model_, inputs_, property, options, derived.hints).result,
+        "derived" + label);
+  }
+}
+
+TEST_F(SweepTest, LinkCarryingARelevantStaticIsNotInert) {
+  // BR1 sends 100.1.2.0/24 to t-DC by a static over their non-IGP link, so
+  // C2's traffic to 100.1.2.3 dies with that link. Neither end injects a
+  // relevant input and the link's subnet overlaps nothing relevant: a sweep
+  // that did not count static owners as originators would prune the link.
+  addDcGateway(net_, "100.1.2.0/24");
+  StaticRouteConfig toDc;
+  toDc.prefix = *Prefix::parse("100.1.2.0/24");
+  toDc.nexthop = *IpAddress::parse("172.23.0.2");
+  net_.configs.device(net_.br1).staticRoutes.push_back(toDc);
+  model_ = net_.model();
+
+  KFailureOptions failure;
+  failure.k = 1;
+  failure.maxCounterexamples = 50;
+  const KFailureResult serial = checkKFailures(model_, inputs_, reachProperty(), failure);
+  ASSERT_EQ(serial.counterexamples.size(), 3u);
+  EXPECT_EQ(serial.counterexamples[2].str(), "link t-BR1-t-DC");
+
+  sweep::SweepHints hints;
+  hints.relevantPrefixes = {*Prefix::parse("100.1.0.0/16")};
+  hints.relevantDevices = {net_.c2};
+  for (const size_t workers : {1u, 3u}) {
+    sweep::SweepOptions options;
+    options.failure = failure;
+    options.workers = workers;
+    expectSameResult(
+        serial, sweep::sweepKFailures(model_, inputs_, reachProperty(), options, hints).result,
+        "workers=" + std::to_string(workers));
+  }
+}
+
+// Derived-hints sweeps whose intents read local routes: a core's loopback
+// (IS-IS routes, whose ECMP next hops change under link failures) and an
+// interface subnet (direct routes, gone with a failed endpoint). Each verdict
+// depends on the local routes the jobs keep, so each sweep must find the
+// oracle's counterexamples with them.
+TEST_F(SweepTest, LocalRouteScopedSweepsMatchSerial) {
+  // RR1-BR1 gives BR1 two equal-cost paths to C2 (via C1 and via RR1).
+  addLink(net_, net_.rr1, "172.30.0.1", net_.br1, "172.30.0.2", /*isis=*/true);
+  model_ = net_.model();
+  const Prefix c2Loopback(model_.topology.findDevice(net_.c2)->loopback, 32);
+  // C2's direct route, one IS-IS route on C1 and RR1, two on BR1.
+  const size_t loopbackRows = rowsFor(model_, inputs_, c2Loopback);
+  ASSERT_EQ(loopbackRows, 5u);
+  const Prefix c1c2Subnet = model_.topology.findDevice(net_.c1)->interfaces.front().subnet();
+  ASSERT_EQ(rowsFor(model_, inputs_, c1c2Subnet), 2u);
+
+  struct Case {
+    std::string spec;
+    KFailureOptions failure;
+    bool keepsLocalRoutes;
+  };
+  KFailureOptions linkPairs;
+  linkPairs.k = 2;
+  linkPairs.maxCounterexamples = 1000;
+  KFailureOptions withDevices;
+  withDevices.k = 1;
+  withDevices.includeDeviceFailures = true;
+  withDevices.maxCounterexamples = 1000;
+  const std::vector<Case> cases = {
+      {"prefix = " + c2Loopback.str() + " => POST |> count() = " +
+           std::to_string(loopbackRows),
+       linkPairs, true},
+      {"prefix = " + c1c2Subnet.str() + " => POST |> count() >= 2", withDevices, true},
+      {"prefix = 100.1.0.0/16 => POST |> count() >= 1", linkPairs, false},
+  };
+  for (const Case& c : cases) {
+    const rcl::IntentPtr intent = parseOrFail(c.spec);
+    const NetworkProperty property = intentProperty(intent);
+    const KFailureResult serial = checkKFailures(model_, inputs_, property, c.failure);
+    if (c.keepsLocalRoutes) {
+      EXPECT_FALSE(serial.counterexamples.empty()) << c.spec;
+    }
+    const sweep::DeriveResult derived = sweep::deriveHints(*intent, model_, inputs_);
+    ASSERT_TRUE(derived.scoped) << c.spec << ": " << derived.reason;
+    for (const size_t workers : {1u, 3u}) {
+      sweep::SweepOptions options;
+      options.failure = c.failure;
+      options.workers = workers;
+      const std::string label = c.spec + " workers=" + std::to_string(workers);
+      const sweep::SweepResult swept =
+          sweep::sweepKFailures(model_, inputs_, property, options, derived.hints);
+      expectSameResult(serial, swept.result, label);
+      if (c.keepsLocalRoutes) {
+        EXPECT_GT(swept.stats.localRoutesInstalled, 0u) << label;
+      } else {
+        EXPECT_EQ(swept.stats.localRoutesInstalled, 0u) << label;
+      }
+    }
+  }
 }
 
 TEST(SweepSharedIntentTest, WorkersCheckOneParsedIntentConcurrently) {
