@@ -150,12 +150,14 @@ int main() {
                            double seconds) {
     std::printf("%s: %zu scenarios (%zu pruned, %zu deduped) -> %zu jobs of "
                 "%zu inputs, %zu cache hits, %zu evaluated (%zu local routes "
-                "installed), %zu counterexamples, %.3gs (%.3g scenarios/s)\n",
+                "installed, %zu SPF sources run), %zu counterexamples, %.3gs "
+                "(%.3g scenarios/s)\n",
                 tag, result.stats.enumerated, result.stats.pruned,
                 result.stats.deduped, result.stats.scheduled,
                 result.stats.jobInputs, result.stats.cacheHits, result.stats.evaluated,
-                result.stats.localRoutesInstalled, result.result.counterexamples.size(),
-                seconds, seconds > 0 ? result.stats.enumerated / seconds : 0.0);
+                result.stats.localRoutesInstalled, result.stats.spfSources,
+                result.result.counterexamples.size(), seconds,
+                seconds > 0 ? result.stats.enumerated / seconds : 0.0);
   };
   describe("cold sweep", cold, coldSeconds);
   describe("warm sweep", warm, warmSeconds);
@@ -268,6 +270,10 @@ int main() {
                   static_cast<double>(cold.stats.localRoutesInstalled));
   artifact.metric("derived_local_routes_installed",
                   static_cast<double>(derived.stats.localRoutesInstalled));
+  // SPF sources those jobs ran: the work count incremental SPF would move.
+  artifact.metric("spf_sources_run", static_cast<double>(cold.stats.spfSources));
+  artifact.metric("derived_spf_sources_run",
+                  static_cast<double>(derived.stats.spfSources));
   artifact.metric("warm_cache_hit_rate", warmHitRate);
   artifact.metric("counterexamples",
                   static_cast<double>(cold.result.counterexamples.size()));

@@ -7,6 +7,9 @@
 namespace hoyan {
 namespace {
 
+// The largest IS-IS wide metric (RFC 5305: 24 bits).
+constexpr uint64_t kMaxIsisCost = 0xffffff;
+
 std::optional<uint64_t> parseNumber(std::string_view text) {
   if (text.empty()) return std::nullopt;
   uint64_t value = 0;
@@ -70,7 +73,8 @@ class LineParser {
 
     // Block-continuation keywords are tried first in a matching context;
     // anything unrecognised in a block falls through to top-level commands.
-    if (context_ == Context::kInterface && parseInterfaceLine(tokens, negate)) return;
+    if (context_ == Context::kInterface && parseInterfaceLine(tokens, negate, lineNo, rawLine))
+      return;
     if (context_ == Context::kPolicyNode && parsePolicyNodeLine(tokens, negate, lineNo, rawLine))
       return;
     if (context_ == Context::kBgp && parseBgpLine(tokens, negate, lineNo, rawLine)) return;
@@ -137,7 +141,8 @@ class LineParser {
   }
 
   // --- interface block -----------------------------------------------------
-  bool parseInterfaceLine(const std::vector<std::string>& tokens, bool negate) {
+  bool parseInterfaceLine(const std::vector<std::string>& tokens, bool negate, int lineNo,
+                          std::string_view rawLine) {
     if (!device_) return false;
     Interface* itf = device_->findInterface(currentInterface_);
     if (!itf) return false;
@@ -162,6 +167,11 @@ class LineParser {
       if (tokens[1] == "cost" && tokens.size() == 3) {
         const auto cost = parseNumber(tokens[2]);
         if (!cost) return false;
+        if (*cost > kMaxIsisCost) {
+          error(lineNo, rawLine,
+                "isis cost " + tokens[2] + " out of range 0.." + std::to_string(kMaxIsisCost));
+          return true;
+        }
         itf->isisCost = static_cast<uint32_t>(*cost);
         return true;
       }

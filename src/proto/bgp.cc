@@ -1,6 +1,7 @@
 #include "proto/bgp.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace hoyan {
 namespace {
@@ -112,6 +113,29 @@ std::vector<BgpSession> deriveBgpSessions(const Topology& topology,
     }
   }
   return sessions;
+}
+
+SessionIndex::SessionIndex(std::span<const BgpSession> sessions) {
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    const NameId local = sessions[i].local;
+    if (!devices_.empty() && devices_.back() == local) continue;
+    if (!devices_.empty() && local < devices_.back())
+      throw std::logic_error("SessionIndex: sessions not grouped by ascending local device");
+    devices_.push_back(local);
+    offsets_.push_back(static_cast<uint32_t>(i));
+  }
+  offsets_.push_back(static_cast<uint32_t>(sessions.size()));
+}
+
+std::ranges::iota_view<size_t, size_t> SessionIndex::of(NameId device) const {
+  const auto it = std::lower_bound(devices_.begin(), devices_.end(), device);
+  if (it == devices_.end() || *it != device) return {};
+  const size_t slot = static_cast<size_t>(it - devices_.begin());
+  return std::views::iota(size_t{offsets_[slot]}, size_t{offsets_[slot + 1]});
+}
+
+size_t SessionIndex::approxBytes() const {
+  return devices_.capacity() * sizeof(NameId) + offsets_.capacity() * sizeof(uint32_t);
 }
 
 bool bgpPreferred(const Route& a, const Route& b) {

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,28 @@ std::vector<BgpSession> deriveBgpSessions(const Topology& topology,
                                           const AddressIndex& addresses,
                                           const IgpState& igp,
                                           std::vector<std::string>* problems = nullptr);
+
+// Sessions by local device: sorted device ids plus offsets into the session
+// vector (a CSR index), built in one pass. deriveBgpSessions walks the
+// config map, so it emits sessions grouped by `local` in ascending order, and
+// each device's sessions are one contiguous run.
+class SessionIndex {
+ public:
+  SessionIndex() = default;
+  // Throws std::logic_error when `sessions` is not grouped by ascending
+  // `local`.
+  explicit SessionIndex(std::span<const BgpSession> sessions);
+
+  // Indices of the device's sessions in the vector the index was built
+  // from, ascending; empty for a device with none.
+  std::ranges::iota_view<size_t, size_t> of(NameId device) const;
+
+  size_t approxBytes() const;
+
+ private:
+  std::vector<NameId> devices_;    // Sorted; devices with a session only.
+  std::vector<uint32_t> offsets_;  // devices_.size() + 1 bounds.
+};
 
 // The BGP decision process. Returns true when `a` is strictly preferred over
 // `b`. `medComparableOnly` keeps the standard rule of comparing MED only for

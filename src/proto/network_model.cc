@@ -21,21 +21,16 @@ void NetworkModel::rebuildDerivedForFailures() {
   sessionProblems.clear();
   sessions = deriveBgpSessions(topology, adjacency, configs, addresses, igp,
                                &sessionProblems);
-  sessionsByDevice.clear();
-  for (size_t i = 0; i < sessions.size(); ++i)
-    sessionsByDevice[sessions[i].local].push_back(i);
+  sessionIndex = SessionIndex(sessions);
 }
 
 namespace {
 
 size_t approxSessionBytes(const NetworkModel& model) {
-  constexpr size_t kHashNode = 16;
-  size_t bytes = model.sessions.capacity() * sizeof(BgpSession);
+  size_t bytes = model.sessions.capacity() * sizeof(BgpSession) +
+                 model.sessionIndex.approxBytes();
   for (const std::string& problem : model.sessionProblems)
     bytes += sizeof(std::string) + problem.capacity();
-  for (const auto& [device, indices] : model.sessionsByDevice)
-    bytes += kHashNode + sizeof(NameId) + sizeof(indices) +
-             indices.capacity() * sizeof(size_t);
   return bytes;
 }
 

@@ -8,7 +8,6 @@
 
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "config/device_config.h"
@@ -31,8 +30,9 @@ struct NetworkModel {
   IgpState igp;
   std::vector<BgpSession> sessions;
   std::vector<std::string> sessionProblems;
-  // Indices into `sessions` whose `local` is the key device.
-  std::unordered_map<NameId, std::vector<size_t>> sessionsByDevice;
+  // Indices into `sessions` by local device; read them through
+  // sessionIndex.of(device).
+  SessionIndex sessionIndex;
 
   static NetworkModel build(Topology topology, NetworkConfig configs);
 
@@ -40,9 +40,10 @@ struct NetworkModel {
   void rebuildDerived();
 
   // Recomputes only the failure-dependent derived state (adjacencies, IGP
-  // SPF, BGP sessions). Address ownership depends on the device inventory
-  // alone — not on link masks or failed devices — so a model sharing a base
-  // model's topology/config storage keeps the base's AddressIndex untouched.
+  // SPF, BGP sessions and their index). Address ownership depends on the
+  // device inventory alone — not on link masks or failed devices — so a model
+  // sharing a base model's topology/config storage keeps the base's
+  // AddressIndex untouched.
   // Only valid when the mutation since the last rebuild is a failure overlay
   // (masked links, failed devices, setLinkState); config or inventory edits
   // need the full rebuildDerived().

@@ -94,7 +94,7 @@ size_t installLocalRoutes(const NetworkModel& model, NetworkRibs& ribs,
       const Prefix loopback(target->loopback,
                             static_cast<uint8_t>(target->loopback.width()));
       if (!kept(loopback)) continue;
-      const IgpPath& path = model.igp.path(name, member);
+      const IgpPath path = model.igp.path(name, member);
       if (!path.reachable()) continue;
       for (const NameId hop : path.nextHops) {
         Route route;

@@ -86,11 +86,8 @@ class RouteSimEngine {
     // the session addresses (the reverse session dials our local address).
     for (size_t i = 0; i < model_.sessions.size(); ++i) {
       const BgpSession& session = model_.sessions[i];
-      reverse_.push_back(SIZE_MAX);
-      const auto it = model_.sessionsByDevice.find(session.peer);
-      if (it == model_.sessionsByDevice.end()) continue;
       size_t fallback = SIZE_MAX;
-      for (const size_t j : it->second) {
+      for (const size_t j : model_.sessionIndex.of(session.peer)) {
         if (model_.sessions[j].peer != session.local) continue;
         if (model_.sessions[j].peerAddress == session.localAddress) {
           fallback = j;
@@ -98,7 +95,7 @@ class RouteSimEngine {
         }
         if (fallback == SIZE_MAX) fallback = j;
       }
-      reverse_.back() = fallback;
+      reverse_.push_back(fallback);
     }
   }
 
@@ -331,7 +328,7 @@ class RouteSimEngine {
     }
     const SrPolicyConfig* sr = model_.srPolicyFor(device, route.nexthop);
     route.viaSrTunnel = sr != nullptr;
-    const IgpPath& path = model_.igp.path(device, *owner);
+    const IgpPath path = model_.igp.path(device, *owner);
     if (path.reachable()) {
       route.igpCost = path.cost;
     } else {
@@ -505,8 +502,8 @@ class RouteSimEngine {
 
   // --- advertisement ------------------------------------------------------------
   void produceAdvertisements(const CellKey& key, std::vector<Advertisement>& out) {
-    const auto sessionsIt = model_.sessionsByDevice.find(key.device);
-    if (sessionsIt == model_.sessionsByDevice.end()) return;
+    const auto sessionIndices = model_.sessionIndex.of(key.device);
+    if (sessionIndices.empty()) return;
     const DeviceConfig* config = model_.configs.findDevice(key.device);
     if (!config) return;
     const VendorProfile& vendor = model_.vendorOf(key.device);
@@ -521,7 +518,7 @@ class RouteSimEngine {
     const bool suppressed = isSuppressedContributor(*config, key);
 
     const bool watch = prov_ && prov_->wants(key.prefix);
-    for (const size_t sessionIdx : sessionsIt->second) {
+    for (const size_t sessionIdx : sessionIndices) {
       const BgpSession& session = model_.sessions[sessionIdx];
       if (session.vrf != key.vrf) continue;
       Advertisement adv;

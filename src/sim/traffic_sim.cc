@@ -134,7 +134,7 @@ class FlowForwarder {
         return true;
       }
     }
-    const IgpPath& igpPath = model_.igp.path(hereDevice, targetDevice);
+    const IgpPath igpPath = model_.igp.path(hereDevice, targetDevice);
     if (!igpPath.reachable() || igpPath.nextHops.empty()) return false;
     const double share = fraction / static_cast<double>(igpPath.nextHops.size());
     for (const NameId hop : igpPath.nextHops)

@@ -202,6 +202,7 @@ struct Job {
   int state = 0;           // 0 pending, 1 resolved, 2 failed (exhausted).
   bool verdict = false;    // Valid once state == 1.
   size_t localRoutes = 0;  // Installed by the body that evaluated the job.
+  size_t spfSources = 0;   // SPF sources that body ran.
 };
 
 }  // namespace
@@ -452,6 +453,7 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
               simulateCentralized(local, jobInputs, {}, jobLocalPrefixes);
           job.verdict = property(local, sim.ribs);
           job.localRoutes = sim.stats.localRoutes;
+          job.spfSources = local.igp.sourcesRun();
           // Sample the worker's materialized footprint at its peak — overlay
           // applied, derived state rebuilt — for the CoW accounting.
           const size_t materialized = local.materializedBytes(baseModel);
@@ -470,7 +472,10 @@ SweepResult sweepKFailures(const NetworkModel& baseModel,
       },
       [&](size_t j, const JobOutcome& outcome) {
         jobs[j].state = outcome.succeeded ? 1 : 2;
-        if (outcome.succeeded) out.stats.localRoutesInstalled += jobs[j].localRoutes;
+        if (outcome.succeeded) {
+          out.stats.localRoutesInstalled += jobs[j].localRoutes;
+          out.stats.spfSources += jobs[j].spfSources;
+        }
         commitReady();
       });
   if (!commitComplete()) {

@@ -113,6 +113,10 @@ struct SweepStats {
   // relevant set, otherwise all of them. Deterministic for a cold sweep that
   // evaluates every job (no early exit cancels one).
   size_t localRoutesInstalled = 0;
+  // SPF sources run, summed over the jobs this sweep evaluated: each job's
+  // IgpState::sourcesRun on its degraded network. Deterministic under the
+  // same condition as localRoutesInstalled.
+  size_t spfSources = 0;
   // Worker-model memory accounting (copy-on-write). Deep is what one worker
   // would hold if it deep-copied the base model (the pre-CoW design); peak is
   // the largest bytes any worker actually materialized during a job — shared

@@ -168,6 +168,37 @@ TEST(ConfigParserTest, InterfaceBlockEditsTopologyDevice) {
   EXPECT_TRUE(device.interfaces[1].shutdown);
 }
 
+// IS-IS wide metrics are 24 bits (RFC 5305): 16777215 parses, and a larger
+// cost is a located error naming the range rather than a value truncated to
+// 32 bits (4294967296 would read as 0). Change commands share the grammar.
+TEST(ConfigParserTest, IsisCostBeyondTheWideMetricRangeIsALocatedError) {
+  const ParseResult largest =
+      parseDeviceConfig("hostname R1\ninterface eth0\n isis cost 16777215\n");
+  EXPECT_TRUE(largest.errors.empty());
+  ASSERT_EQ(largest.device.interfaces.size(), 1u);
+  EXPECT_EQ(largest.device.interfaces[0].isisCost, 16777215u);
+  for (const std::string cost : {"16777216", "4294967296"}) {
+    const ParseResult parsed =
+        parseDeviceConfig("hostname R1\ninterface eth0\n isis cost " + cost + "\n");
+    ASSERT_EQ(parsed.errors.size(), 1u) << cost;
+    EXPECT_EQ(parsed.errors[0].line, 3) << cost;
+    EXPECT_NE(parsed.errors[0].message.find("0..16777215"), std::string::npos)
+        << parsed.errors[0].str();
+    EXPECT_EQ(parsed.device.interfaces[0].isisCost, Interface{}.isisCost) << cost;
+  }
+  Device device;
+  device.name = Names::id("R9");
+  DeviceConfig config;
+  const auto errors = applyDeviceCommands(config, &device,
+                                          "interface eth0\n"
+                                          " isis cost 25\n"
+                                          " isis cost 4294967296\n");
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].line, 3);
+  EXPECT_NE(errors[0].message.find("0..16777215"), std::string::npos) << errors[0].str();
+  EXPECT_EQ(device.interfaces[0].isisCost, 25u);
+}
+
 TEST(ConfigPrinterTest, RoundTripPreservesModel) {
   const ParseResult first = parseDeviceConfig(kSampleConfig);
   ASSERT_TRUE(first.errors.empty());

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,6 +73,47 @@ TEST(IsisTest, DeviceFailureDisconnects) {
   net.topology.restoreDevice(net.c1);
   const IgpState restored = spf(net.topology);
   EXPECT_TRUE(restored.path(net.br1, net.c2).reachable());
+}
+
+// Sets the IS-IS cost of `device`'s interfaces toward `neighbor`.
+void setCostToward(Topology& topology, NameId device, NameId neighbor, uint32_t cost) {
+  for (const Adjacency& adj : topology.adjacenciesOf(device))
+    if (adj.neighbor == neighbor)
+      topology.findDevice(device)->findInterface(adj.localInterface)->isisCost = cost;
+}
+
+// Costs sum in 64 bits: a path whose cost reaches kIgpInfinity is
+// unreachable with no first hops, and no wrapped sum undercuts a real path.
+TEST(IsisTest, PathCostsNeverWrapAround) {
+  SmallWan net = buildSmallWan();
+  // C1's link toward RR1 at the largest cost: 10 + 0xffffffff must not read
+  // as BR1 -> RR1 cost 9.
+  setCostToward(net.topology, net.c1, net.rr1, kIgpInfinity);
+  IgpState igp = spf(net.topology);
+  EXPECT_EQ(igp.path(net.br1, net.rr1).cost, 30u);  // BR1 -> C1 -> C2 -> RR1.
+  EXPECT_EQ(std::vector<NameId>(igp.path(net.br1, net.rr1).nextHops.begin(),
+                                igp.path(net.br1, net.rr1).nextHops.end()),
+            std::vector<NameId>{net.c1});
+  EXPECT_EQ(igp.path(net.c1, net.rr1).cost, 20u);  // Detour via C2.
+  ASSERT_EQ(igp.path(net.c1, net.rr1).nextHops.size(), 1u);
+  EXPECT_EQ(igp.path(net.c1, net.rr1).nextHops[0], net.c2);
+
+  // BR1's only IS-IS link at the largest cost: BR1 reaches nothing, and the
+  // unreachable path names no first hop. The reverse direction is unchanged.
+  setCostToward(net.topology, net.br1, net.c1, kIgpInfinity);
+  igp = spf(net.topology);
+  EXPECT_FALSE(igp.path(net.br1, net.c1).reachable());
+  EXPECT_TRUE(igp.path(net.br1, net.c1).nextHops.empty());
+  EXPECT_EQ(igp.path(net.c1, net.br1).cost, 10u);
+
+  // Two halves of 2^32 reach kIgpInfinity instead of wrapping to 0.
+  setCostToward(net.topology, net.br1, net.c1, 0x80000000u);
+  setCostToward(net.topology, net.c1, net.c2, 0x80000000u);
+  igp = spf(net.topology);
+  EXPECT_EQ(igp.path(net.br1, net.c1).cost, 0x80000000u);
+  EXPECT_FALSE(igp.path(net.br1, net.c2).reachable());
+  EXPECT_TRUE(igp.path(net.br1, net.c2).nextHops.empty());
+  EXPECT_FALSE(igp.path(net.br1, net.rr1).reachable());
 }
 
 // --- AS-path regex -----------------------------------------------------------
@@ -231,6 +276,32 @@ TEST(BgpSessionTest, DerivesAllSmallWanSessions) {
   for (const BgpSession& session : model.sessions)
     if (session.ebgp) ++ebgp;
   EXPECT_EQ(ebgp, 2u);
+}
+
+// deriveBgpSessions walks the config map, so it emits sessions grouped by
+// local device in ascending order; the model's session index relies on it.
+TEST(BgpSessionTest, SessionsGroupByAscendingLocalDeviceAndTheIndexFindsThem) {
+  WanSpec spec;
+  spec.regions = 3;
+  spec.seed = 9;
+  const NetworkModel model = generateWan(spec).buildModel();
+  ASSERT_GT(model.sessions.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(
+      model.sessions.begin(), model.sessions.end(),
+      [](const BgpSession& a, const BgpSession& b) { return a.local < b.local; }));
+  for (const auto& [name, device] : model.topology.devices()) {
+    std::vector<size_t> expected;
+    for (size_t i = 0; i < model.sessions.size(); ++i)
+      if (model.sessions[i].local == name) expected.push_back(i);
+    std::vector<size_t> indexed;
+    for (const size_t i : model.sessionIndex.of(name)) indexed.push_back(i);
+    EXPECT_EQ(indexed, expected) << Names::str(name);
+  }
+  EXPECT_TRUE(model.sessionIndex.of(Names::id("session-no-such-device")).empty());
+  // Sessions out of that order are refused, not indexed wrongly.
+  std::vector<BgpSession> reversed = model.sessions;
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_THROW(SessionIndex{reversed}, std::logic_error);
 }
 
 TEST(BgpSessionTest, RemoteAsMismatchBreaksSession) {
@@ -462,6 +533,177 @@ TEST(AdjacencyTableTest, MatchesTopologyRescanUnderFailuresAndShutdown) {
   model.rebuildDerived();
   expectTableMatchesRescan(model, "shutdown");
   EXPECT_EQ(model.adjacenciesOf(core).size(), before - 1);
+}
+
+// --- IS-IS SPF against an independent reference ----------------------------------
+
+// Checks `igp` against the all-pairs IS-IS state by definition, domain by
+// domain: Floyd–Warshall costs over the IS-IS adjacencies of a topology
+// rescan (the cheapest of parallel links), and h a first hop of s toward t
+// exactly when h is an IS-IS neighbour of s with
+// edge(s,h) + dist(h,t) = dist(s,t). Pairs across domains, and devices that
+// are failed or in no domain, have no path and no members.
+void expectIgpMatchesReference(const Topology& topology, const IgpState& igp,
+                               const std::string& label) {
+  constexpr uint64_t kNone = std::numeric_limits<uint64_t>::max() / 4;
+  std::map<NameId, std::vector<NameId>> domains;  // Members sorted by NameId.
+  for (const auto& [name, device] : topology.devices())
+    if (device.igpDomain != kInvalidName && topology.deviceActive(name))
+      domains[device.igpDomain].push_back(name);
+  size_t sources = 0;
+  for (const auto& [domainId, members] : domains) {
+    const size_t m = members.size();
+    sources += m;
+    const auto indexOf = [&](NameId device) {
+      return static_cast<size_t>(std::lower_bound(members.begin(), members.end(), device) -
+                                 members.begin());
+    };
+    std::vector<uint64_t> edge(m * m, kNone);
+    for (size_t u = 0; u < m; ++u) {
+      const Device& device = *topology.findDevice(members[u]);
+      for (const Adjacency& adj : topology.adjacenciesOf(members[u])) {
+        const Device& peer = *topology.findDevice(adj.neighbor);
+        if (peer.igpDomain != domainId) continue;
+        const Interface* local = device.findInterface(adj.localInterface);
+        const Interface* remote = peer.findInterface(adj.neighborInterface);
+        if (!local->isisEnabled || !remote->isisEnabled) continue;
+        uint64_t& cell = edge[u * m + indexOf(adj.neighbor)];
+        cell = std::min<uint64_t>(cell, local->isisCost);
+      }
+    }
+    std::vector<uint64_t> dist = edge;
+    for (size_t u = 0; u < m; ++u) dist[u * m + u] = 0;
+    for (size_t k = 0; k < m; ++k)
+      for (size_t i = 0; i < m; ++i)
+        for (size_t j = 0; j < m; ++j)
+          dist[i * m + j] = std::min(dist[i * m + j], dist[i * m + k] + dist[k * m + j]);
+    for (size_t s = 0; s < m; ++s) {
+      const std::span<const NameId> got = igp.domainMembers(members[s]);
+      ASSERT_EQ(std::vector<NameId>(got.begin(), got.end()), members)
+          << label << " members of " << Names::str(members[s]);
+      for (size_t t = 0; t < m; ++t) {
+        const uint64_t d = dist[s * m + t];
+        std::vector<NameId> hops;
+        for (size_t h = 0; h < m && d < kIgpInfinity; ++h)
+          if (edge[s * m + h] != kNone && edge[s * m + h] + dist[h * m + t] == d)
+            hops.push_back(members[h]);
+        const IgpPath path = igp.path(members[s], members[t]);
+        const std::string pair =
+            label + " " + Names::str(members[s]) + " -> " + Names::str(members[t]);
+        ASSERT_EQ(path.cost, d < kIgpInfinity ? d : kIgpInfinity) << pair;
+        ASSERT_EQ(std::vector<NameId>(path.nextHops.begin(), path.nextHops.end()), hops)
+            << pair;
+      }
+    }
+  }
+  EXPECT_EQ(igp.sourcesRun(), sources) << label;
+  for (const auto& [from, fromDevice] : topology.devices()) {
+    const bool fromIgp = fromDevice.igpDomain != kInvalidName && topology.deviceActive(from);
+    if (!fromIgp) {
+      ASSERT_TRUE(igp.domainMembers(from).empty()) << label << " " << Names::str(from);
+    }
+    for (const auto& [to, toDevice] : topology.devices()) {
+      if (fromIgp && topology.deviceActive(to) && toDevice.igpDomain == fromDevice.igpDomain)
+        continue;
+      const IgpPath path = igp.path(from, to);
+      ASSERT_FALSE(path.reachable()) << label << " " << Names::str(from) << " -> "
+                                     << Names::str(to);
+      ASSERT_TRUE(path.nextHops.empty()) << label << " " << Names::str(from);
+    }
+  }
+}
+
+// Random link and device failures on generated WANs, one with attached DCNs
+// (several IGP domains), with parallel links, a self-loop, mixed and
+// asymmetric costs, and a shut interface.
+TEST(IsisTest, SpfMatchesFloydWarshallReferenceUnderRandomFailures) {
+  WanSpec wanOnly;
+  wanOnly.regions = 4;
+  wanOnly.seed = 31;
+  WanSpec wanDcn;
+  wanDcn.regions = 3;
+  wanDcn.dcsPerRegion = 3;
+  wanDcn.dcnCoresPerDc = 8;
+  wanDcn.seed = 32;
+  std::mt19937 rng(2026);
+  const auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  for (const WanSpec& spec : {wanOnly, wanDcn}) {
+    const std::string name = spec.dcnCoresPerDc > 0 ? "wan+dcn" : "wan";
+    GeneratedWan wan = generateWan(spec);
+    // A ring inside each DCN (the generator links DCN cores only to their
+    // gateway, across domains), parallel links beside every fourth link, and
+    // a self-loop.
+    uint32_t nextAddress = (172u << 24) | (32u << 16);
+    for (size_t i = 0; i + 1 < wan.dcnCores.size(); ++i) {
+      const NameId a = wan.dcnCores[i], b = wan.dcnCores[i + 1];
+      if (wan.topology.findDevice(a)->igpDomain == wan.topology.findDevice(b)->igpDomain)
+        addParallelLink(wan.topology, Link{a, kInvalidName, b, kInvalidName}, nextAddress);
+    }
+    const std::vector<Link> original = wan.topology.links();
+    std::vector<size_t> parallelIndices;
+    for (size_t i = 0; i < original.size(); i += 4) {
+      parallelIndices.push_back(wan.topology.links().size());
+      addParallelLink(wan.topology, original[i], nextAddress);
+    }
+    addParallelLink(wan.topology, Link{wan.cores[0], kInvalidName, wan.cores[0], kInvalidName},
+                    nextAddress);
+    // Costs 5–20 in steps of 5 per interface end: asymmetric links, cheaper
+    // parallel members, and many equal-cost ties.
+    std::vector<NameId> devices;
+    for (const auto& [device, info] : wan.topology.devices()) devices.push_back(device);
+    for (const NameId device : devices)
+      for (Interface& itf : wan.topology.findDevice(device)->interfaces)
+        itf.isisCost = static_cast<uint32_t>(5 * (1 + pick(4)));
+    NetworkModel model = wan.buildModel();
+    ASSERT_NO_FATAL_FAILURE(expectIgpMatchesReference(model.topology, model.igp, name + " built"));
+
+    const std::vector<Link>& links = model.topology.links();
+    for (int round = 0; round < 30; ++round) {
+      const std::string label = name + " round " + std::to_string(round);
+      FailureOverlay overlay;
+      for (size_t k = 1 + pick(2); k > 0; --k) {
+        const Link& link = links[pick(links.size())];
+        overlay.addLink(link.deviceA, link.deviceB);
+      }
+      if (round % 3 == 0) overlay.addDevice(devices[pick(devices.size())]);
+      overlay.apply(model.topology);
+      // One of a parallel pair down on its own.
+      const size_t lone = parallelIndices[pick(parallelIndices.size())];
+      model.topology.maskLinkDown(lone);
+      model.rebuildDerivedForFailures();
+      ASSERT_NO_FATAL_FAILURE(expectIgpMatchesReference(model.topology, model.igp, label));
+      model.topology.unmaskLink(lone);
+      overlay.revert(model.topology);
+    }
+
+    model.topology.findDevice(wan.cores[1])->interfaces.front().shutdown = true;
+    model.rebuildDerived();
+    ASSERT_NO_FATAL_FAILURE(
+        expectIgpMatchesReference(model.topology, model.igp, name + " shutdown"));
+
+    if (spec.dcnCoresPerDc == 0) continue;
+    // Memory is the sum of m² over domains plus the first hops, far below
+    // a global n×n table's 8 bytes (cost and hop offset) per cell.
+    size_t cells = 0, hops = 0, igpDevices = 0, domainCount = 0;
+    std::set<NameId> seen;
+    for (const NameId device : devices) {
+      const std::span<const NameId> members = model.igp.domainMembers(device);
+      if (members.empty() || seen.contains(members.front())) continue;
+      seen.insert(members.front());
+      ++domainCount;
+      igpDevices += members.size();
+      cells += members.size() * members.size();
+      for (const NameId from : members)
+        for (const NameId to : members) hops += model.igp.path(from, to).nextHops.size();
+    }
+    ASSERT_GT(domainCount, 2u);
+    const size_t bound = sizeof(IgpState) + (2 * cells + 1) * sizeof(uint32_t) +
+                         hops * sizeof(NameId) + igpDevices * 16 + domainCount * 16;
+    EXPECT_LE(model.igp.approxBytes(), bound);
+    EXPECT_LT(3 * bound, igpDevices * igpDevices * 2 * sizeof(uint32_t));
+  }
 }
 
 // --- address index ---------------------------------------------------------------
